@@ -13,8 +13,8 @@ from .core import (GridFunction, Mesh1D, MeshError, MeshMismatchError,
                    ParameterError, ProblemParams, build_mesh, odd_power,
                    validate_params, with_lambda)
 from .kernel import (KernelError, KernelMatrix, apply_operator,
-                     assemble_kernel, pairing, seminorm_energy,
-                     seminorm_energy_and_operator)
+                     assemble_kernel, pairing, pairwise_energy,
+                     seminorm_energy, seminorm_energy_and_operator)
 from .reaction import (F, F_values, ReactionModel, f, f_values,
                        nonexistence_bound, scan_reaction_slack,
                        sign_threshold_delta)

@@ -16,28 +16,40 @@ and for the tail of cell [a1, b1] past the right endpoint b,
 
     Q(b-a1) - Q(b-b1),
 
-symmetrically on the left.  The diagonal vanishes: a function constant
-on a cell has no self-interaction.  Adjacent cells are fine because
-1 + sigma < 2 keeps the pair integral convergent.
+symmetrically on the left.  On the uniform mesh K[i][j] depends on
+|i - j| only, so the first row is built from Q at the n + 1 edge
+offsets and copied along the diagonals.  The diagonal vanishes: a
+function constant on a cell has no self-interaction.  Adjacent cells
+are fine because 1 + sigma < 2 keeps the pair integral convergent.
 
-The energy carried by a vector u of nodal values is
+The energy carried by a vector u of nodal values is, summed over the
+upper triangle of the symmetric K,
 
-    seminorm_energy(u) = (1/p) * [ sum_{i!=j} K[i][j] |u_i-u_j|^p
-                                   + 2 * sum_i T[i] |u_i|^p ],
+    seminorm_energy(u) = (2/p) * [ sum_{i<j} K[i][j] |u_i-u_j|^p
+                                   + sum_i T[i] |u_i|^p ],
 
 and apply_operator returns its exact gradient, the discrete operator
 
     A(u)_i = 2 * sum_{j!=i} K[i][j] op(u_i-u_j, p) + 2 T[i] op(u_i, p)
 
 with op the signed power.  pairing(A(u), u) = p * seminorm_energy(u)
-by p-homogeneity.
+by p-homogeneity.  Both come from pairwise_energy, which needs one
+power |u_i-u_j|^(p-1) per pair i < j (the pair term is antisymmetric,
+so it is added to row i and subtracted from row j) and visits the
+triangle in chunks of whole rows of at most PAIR_BUDGET pairs: every
+temporary holds at most PAIR_BUDGET floats (128 KiB), whatever n is.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .core import Mesh1D, MeshMismatchError, odd_power
+from .core import Mesh1D, MeshMismatchError
+
+# pairs per chunk of the triangle; a single row longer than this is
+# one chunk of its own
+PAIR_BUDGET = 1 << 14
 
 
 class KernelError(ValueError):
@@ -57,6 +69,30 @@ class KernelMatrix:
     def n(self):
         return self.mesh.n
 
+    @cached_property
+    def triangle(self):
+        """The pairs i < j of K row by row, cut into chunks of whole rows.
+
+        Each chunk is (I, J, W, starts): the row and column indices of
+        its pairs, their weights K[I, J], and the offset of each row's
+        first pair within the chunk.  Read from K as given, so any
+        symmetric K works, Toeplitz or not.
+        """
+        n = self.K.shape[0]
+        I, J = np.triu_indices(n, k=1)
+        W = self.K[I, J]
+        first = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1))))
+        chunks = []
+        lo = 0
+        while lo < n - 1:
+            hi = lo + 1
+            while hi < n - 1 and first[hi + 1] - first[lo] <= PAIR_BUDGET:
+                hi += 1
+            a, b = first[lo], first[hi]
+            chunks.append((I[a:b], J[a:b], W[a:b], first[lo:hi] - a))
+            lo = hi
+        return tuple(chunks)
+
     @classmethod
     def from_sigma(cls, mesh, sigma):
         """Assemble the weights for kernel |x-y|^(-(1+sigma)) on mesh."""
@@ -74,16 +110,16 @@ class KernelMatrix:
             t = np.maximum(t, 0.0)
             return t ** (1.0 - sigma) / (sigma * (1.0 - sigma))
 
+        n = mesh.n
+        # cells 0 and d: Q(t_d) - Q(t_{d-1}) - Q(t_{d+1}) + Q(t_d)
+        q = Q(edges - edges[0])
+        k = np.zeros(n)
+        k[1:] = 2.0 * q[1:n] - q[:n - 1] - q[2:]
+        # row i of K is k[|i - j|]: a window of the mirrored first row
+        mirrored = np.concatenate((k[:0:-1], k))
+        K = np.lib.stride_tricks.sliding_window_view(mirrored, n)[::-1].copy()
         lo = edges[:-1]
         hi = edges[1:]
-        # ordered so that cell j sits right of cell i; symmetrize after
-        A1 = lo[:, None]
-        B1 = hi[:, None]
-        A2 = lo[None, :]
-        B2 = hi[None, :]
-        K = Q(A2 - A1) - Q(A2 - B1) - Q(B2 - A1) + Q(B2 - B1)
-        K = np.triu(K, k=1)
-        K = K + K.T
         T = (Q(mesh.b - lo) - Q(mesh.b - hi)) + (Q(hi - mesh.a) - Q(lo - mesh.a))
         return cls(K=K, T=T, sigma=sigma, mesh=mesh)
 
@@ -91,6 +127,48 @@ class KernelMatrix:
 def assemble_kernel(mesh, params):
     """KernelMatrix for the problem's kernel order sigma = p*s."""
     return KernelMatrix.from_sigma(mesh, params.p * params.s)
+
+
+def pairwise_energy(kern, U, p, gradient=False):
+    """Seminorm energy of one vector or of every row of a batch.
+
+    U has shape (n,) or (m, n).  Returns the energy (a float, or an
+    array of m), and with gradient=True also the operator A(U), shaped
+    like U.  Rows are evaluated one at a time over the chunks of
+    kern.triangle; each energy is a pairwise np.sum per chunk, so a row
+    of a batch gets exactly the energy it gets alone.
+    """
+    U = np.asarray(U, dtype=float)
+    n = kern.n
+    if U.ndim not in (1, 2) or U.shape[-1] != n:
+        raise MeshMismatchError(
+            "expected %d nodal values, got shape %r" % (n, U.shape))
+    rows = U.reshape(-1, n)
+    energy = np.empty(rows.shape[0])
+    grad = np.zeros_like(rows) if gradient else None
+    for k, u in enumerate(rows):
+        pair = 0.0
+        for I, J, W, starts in kern.triangle:
+            D = u[I] - u[J]
+            A = np.abs(D)
+            A1 = A ** (p - 1.0)
+            if gradient:
+                t = W * np.copysign(A1, D)
+                pair += float(np.sum(t * D))
+                grad[k, I[0]:I[-1] + 1] += np.add.reduceat(t, starts)
+                grad[k] -= np.bincount(J, t, minlength=n)
+            else:
+                pair += float(np.sum(W * A1 * A))
+        absu = np.abs(u)
+        up1 = absu ** (p - 1.0)
+        tail = float(np.sum(kern.T * up1 * absu))
+        energy[k] = 2.0 * (pair + tail) / p
+        if gradient:
+            grad[k] = 2.0 * (grad[k] + kern.T * np.copysign(up1, u))
+    if U.ndim == 1:
+        energy = float(energy[0])
+        grad = grad[0] if gradient else None
+    return (energy, grad) if gradient else energy
 
 
 def _check_values(kern, u):
@@ -103,35 +181,17 @@ def _check_values(kern, u):
 
 def seminorm_energy(kern, u, p):
     """(1/p) times the discrete Gagliardo p-seminorm to the p-th power."""
-    u = _check_values(kern, u)
-    diff = np.abs(u[:, None] - u[None, :])
-    pair = float(np.sum(kern.K * diff ** p))
-    tail = 2.0 * float(np.dot(kern.T, np.abs(u) ** p))
-    return (pair + tail) / p
+    return pairwise_energy(kern, _check_values(kern, u), p)
 
 
 def apply_operator(kern, u, p):
     """Discrete fractional p-Laplacian; exact gradient of seminorm_energy."""
-    u = _check_values(kern, u)
-    D = u[:, None] - u[None, :]
-    S = np.sign(D) * np.abs(D) ** (p - 1.0)
-    return 2.0 * np.sum(kern.K * S, axis=1) + 2.0 * kern.T * odd_power(u, p)
+    return pairwise_energy(kern, _check_values(kern, u), p, gradient=True)[1]
 
 
 def seminorm_energy_and_operator(kern, u, p):
     """Energy and its gradient together, sharing the pairwise powers."""
-    u = _check_values(kern, u)
-    D = u[:, None] - u[None, :]
-    absD = np.abs(D)
-    P1 = absD ** (p - 1.0)
-    pair = float(np.sum(kern.K * (P1 * absD)))
-    absu = np.abs(u)
-    up1 = absu ** (p - 1.0)
-    tail = 2.0 * float(np.dot(kern.T, up1 * absu))
-    energy = (pair + tail) / p
-    grad = (2.0 * np.sum(kern.K * np.sign(D) * P1, axis=1)
-            + 2.0 * kern.T * np.sign(u) * up1)
-    return energy, grad
+    return pairwise_energy(kern, _check_values(kern, u), p, gradient=True)
 
 
 def pairing(au, phi):

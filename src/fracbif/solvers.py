@@ -7,6 +7,11 @@ All solvers work on the total energy
 whose exact gradient is apply_operator(u) - h * f(., u).  minimize is
 plain gradient descent with Armijo backtracking; trial steps start
 from a Barzilai-Borwein estimate built from the last accepted move.
+Near a minimizer the decrease Armijo asks for drops below the rounding
+of the energy (1e-13 * max(1, |E|)); from there a step is accepted on
+its slope instead, by the approximate Wolfe test of Hager and Zhang,
+so descent runs on to the residual target rather than stalling on
+noise.  principal_eigenpair accepts its steps the same way.
 find_saddle runs a mountain-pass search on the capped energy between
 the zero function and a known minimizer: the maximal-energy point of a
 piecewise-linear path is pushed downhill, with the path redistributed
@@ -25,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import GridFunction, MeshMismatchError, ParameterError, odd_power
-from .kernel import (apply_operator, seminorm_energy,
+from .kernel import (apply_operator, pairwise_energy, seminorm_energy,
                      seminorm_energy_and_operator)
 from .reaction import ReactionModel, F_values, f_values, sign_threshold_delta
 
@@ -113,16 +118,25 @@ def _energy_and_gradient(kern, model, u):
 
 def _batch_energy(kern, model, Z):
     """total_energy for every row of Z at once."""
-    p = model.params.p
-    D = np.abs(Z[:, :, None] - Z[:, None, :])
-    pair = np.einsum("kij,ij->k", D ** p, kern.K)
-    tail = 2.0 * (np.abs(Z) ** p) @ kern.T
-    S = (pair + tail) / p
+    S = pairwise_energy(kern, Z, model.params.p)
     return S - kern.mesh.h * np.sum(F_values(model, Z), axis=1)
 
 
 def _sup(x):
     return float(np.max(np.abs(x)))
+
+
+def _rounding(E):
+    """Rounding level of an energy E: changes below it carry no signal."""
+    return 1e-13 * max(1.0, abs(E))
+
+
+def _slope_accepts(E, E_new, g, g_new, gg):
+    """Approximate Wolfe test (Hager & Zhang, SIAM J. Optim. 16, 2005)
+    for a step along -g, used once the Armijo decrease is below the
+    rounding of E: the energy rose by no more than that rounding and
+    the slope along the step has not overshot."""
+    return E_new <= E + _rounding(E) and float(g_new @ g) >= -0.8 * gg
 
 
 def _clip_box(w, top):
@@ -132,7 +146,8 @@ def _clip_box(w, top):
 def minimize(kern, model, u0, opts=None):
     """Armijo-backtracking gradient descent on the total energy.
 
-    Stops when the gradient sup-norm falls below tol * max(1, |E|) or
+    Stops when the gradient sup-norm falls below tol * max(1, |E|),
+    when backtracking finds no acceptable step (converged=False), or
     after max_iter accepted steps.  For the plain reaction the negative
     part of the result is removed and descent resumed, which never
     increases the energy; exact critical points are nonnegative anyway.
@@ -151,7 +166,6 @@ def minimize(kern, model, u0, opts=None):
     step = 1.0 / max(1.0, _sup(g))
     du = dg = None
     iterations = 0
-    stalled = 0
     for _round in range(4):
         while iterations < opts.max_iter:
             if delta is not None and float(np.max(u)) < delta:
@@ -168,28 +182,23 @@ def minimize(kern, model, u0, opts=None):
                     step = float(du @ du) / sy
             step = min(max(step, opts.step_min), opts.step_max)
             gg = float(g @ g)
-            accepted = False
+            g_new = None
             while step > 1e-20:
                 u_new = u - step * g
-                E_new = total_energy(kern, model, u_new)
-                if E_new <= E - opts.armijo * step * gg:
-                    accepted = True
-                    break
+                if opts.armijo * step * gg > _rounding(E):
+                    E_new = total_energy(kern, model, u_new)
+                    if E_new <= E - opts.armijo * step * gg:
+                        break
+                else:
+                    E_new, g_new = _energy_and_gradient(kern, model, u_new)
+                    if _slope_accepts(E, E_new, g, g_new, gg):
+                        break
+                    g_new = None
                 step *= opts.backtrack
-            if not accepted:
-                break       # no representable decrease left
-            # decreases below one ulp of the energy carry no signal;
-            # a run of them means the floor of float resolution
-            if E - E_new <= 4e-16 * max(1.0, abs(E)):
-                stalled += 1
-                if stalled >= 25:
-                    u, E = u_new, E_new
-                    g = total_gradient(kern, model, u)
-                    iterations += 1
-                    break
             else:
-                stalled = 0
-            E_new, g_new = _energy_and_gradient(kern, model, u_new)
+                break       # no acceptable step left
+            if g_new is None:
+                E_new, g_new = _energy_and_gradient(kern, model, u_new)
             du, dg = u_new - u, g_new - g
             u, E, g = u_new, E_new, g_new
             iterations += 1
@@ -328,18 +337,19 @@ def principal_eigenpair(kern, p, opts=None, start=None):
                 step = float(du @ du) / sy
         step = min(max(step, opts.step_min), opts.step_max)
         gg = float(grad @ grad)
-        accepted = False
         while step > 1e-20:
             v = normalized(np.abs(u - step * grad))
             Av = apply_operator(kern, v, p)
             R_try = float(np.dot(Av, v))
-            if R_try <= R - opts.armijo * step * gg:
-                accepted = True
+            grad_new = p * (Av - R_try * h * odd_power(v, p))
+            if opts.armijo * step * gg > _rounding(R):
+                if R_try <= R - opts.armijo * step * gg:
+                    break
+            elif _slope_accepts(R, R_try, grad, grad_new, gg):
                 break
             step *= opts.backtrack
-        if not accepted:
+        else:
             break
-        grad_new = p * (Av - R_try * h * odd_power(v, p))
         du, dg = v - u, grad_new - grad
         u, Au, R = v, Av, R_try
         iterations += 1

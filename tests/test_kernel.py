@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -6,6 +9,7 @@ from fracbif import (KernelError, KernelMatrix, MeshMismatchError, Mesh1D,
                      apply_operator, assemble_kernel, build_mesh, odd_power,
                      pairing, seminorm_energy, seminorm_energy_and_operator,
                      validate_params)
+from fracbif.kernel import PAIR_BUDGET, pairwise_energy
 
 
 def overlap_pair_weight(cell_i, cell_j, sigma):
@@ -189,3 +193,104 @@ def test_energy_converges_under_refinement():
     gaps = np.abs(np.diff(e))
     assert gaps[1] < gaps[0]
     assert gaps[2] < gaps[1]
+
+
+def dense_energy_oracle(K, T, u, p):
+    """Naive double sum over all ordered pairs, summed exactly."""
+    D = u[:, None] - u[None, :]
+    terms = list((K * np.abs(D) ** p).ravel())
+    terms += list(2.0 * T * np.abs(u) ** p)
+    return math.fsum(terms) / p
+
+
+def dense_operator_oracle(K, T, u, p):
+    D = u[:, None] - u[None, :]
+    return (2.0 * np.sum(K * np.sign(D) * np.abs(D) ** (p - 1.0), axis=1)
+            + 2.0 * T * odd_power(u, p))
+
+
+def oracle_kernel(n, rng, toeplitz):
+    if n == 1:
+        mesh = Mesh1D(0.0, 1.0, 1, np.array([0.0, 1.0]), np.array([0.5]),
+                      1.0, np.array([0.5]))
+        return KernelMatrix(K=np.zeros((1, 1)), T=np.array([3.0]),
+                            sigma=0.5, mesh=mesh)
+    kern = KernelMatrix.from_sigma(build_mesh(-1.0, 1.0, n), 0.6)
+    if toeplitz:
+        return kern
+    K = rng.random((n, n))
+    K = K + K.T
+    np.fill_diagonal(K, 0.0)
+    return KernelMatrix(K=K, T=rng.random(n), sigma=kern.sigma,
+                        mesh=kern.mesh)
+
+
+def oracle_values(n, rng):
+    # an eighth-spaced grid of values: ties, zeros and negative entries,
+    # and no near-ties to spoil a central difference
+    return rng.integers(-12, 13, n) / 8.0
+
+
+@pytest.mark.parametrize("toeplitz", [True, False])
+@pytest.mark.parametrize("n", [1, 2, 5, 128, 1030])
+@pytest.mark.parametrize("p", [1.3, 2.0, 3.0, 4.5])
+def test_pairwise_energy_matches_dense_double_sum(p, n, toeplitz):
+    rng = np.random.default_rng(n)
+    kern = oracle_kernel(n, rng, toeplitz)
+    U = np.vstack([oracle_values(n, rng) for _ in range(3)])
+    U[1, :n // 2] = U[1, -1]           # a long run of ties
+    U[2, :] = 0.0
+    U[2, n // 3] = -0.75
+    energies, grads = pairwise_energy(kern, U, p, gradient=True)
+    assert np.array_equal(energies, pairwise_energy(kern, U, p))
+    for u, e, g in zip(U, energies, grads):
+        ref = dense_energy_oracle(kern.K, kern.T, u, p)
+        assert e == pytest.approx(ref, rel=1e-13, abs=1e-300)
+        e1, g1 = pairwise_energy(kern, u, p, gradient=True)
+        # a batch row is evaluated exactly as the single vector
+        assert e1 == e and np.array_equal(g1, g)
+        op = dense_operator_oracle(kern.K, kern.T, u, p)
+        scale = max(1.0, float(np.max(np.abs(op))))
+        assert np.max(np.abs(g - op)) <= 1e-12 * scale
+        step = 1e-5
+        coords = range(n) if n <= 128 else rng.choice(n, 8, replace=False)
+        for k in coords:
+            bump = np.zeros(n)
+            bump[k] = step
+            fd = (pairwise_energy(kern, u + bump, p)
+                  - pairwise_energy(kern, u - bump, p)) / (2.0 * step)
+            assert abs(fd - g[k]) <= 1e-6 * scale
+
+
+def test_pairwise_energy_chunks_cover_the_triangle():
+    kern = KernelMatrix.from_sigma(build_mesh(-1.0, 1.0, 1030), 0.6)
+    chunks = kern.triangle
+    assert len(chunks) > 1
+    assert sum(len(W) for _, _, W, _ in chunks) == 1030 * 1029 // 2
+    assert all(len(W) <= PAIR_BUDGET for _, _, W, _ in chunks)
+    single = KernelMatrix.from_sigma(build_mesh(-1.0, 1.0, 128), 0.6)
+    assert len(single.triangle) == 1
+
+
+def test_pairwise_energy_rejects_wrong_shapes():
+    kern = KernelMatrix.from_sigma(build_mesh(-1.0, 1.0, 6), 0.5)
+    for bad in (np.zeros(5), np.zeros((2, 5)), np.zeros((2, 2, 6))):
+        with pytest.raises(MeshMismatchError):
+            pairwise_energy(kern, bad, 2.0)
+    with pytest.raises(MeshMismatchError):
+        seminorm_energy(kern, np.zeros((2, 6)), 2.0)
+
+
+def test_operator_working_set_is_bounded():
+    # the dense form allocated several n x n arrays (8 MB each at this n)
+    n = 1024
+    kern = KernelMatrix.from_sigma(build_mesh(-1.0, 1.0, n), 0.9)
+    u = np.cos(0.5 * np.pi * kern.mesh.nodes)
+    apply_operator(kern, u, 2.5)        # fills the cached triangle
+    tracemalloc.start()
+    try:
+        apply_operator(kern, u, 2.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20

@@ -5,10 +5,12 @@ import pytest
 
 from fracbif import (KernelMatrix, MountainPassPath, ParameterError,
                      ReactionModel, SaddleNotFound, SolverError,
-                     SolverOptions, assemble_kernel, build_mesh, find_saddle,
-                     minimize, minimize_multistart, principal_eigenpair,
+                     SolverOptions, assemble_kernel, build_mesh,
+                     continue_branch, find_saddle, minimize,
+                     minimize_multistart, principal_eigenpair,
                      select_solution, seminorm_energy, solve_above,
-                     total_energy, total_gradient, validate_params)
+                     total_energy, total_gradient, validate_params,
+                     with_lambda)
 from fracbif.reaction import F_values, f_values
 
 
@@ -114,6 +116,27 @@ def test_minimize_descends_from_any_start():
     rep = minimize(kern, model, u0, SolverOptions())
     assert rep.energy <= total_energy(kern, model, u0) + 1e-12
     assert rep.converged
+
+
+def test_warm_start_converges_below_the_armijo_resolution():
+    # the continuation grid of the n = 32 threshold search: warm-starting
+    # lambda = 7.9423 from the lambda = 9.1337 branch point reaches the
+    # minimizer, where the Armijo decrease falls below the rounding of E
+    params = validate_params({"p": 3.0, "s": 0.3, "q": 2.5, "r": 1.5,
+                              "lambda": 8.0})
+    kern = assemble_kernel(build_mesh(-1.0, 1.0, 32), params)
+    grid = np.linspace(1.6, 0.4, 14) * 6.453125
+    trace = continue_branch(kern, params, grid[:3], seed=0,
+                            with_saddles=False)
+    point = trace.points[0]
+    assert point.lam == pytest.approx(9.1337, abs=1e-4)
+    start = point.u_big
+    assert start.converged
+    model = ReactionModel.plain(with_lambda(params, grid[4]))
+    rep = minimize(kern, model, start.solution.values)
+    assert rep.converged
+    assert rep.classification == "minimizer"
+    assert rep.residual <= 1e-9 * max(1.0, abs(rep.energy))
 
 
 def test_subcritical_multistart_lands_on_exact_zero():
