@@ -73,15 +73,17 @@ class KernelMatrix:
     def triangle(self):
         """The pairs i < j of K row by row, cut into chunks of whole rows.
 
-        Each chunk is (I, J, W, starts): the row and column indices of
-        its pairs, their weights K[I, J], and the offset of each row's
-        first pair within the chunk.  Read from K as given, so any
-        symmetric K works, Toeplitz or not.
+        Each chunk is (rows, counts, starts, J, W): the slice of rows it
+        covers, the number of pairs in each row and the offset of each
+        row's first pair, the column index of every pair and its weight
+        K[i, j].  Read from K as given, so any symmetric K works,
+        Toeplitz or not; K must not change after the first evaluation.
         """
         n = self.K.shape[0]
         I, J = np.triu_indices(n, k=1)
         W = self.K[I, J]
-        first = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1))))
+        counts = np.arange(n - 1, 0, -1)
+        first = np.concatenate(([0], np.cumsum(counts)))
         chunks = []
         lo = 0
         while lo < n - 1:
@@ -89,7 +91,8 @@ class KernelMatrix:
             while hi < n - 1 and first[hi + 1] - first[lo] <= PAIR_BUDGET:
                 hi += 1
             a, b = first[lo], first[hi]
-            chunks.append((I[a:b], J[a:b], W[a:b], first[lo:hi] - a))
+            chunks.append((slice(lo, hi), counts[lo:hi], first[lo:hi] - a,
+                           J[a:b], W[a:b]))
             lo = hi
         return tuple(chunks)
 
@@ -143,19 +146,19 @@ def pairwise_energy(kern, U, p, gradient=False):
     if U.ndim not in (1, 2) or U.shape[-1] != n:
         raise MeshMismatchError(
             "expected %d nodal values, got shape %r" % (n, U.shape))
-    rows = U.reshape(-1, n)
-    energy = np.empty(rows.shape[0])
-    grad = np.zeros_like(rows) if gradient else None
-    for k, u in enumerate(rows):
+    batch = U.reshape(-1, n)
+    energy = np.empty(batch.shape[0])
+    grad = np.zeros_like(batch) if gradient else None
+    for k, u in enumerate(batch):
         pair = 0.0
-        for I, J, W, starts in kern.triangle:
-            D = u[I] - u[J]
+        for rows, counts, starts, J, W in kern.triangle:
+            D = np.repeat(u[rows], counts) - u[J]
             A = np.abs(D)
             A1 = A ** (p - 1.0)
             if gradient:
                 t = W * np.copysign(A1, D)
                 pair += float(np.sum(t * D))
-                grad[k, I[0]:I[-1] + 1] += np.add.reduceat(t, starts)
+                grad[k, rows] += np.add.reduceat(t, starts)
                 grad[k] -= np.bincount(J, t, minlength=n)
             else:
                 pair += float(np.sum(W * A1 * A))

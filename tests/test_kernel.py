@@ -266,8 +266,8 @@ def test_pairwise_energy_chunks_cover_the_triangle():
     kern = KernelMatrix.from_sigma(build_mesh(-1.0, 1.0, 1030), 0.6)
     chunks = kern.triangle
     assert len(chunks) > 1
-    assert sum(len(W) for _, _, W, _ in chunks) == 1030 * 1029 // 2
-    assert all(len(W) <= PAIR_BUDGET for _, _, W, _ in chunks)
+    assert sum(len(chunk[-1]) for chunk in chunks) == 1030 * 1029 // 2
+    assert all(len(chunk[-1]) <= PAIR_BUDGET for chunk in chunks)
     single = KernelMatrix.from_sigma(build_mesh(-1.0, 1.0, 128), 0.6)
     assert len(single.triangle) == 1
 
