@@ -24,9 +24,9 @@ from .core import ParameterError, with_lambda
 from .diagnostics import check_ordering, hopf_ratio
 from .kernel import apply_operator
 from .reaction import ReactionModel, f_values
-from .solvers import (SolverError, SolverOptions, find_saddle, minimize,
-                      minimize_multistart, principal_eigenpair,
-                      select_solution, solve_above)
+from .solvers import (SaddleNotFound, SolverError, SolverOptions,
+                      find_saddle, minimize, minimize_multistart,
+                      principal_eigenpair, select_solution, solve_above)
 
 
 @dataclass
@@ -74,7 +74,11 @@ def _point_diagnostics(params, bp):
 
 def solve_at_lambda(kern, params, warm_start=None, opts=None, seed=0,
                     threads=1, with_saddle=True):
-    """Minimizer (warm-started or multi-start) plus its saddle companion."""
+    """Minimizer (warm-started or multi-start) plus its saddle companion.
+
+    When the saddle search raises SaddleNotFound, the exception carries
+    the minimizer's BranchPoint (without a saddle) as its point.
+    """
     opts = opts or SolverOptions()
     model = ReactionModel.plain(params)
     if warm_start is not None:
@@ -84,22 +88,28 @@ def solve_at_lambda(kern, params, warm_start=None, opts=None, seed=0,
         reports = minimize_multistart(kern, model, opts, seed=seed,
                                       threads=threads)
         rep = select_solution(reports, opts.zero_tol)
-    v = None
+    bp = BranchPoint(lam=params.lam, u_big=rep)
     if with_saddle and _nontrivial(rep, opts.zero_tol):
-        v = find_saddle(kern, params, rep.solution.values, opts, seed=seed)
-    bp = BranchPoint(lam=params.lam, u_big=rep, v_saddle=v)
+        try:
+            bp.v_saddle = find_saddle(kern, params, rep.solution.values, opts,
+                                      seed=seed)
+        except SaddleNotFound as exc:
+            bp.diagnostics = _point_diagnostics(params, bp)
+            exc.point = bp
+            raise
     bp.diagnostics = _point_diagnostics(params, bp)
     return bp
 
 
 def continue_branch(kern, params, lam_grid, opts=None, seed=0, threads=1,
-                    with_saddles=True):
+                    with_saddles=True, stop_at_fold=False):
     """Trace the branch over a monotone grid, warm-starting downward.
 
     Returns a diagram with points in ascending lambda; the method
     record holds the fold bracket (first dead, last alive) seen from
     above.  A warm start that collapses is re-checked by multi-start
-    before the branch is declared dead there.
+    before the branch is declared dead there.  With stop_at_fold the
+    trace ends at the first dead point below an alive one.
     """
     opts = opts or SolverOptions()
     grid = np.asarray(lam_grid, dtype=float)
@@ -130,6 +140,8 @@ def continue_branch(kern, params, lam_grid, opts=None, seed=0, threads=1,
             if last_alive is not None and fold is None:
                 fold = (float(lam), last_alive)
         points.append(bp)
+        if stop_at_fold and fold is not None:
+            break
     record = {"fold_bracket": fold, "fold_upper": last_alive,
               "grid": [float(x) for x in grid]}
     return BifurcationDiagram(points=list(reversed(points)),
@@ -189,12 +201,14 @@ def estimate_lambda_star(kern, params, bracket, opts=None, seed=0, threads=1):
 
     grid = np.linspace(1.6 * estimate, 0.4 * estimate, 14)
     trace = continue_branch(kern, params, grid, opts=opts, seed=seed,
-                            threads=threads, with_saddles=False)
+                            threads=threads, with_saddles=False,
+                            stop_at_fold=True)
     fold = trace.method_record["fold_bracket"]
     if fold is None and trace.method_record["fold_upper"] is not None:
         wider = np.linspace(0.4 * estimate, 0.1 * estimate, 7)
         lower = continue_branch(kern, params, wider, opts=opts, seed=seed,
-                                threads=threads, with_saddles=False)
+                                threads=threads, with_saddles=False,
+                                stop_at_fold=True)
         fold = lower.method_record["fold_bracket"]
     warnings = []
     fold_estimate = None

@@ -149,8 +149,7 @@ def cmd_solve(cfg, args):
                              threads=cfg.threads, with_saddle=True)
     except SaddleNotFound as exc:
         saddle_note = str(exc)
-        bp = solve_at_lambda(kern, params, opts=opts, seed=cfg.seed,
-                             threads=cfg.threads, with_saddle=False)
+        bp = exc.point
     rec["diagnostics"] = bp.diagnostics
     if saddle_note:
         rec["saddle_note"] = saddle_note

@@ -4,14 +4,17 @@ All solvers work on the total energy
 
     total_energy(u) = seminorm_energy(u) - h * sum_i F(i, u_i)
 
-whose exact gradient is apply_operator(u) - h * f(., u).  minimize is
-plain gradient descent with Armijo backtracking; trial steps start
-from a Barzilai-Borwein estimate built from the last accepted move.
-Near a minimizer the decrease Armijo asks for drops below the rounding
-of the energy (1e-13 * max(1, |E|)); from there a step is accepted on
-its slope instead, by the approximate Wolfe test of Hager and Zhang,
-so descent runs on to the residual target rather than stalling on
-noise.  principal_eigenpair accepts its steps the same way.
+whose exact gradient is apply_operator(u) - h * f(., u).  minimize
+takes limited-memory BFGS directions (Liu and Nocedal, 1989): the
+two-loop recursion over the last HISTORY accepted moves, scaled by the
+Barzilai-Borwein step s.y / y.y of the newest one, with Armijo
+backtracking from the full step.  Near a minimizer the decrease Armijo
+asks for drops below the rounding of the energy (1e-13 * max(1, |E|));
+from there a step is accepted on its slope instead, by the approximate
+Wolfe test of Hager and Zhang, so descent runs on to the residual
+target rather than stalling on noise.  principal_eigenpair is
+Barzilai-Borwein steepest descent and accepts its steps the same way;
+it gives up once its residual stalls.
 find_saddle runs a mountain-pass search on the capped energy between
 the zero function and a known minimizer: the maximal-energy point of a
 piecewise-linear path is pushed downhill, with the path redistributed
@@ -24,6 +27,7 @@ gradient differences.
 """
 
 import warnings
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -40,7 +44,17 @@ class SolverError(RuntimeError):
 
 
 class SaddleNotFound(SolverError):
-    """Raised when the mountain-pass path collapses onto an endpoint."""
+    """Raised when the mountain-pass path collapses onto an endpoint.
+
+    bifurcation.solve_at_lambda sets point to the BranchPoint of the
+    minimizer it had found, without a saddle, so callers can keep it.
+    """
+
+    point = None
+
+
+HISTORY = 8             # (s, y) pairs behind minimize's L-BFGS directions
+STALL_WINDOW = 1000     # eigen iterations between progress checks
 
 
 @dataclass(frozen=True)
@@ -131,12 +145,27 @@ def _rounding(E):
     return 1e-13 * max(1.0, abs(E))
 
 
-def _slope_accepts(E, E_new, g, g_new, gg):
+def _slope_accepts(E, E_new, d, g_new, gd):
     """Approximate Wolfe test (Hager & Zhang, SIAM J. Optim. 16, 2005)
-    for a step along -g, used once the Armijo decrease is below the
-    rounding of E: the energy rose by no more than that rounding and
-    the slope along the step has not overshot."""
-    return E_new <= E + _rounding(E) and float(g_new @ g) >= -0.8 * gg
+    for a step along the descent direction d (gd = g.d < 0), used once
+    the Armijo decrease is below the rounding of E: the energy rose by
+    no more than that rounding and the slope along d has not overshot."""
+    return E_new <= E + _rounding(E) and float(g_new @ d) <= -0.8 * gd
+
+
+def _lbfgs_direction(g, pairs, gamma):
+    """L-BFGS two-loop recursion: -H g for the inverse-Hessian estimate
+    that the (s, y, 1/s.y) pairs, oldest first, build on gamma * I."""
+    q = g.copy()
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        a = rho * float(s @ q)
+        q -= a * y
+        alphas.append(a)
+    q *= gamma
+    for (s, y, rho), a in zip(pairs, reversed(alphas)):
+        q += (a - rho * float(y @ q)) * s
+    return -q
 
 
 def _clip_box(w, top):
@@ -144,13 +173,20 @@ def _clip_box(w, top):
 
 
 def minimize(kern, model, u0, opts=None):
-    """Armijo-backtracking gradient descent on the total energy.
+    """Limited-memory BFGS descent on the total energy.
 
-    Stops when the gradient sup-norm falls below tol * max(1, |E|),
-    when backtracking finds no acceptable step (converged=False), or
-    after max_iter accepted steps.  For the plain reaction the negative
-    part of the result is removed and descent resumed, which never
-    increases the energy; exact critical points are nonnegative anyway.
+    Directions come from the last HISTORY accepted moves (a move whose
+    s.y <= 0 is not stored), scaled by the step s.y / y.y of the newest
+    one clamped to [step_min, step_max]; a direction that fails to
+    descend is replaced by the scaled gradient.  Each step backtracks
+    from the full direction until Armijo's decrease holds, or, below
+    the rounding of the energy, the approximate Wolfe test.  Stops when
+    the gradient sup-norm falls below tol * max(1, |E|), when
+    backtracking finds no acceptable step (converged=False), or after
+    max_iter accepted steps.  For the plain reaction the negative part
+    of the result is removed and descent resumed with a fresh history,
+    which never increases the energy; exact critical points are
+    nonnegative anyway.
     """
     opts = opts or SolverOptions()
     _check_compat(kern, model.params)
@@ -163,8 +199,8 @@ def minimize(kern, model, u0, opts=None):
         delta = sign_threshold_delta(model.params)
     u = np.array(u0, dtype=float)
     E, g = _energy_and_gradient(kern, model, u)
-    step = 1.0 / max(1.0, _sup(g))
-    du = dg = None
+    gamma = 1.0 / max(1.0, _sup(g))
+    pairs = deque(maxlen=HISTORY)
     iterations = 0
     for _round in range(4):
         while iterations < opts.max_iter:
@@ -176,36 +212,42 @@ def minimize(kern, model, u0, opts=None):
                 break
             if _sup(g) <= opts.tol * max(1.0, abs(E)):
                 break
-            if du is not None:
-                sy = float(du @ dg)
-                if sy > 0.0:
-                    step = float(du @ du) / sy
-            step = min(max(step, opts.step_min), opts.step_max)
-            gg = float(g @ g)
+            d = _lbfgs_direction(g, pairs, gamma)
+            gd = float(g @ d)
+            if not gd < 0.0:
+                d = -gamma * g
+                gd = float(g @ d)
+            t = 1.0
             g_new = None
-            while step > 1e-20:
-                u_new = u - step * g
-                if opts.armijo * step * gg > _rounding(E):
+            while t > 1e-20:
+                u_new = u + t * d
+                decrease = -opts.armijo * t * gd
+                if decrease > _rounding(E):
                     E_new = total_energy(kern, model, u_new)
-                    if E_new <= E - opts.armijo * step * gg:
+                    if E_new <= E - decrease:
                         break
                 else:
                     E_new, g_new = _energy_and_gradient(kern, model, u_new)
-                    if _slope_accepts(E, E_new, g, g_new, gg):
+                    if _slope_accepts(E, E_new, d, g_new, gd):
                         break
                     g_new = None
-                step *= opts.backtrack
+                t *= opts.backtrack
             else:
                 break       # no acceptable step left
             if g_new is None:
                 E_new, g_new = _energy_and_gradient(kern, model, u_new)
-            du, dg = u_new - u, g_new - g
+            s, y = u_new - u, g_new - g
+            sy = float(s @ y)
+            if sy > 0.0:
+                pairs.append((s, y, 1.0 / sy))
+                gamma = min(max(sy / float(y @ y), opts.step_min),
+                            opts.step_max)
             u, E, g = u_new, E_new, g_new
             iterations += 1
         if model.variant == "plain" and float(np.min(u)) < 0.0:
             u = np.maximum(u, 0.0)
             E, g = _energy_and_gradient(kern, model, u)
-            du = dg = None
+            pairs.clear()
             continue
         break
     residual = _sup(g)
@@ -301,7 +343,11 @@ def principal_eigenpair(kern, p, opts=None, start=None):
     after each step the iterate is replaced by its absolute value
     (which never increases the quotient) and renormalized.  Returns the
     eigenvalue, a nonnegative eigenfunction with h*sum|u|^p = 1, and
-    the sup-norm of the eigen-equation residual.
+    the sup-norm of the eigen-equation residual.  Gives up, with
+    converged=False, once the best residual has fallen by less than 1 %
+    over the last STALL_WINDOW iterations, or by too little for that
+    rate to reach tol within max_iter (for p < 2 the residual can decay
+    like 1/iterations, far too slowly).
     """
     opts = opts or SolverOptions()
     h = kern.mesh.h
@@ -324,12 +370,22 @@ def principal_eigenpair(kern, p, opts=None, start=None):
     step = 1.0
     du = dg = None
     iterations = 0
-    residual = np.inf
+    residual = best = mark = np.inf
     while iterations < opts.max_iter:
         rvec = Au - R * h * odd_power(u, p)
         residual = _sup(rvec)
-        if residual <= opts.tol * max(1.0, R):
+        target = opts.tol * max(1.0, R)
+        if residual <= target:
             break
+        best = min(best, residual)
+        if iterations % STALL_WINDOW == 0:
+            # stalled, or too slow: at the last window's rate the best
+            # residual would still miss the target at max_iter
+            left = (opts.max_iter - iterations) / STALL_WINDOW
+            if iterations and (best > 0.99 * mark
+                               or best * (best / mark) ** left > target):
+                break
+            mark = best
         grad = p * rvec
         if du is not None:
             sy = float(du @ dg)
@@ -337,6 +393,7 @@ def principal_eigenpair(kern, p, opts=None, start=None):
                 step = float(du @ du) / sy
         step = min(max(step, opts.step_min), opts.step_max)
         gg = float(grad @ grad)
+        d = -grad
         while step > 1e-20:
             v = normalized(np.abs(u - step * grad))
             Av = apply_operator(kern, v, p)
@@ -345,7 +402,7 @@ def principal_eigenpair(kern, p, opts=None, start=None):
             if opts.armijo * step * gg > _rounding(R):
                 if R_try <= R - opts.armijo * step * gg:
                     break
-            elif _slope_accepts(R, R_try, grad, grad_new, gg):
+            elif _slope_accepts(R, R_try, d, grad_new, -gg):
                 break
             step *= opts.backtrack
         else:

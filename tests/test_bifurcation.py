@@ -40,6 +40,11 @@ def test_estimate_record_structure(coarse_estimate):
     assert rec["warnings"] == []
 
 
+def test_estimate_bisection_bracket(coarse_estimate):
+    assert coarse_estimate.method_record["bisection_bracket"] == \
+        (6.4375, 6.46875)
+
+
 def test_estimate_expands_low_bracket(coarse_problem, coarse_estimate):
     kern, params = coarse_problem
     est = estimate_lambda_star(kern, params, (0.6, 0.9), seed=0)
@@ -120,6 +125,20 @@ def test_continue_branch_finds_fold(coarse_problem):
     assert fold[0] < fold[1]
     assert not alive[lams.index(fold[0])]
     assert alive[lams.index(fold[1])]
+
+
+def test_continue_branch_stops_at_fold(coarse_problem):
+    kern, params = coarse_problem
+    grid = np.linspace(9.0, 4.0, 6)
+    full = continue_branch(kern, params, grid, seed=0, with_saddles=False)
+    short = continue_branch(kern, params, grid, seed=0, with_saddles=False,
+                            stop_at_fold=True)
+    fold = full.method_record["fold_bracket"]
+    assert short.method_record["fold_bracket"] == fold
+    # the trace ends at the first dead point, lambda ascending
+    assert [bp.lam for bp in short.points] == \
+        [bp.lam for bp in full.points if bp.lam >= fold[0]]
+    assert short.points[0].lam == fold[0]
 
 
 def test_continue_branch_grid_validation(coarse_problem):

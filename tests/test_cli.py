@@ -4,8 +4,9 @@ import os
 import numpy as np
 import pytest
 
-from fracbif import KernelMatrix
+from fracbif import KernelMatrix, SaddleNotFound
 from fracbif.cli import main
+import fracbif.bifurcation as bifurcation_module
 import fracbif.cli as cli_module
 
 BASE = {"p": 3.0, "s": 0.3, "q": 2.5, "r": 1.5, "lambda": 8.0,
@@ -174,6 +175,32 @@ def test_solve_reports_both_solutions(tmp_path, outdir, capsys):
     u2 = float(rows[2].split(",")[1])
     v2 = float(rows[2].split(",")[2])
     assert 0.0 < v2 < u2
+
+
+def test_solve_keeps_minimizer_when_saddle_not_found(tmp_path, outdir,
+                                                      capsys, monkeypatch):
+    calls = []
+    multistart = bifurcation_module.minimize_multistart
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return multistart(*args, **kwargs)
+
+    def no_saddle(*args, **kwargs):
+        raise SaddleNotFound("mountain-pass path collapsed onto an endpoint")
+
+    monkeypatch.setattr(bifurcation_module, "minimize_multistart", counted)
+    monkeypatch.setattr(bifurcation_module, "find_saddle", no_saddle)
+    cfg = write_config(tmp_path / "run.cfg", **{"mesh.n": 32})
+    code = main(["solve", "--config", cfg, "--out", outdir])
+    assert code == 0
+    assert len(calls) == 1
+    assert "saddle sup norm" not in capsys.readouterr().out
+    rec = json.load(open(os.path.join(outdir, "solution.json")))
+    assert rec["saddle_note"] == "mountain-pass path collapsed onto an endpoint"
+    assert rec["outcome"] == "one solution"
+    assert rec["diagnostics"]["sup_u"] > 0.0
+    assert rec["diagnostics"]["iterations_v"] == 0
 
 
 def test_lambda_flag_overrides_file(tmp_path, outdir, capsys):

@@ -92,6 +92,17 @@ def test_principal_eigenpair_below_two_reports_honestly():
     assert np.all(res.eigenfunction.values > 0.0)
 
 
+def test_principal_eigenpair_gives_up_on_a_slow_residual():
+    # for p < 2 the residual here decays like 1/iterations (1.9e-5 after
+    # 50000 of them): the stall rule stops early and says so
+    kern = KernelMatrix.from_sigma(build_mesh(-1.0, 1.0, 40), 0.45)
+    res = principal_eigenpair(kern, 1.5)
+    assert not res.converged
+    assert res.iterations <= 10000
+    assert 1e-9 < res.residual < 1e-3
+    assert res.value == pytest.approx(11.2517213576, rel=1e-8)
+
+
 @pytest.mark.parametrize("p", [2.0, 3.0])
 def test_principal_eigenvalue_scales_with_kernel(p):
     mesh = build_mesh(-1.0, 1.0, 24)
@@ -137,6 +148,27 @@ def test_warm_start_converges_below_the_armijo_resolution():
     assert rep.converged
     assert rep.classification == "minimizer"
     assert rep.residual <= 1e-9 * max(1.0, abs(rep.energy))
+
+
+def test_singular_multistart_converges():
+    # 1 < p < 2: steepest descent ran all 50000 iterations of every
+    # nontrivial start here and stopped at residual ~1e-8
+    params = validate_params({"p": 1.8, "s": 0.4, "q": 1.6, "r": 1.2,
+                              "lambda": 8.1})
+    kern = assemble_kernel(build_mesh(-1.0, 1.0, 32), params)
+    reports = minimize_multistart(kern, ReactionModel.plain(params), seed=0)
+    assert any(r.classification == "minimizer" for r in reports)
+    for rep in reports:
+        assert rep.converged
+        assert rep.iterations <= 1000
+
+
+def test_multistart_iteration_count_guard(small_problem):
+    # the multistart behind small_big_solution took 1660 iterations in
+    # all with Barzilai-Borwein steepest descent
+    kern, params = small_problem
+    reports = minimize_multistart(kern, ReactionModel.plain(params), seed=0)
+    assert sum(r.iterations for r in reports) < 1660 // 2
 
 
 def test_subcritical_multistart_lands_on_exact_zero():
