@@ -15,9 +15,8 @@ from .core import (GridFunction, Mesh1D, MeshError, MeshMismatchError,
 from .kernel import (KernelError, KernelMatrix, apply_operator,
                      assemble_kernel, pairing, pairwise_energy,
                      seminorm_energy, seminorm_energy_and_operator)
-from .reaction import (F, F_values, ReactionModel, f, f_values,
-                       nonexistence_bound, scan_reaction_slack,
-                       sign_threshold_delta)
+from .reaction import (F_values, ReactionModel, f_values,
+                       scan_reaction_slack, sign_threshold_delta)
 from .solvers import (EigenResult, MountainPassPath, SaddleNotFound,
                       SolveReport, SolverError, SolverOptions, find_saddle,
                       minimize, minimize_multistart, principal_eigenpair,

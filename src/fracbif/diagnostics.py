@@ -18,16 +18,9 @@ from .reaction import ReactionModel, f_values
 from .solvers import total_energy, total_gradient
 
 
-def _ratio(u):
-    values = u.values
-    d = u.mesh.dist
-    return values, d
-
-
 def hopf_ratio(u, s):
     """min_i u_i / dist_i^s; positive iff u sits above a multiple of d^s."""
-    values, d = _ratio(u)
-    return float(np.min(values / d ** s))
+    return float(np.min(u.values / u.mesh.dist ** s))
 
 
 def boundary_ratios(u, s, alpha=None):
@@ -41,8 +34,7 @@ def boundary_ratios(u, s, alpha=None):
         alpha = 0.9 * s
     if not 0.0 <= alpha < s:
         raise ParameterError("need 0 <= alpha < s, got alpha=%g, s=%g" % (alpha, s))
-    values, d = _ratio(u)
-    w = values / d ** s
+    w = u.values / u.mesh.dist ** s
     x = u.mesh.nodes
     dw = np.abs(w[:, None] - w[None, :])
     dx = np.abs(x[:, None] - x[None, :])

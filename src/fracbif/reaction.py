@@ -11,8 +11,7 @@ machinery:
   f(i, t) = lam*c_i^(q-1) - t^(r-1), which caps minimizers and path
   points below the ceiling while keeping the primitive well defined.
 
-All evaluations are vectorized over nodes; f and F are the scalar
-single-node views used in tests.
+All evaluations are vectorized over nodes.
 """
 
 from dataclasses import dataclass
@@ -101,46 +100,11 @@ def F_values(model, u):
     raise ParameterError("unknown reaction variant %r" % model.variant)
 
 
-def f(model, i, t):
-    """Scalar reaction at node i."""
-    u = np.zeros(1) + float(t)
-    sub = _model_at_node(model, i)
-    return float(f_values(sub, u)[0])
-
-
-def F(model, i, t):
-    """Scalar primitive at node i."""
-    u = np.zeros(1) + float(t)
-    sub = _model_at_node(model, i)
-    return float(F_values(sub, u)[0])
-
-
-def _model_at_node(model, i):
-    if model.variant == "plain":
-        return model
-    if model.variant == "floored":
-        return ReactionModel(params=model.params, variant="floored",
-                             anchor=model.anchor[i:i + 1], c0=model.c0)
-    return ReactionModel(params=model.params, variant="capped",
-                         ceiling=model.ceiling[i:i + 1], c0=model.c0)
-
-
 def sign_threshold_delta(params):
     """Largest delta with f <= 0 on [0, delta]: lam^(-1/(q-r))."""
     if params.lam <= 0.0:
         raise ParameterError("sign threshold needs lam > 0, got %g" % params.lam)
     return params.lam ** (-1.0 / (params.q - params.r))
-
-
-def nonexistence_bound(params, eps):
-    """min(1, eps): below this reaction strength, f(t) <= eps*t^(p-1) for t >= 0.
-
-    With eps below the principal eigenvalue this forces the zero
-    solution only.  The guarantee is checked by scan_reaction_slack.
-    """
-    if eps <= 0.0:
-        raise ParameterError("eps must be positive, got %g" % eps)
-    return min(1.0, float(eps))
 
 
 def scan_reaction_slack(params, eps, t_max=100.0, samples=100_000):

@@ -19,11 +19,12 @@ find_saddle runs a mountain-pass search on the capped energy between
 the zero function and a known minimizer: the maximal-energy point of a
 piecewise-linear path is pushed downhill, with the path redistributed
 at fixed arclength fractions, until progress stalls at the path
-resolution; the maximal point then climbs to the saddle by reflecting
-the gradient across the locally most-unstable directions and a damped
-Newton polish finishes the degenerate modes.  Every stage consumes
-gradient evaluations only; curvature is always estimated from
-gradient differences.
+resolution; the maximal point alone then climbs to the saddle by
+reflecting the gradient across the locally most-unstable directions,
+and a damped Newton polish finishes the degenerate modes, while the
+rest of the path stays where the descent left it.  Every stage
+consumes gradient evaluations only; curvature is always estimated
+from gradient differences.
 """
 
 import warnings
@@ -55,6 +56,10 @@ class SaddleNotFound(SolverError):
 
 HISTORY = 8             # (s, y) pairs behind minimize's L-BFGS directions
 STALL_WINDOW = 1000     # eigen iterations between progress checks
+ARMIJO = 1e-4           # sufficient-decrease fraction of every line search
+BACKTRACK = 0.5         # step shrink factor while backtracking
+STEP_MIN = 1e-8         # bounds of the step scales the line searches start from
+STEP_MAX = 1e2
 
 
 @dataclass(frozen=True)
@@ -63,10 +68,6 @@ class SolverOptions:
 
     tol: float = 1e-9
     max_iter: int = 50_000
-    armijo: float = 1e-4
-    backtrack: float = 0.5
-    step_min: float = 1e-8
-    step_max: float = 1e2
     zero_tol: float = 1e-6
     starts: int = 10
     path_points: int = 41
@@ -177,7 +178,7 @@ def minimize(kern, model, u0, opts=None):
 
     Directions come from the last HISTORY accepted moves (a move whose
     s.y <= 0 is not stored), scaled by the step s.y / y.y of the newest
-    one clamped to [step_min, step_max]; a direction that fails to
+    one clamped to [STEP_MIN, STEP_MAX]; a direction that fails to
     descend is replaced by the scaled gradient.  Each step backtracks
     from the full direction until Armijo's decrease holds, or, below
     the rounding of the energy, the approximate Wolfe test.  Stops when
@@ -221,7 +222,7 @@ def minimize(kern, model, u0, opts=None):
             g_new = None
             while t > 1e-20:
                 u_new = u + t * d
-                decrease = -opts.armijo * t * gd
+                decrease = -ARMIJO * t * gd
                 if decrease > _rounding(E):
                     E_new = total_energy(kern, model, u_new)
                     if E_new <= E - decrease:
@@ -231,7 +232,7 @@ def minimize(kern, model, u0, opts=None):
                     if _slope_accepts(E, E_new, d, g_new, gd):
                         break
                     g_new = None
-                t *= opts.backtrack
+                t *= BACKTRACK
             else:
                 break       # no acceptable step left
             if g_new is None:
@@ -240,8 +241,7 @@ def minimize(kern, model, u0, opts=None):
             sy = float(s @ y)
             if sy > 0.0:
                 pairs.append((s, y, 1.0 / sy))
-                gamma = min(max(sy / float(y @ y), opts.step_min),
-                            opts.step_max)
+                gamma = min(max(sy / float(y @ y), STEP_MIN), STEP_MAX)
             u, E, g = u_new, E_new, g_new
             iterations += 1
         if model.variant == "plain" and float(np.min(u)) < 0.0:
@@ -391,7 +391,7 @@ def principal_eigenpair(kern, p, opts=None, start=None):
             sy = float(du @ dg)
             if sy > 0.0:
                 step = float(du @ du) / sy
-        step = min(max(step, opts.step_min), opts.step_max)
+        step = min(max(step, STEP_MIN), STEP_MAX)
         gg = float(grad @ grad)
         d = -grad
         while step > 1e-20:
@@ -399,12 +399,12 @@ def principal_eigenpair(kern, p, opts=None, start=None):
             Av = apply_operator(kern, v, p)
             R_try = float(np.dot(Av, v))
             grad_new = p * (Av - R_try * h * odd_power(v, p))
-            if opts.armijo * step * gg > _rounding(R):
-                if R_try <= R - opts.armijo * step * gg:
+            if ARMIJO * step * gg > _rounding(R):
+                if R_try <= R - ARMIJO * step * gg:
                     break
             elif _slope_accepts(R, R_try, d, grad_new, -gg):
                 break
-            step *= opts.backtrack
+            step *= BACKTRACK
         else:
             break
         du, dg = v - u, grad_new - grad
@@ -416,23 +416,14 @@ def principal_eigenpair(kern, p, opts=None, start=None):
                        converged=converged)
 
 
-def _reequispace(Z, keep=None, frac=None):
+def _reequispace(Z, frac):
     """Redistribute path points at fixed arclength fractions.
 
-    frac gives the target cumulative-arclength fraction of every point
-    (uniform when omitted); keeping it non-uniform preserves a
-    resolution bias along the path across redistributions.  With
-    keep=m the point m stays put and the two halves are redistributed
-    separately (used while an interior point climbs).
+    frac gives the target cumulative-arclength fraction of every point;
+    keeping it non-uniform preserves a resolution bias along the path
+    across redistributions.  Only the descent phase of find_saddle
+    redistributes: the climb moves the maximal point alone.
     """
-    if frac is None:
-        frac = np.linspace(0.0, 1.0, Z.shape[0])
-    if keep is not None:
-        fl = frac[:keep + 1] / frac[keep]
-        fr = (frac[keep:] - frac[keep]) / (frac[-1] - frac[keep])
-        left = _reequispace(Z[:keep + 1], frac=fl)
-        right = _reequispace(Z[keep:], frac=fr)
-        return np.vstack([left, right[1:]])
     seg = np.linalg.norm(np.diff(Z, axis=0), axis=1)
     total = float(np.sum(seg))
     if total <= 0.0:
@@ -457,6 +448,12 @@ def find_saddle(kern, params, u_big, opts=None, seed=0, return_path=False):
     returned point satisfies 0 <= v <= u_big up to solver tolerance and
     its residual is reported for the uncapped reaction, which coincides
     with the capped one on that range.
+
+    The descent phase moves the maximal point of the path and
+    redistributes the path after every step.  Once progress stalls, the
+    climb and the Newton polish move that point alone; the other path
+    points stay where the descent left them, so their energies stay
+    exact and only the maximal point's energy is recomputed.
     """
     opts = opts or SolverOptions()
     _check_compat(kern, params)
@@ -488,18 +485,13 @@ def find_saddle(kern, params, u_big, opts=None, seed=0, return_path=False):
     phase = "descent"
     tau = None
     v_prev = g_prev = None
-    prev_m = None
     m = 1 + int(np.argmax(energies[1:-1]))
     while iterations < opts.max_iter:
         iterations += 1
         if phase == "descent":
             # once the climb starts the index is frozen: the climber
-            # walks freely and re-picking the argmax point after each
-            # redistribution would discard its direction history
+            # walks freely, and only Z[m] and energies[m] are read again
             m = 1 + int(np.argmax(energies[1:-1]))
-        if m != prev_m:
-            tau = None          # climbing point changed, direction stale
-        prev_m = m
         E_m, g = _energy_and_gradient(kern, model, Z[m])
         residual = _sup(g)
         scale = max(1.0, abs(E_m))
@@ -516,14 +508,13 @@ def find_saddle(kern, params, u_big, opts=None, seed=0, return_path=False):
         if phase == "descent" and ((stall >= 15 and residual <= 2.0 * best_residual)
                                    or stall > 80):
             phase = "climb"
-            climb_step = None
             stall = 0
         elif phase == "climb" and stall > 120:
             break
         if phase == "descent":
             if step is None:
                 step = 1.0 / max(1.0, residual)
-            step = min(step * 2.0, opts.step_max)
+            step = min(step * 2.0, STEP_MAX)
             gg = float(g @ g)
             # projected step: boundary nodes overshoot below zero
             # otherwise, and redistribution then smears the violation
@@ -531,9 +522,9 @@ def find_saddle(kern, params, u_big, opts=None, seed=0, return_path=False):
             while step > 1e-20:
                 trial = _clip_box(Z[m] - opts.damping * step * g, u_big)
                 E_try = total_energy(kern, model, trial)
-                if E_try <= E_m - opts.armijo * opts.damping * step * gg:
+                if E_try <= E_m - ARMIJO * opts.damping * step * gg:
                     break
-                step *= opts.backtrack
+                step *= BACKTRACK
             Z[m] = trial
             Z = _reequispace(Z, frac=frac)
             energies = _batch_energy(kern, model, Z)
@@ -541,7 +532,6 @@ def find_saddle(kern, params, u_big, opts=None, seed=0, return_path=False):
             if tau is None:
                 tau = Z[m + 1] - Z[m - 1]
                 tau = tau / max(np.linalg.norm(tau), 1e-300)
-                v_prev = g_prev = None
             tau, ray0 = _refine_downhill_direction(kern, model, Z[m], tau)
             modes = [tau]
             # the leftover gradient may sit in a second, weakly
@@ -584,8 +574,7 @@ def find_saddle(kern, params, u_big, opts=None, seed=0, return_path=False):
                     break
                 climb_step *= 0.5
             if moved:
-                Z = _reequispace(Z, keep=m, frac=frac)
-                energies = _batch_energy(kern, model, Z)
+                energies[m] = total_energy(kern, model, Z[m])
             want_polish = not moved or (stall >= 8 and residual <= 1e-4 * scale)
             if want_polish and polish_left > 0:
                 polish_left -= 1
@@ -595,8 +584,7 @@ def find_saddle(kern, params, u_big, opts=None, seed=0, return_path=False):
                     v_prev = g_prev = None
                     stall = 0
                     best_residual = min(best_residual, res_p)
-                    Z = _reequispace(Z, keep=m, frac=frac)
-                    energies = _batch_energy(kern, model, Z)
+                    energies[m] = total_energy(kern, model, Z[m])
                     continue
             if not moved:
                 break

@@ -4,7 +4,10 @@ Re-derives the kernel weights by numerical quadrature (independent of
 the closed form), finite-differences the energy gradient, re-solves the
 p=2 eigenproblem densely, and scans the reaction inequalities.  Each
 check returns (name, passed, detail); the command exits nonzero if any
-fails.
+fails.  Evidence that several checks read (the kernel comparison, the
+operator-property trials) is computed once and shared; a step that
+raises is not kept, so it runs again, and fails, in every check that
+reads it.
 
 The quadrature oracle reduces each double integral over a cell pair to
 one dimension: with m(rho) the measure of {(x, y) in C_i x C_j :
@@ -18,6 +21,8 @@ which fixed Gauss-Legendre panels integrate to near machine precision
 for every sigma in (0, 1); the same reduction handles exterior tails
 with an exponentially decaying upper end.
 """
+
+from functools import cache, partial
 
 import numpy as np
 
@@ -157,16 +162,19 @@ def run_verification(cfg, kernel_hook=None):
     quick = SolverOptions(tol=cfg.tol, max_iter=min(cfg.max_iter, 4000),
                           starts=min(cfg.starts, 4))
 
+    kernel_report = cache(lambda: _kernel_checks(make_kernel, sigma))
+    mon_report = cache(lambda: verify_operator_properties(
+        make_kernel(build_mesh(-1.0, 1.0, 32), sigma), params.p,
+        trials=cfg.trials, seed=cfg.seed))
+
     def kernel_oracle():
-        worst_pair, worst_tail, anchor, tail_anchor = _kernel_checks(
-            make_kernel, sigma)
+        worst_pair, _, anchor, _ = kernel_report()
         ok = worst_pair <= 1e-8 and anchor <= 1e-12
         return ok, ("pair rel err %.2e, two-cell anchor err %.2e"
                     % (worst_pair, anchor))
 
     def tail_oracle():
-        worst_pair, worst_tail, anchor, tail_anchor = _kernel_checks(
-            make_kernel, sigma)
+        _, worst_tail, _, tail_anchor = kernel_report()
         ok = worst_tail <= 1e-8 and tail_anchor <= 1e-12
         return ok, ("tail rel err %.2e, two-cell anchor err %.2e"
                     % (worst_tail, tail_anchor))
@@ -204,13 +212,10 @@ def run_verification(cfg, kernel_hook=None):
         return (eig.converged and rel <= 1e-7,
                 "rel eigenvalue err %.2e" % rel)
 
-    def mon_props():
-        mesh = build_mesh(-1.0, 1.0, 32)
-        kern = make_kernel(mesh, sigma)
-        report = verify_operator_properties(kern, params.p,
-                                            trials=cfg.trials, seed=cfg.seed)
-        return report["passed"], "worst margins %r" % (
-            {k: float("%.3e" % v) for k, v in report["worst"].items()},)
+    def mon(which):
+        report = mon_report()
+        return (report["checks"][which],
+                "worst margin %.3e" % report["worst"][which])
 
     def delta_threshold():
         if params.lam <= 0.0:
@@ -252,19 +257,9 @@ def run_verification(cfg, kernel_hook=None):
     run("gradient", gradient)
     run("euler-identity", euler_identity)
     run("eigen-oracle-p2", eigen_oracle)
-    run("mon-i", lambda: _single_mon(make_kernel, params, cfg, "mon-i"))
-    run("mon-ii", lambda: _single_mon(make_kernel, params, cfg, "mon-ii"))
-    run("mon-iii", lambda: _single_mon(make_kernel, params, cfg, "mon-iii"))
+    for which in ("mon-i", "mon-ii", "mon-iii"):
+        run(which, partial(mon, which))
     run("delta-threshold", delta_threshold)
     run("nonexistence-scan", nonexistence)
     run("energy-bound", energy_bound)
     return all(ok for _, ok, _ in results), results
-
-
-def _single_mon(make_kernel, params, cfg, which):
-    mesh = build_mesh(-1.0, 1.0, 32)
-    kern = make_kernel(mesh, params.sigma)
-    report = verify_operator_properties(kern, params.p, trials=cfg.trials,
-                                        seed=cfg.seed)
-    return (report["checks"][which],
-            "worst margin %.3e" % report["worst"][which])

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from fracbif import (F, F_values, ParameterError, ReactionModel, f, f_values,
-                     nonexistence_bound, scan_reaction_slack,
-                     sign_threshold_delta, validate_params)
+from fracbif import (F_values, ParameterError, ReactionModel, f_values,
+                     scan_reaction_slack, sign_threshold_delta,
+                     validate_params)
 
 PARAMS = validate_params({"p": 3.0, "s": 0.3, "q": 2.5, "r": 1.5,
                           "lambda": 4.0})
@@ -19,6 +19,11 @@ def make_models(n=6):
             ReactionModel.capped(PARAMS, ceiling)]
 
 
+def at_node(values, model, i, t, n=6):
+    """values (f_values or F_values) at node i, every node set to t."""
+    return float(values(model, np.full(n, float(t)))[i])
+
+
 def test_plain_formula_positive_part():
     model = ReactionModel.plain(PARAMS)
     t = np.array([0.5, 1.0, 2.0])
@@ -29,19 +34,21 @@ def test_plain_formula_positive_part():
 
 
 def test_scalar_f_matches_vectorized():
+    """The reaction at node i depends only on the value at node i."""
+    rng = np.random.default_rng(5)
     for model in make_models():
         for t in (-1.0, 0.0, 0.05, 0.3, 0.9, 1.7, 5.0):
-            u = np.full(6, t)
-            vals = f_values(model, u)
             for i in range(6):
-                assert f(model, i, t) == pytest.approx(vals[i], rel=1e-14,
-                                                       abs=1e-300)
+                u = rng.uniform(-2.0, 3.0, size=6)
+                u[i] = t
+                assert f_values(model, u)[i] == pytest.approx(
+                    at_node(f_values, model, i, t), rel=1e-14, abs=1e-300)
 
 
 def test_primitive_matches_quadrature():
     """F must be the antiderivative of f vanishing at zero, per node."""
     for model in make_models():
-        assert F(model, 2, 0.0) == 0.0
+        assert at_node(F_values, model, 2, 0.0) == 0.0
         for t in (-2.0, -0.4, 0.2, 0.8, 1.4, 3.0):
             for i in (0, 3, 5):
                 kinks = []
@@ -50,10 +57,11 @@ def test_primitive_matches_quadrature():
                 if model.ceiling is not None:
                     kinks.append(float(model.ceiling[i]))
                 pts = [k for k in kinks if min(0.0, t) < k < max(0.0, t)]
-                ref, err = integrate.quad(lambda x: f(model, i, x),
-                                          0.0, t, points=pts or None,
-                                          limit=200, epsabs=1e-12)
-                assert F(model, i, t) == pytest.approx(ref, abs=5e-11)
+                ref, err = integrate.quad(
+                    lambda x: at_node(f_values, model, i, x), 0.0, t,
+                    points=pts or None, limit=200, epsabs=1e-12)
+                assert at_node(F_values, model, i, t) == pytest.approx(
+                    ref, abs=5e-11)
 
 
 def test_primitive_vectorization():
@@ -62,8 +70,8 @@ def test_primitive_vectorization():
     for model in make_models():
         vals = F_values(model, u)
         for i in range(6):
-            assert vals[i] == pytest.approx(F(model, i, float(u[i])),
-                                            rel=1e-13, abs=1e-300)
+            assert vals[i] == pytest.approx(
+                at_node(F_values, model, i, u[i]), rel=1e-13, abs=1e-300)
 
 
 def test_floored_variant_is_constant_below_anchor():
@@ -71,9 +79,9 @@ def test_floored_variant_is_constant_below_anchor():
     model = ReactionModel.floored(validate_params(
         {"p": 3.0, "s": 0.3, "q": 2.5, "r": 1.5, "lambda": 4.0}), anchor)
     lo = f_values(model, np.array([-1.0, 0.0, 0.2, 0.5]))
-    at = f(model, 0, 0.5)
+    at = at_node(f_values, model, 0, 0.5, n=4)
     assert np.all(lo == at)
-    above = f(model, 0, 0.8)
+    above = at_node(f_values, model, 0, 0.8, n=4)
     assert above != at
 
 
@@ -82,11 +90,11 @@ def test_capped_variant_freezes_growth():
     model = ReactionModel.capped(PARAMS, ceiling)
     c = 1.5
     # continuous across the cap
-    assert f(model, 1, c - 1e-9) == pytest.approx(f(model, 1, c + 1e-9),
-                                                  abs=1e-6)
+    assert at_node(f_values, model, 1, c - 1e-9, n=4) == pytest.approx(
+        at_node(f_values, model, 1, c + 1e-9, n=4), abs=1e-6)
     # beyond the cap the consuming power keeps growing, so f decreases
     ts = np.linspace(c, 4.0, 50)
-    seq = [f(model, 1, t) for t in ts]
+    seq = [at_node(f_values, model, 1, t, n=4) for t in ts]
     assert all(b < a for a, b in zip(seq, seq[1:]))
 
 
@@ -96,18 +104,11 @@ def test_sign_threshold():
     model = ReactionModel.plain(PARAMS)
     grid = np.linspace(0.0, delta, 500)
     assert np.all(f_values(model, grid) <= 1e-15)
-    assert f(model, 0, 1.05 * delta) > 0.0
+    assert at_node(f_values, model, 0, 1.05 * delta) > 0.0
     zero_lam = validate_params({"p": 3.0, "s": 0.3, "q": 2.5, "r": 1.5,
                                 "lambda": 0.0})
     with pytest.raises(ParameterError):
         sign_threshold_delta(zero_lam)
-
-
-def test_nonexistence_bound():
-    assert nonexistence_bound(PARAMS, 0.5) == 0.5
-    assert nonexistence_bound(PARAMS, 3.0) == 1.0
-    with pytest.raises(ParameterError):
-        nonexistence_bound(PARAMS, 0.0)
 
 
 def test_reaction_slack_scan_sign():
@@ -125,6 +126,6 @@ def test_growth_envelope():
     for model in make_models():
         c0 = model.c0 if model.c0 is not None else model.params.c0
         for i in (0, 2, 5):
-            vals = np.array([f(model, i, x) for x in t])
+            vals = np.array([at_node(f_values, model, i, x) for x in t])
             cap = c0 * (1.0 + np.abs(t) ** (model.params.q - 1.0))
             assert np.all(np.abs(vals) <= cap * (1.0 + 1e-12))

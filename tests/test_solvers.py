@@ -12,6 +12,7 @@ from fracbif import (KernelMatrix, MountainPassPath, ParameterError,
                      total_energy, total_gradient, validate_params,
                      with_lambda)
 from fracbif.reaction import F_values, f_values
+from fracbif.solvers import _batch_energy
 
 
 def make_params(p, lam=2.0):
@@ -276,7 +277,11 @@ def test_find_saddle_returns_path(small_problem, small_big_solution):
     assert np.allclose(path.points[-1], u)
     assert path.energies.shape == (path.points.shape[0],)
     assert path.max_index == int(np.argmax(path.energies))
-    assert np.allclose(path.points[path.max_index], rep.solution.values)
+    assert np.array_equal(path.points[path.max_index], rep.solution.values)
+    # the climb updates only the maximal point's energy; every row must
+    # still carry the energy of the point it belongs to
+    model = ReactionModel.capped(params, u)
+    assert np.array_equal(path.energies, _batch_energy(kern, model, path.points))
 
 
 def test_find_saddle_rejects_zero_ceiling(small_problem):

@@ -3,6 +3,7 @@ import pytest
 
 from fracbif import (KernelMatrix, build_mesh, pair_weight_quadrature,
                      resolve, run_verification, tail_weight_quadrature)
+from fracbif import verify
 
 
 @pytest.mark.parametrize("sigma", [0.05, 0.3, 0.55, 0.8, 0.95])
@@ -51,3 +52,37 @@ def test_run_verification_flags_corrupted_kernel():
     assert not passed
     failed = [name for name, ok, _ in results if not ok]
     assert "kernel-oracle" in failed
+
+
+def test_run_verification_runs_shared_evidence_once(monkeypatch):
+    cfg = resolve({"p": 3.0, "s": 0.3, "q": 2.5, "r": 1.5, "lam": 8.0,
+                   "mesh_n": 48, "trials": 60})
+    calls = {"kernel": 0, "operator": 0}
+
+    def counted(key, func):
+        def wrapped(*args, **kwargs):
+            calls[key] += 1
+            return func(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(verify, "_kernel_checks",
+                        counted("kernel", verify._kernel_checks))
+    monkeypatch.setattr(verify, "verify_operator_properties",
+                        counted("operator", verify.verify_operator_properties))
+    passed, _ = run_verification(cfg)
+    assert passed
+    assert calls == {"kernel": 1, "operator": 1}
+
+
+def test_run_verification_fails_every_check_of_a_raising_step():
+    cfg = resolve({"p": 3.0, "s": 0.3, "q": 2.5, "r": 1.5, "lam": 8.0,
+                   "mesh_n": 48, "trials": 60})
+
+    def hook(kern):
+        raise RuntimeError("no kernel")
+
+    passed, results = run_verification(cfg, kernel_hook=hook)
+    assert not passed
+    details = {name: (ok, detail) for name, ok, detail in results}
+    for name in ("kernel-oracle", "tail-oracle", "mon-i", "mon-ii", "mon-iii"):
+        assert details[name] == (False, "raised RuntimeError: no kernel")
