@@ -13,15 +13,16 @@ from .core import (GridFunction, Mesh1D, MeshError, MeshMismatchError,
                    ParameterError, ProblemParams, build_mesh, odd_power,
                    validate_params, with_lambda)
 from .kernel import (KernelError, KernelMatrix, apply_operator,
-                     assemble_kernel, pairing, pairwise_energy,
-                     seminorm_energy, seminorm_energy_and_operator)
-from .reaction import (F_values, ReactionModel, f_values,
+                     assemble_kernel, operator_hessian, pairing,
+                     pairwise_energy, seminorm_energy,
+                     seminorm_energy_and_operator)
+from .reaction import (F_values, ReactionModel, df_values, f_values,
                        scan_reaction_slack, sign_threshold_delta)
 from .solvers import (EigenResult, MountainPassPath, SaddleNotFound,
                       SolveReport, SolverError, SolverOptions, find_saddle,
                       minimize, minimize_multistart, principal_eigenpair,
                       select_solution, solve_above, total_energy,
-                      total_gradient)
+                      total_gradient, total_hessian)
 from .diagnostics import (DiagnosticReport, boundary_ratios, check_ordering,
                           gradient_check, hopf_ratio, make_report,
                           verify_energy_bound, verify_operator_properties)

@@ -30,16 +30,10 @@ from .output import (write_branch_csv, write_diagram_svg, write_eigen_csv,
 from .solvers import SaddleNotFound, SolverError, SolverOptions, principal_eigenpair
 from .verify import run_verification
 
-# Test hook: when set, every kernel the CLI assembles passes through it.
-# Lets the checks be pointed at a deliberately corrupted kernel.
-KERNEL_HOOK = None
 
-
-def _make_kernel(mesh, sigma):
+def _make_kernel(mesh, sigma, hook):
     kern = KernelMatrix.from_sigma(mesh, sigma)
-    if KERNEL_HOOK is not None:
-        kern = KERNEL_HOOK(kern)
-    return kern
+    return hook(kern) if hook is not None else kern
 
 
 def _solver_options(cfg):
@@ -110,10 +104,10 @@ def _require_operator_params(cfg):
                           % (cfg.p, cfg.s))
 
 
-def cmd_eigen(cfg, args):
+def cmd_eigen(cfg, args, kernel_hook):
     _require_operator_params(cfg)
     mesh = build_mesh(cfg.domain_a, cfg.domain_b, cfg.mesh_n)
-    kern = _make_kernel(mesh, cfg.p * cfg.s)
+    kern = _make_kernel(mesh, cfg.p * cfg.s, kernel_hook)
     eig = principal_eigenpair(kern, cfg.p, _solver_options(cfg))
     if not eig.converged:
         raise SolverError("eigen iteration did not converge "
@@ -134,10 +128,10 @@ def cmd_eigen(cfg, args):
     return 0
 
 
-def cmd_solve(cfg, args):
+def cmd_solve(cfg, args, kernel_hook):
     params = problem_params(cfg)
     mesh = build_mesh(cfg.domain_a, cfg.domain_b, cfg.mesh_n)
-    kern = _make_kernel(mesh, params.sigma)
+    kern = _make_kernel(mesh, params.sigma, kernel_hook)
     opts = _solver_options(cfg)
     out = _outdir(cfg)
     meta = _meta(cfg)
@@ -185,13 +179,13 @@ def cmd_solve(cfg, args):
     return 0
 
 
-def cmd_bifurcation(cfg, args):
+def cmd_bifurcation(cfg, args, kernel_hook):
     require(cfg, "p", "s", "q", "r", "lambda_min", "lambda_max",
             "bracket_lo", "bracket_hi")
     cfg.lam = cfg.lam if cfg.lam is not None else cfg.lambda_max
     params = problem_params(cfg)
     mesh = build_mesh(cfg.domain_a, cfg.domain_b, cfg.mesh_n)
-    kern = _make_kernel(mesh, params.sigma)
+    kern = _make_kernel(mesh, params.sigma, kernel_hook)
     opts = _solver_options(cfg)
     grid = np.linspace(cfg.lambda_min, cfg.lambda_max, cfg.steps)
     diagram = build_diagram(kern, params, grid,
@@ -218,9 +212,9 @@ def cmd_bifurcation(cfg, args):
     return 0
 
 
-def cmd_verify(cfg, args):
+def cmd_verify(cfg, args, kernel_hook):
     problem_params(cfg)
-    passed, results = run_verification(cfg, kernel_hook=KERNEL_HOOK)
+    passed, results = run_verification(cfg, kernel_hook=kernel_hook)
     for name, ok, detail in results:
         print("%-18s %s  %s" % (name, "ok" if ok else "FAIL", detail))
     rec = _record(cfg, "verify")
@@ -282,12 +276,18 @@ def build_parser():
     return parser
 
 
-def main(argv=None):
+def main(argv=None, kernel_hook=None):
+    """Run one subcommand; returns its exit code.
+
+    kernel_hook, when given, receives every kernel the command assembles
+    and returns the one to use, so the checks can be pointed at a
+    deliberately corrupted kernel.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         cfg = _resolve_config(args)
-        return args.func(cfg, args)
+        return args.func(cfg, args, kernel_hook)
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 1

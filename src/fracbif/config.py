@@ -53,19 +53,14 @@ class RunConfig:
     out: str = "out"
 
 
-_KEY_TO_FIELD = {
-    "p": "p", "s": "s", "q": "q", "r": "r", "lambda": "lam",
-    "domain.a": "domain_a", "domain.b": "domain_b", "mesh.n": "mesh_n",
-    "tol": "tol", "max_iter": "max_iter", "starts": "starts",
-    "path_points": "path_points", "damping": "damping", "width": "width",
-    "seed": "seed", "threads": "threads", "lambda_min": "lambda_min",
-    "lambda_max": "lambda_max", "steps": "steps", "bracket_lo": "bracket_lo",
-    "bracket_hi": "bracket_hi", "trials": "trials", "out": "out",
-}
+# the RunConfig fields whose file key differs from the field name
+_ALIASES = {"lam": "lambda", "domain_a": "domain.a", "domain_b": "domain.b",
+            "mesh_n": "mesh.n"}
+_KEY_TO_FIELD = {_ALIASES.get(f.name, f.name): f.name
+                 for f in fields(RunConfig)}
 
-_INT_FIELDS = {"mesh_n", "max_iter", "starts", "path_points", "seed",
-               "threads", "steps", "trials"}
-_STR_FIELDS = {"out"}
+_INT_FIELDS = {f.name for f in fields(RunConfig) if f.type is int}
+_STR_FIELDS = {f.name for f in fields(RunConfig) if f.type is str}
 
 
 def parse_config_file(path):
@@ -121,10 +116,9 @@ def resolve(file_values=None, overrides=None):
 
 def require(cfg, *keys):
     """Raise ConfigError naming the first unset required key."""
-    back = {v: k for k, v in _KEY_TO_FIELD.items()}
     for key in keys:
         if getattr(cfg, key) is None:
-            raise ConfigError("missing config key: %s" % back.get(key, key))
+            raise ConfigError("missing config key: %s" % _ALIASES.get(key, key))
 
 
 def problem_params(cfg):

@@ -43,6 +43,20 @@ def odd_power(a, t):
     return out
 
 
+def curvature_power(a, e, scale):
+    """|a|^e elementwise, as the second derivatives of the energy use it.
+
+    A negative e (p < 2, q < 2 or r < 2) makes the power infinite at an
+    exact tie or a zero node; there |a| is floored at
+    1e-6 * max(1, scale), the step of a central difference on a vector
+    of norm scale, so the value stays finite.  Elsewhere it is exact.
+    """
+    a = np.abs(a)
+    if e < 0.0:
+        a = np.maximum(a, 1e-6 * max(1.0, scale))
+    return a ** e
+
+
 @dataclass(frozen=True)
 class ProblemParams:
     """Admissible exponent/parameter record.

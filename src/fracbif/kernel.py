@@ -38,6 +38,7 @@ power |u_i-u_j|^(p-1) per pair i < j (the pair term is antisymmetric,
 so it is added to row i and subtracted from row j) and visits the
 triangle in chunks of whole rows of at most PAIR_BUDGET pairs: every
 temporary holds at most PAIR_BUDGET floats (128 KiB), whatever n is.
+operator_hessian, the dense Jacobian of A, is the one n x n exception.
 """
 
 from dataclasses import dataclass
@@ -45,7 +46,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import Mesh1D, MeshMismatchError
+from .core import Mesh1D, MeshMismatchError, curvature_power
 
 # pairs per chunk of the triangle; a single row longer than this is
 # one chunk of its own
@@ -195,6 +196,23 @@ def apply_operator(kern, u, p):
 def seminorm_energy_and_operator(kern, u, p):
     """Energy and its gradient together, sharing the pairwise powers."""
     return pairwise_energy(kern, _check_values(kern, u), p, gradient=True)
+
+
+def operator_hessian(kern, u, p):
+    """Dense Jacobian of apply_operator at u, the Hessian of seminorm_energy.
+
+    With W = K * |u_i - u_j|^(p-2) it is
+    2(p-1) [diag(W 1 + T |u|^(p-2)) - W], read through curvature_power
+    so that for p < 2 a tie or a zero node stays finite.  Unlike the
+    pairwise sums it holds n x n floats.
+    """
+    u = _check_values(kern, u)
+    scale = float(np.linalg.norm(u))
+    W = kern.K * curvature_power(u[:, None] - u[None, :], p - 2.0, scale)
+    H = -W
+    H[np.diag_indices_from(H)] += (np.sum(W, axis=1)
+                                   + kern.T * curvature_power(u, p - 2.0, scale))
+    return 2.0 * (p - 1.0) * H
 
 
 def pairing(au, phi):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ParameterError, odd_power
+from .core import ParameterError, curvature_power, odd_power
 
 
 @dataclass(frozen=True)
@@ -77,6 +77,33 @@ def f_values(model, u):
         c = model.ceiling
         frozen = pr.lam * np.maximum(c, 0.0) ** (pr.q - 1.0) - odd_power(u, pr.r)
         return np.where(u < c, _plain_f(pr, u), frozen)
+    raise ParameterError("unknown reaction variant %r" % model.variant)
+
+
+def _plain_df(params, t, scale):
+    tp = np.maximum(t, 0.0)
+    d = (params.lam * (params.q - 1.0) * curvature_power(tp, params.q - 2.0, scale)
+         - (params.r - 1.0) * curvature_power(tp, params.r - 2.0, scale))
+    return np.where(t > 0.0, d, 0.0)
+
+
+def df_values(model, u):
+    """t-derivative of the reaction at every node for nodal values u.
+
+    Zero where the reaction is frozen (below the anchor, and for t <= 0
+    in the plain variant); negative powers are read through
+    curvature_power, so t -> 0+ with r < 2 gives a large finite value.
+    """
+    u = np.asarray(u, dtype=float)
+    pr = model.params
+    scale = float(np.linalg.norm(u))
+    if model.variant == "plain":
+        return _plain_df(pr, u, scale)
+    if model.variant == "floored":
+        return np.where(u > model.anchor, _plain_df(pr, u, scale), 0.0)
+    if model.variant == "capped":
+        frozen = -(pr.r - 1.0) * curvature_power(u, pr.r - 2.0, scale)
+        return np.where(u < model.ceiling, _plain_df(pr, u, scale), frozen)
     raise ParameterError("unknown reaction variant %r" % model.variant)
 
 

@@ -20,11 +20,11 @@ the zero function and a known minimizer: the maximal-energy point of a
 piecewise-linear path is pushed downhill, with the path redistributed
 at fixed arclength fractions, until progress stalls at the path
 resolution; the maximal point alone then climbs to the saddle by
-reflecting the gradient across the locally most-unstable directions,
-and a damped Newton polish finishes the degenerate modes, while the
-rest of the path stays where the descent left it.  Every stage
-consumes gradient evaluations only; curvature is always estimated
-from gradient differences.
+reflecting the gradient across the negative-curvature directions of
+the exact Hessian (total_hessian), and a damped Newton polish on the
+same Hessian finishes the degenerate modes, while the rest of the
+path stays where the descent left it.  The saddle search reads
+curvature from that Hessian alone.
 """
 
 import warnings
@@ -35,9 +35,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import GridFunction, MeshMismatchError, ParameterError, odd_power
-from .kernel import (apply_operator, pairwise_energy, seminorm_energy,
-                     seminorm_energy_and_operator)
-from .reaction import ReactionModel, F_values, f_values, sign_threshold_delta
+from .kernel import (apply_operator, operator_hessian, pairwise_energy,
+                     seminorm_energy, seminorm_energy_and_operator)
+from .reaction import (ReactionModel, F_values, df_values, f_values,
+                       sign_threshold_delta)
 
 
 class SolverError(RuntimeError):
@@ -121,6 +122,13 @@ def total_gradient(kern, model, u):
     """Exact gradient of total_energy at u."""
     A = apply_operator(kern, u, model.params.p)
     return A - kern.mesh.h * f_values(model, u)
+
+
+def total_hessian(kern, model, u):
+    """Exact Hessian of total_energy at u, a dense symmetric n x n matrix."""
+    H = operator_hessian(kern, u, model.params.p)
+    H[np.diag_indices_from(H)] -= kern.mesh.h * df_values(model, u)
+    return H
 
 
 def _energy_and_gradient(kern, model, u):
@@ -453,7 +461,11 @@ def find_saddle(kern, params, u_big, opts=None, seed=0, return_path=False):
     redistributes the path after every step.  Once progress stalls, the
     climb and the Newton polish move that point alone; the other path
     points stay where the descent left them, so their energies stay
-    exact and only the maximal point's energy is recomputed.
+    exact and only the maximal point's energy is recomputed.  Each climb
+    step reflects the gradient across the lowest eigenvector of the
+    exact Hessian at that point, and across the second one too while its
+    eigenvalue is below -1e-8 * max(1, |lowest|) (Choi & McKenna,
+    Nonlinear Anal. 20, 1993).
     """
     opts = opts or SolverOptions()
     _check_compat(kern, params)
@@ -483,7 +495,6 @@ def find_saddle(kern, params, u_big, opts=None, seed=0, return_path=False):
     polish_left = 3
     iterations = 0
     phase = "descent"
-    tau = None
     v_prev = g_prev = None
     m = 1 + int(np.argmax(energies[1:-1]))
     while iterations < opts.max_iter:
@@ -529,27 +540,14 @@ def find_saddle(kern, params, u_big, opts=None, seed=0, return_path=False):
             Z = _reequispace(Z, frac=frac)
             energies = _batch_energy(kern, model, Z)
         else:
-            if tau is None:
-                tau = Z[m + 1] - Z[m - 1]
-                tau = tau / max(np.linalg.norm(tau), 1e-300)
-            tau, ray0 = _refine_downhill_direction(kern, model, Z[m], tau)
-            modes = [tau]
-            # the leftover gradient may sit in a second, weakly
-            # negative mode invisible to tau; test it and reflect it
-            # too while its curvature is genuinely downhill
-            rest = g - float(g @ tau) * tau
-            size = float(np.linalg.norm(rest))
-            if size > 1e-14 * max(1.0, residual):
-                cand, ray1 = _refine_downhill_direction(
-                    kern, model, Z[m], rest / size, ortho=(tau,))
-                if ray1 < -1e-8 * max(1.0, abs(ray0)):
-                    modes.append(cand)
+            curv, Q = np.linalg.eigh(total_hessian(kern, model, Z[m]))
+            # the leftover gradient may sit in a second, weakly negative
+            # mode; reflect it too while it is genuinely downhill
+            k = 2 if curv[1] < -1e-8 * max(1.0, abs(curv[0])) else 1
+            modes = Q[:, :k]
 
             def reflect(vec):
-                out = vec
-                for b in modes:
-                    out = out - 2.0 * float(out @ b) * b
-                return out
+                return vec - 2.0 * (modes @ (modes.T @ vec))
 
             d = reflect(g)
             if climb_step is None:
@@ -610,58 +608,6 @@ def find_saddle(kern, params, u_big, opts=None, seed=0, return_path=False):
     return report
 
 
-def _refine_downhill_direction(kern, model, v, tau, sweeps=2, ortho=()):
-    """Rotate tau toward the most-unstable direction at v.
-
-    Minimizes the curvature quotient tau.H(v)tau using only gradient
-    differences (no Hessian is formed): the directional curvature is
-    (grad(v + l*tau) - grad(v - l*tau)) / 2l, and tau is rotated
-    against the transverse component of that vector while the rotation
-    keeps lowering the quotient.  With ortho given, the search stays in
-    the orthogonal complement of those unit directions.  Returns the
-    refined direction and its curvature.
-    """
-    ell = 1e-6 * max(1.0, float(np.linalg.norm(v)))
-
-    def project(t):
-        for b in ortho:
-            t = t - float(t @ b) * b
-        return t
-
-    def curvature(t):
-        gp = total_gradient(kern, model, v + ell * t)
-        gm = total_gradient(kern, model, v - ell * t)
-        Ht = (gp - gm) / (2.0 * ell)
-        return Ht, float(t @ Ht)
-
-    tau = project(np.array(tau, dtype=float))
-    norm = float(np.linalg.norm(tau))
-    if norm <= 1e-300:
-        return tau, np.inf
-    tau /= norm
-    Ht, rayleigh = curvature(tau)
-    for _ in range(sweeps):
-        rot = project(Ht - rayleigh * tau)
-        rot = rot - float(rot @ tau) * tau
-        size = float(np.linalg.norm(rot))
-        if size <= 1e-12 * max(1.0, abs(rayleigh)):
-            break
-        angle = 0.5
-        improved = False
-        while angle > 1e-3:
-            trial = project(tau - angle * rot / size)
-            trial = trial / float(np.linalg.norm(trial))
-            Ht_try, ray_try = curvature(trial)
-            if ray_try < rayleigh:
-                tau, Ht, rayleigh = trial, Ht_try, ray_try
-                improved = True
-                break
-            angle *= 0.25
-        if not improved:
-            break
-    return tau, rayleigh
-
-
 def _newton_polish(kern, model, v, tol_scale, rounds=6):
     """Damped Newton finish for an almost-converged saddle.
 
@@ -669,33 +615,21 @@ def _newton_polish(kern, model, v, tol_scale, rounds=6):
     whose curvature is orders of magnitude below the rest of the
     spectrum, and those modes couple: moving along one leaks gradient
     into the others, so per-direction steps stall.  Solving H d = -g
-    treats all modes at once.  The Hessian is built column by column
-    from central differences of the gradient (first-order data only,
-    2n evaluations) and inverted through its eigendecomposition with
-    curvatures below noise level dropped.  Candidate steps are
-    projected onto the box where the capped reaction agrees with the
-    plain one and kept only when the gradient sup-norm falls, so the
-    iterate cannot leave the basin the climb ended in.  Returns the
-    refined point and its residual.
+    with the exact Hessian (total_hessian) treats all modes at once; it
+    is inverted through its eigendecomposition with curvatures below
+    1e-9 of the largest dropped.  Candidate steps are projected onto the
+    box where the capped reaction agrees with the plain one and kept
+    only when the gradient sup-norm falls, so the iterate cannot leave
+    the basin the climb ended in.  Returns the refined point and its
+    residual.
     """
-    n = v.size
     top = model.ceiling if model.ceiling is not None else np.inf
     g = total_gradient(kern, model, v)
     res = _sup(g)
     for _ in range(rounds):
         if res <= tol_scale:
             break
-        eps = 1e-6 * max(1.0, float(np.linalg.norm(v)))
-        H = np.empty((n, n))
-        bump = np.zeros(n)
-        for j in range(n):
-            bump[j] = eps
-            gp = total_gradient(kern, model, v + bump)
-            gm = total_gradient(kern, model, v - bump)
-            H[:, j] = (gp - gm) / (2.0 * eps)
-            bump[j] = 0.0
-        H = 0.5 * (H + H.T)
-        curv, Q = np.linalg.eigh(H)
+        curv, Q = np.linalg.eigh(total_hessian(kern, model, v))
         floor = 1e-9 * float(np.max(np.abs(curv)))
         keep = np.abs(curv) > floor
         coef = Q.T @ g

@@ -7,7 +7,6 @@ import pytest
 from fracbif import KernelMatrix, SaddleNotFound
 from fracbif.cli import main
 import fracbif.bifurcation as bifurcation_module
-import fracbif.cli as cli_module
 
 BASE = {"p": 3.0, "s": 0.3, "q": 2.5, "r": 1.5, "lambda": 8.0,
         "domain.a": -1.0, "domain.b": 1.0, "mesh.n": 48, "seed": 0}
@@ -99,7 +98,7 @@ def test_eigen_output_is_reproducible(tmp_path, capsys):
     assert a == b
 
 
-def test_kernel_hook_scales_eigenvalue(tmp_path, capsys, monkeypatch):
+def test_kernel_hook_scales_eigenvalue(tmp_path, capsys):
     cfg = write_config(tmp_path / "run.cfg", **{"mesh.n": 24})
     out1 = str(tmp_path / "o1")
     out2 = str(tmp_path / "o2")
@@ -110,8 +109,8 @@ def test_kernel_hook_scales_eigenvalue(tmp_path, capsys, monkeypatch):
         return KernelMatrix(K=2.0 * kern.K, T=2.0 * kern.T,
                             sigma=kern.sigma, mesh=kern.mesh)
 
-    monkeypatch.setattr(cli_module, "KERNEL_HOOK", doubled)
-    assert main(["eigen", "--config", cfg, "--out", out2]) == 0
+    assert main(["eigen", "--config", cfg, "--out", out2],
+                kernel_hook=doubled) == 0
     hooked = json.load(open(os.path.join(out2, "eigen.json")))["value"]
     assert hooked == pytest.approx(2.0 * base, rel=1e-10)
 
@@ -127,16 +126,15 @@ def test_verify_passes_on_clean_kernel(tmp_path, outdir, capsys):
     assert len(rec["results"]) >= 10
 
 
-def test_verify_catches_corrupted_kernel(tmp_path, outdir, capsys,
-                                         monkeypatch):
+def test_verify_catches_corrupted_kernel(tmp_path, outdir, capsys):
     cfg = write_config(tmp_path / "run.cfg", **{"mesh.n": 64})
 
     def corrupt(kern):
         return KernelMatrix(K=1.02 * kern.K, T=kern.T,
                             sigma=kern.sigma, mesh=kern.mesh)
 
-    monkeypatch.setattr(cli_module, "KERNEL_HOOK", corrupt)
-    code = main(["verify", "--config", cfg, "--out", outdir])
+    code = main(["verify", "--config", cfg, "--out", outdir],
+                kernel_hook=corrupt)
     captured = capsys.readouterr()
     assert code == 4
     assert "verification failed" in captured.err

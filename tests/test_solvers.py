@@ -9,8 +9,8 @@ from fracbif import (KernelMatrix, MountainPassPath, ParameterError,
                      continue_branch, find_saddle, minimize,
                      minimize_multistart, principal_eigenpair,
                      select_solution, seminorm_energy, solve_above,
-                     total_energy, total_gradient, validate_params,
-                     with_lambda)
+                     total_energy, total_gradient, total_hessian,
+                     validate_params, with_lambda)
 from fracbif.reaction import F_values, f_values
 from fracbif.solvers import _batch_energy
 
@@ -61,6 +61,70 @@ def test_total_gradient_matches_finite_differences(p):
                      - total_energy(kern, model, u - e)) / (2.0 * step)
         scale = max(1.0, float(np.max(np.abs(g))))
         assert np.max(np.abs(g - fd)) / scale < 1e-6
+
+
+def _variant(name, params, u):
+    # anchor/ceiling 0.1 above and below alternate nodes: every node sits
+    # clear of the kink where the truncation switches on
+    bound = u + np.where(np.arange(u.size) % 2 == 0, 0.1, -0.1)
+    if name == "floored":
+        return ReactionModel.floored(params, bound)
+    if name == "capped":
+        return ReactionModel.capped(params, bound)
+    return ReactionModel.plain(params)
+
+
+@pytest.mark.parametrize("variant", ["plain", "floored", "capped"])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_total_hessian_matches_gradient_differences(p, variant):
+    params = make_params(p)
+    n = 10
+    kern = assemble_kernel(build_mesh(-1.0, 1.0, n), params)
+    rng = np.random.default_rng(7)
+    u = 0.5 + rng.random(n)
+    u[0] = -0.3             # the plain reaction is flat for t <= 0
+    model = _variant(variant, params, u)
+    H = total_hessian(kern, model, u)
+    assert np.array_equal(H, H.T)
+    step = 1e-6
+    fd = np.empty((n, n))
+    for j in range(n):
+        e = np.zeros(n)
+        e[j] = step
+        fd[:, j] = (total_gradient(kern, model, u + e)
+                    - total_gradient(kern, model, u - e)) / (2.0 * step)
+    assert np.max(np.abs(H - fd)) <= 1e-6 * np.max(np.abs(H))
+
+
+@pytest.mark.parametrize("variant", ["plain", "capped"])
+def test_total_hessian_finite_at_ties_and_zero_nodes(variant):
+    # p < 2 and r < 2 put infinite powers at a tie and at a zero node
+    params = validate_params({"p": 1.5, "s": 0.2, "q": 1.35, "r": 1.2,
+                              "lambda": 2.0})
+    kern = assemble_kernel(build_mesh(-1.0, 1.0, 12), params)
+    u = np.linspace(0.1, 1.2, 12)
+    u[[0, 5, 11]] = 0.0
+    u[7] = u[8]
+    model = (ReactionModel.capped(params, u) if variant == "capped"
+             else ReactionModel.plain(params))
+    with np.errstate(all="raise"):
+        H = total_hessian(kern, model, u)
+    assert np.all(np.isfinite(H))
+
+
+def test_morse_index_of_minimizer_and_saddle(small_problem,
+                                             small_big_solution,
+                                             small_saddle):
+    kern, params = small_problem
+    plain = ReactionModel.plain(params)
+    curv_u = np.linalg.eigvalsh(total_hessian(
+        kern, plain, small_big_solution.solution.values))
+    assert curv_u[0] > 0.0
+    curv_v, Q = np.linalg.eigh(total_hessian(
+        kern, plain, small_saddle.solution.values))
+    assert curv_v[0] < 0.0 < curv_v[1]
+    phi = Q[:, 0] * np.sign(Q[0, 0])
+    assert np.all(phi > 0.0)
 
 
 def test_principal_eigenpair_matches_dense_matrix():
