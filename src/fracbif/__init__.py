@@ -10,8 +10,8 @@ existence threshold lambda*.
 __version__ = "0.1.0"
 
 from .core import (GridFunction, Mesh1D, MeshError, MeshMismatchError,
-                   ParameterError, ProblemParams, build_mesh, odd_power,
-                   validate_params, with_lambda)
+                   ParameterError, ProblemParams, build_mesh, mirror_fold,
+                   mirror_unfold, odd_power, validate_params, with_lambda)
 from .kernel import (KernelError, KernelMatrix, apply_operator,
                      assemble_kernel, operator_hessian, pairing,
                      pairwise_energy, seminorm_energy,

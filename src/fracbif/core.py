@@ -57,6 +57,24 @@ def curvature_power(a, e, scale):
     return a ** e
 
 
+def mirror_fold(u):
+    """Mirror average of u on its first m = ceil(n/2) nodes.
+
+    Node i and node n-1-i are mirror images under x -> a + b - x; for an
+    odd n the middle node is its own.  Works on the last axis, so a
+    batch of rows folds row by row.  An even u folds exactly.
+    """
+    u = np.asarray(u, dtype=float)
+    m = (u.shape[-1] + 1) // 2
+    return 0.5 * (u[..., :m] + u[..., ::-1][..., :m])
+
+
+def mirror_unfold(w, n):
+    """The even vector on n nodes whose first ceil(n/2) values are w."""
+    w = np.asarray(w, dtype=float)
+    return np.concatenate((w, w[..., :n - w.shape[-1]][..., ::-1]), axis=-1)
+
+
 @dataclass(frozen=True)
 class ProblemParams:
     """Admissible exponent/parameter record.

@@ -39,6 +39,23 @@ so it is added to row i and subtracted from row j) and visits the
 triangle in chunks of whole rows of at most PAIR_BUDGET pairs: every
 temporary holds at most PAIR_BUDGET floats (128 KiB), whatever n is.
 operator_hessian, the dense Jacobian of A, is the one n x n exception.
+
+The solutions the solvers look for are even under the mirror map
+x -> a + b - x, which sends node i to node n-1-i, and a critical point
+of the energy restricted to even vectors is a critical point of the
+full energy (symmetric criticality, Palais 1979).  KernelMatrix.fold
+returns the kernel of that restriction on the first m = ceil(n/2)
+nodes: K'[i][j] = K[i][j] + K[i][n-1-j] and T' = T[:m], so that for
+the even unfolding U w of a half-mesh vector w
+
+    seminorm_energy(K, U w) = 2 seminorm_energy(K', w),
+    apply_operator(K, U w)[:m] = apply_operator(K', w) / weight,
+
+and every pairwise sum covers a quarter of the pairs.  For odd n the
+middle node is its own mirror: its pairs are not doubled, its tail is
+halved, and it carries weight 1/2 where every other node carries 1
+(the full kernel has weight 1 everywhere).  The reaction sums of the
+solvers are weighted the same way.
 """
 
 from dataclasses import dataclass
@@ -59,16 +76,49 @@ class KernelError(ValueError):
 
 @dataclass(frozen=True)
 class KernelMatrix:
-    """Pairwise weights K (symmetric, zero diagonal), tails T, order sigma."""
+    """Pairwise weights K (symmetric, zero diagonal), tails T, order sigma.
+
+    weight is the share of a node in the reaction sums: 1 everywhere
+    (the default), except 1/2 at the middle node of a folded odd mesh.
+    """
 
     K: np.ndarray
     T: np.ndarray
     sigma: float
     mesh: Mesh1D
+    weight: np.ndarray = None
+
+    def __post_init__(self):
+        if self.weight is None:
+            object.__setattr__(self, "weight", np.ones(len(self.T)))
 
     @property
     def n(self):
         return self.mesh.n
+
+    def fold(self):
+        """Kernel of the even subspace on the first m = ceil(n/2) nodes.
+
+        K'[i][j] = K[i][j] + K[i][n-1-j] with a zero diagonal, T' = T[:m]
+        and the same cell width; for odd n the middle node's pairs keep
+        their single weight, its tail is halved and its weight is 1/2.
+        The mesh is the first m cells of this one.  A new kernel on
+        every call: nothing is cached on this one.
+        """
+        n = self.n
+        m = (n + 1) // 2
+        K = self.K[:m, :m] + self.K[:m, ::-1][:, :m]
+        weight = np.ones(m)
+        if n % 2:
+            K[:, -1] = K[-1, :] = self.K[:m, m - 1]
+            weight[-1] = 0.5
+        np.fill_diagonal(K, 0.0)
+        mesh = self.mesh
+        half = Mesh1D(a=mesh.a, b=float(mesh.cell_edges[m]), n=m,
+                      cell_edges=mesh.cell_edges[:m + 1], nodes=mesh.nodes[:m],
+                      h=mesh.h, dist=mesh.dist[:m])
+        return KernelMatrix(K=K, T=weight * self.T[:m], sigma=self.sigma,
+                            mesh=half, weight=weight)
 
     @cached_property
     def triangle(self):

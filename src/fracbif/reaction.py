@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ParameterError, curvature_power, odd_power
+from .core import ParameterError, curvature_power, mirror_fold, odd_power
 
 
 @dataclass(frozen=True)
@@ -53,6 +53,15 @@ class ReactionModel:
         top = float(np.max(np.maximum(ceiling, 0.0), initial=0.0))
         c0 = (params.lam + 1.0) * (1.0 + top ** (params.q - 1.0))
         return cls(params=params, variant="capped", ceiling=ceiling, c0=c0)
+
+    def fold(self):
+        """The model on the even subspace: anchor or ceiling mirror-averaged
+        onto the first ceil(n/2) nodes (see KernelMatrix.fold)."""
+        if self.variant == "floored":
+            return ReactionModel.floored(self.params, mirror_fold(self.anchor))
+        if self.variant == "capped":
+            return ReactionModel.capped(self.params, mirror_fold(self.ceiling))
+        return self
 
 
 def _plain_f(params, t):

@@ -20,21 +20,34 @@ the zero function and a known minimizer: the maximal-energy point of a
 piecewise-linear path is pushed downhill, with the path redistributed
 at fixed arclength fractions, until progress stalls at the path
 resolution; the maximal point alone then climbs to the saddle by
-reflecting the gradient across the negative-curvature directions of
-the exact Hessian (total_hessian), and a damped Newton polish on the
+reflecting the gradient across the lowest eigenvector of the exact
+Hessian (total_hessian), and a damped Newton polish on the
 same Hessian finishes the degenerate modes, while the rest of the
 path stays where the descent left it.  The saddle search reads
 curvature from that Hessian alone.
+
+The solutions sought are even under the mirror map of the interval, so
+every solver works in the even subspace: it folds the kernel
+(KernelMatrix.fold), the reaction model and its start onto the first
+ceil(n/2) nodes on entry, solves there, and unfolds the result.  On
+the folded kernel the energy of a point is half the energy of its
+unfolding and the gradient is the full one times the node weight, so
+the stopping tests read the full-space energy 2 E and residual
+sup |g / weight|.  Every report carries the energy and residual of
+the unfolded point measured on the full kernel, computed after the
+folded kernel is released: a kernel that is not mirror symmetric
+cannot pass for converged.
 """
 
 import warnings
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GridFunction, MeshMismatchError, ParameterError, odd_power
+from .core import (GridFunction, MeshMismatchError, ParameterError,
+                   mirror_fold, mirror_unfold, odd_power)
 from .kernel import (apply_operator, operator_hessian, pairwise_energy,
                      seminorm_energy, seminorm_energy_and_operator)
 from .reaction import (ReactionModel, F_values, df_values, f_values,
@@ -115,38 +128,59 @@ def _check_compat(kern, params):
 def total_energy(kern, model, u):
     """Seminorm energy minus the integrated reaction primitive."""
     S = seminorm_energy(kern, u, model.params.p)
-    return S - kern.mesh.h * float(np.sum(F_values(model, u)))
+    return S - kern.mesh.h * float(np.sum(kern.weight * F_values(model, u)))
 
 
 def total_gradient(kern, model, u):
     """Exact gradient of total_energy at u."""
     A = apply_operator(kern, u, model.params.p)
-    return A - kern.mesh.h * f_values(model, u)
+    return A - kern.mesh.h * kern.weight * f_values(model, u)
 
 
 def total_hessian(kern, model, u):
     """Exact Hessian of total_energy at u, a dense symmetric n x n matrix."""
     H = operator_hessian(kern, u, model.params.p)
-    H[np.diag_indices_from(H)] -= kern.mesh.h * df_values(model, u)
+    H[np.diag_indices_from(H)] -= kern.mesh.h * kern.weight * df_values(model, u)
     return H
 
 
 def _energy_and_gradient(kern, model, u):
     S, A = seminorm_energy_and_operator(kern, u, model.params.p)
     h = kern.mesh.h
-    E = S - h * float(np.sum(F_values(model, u)))
-    g = A - h * f_values(model, u)
+    E = S - h * float(np.sum(kern.weight * F_values(model, u)))
+    g = A - h * kern.weight * f_values(model, u)
     return E, g
 
 
 def _batch_energy(kern, model, Z):
     """total_energy for every row of Z at once."""
     S = pairwise_energy(kern, Z, model.params.p)
-    return S - kern.mesh.h * np.sum(F_values(model, Z), axis=1)
+    return S - kern.mesh.h * np.sum(kern.weight * F_values(model, Z), axis=1)
 
 
 def _sup(x):
     return float(np.max(np.abs(x)))
+
+
+def _residual(kern, g):
+    """Sup-norm of the full-space gradient that a folded gradient g stands for."""
+    return _sup(g / kern.weight)
+
+
+def _scale(E):
+    """max(1, |energy|) of the unfolding of a point of folded energy E."""
+    return max(1.0, 2.0 * abs(E))
+
+
+def _report(kern, model, u, iterations, tol, classification):
+    """SolveReport for a full-space point u, with its energy and residual
+    measured on the full kernel."""
+    E, g = _energy_and_gradient(kern, model, u)
+    residual = _sup(g)
+    return SolveReport(solution=GridFunction(u, kern.mesh), energy=float(E),
+                       residual=residual, iterations=iterations,
+                       converged=residual <= tol * max(1.0, abs(E)),
+                       classification=classification)
 
 
 def _rounding(E):
@@ -154,12 +188,13 @@ def _rounding(E):
     return 1e-13 * max(1.0, abs(E))
 
 
-def _slope_accepts(E, E_new, d, g_new, gd):
+def _slope_accepts(E, E_new, slope, gd):
     """Approximate Wolfe test (Hager & Zhang, SIAM J. Optim. 16, 2005)
-    for a step along the descent direction d (gd = g.d < 0), used once
-    the Armijo decrease is below the rounding of E: the energy rose by
-    no more than that rounding and the slope along d has not overshot."""
-    return E_new <= E + _rounding(E) and float(g_new @ d) <= -0.8 * gd
+    for a step along a descent direction d (gd = g.d < 0, slope =
+    g_new.d), used once the Armijo decrease is below the rounding of E:
+    the energy rose by no more than that rounding and the slope along d
+    has not overshot."""
+    return E_new <= E + _rounding(E) and slope <= -0.8 * gd
 
 
 def _lbfgs_direction(g, pairs, gamma):
@@ -195,10 +230,20 @@ def minimize(kern, model, u0, opts=None):
     max_iter accepted steps.  For the plain reaction the negative part
     of the result is removed and descent resumed with a fresh history,
     which never increases the energy; exact critical points are
-    nonnegative anyway.
+    nonnegative anyway.  Descent runs in the even subspace from the
+    mirror average of u0; the report is measured on kern.
     """
     opts = opts or SolverOptions()
     _check_compat(kern, model.params)
+    w, iterations = _descend(kern.fold(), model.fold(), mirror_fold(u0), opts)
+    u = mirror_unfold(w, kern.n)
+    cls = "zero" if _sup(u) <= opts.zero_tol else "minimizer"
+    return _report(kern, model, u, iterations, opts.tol, cls)
+
+
+def _descend(kern, model, u0, opts):
+    """minimize's descent on a folded kernel; returns the point reached
+    and the number of accepted steps."""
     # Inside the box max(u) < delta the reaction primitive is <= 0, so
     # the energy is >= 0 there while energy(0) = 0, and pairing the
     # operator with u+ shows zero is the only critical point in the
@@ -208,7 +253,7 @@ def minimize(kern, model, u0, opts=None):
         delta = sign_threshold_delta(model.params)
     u = np.array(u0, dtype=float)
     E, g = _energy_and_gradient(kern, model, u)
-    gamma = 1.0 / max(1.0, _sup(g))
+    gamma = 1.0 / max(1.0, _residual(kern, g))
     pairs = deque(maxlen=HISTORY)
     iterations = 0
     for _round in range(4):
@@ -219,7 +264,7 @@ def minimize(kern, model, u0, opts=None):
                 g = np.zeros_like(g)
                 iterations += 1
                 break
-            if _sup(g) <= opts.tol * max(1.0, abs(E)):
+            if _residual(kern, g) <= opts.tol * _scale(E):
                 break
             d = _lbfgs_direction(g, pairs, gamma)
             gd = float(g @ d)
@@ -237,7 +282,7 @@ def minimize(kern, model, u0, opts=None):
                         break
                 else:
                     E_new, g_new = _energy_and_gradient(kern, model, u_new)
-                    if _slope_accepts(E, E_new, d, g_new, gd):
+                    if _slope_accepts(E, E_new, float(g_new @ d), gd):
                         break
                     g_new = None
                 t *= BACKTRACK
@@ -258,12 +303,7 @@ def minimize(kern, model, u0, opts=None):
             pairs.clear()
             continue
         break
-    residual = _sup(g)
-    converged = residual <= opts.tol * max(1.0, abs(E))
-    cls = "zero" if _sup(u) <= opts.zero_tol else "minimizer"
-    return SolveReport(solution=GridFunction(u, kern.mesh), energy=float(E),
-                       residual=residual, iterations=iterations,
-                       converged=converged, classification=cls)
+    return u, iterations
 
 
 def default_starts(mesh, params, count, seed):
@@ -331,17 +371,13 @@ def solve_above(kern, params, subsol, opts=None):
     worst = float(np.max(slack))
     if worst > 1e-6 * max(1.0, _sup(subsol)):
         warnings.warn("anchor violates the subsolution inequality by %.3e" % worst)
-    model = ReactionModel.floored(params, subsol)
-    rep = minimize(kern, model, subsol, opts)
-    u = rep.solution.values
+    model = ReactionModel.floored(params, subsol).fold()
+    w, iterations = _descend(kern.fold(), model, mirror_fold(subsol), opts)
+    u = mirror_unfold(w, kern.n)
     pin = float(np.min(u - subsol))
     if pin < -1e-6 * max(1.0, _sup(subsol)):
         raise SolverError("minimizer dropped %.3e below the anchor" % -pin)
-    E = total_energy(kern, plain, u)
-    res = _sup(total_gradient(kern, plain, u))
-    return replace(rep, energy=float(E), residual=res,
-                   converged=res <= opts.tol * max(1.0, abs(E)),
-                   classification="pinned")
+    return _report(kern, plain, u, iterations, opts.tol, "pinned")
 
 
 def principal_eigenpair(kern, p, opts=None, start=None):
@@ -355,30 +391,53 @@ def principal_eigenpair(kern, p, opts=None, start=None):
     converged=False, once the best residual has fallen by less than 1 %
     over the last STALL_WINDOW iterations, or by too little for that
     rate to reach tol within max_iter (for p < 2 the residual can decay
-    like 1/iterations, far too slowly).
+    like 1/iterations, far too slowly).  The descent runs in the even
+    subspace from the mirror average of the start; the value and the
+    residual of the result are measured on kern.
     """
     opts = opts or SolverOptions()
+    if start is None:
+        u = (kern.mesh.dist / np.max(kern.mesh.dist)) ** (kern.sigma / p)
+    else:
+        u = np.asarray(getattr(start, "values", start), dtype=float)
+    w, iterations = _eigen_descent(kern.fold(), p, mirror_fold(np.abs(u)), opts)
+    u = mirror_unfold(w, kern.n)
+    Au = apply_operator(kern, u, p)
+    R = float(np.dot(Au, u))
+    residual = _sup(Au - R * kern.mesh.h * odd_power(u, p))
+    return EigenResult(value=R, eigenfunction=GridFunction(u, kern.mesh),
+                       residual=residual, iterations=iterations,
+                       converged=residual <= opts.tol * max(1.0, R))
+
+
+def _eigen_descent(kern, p, u, opts):
+    """principal_eigenpair's descent on a folded kernel, in full-space
+    terms: a node stands for c = 2 * weight nodes of the full mesh, so
+    every sum over nodes is weighted by c and the operator is divided by
+    the weight.  Returns the point reached, of unit full-space mass, and
+    the number of accepted steps."""
     h = kern.mesh.h
-    n = kern.n
-    s_eff = kern.sigma / p
+    c = 2.0 * kern.weight
+
+    def dot(x, y):
+        return float(np.sum(c * x * y))
 
     def normalized(v):
-        nv = (h * float(np.sum(np.abs(v) ** p))) ** (1.0 / p)
+        nv = (h * float(np.sum(c * np.abs(v) ** p))) ** (1.0 / p)
         if nv == 0.0:
             raise SolverError("eigen iteration degenerated to zero")
         return v / nv
 
-    if start is None:
-        u = (kern.mesh.dist / np.max(kern.mesh.dist)) ** s_eff
-    else:
-        u = np.asarray(getattr(start, "values", start), dtype=float)
-    u = normalized(np.abs(u))
-    Au = apply_operator(kern, u, p)
-    R = float(np.dot(Au, u))
+    def operator(v):
+        return apply_operator(kern, v, p) / kern.weight
+
+    u = normalized(u)
+    Au = operator(u)
+    R = dot(Au, u)
     step = 1.0
     du = dg = None
     iterations = 0
-    residual = best = mark = np.inf
+    best = mark = np.inf
     while iterations < opts.max_iter:
         rvec = Au - R * h * odd_power(u, p)
         residual = _sup(rvec)
@@ -396,21 +455,20 @@ def principal_eigenpair(kern, p, opts=None, start=None):
             mark = best
         grad = p * rvec
         if du is not None:
-            sy = float(du @ dg)
+            sy = dot(du, dg)
             if sy > 0.0:
-                step = float(du @ du) / sy
+                step = dot(du, du) / sy
         step = min(max(step, STEP_MIN), STEP_MAX)
-        gg = float(grad @ grad)
-        d = -grad
+        gg = dot(grad, grad)
         while step > 1e-20:
             v = normalized(np.abs(u - step * grad))
-            Av = apply_operator(kern, v, p)
-            R_try = float(np.dot(Av, v))
+            Av = operator(v)
+            R_try = dot(Av, v)
             grad_new = p * (Av - R_try * h * odd_power(v, p))
             if ARMIJO * step * gg > _rounding(R):
                 if R_try <= R - ARMIJO * step * gg:
                     break
-            elif _slope_accepts(R, R_try, d, grad_new, -gg):
+            elif _slope_accepts(R, R_try, -dot(grad_new, grad), -gg):
                 break
             step *= BACKTRACK
         else:
@@ -418,10 +476,7 @@ def principal_eigenpair(kern, p, opts=None, start=None):
         du, dg = v - u, grad_new - grad
         u, Au, R = v, Av, R_try
         iterations += 1
-    converged = residual <= opts.tol * max(1.0, R)
-    return EigenResult(value=float(R), eigenfunction=GridFunction(u, kern.mesh),
-                       residual=float(residual), iterations=iterations,
-                       converged=converged)
+    return u, iterations
 
 
 def _reequispace(Z, frac):
@@ -463,21 +518,42 @@ def find_saddle(kern, params, u_big, opts=None, seed=0, return_path=False):
     points stay where the descent left them, so their energies stay
     exact and only the maximal point's energy is recomputed.  Each climb
     step reflects the gradient across the lowest eigenvector of the
-    exact Hessian at that point, and across the second one too while its
-    eigenvalue is below -1e-8 * max(1, |lowest|) (Choi & McKenna,
-    Nonlinear Anal. 20, 1993).
+    exact Hessian at that point (Choi & McKenna, Nonlinear Anal. 20,
+    1993).
+
+    The search runs in the even subspace below the mirror average of
+    u_big, where the saddle has Morse index one (in the full space the
+    lowest odd mode can be negative too); the path returned with
+    return_path is unfolded, with its energies measured on kern for the
+    ceiling u_big.
     """
     opts = opts or SolverOptions()
     _check_compat(kern, params)
     u_big = np.asarray(getattr(u_big, "values", u_big), dtype=float)
     if _sup(u_big) <= opts.zero_tol:
         raise SaddleNotFound("ceiling solution is numerically zero")
-    model = ReactionModel.capped(params, u_big)
-    plain = ReactionModel.plain(params)
     P = int(opts.path_points)
     if P < 5:
         raise ParameterError("path needs at least 5 points, got %d" % P)
+    Z, m, iterations = _mountain_pass(kern.fold(), params, mirror_fold(u_big),
+                                      P, opts, seed)
+    v = mirror_unfold(Z[m], kern.n)
+    bound_tol = 1e-6 * max(1.0, _sup(u_big))
+    if float(np.min(v)) < -bound_tol or float(np.max(v - u_big)) > bound_tol:
+        raise SolverError("saddle point escaped the [0, ceiling] range")
+    report = _report(kern, ReactionModel.plain(params), v, iterations,
+                     opts.tol, "saddle")
+    if return_path:
+        Z = mirror_unfold(Z, kern.n)
+        energies = _batch_energy(kern, ReactionModel.capped(params, u_big), Z)
+        return report, MountainPassPath(points=Z, energies=energies, max_index=m)
+    return report
 
+
+def _mountain_pass(kern, params, u_big, P, opts, seed):
+    """find_saddle's search on a folded kernel; returns the path, the
+    index of its maximal point and the number of iterations."""
+    model = ReactionModel.capped(params, u_big)
     _probe_local_min(kern, model, np.zeros_like(u_big), params, seed)
     _probe_local_min(kern, model, u_big, params, seed + 1)
 
@@ -504,8 +580,8 @@ def find_saddle(kern, params, u_big, opts=None, seed=0, return_path=False):
             # walks freely, and only Z[m] and energies[m] are read again
             m = 1 + int(np.argmax(energies[1:-1]))
         E_m, g = _energy_and_gradient(kern, model, Z[m])
-        residual = _sup(g)
-        scale = max(1.0, abs(E_m))
+        residual = _residual(kern, g)
+        scale = _scale(E_m)
         if residual <= opts.tol * scale:
             break
         if residual < 0.95 * best_residual:
@@ -540,14 +616,12 @@ def find_saddle(kern, params, u_big, opts=None, seed=0, return_path=False):
             Z = _reequispace(Z, frac=frac)
             energies = _batch_energy(kern, model, Z)
         else:
-            curv, Q = np.linalg.eigh(total_hessian(kern, model, Z[m]))
-            # the leftover gradient may sit in a second, weakly negative
-            # mode; reflect it too while it is genuinely downhill
-            k = 2 if curv[1] < -1e-8 * max(1.0, abs(curv[0])) else 1
-            modes = Q[:, :k]
+            # in the even subspace the mountain-pass point has Morse
+            # index one: the climb reflects across the lowest mode alone
+            mode = np.linalg.eigh(total_hessian(kern, model, Z[m]))[1][:, 0]
 
             def reflect(vec):
-                return vec - 2.0 * (modes @ (modes.T @ vec))
+                return vec - 2.0 * float(mode @ vec) * mode
 
             d = reflect(g)
             if climb_step is None:
@@ -563,7 +637,7 @@ def find_saddle(kern, params, u_big, opts=None, seed=0, return_path=False):
             moved = False
             for _try in range(40):
                 w = _clip_box(Z[m] - climb_step * d, u_big)
-                res_try = _sup(total_gradient(kern, model, w))
+                res_try = _residual(kern, total_gradient(kern, model, w))
                 if res_try < residual:
                     v_prev, g_prev = Z[m].copy(), g
                     Z[m] = w
@@ -591,21 +665,7 @@ def find_saddle(kern, params, u_big, opts=None, seed=0, return_path=False):
             if gap <= 1e-8 * max(1.0, _sup(u_big)):
                 raise SaddleNotFound(
                     "mountain-pass path collapsed onto an endpoint")
-
-    v = Z[m]
-    bound_tol = 1e-6 * max(1.0, _sup(u_big))
-    if float(np.min(v)) < -bound_tol or float(np.max(v - u_big)) > bound_tol:
-        raise SolverError("saddle point escaped the [0, ceiling] range")
-    E = total_energy(kern, plain, v)
-    res = _sup(total_gradient(kern, plain, v))
-    converged = res <= opts.tol * max(1.0, abs(E))
-    report = SolveReport(solution=GridFunction(v, kern.mesh), energy=float(E),
-                         residual=res, iterations=iterations,
-                         converged=converged, classification="saddle")
-    if return_path:
-        path = MountainPassPath(points=Z, energies=energies, max_index=m)
-        return report, path
-    return report
+    return Z, m, iterations
 
 
 def _newton_polish(kern, model, v, tol_scale, rounds=6):
@@ -625,7 +685,7 @@ def _newton_polish(kern, model, v, tol_scale, rounds=6):
     """
     top = model.ceiling if model.ceiling is not None else np.inf
     g = total_gradient(kern, model, v)
-    res = _sup(g)
+    res = _residual(kern, g)
     for _ in range(rounds):
         if res <= tol_scale:
             break
@@ -639,7 +699,7 @@ def _newton_polish(kern, model, v, tol_scale, rounds=6):
         for _half in range(30):
             w = _clip_box(v + t * d, top)
             gw = total_gradient(kern, model, w)
-            rw = _sup(gw)
+            rw = _residual(kern, gw)
             if rw < res:
                 v, g, res = w, gw, rw
                 improved = True

@@ -115,6 +115,25 @@ def test_kernel_hook_scales_eigenvalue(tmp_path, capsys):
     assert hooked == pytest.approx(2.0 * base, rel=1e-10)
 
 
+@pytest.mark.parametrize("n", [24, 25])
+def test_eigen_fails_on_a_kernel_without_mirror_symmetry(tmp_path, outdir,
+                                                         capsys, n):
+    # the solver works on the folded kernel, which cannot see the broken
+    # pair; the full-space residual of the unfolded result must
+    cfg = write_config(tmp_path / "run.cfg", **{"mesh.n": n})
+
+    def lopsided(kern):
+        K = kern.K.copy()
+        K[0, 1] = K[1, 0] = 1.5 * K[0, 1]
+        return KernelMatrix(K=K, T=kern.T, sigma=kern.sigma, mesh=kern.mesh)
+
+    code = main(["eigen", "--config", cfg, "--out", outdir],
+                kernel_hook=lopsided)
+    assert code == 2
+    assert "did not converge" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(outdir, "eigen.json"))
+
+
 def test_verify_passes_on_clean_kernel(tmp_path, outdir, capsys):
     cfg = write_config(tmp_path / "run.cfg", **{"mesh.n": 64})
     code = main(["verify", "--config", cfg, "--out", outdir])

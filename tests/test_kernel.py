@@ -6,9 +6,9 @@ import pytest
 from scipy import integrate
 
 from fracbif import (KernelError, KernelMatrix, MeshMismatchError, Mesh1D,
-                     apply_operator, assemble_kernel, build_mesh, odd_power,
-                     pairing, seminorm_energy, seminorm_energy_and_operator,
-                     validate_params)
+                     apply_operator, assemble_kernel, build_mesh, mirror_fold,
+                     mirror_unfold, odd_power, pairing, seminorm_energy,
+                     seminorm_energy_and_operator, validate_params)
 from fracbif.kernel import PAIR_BUDGET, pairwise_energy
 
 
@@ -294,3 +294,38 @@ def test_operator_working_set_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2 ** 20
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("n", [2, 3, 7, 33, 128, 1024])
+def test_fold_energy_and_operator_identities(n, p):
+    kern = KernelMatrix.from_sigma(build_mesh(-1.0, 1.0, n), 0.45)
+    half = kern.fold()
+    m = (n + 1) // 2
+    assert half.n == m and half.mesh.h == kern.mesh.h
+    assert np.array_equal(half.K, half.K.T)
+    assert np.all(np.diag(half.K) == 0.0)
+    weight = np.ones(m)
+    if n % 2:
+        weight[-1] = 0.5
+    assert np.array_equal(half.weight, weight)
+    assert np.array_equal(half.T, weight * kern.T[:m])
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        w = rng.standard_normal(m)
+        u = mirror_unfold(w, n)
+        assert np.array_equal(u, u[::-1])
+        assert np.array_equal(mirror_fold(u), w)
+        E, A = seminorm_energy_and_operator(kern, u, p)
+        e, a = seminorm_energy_and_operator(half, w, p)
+        assert abs(E - 2.0 * e) <= 1e-13 * abs(E)
+        assert np.max(np.abs(weight * A[:m] - a)) <= 1e-13 * np.max(np.abs(A))
+
+
+def test_fold_leaves_the_full_kernel_alone():
+    kern = KernelMatrix.from_sigma(build_mesh(-1.0, 1.0, 9), 0.45)
+    K = kern.K.copy()
+    kern.fold()
+    assert np.array_equal(kern.K, K)
+    assert np.array_equal(kern.weight, np.ones(9))
+    assert "triangle" not in vars(kern)
