@@ -250,6 +250,7 @@ def biggest_solution(kern, params, known, opts=None):
 
     Every input must be residual-verified; their pointwise max is a
     discrete subsolution (exactly, nodewise), so solve_above applies.
+    That max must be mirror-even, as solve_above requires of its anchor.
     """
     opts = opts or SolverOptions()
     stack = []

@@ -55,7 +55,8 @@ and every pairwise sum covers a quarter of the pairs.  For odd n the
 middle node is its own mirror: its pairs are not doubled, its tail is
 halved, and it carries weight 1/2 where every other node carries 1
 (the full kernel has weight 1 everywhere).  The reaction sums of the
-solvers are weighted the same way.
+solvers are weighted the same way, and KernelMatrix.copies (2 on a
+folded kernel, 1 otherwise) turns energies back into full-space ones.
 """
 
 from dataclasses import dataclass
@@ -80,6 +81,9 @@ class KernelMatrix:
 
     weight is the share of a node in the reaction sums: 1 everywhere
     (the default), except 1/2 at the middle node of a folded odd mesh.
+    copies is the number of full-mesh nodes a node of weight 1 stands
+    for: 1, or 2 on a folded kernel, whose energies are half those of
+    the unfoldings.
     """
 
     K: np.ndarray
@@ -87,6 +91,7 @@ class KernelMatrix:
     sigma: float
     mesh: Mesh1D
     weight: np.ndarray = None
+    copies: int = 1
 
     def __post_init__(self):
         if self.weight is None:
@@ -103,8 +108,11 @@ class KernelMatrix:
         and the same cell width; for odd n the middle node's pairs keep
         their single weight, its tail is halved and its weight is 1/2.
         The mesh is the first m cells of this one.  A new kernel on
-        every call: nothing is cached on this one.
+        every call: nothing is cached on this one.  A folded kernel
+        does not fold again.
         """
+        if self.copies != 1:
+            raise KernelError("kernel is already folded")
         n = self.n
         m = (n + 1) // 2
         K = self.K[:m, :m] + self.K[:m, ::-1][:, :m]
@@ -118,7 +126,7 @@ class KernelMatrix:
                       cell_edges=mesh.cell_edges[:m + 1], nodes=mesh.nodes[:m],
                       h=mesh.h, dist=mesh.dist[:m])
         return KernelMatrix(K=K, T=weight * self.T[:m], sigma=self.sigma,
-                            mesh=half, weight=weight)
+                            mesh=half, weight=weight, copies=2)
 
     @cached_property
     def triangle(self):

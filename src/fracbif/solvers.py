@@ -32,11 +32,12 @@ every solver works in the even subspace: it folds the kernel
 ceil(n/2) nodes on entry, solves there, and unfolds the result.  On
 the folded kernel the energy of a point is half the energy of its
 unfolding and the gradient is the full one times the node weight, so
-the stopping tests read the full-space energy 2 E and residual
-sup |g / weight|.  Every report carries the energy and residual of
-the unfolded point measured on the full kernel, computed after the
-folded kernel is released: a kernel that is not mirror symmetric
-cannot pass for converged.
+the stopping tests read the full-space energy copies * E and residual
+sup |g / weight| (KernelMatrix.copies is 2 on a folded kernel and 1 on
+a full one, so the loops are right on either).  Every report carries
+the energy and residual of the unfolded point measured on the full
+kernel, computed after the folded kernel is released: a kernel that is
+not mirror symmetric cannot pass for converged.
 """
 
 import warnings
@@ -167,9 +168,25 @@ def _residual(kern, g):
     return _sup(g / kern.weight)
 
 
-def _scale(E):
-    """max(1, |energy|) of the unfolding of a point of folded energy E."""
-    return max(1.0, 2.0 * abs(E))
+def _scale(kern, E):
+    """max(1, |energy|) of the full-space point that a point of energy E
+    on kern stands for."""
+    return max(1.0, kern.copies * abs(E))
+
+
+def _require_even(u, what):
+    """Reject a bound vector that is not even under the mirror map.
+
+    An anchor or ceiling enters the folded problem as its mirror
+    average, which is the problem posed only if the vector is even: to
+    within 1e-6 of max(1, sup|u|), the slack the pin and range checks
+    already allow, as folding moves it by at most half of that.
+    """
+    gap = _sup(u - u[::-1])
+    if gap > 1e-6 * max(1.0, _sup(u)):
+        raise ParameterError(
+            "%s is not mirror-even (|u_i - u_(n-1-i)| up to %.3e): the "
+            "solvers work in the even subspace" % (what, gap))
 
 
 def _report(kern, model, u, iterations, tol, classification):
@@ -242,8 +259,8 @@ def minimize(kern, model, u0, opts=None):
 
 
 def _descend(kern, model, u0, opts):
-    """minimize's descent on a folded kernel; returns the point reached
-    and the number of accepted steps."""
+    """minimize's descent on a folded (or full) kernel; returns the
+    point reached and the number of accepted steps."""
     # Inside the box max(u) < delta the reaction primitive is <= 0, so
     # the energy is >= 0 there while energy(0) = 0, and pairing the
     # operator with u+ shows zero is the only critical point in the
@@ -264,7 +281,7 @@ def _descend(kern, model, u0, opts):
                 g = np.zeros_like(g)
                 iterations += 1
                 break
-            if _residual(kern, g) <= opts.tol * _scale(E):
+            if _residual(kern, g) <= opts.tol * _scale(kern, E):
                 break
             d = _lbfgs_direction(g, pairs, gamma)
             gd = float(g @ d)
@@ -361,11 +378,15 @@ def solve_above(kern, params, subsol, opts=None):
     Minimizes the energy with the reaction frozen below the anchor,
     which pins every critical point above the anchor.  The anchor is
     checked for the subsolution inequality first (a warning only: a
-    discretized subsolution may violate it at truncation level).
+    discretized subsolution may violate it at truncation level).  The
+    descent runs in the even subspace, so the anchor must be even under
+    the mirror map (node i <-> n-1-i) to within 1e-6 of
+    max(1, sup|anchor|); otherwise ParameterError.
     """
     opts = opts or SolverOptions()
     _check_compat(kern, params)
     subsol = np.asarray(getattr(subsol, "values", subsol), dtype=float)
+    _require_even(subsol, "anchor")
     plain = ReactionModel.plain(params)
     slack = apply_operator(kern, subsol, params.p) - kern.mesh.h * f_values(plain, subsol)
     worst = float(np.max(slack))
@@ -411,13 +432,13 @@ def principal_eigenpair(kern, p, opts=None, start=None):
 
 
 def _eigen_descent(kern, p, u, opts):
-    """principal_eigenpair's descent on a folded kernel, in full-space
-    terms: a node stands for c = 2 * weight nodes of the full mesh, so
-    every sum over nodes is weighted by c and the operator is divided by
-    the weight.  Returns the point reached, of unit full-space mass, and
-    the number of accepted steps."""
+    """principal_eigenpair's descent, in full-space terms on a folded
+    kernel: a node stands for c = copies * weight nodes of the full mesh,
+    so every sum over nodes is weighted by c and the operator is divided
+    by the weight.  Returns the point reached, of unit full-space mass,
+    and the number of accepted steps."""
     h = kern.mesh.h
-    c = 2.0 * kern.weight
+    c = kern.copies * kern.weight
 
     def dot(x, y):
         return float(np.sum(c * x * y))
@@ -521,15 +542,17 @@ def find_saddle(kern, params, u_big, opts=None, seed=0, return_path=False):
     exact Hessian at that point (Choi & McKenna, Nonlinear Anal. 20,
     1993).
 
-    The search runs in the even subspace below the mirror average of
-    u_big, where the saddle has Morse index one (in the full space the
-    lowest odd mode can be negative too); the path returned with
-    return_path is unfolded, with its energies measured on kern for the
-    ceiling u_big.
+    The search runs in the even subspace, where the saddle has Morse
+    index one (in the full space the lowest odd mode can be negative
+    too), so u_big must be even under the mirror map to within 1e-6 of
+    max(1, sup|u_big|); otherwise ParameterError.  The path returned
+    with return_path is unfolded, with its energies measured on kern
+    for the ceiling u_big.
     """
     opts = opts or SolverOptions()
     _check_compat(kern, params)
     u_big = np.asarray(getattr(u_big, "values", u_big), dtype=float)
+    _require_even(u_big, "ceiling")
     if _sup(u_big) <= opts.zero_tol:
         raise SaddleNotFound("ceiling solution is numerically zero")
     P = int(opts.path_points)
@@ -551,8 +574,8 @@ def find_saddle(kern, params, u_big, opts=None, seed=0, return_path=False):
 
 
 def _mountain_pass(kern, params, u_big, P, opts, seed):
-    """find_saddle's search on a folded kernel; returns the path, the
-    index of its maximal point and the number of iterations."""
+    """find_saddle's search on a folded (or full) kernel; returns the
+    path, the index of its maximal point and the number of iterations."""
     model = ReactionModel.capped(params, u_big)
     _probe_local_min(kern, model, np.zeros_like(u_big), params, seed)
     _probe_local_min(kern, model, u_big, params, seed + 1)
@@ -581,7 +604,7 @@ def _mountain_pass(kern, params, u_big, P, opts, seed):
             m = 1 + int(np.argmax(energies[1:-1]))
         E_m, g = _energy_and_gradient(kern, model, Z[m])
         residual = _residual(kern, g)
-        scale = _scale(E_m)
+        scale = _scale(kern, E_m)
         if residual <= opts.tol * scale:
             break
         if residual < 0.95 * best_residual:

@@ -325,7 +325,10 @@ def test_fold_energy_and_operator_identities(n, p):
 def test_fold_leaves_the_full_kernel_alone():
     kern = KernelMatrix.from_sigma(build_mesh(-1.0, 1.0, 9), 0.45)
     K = kern.K.copy()
-    kern.fold()
+    half = kern.fold()
     assert np.array_equal(kern.K, K)
     assert np.array_equal(kern.weight, np.ones(9))
     assert "triangle" not in vars(kern)
+    assert (kern.copies, half.copies) == (1, 2)
+    with pytest.raises(KernelError, match="already folded"):
+        half.fold()

@@ -13,7 +13,8 @@ from fracbif import (KernelMatrix, MountainPassPath, ParameterError,
                      total_gradient, total_hessian, validate_params,
                      with_lambda)
 from fracbif.reaction import F_values, f_values
-from fracbif.solvers import _batch_energy, _descend, default_starts
+from fracbif.solvers import (_batch_energy, _descend, _eigen_descent,
+                             default_starts)
 
 
 def make_params(p, lam=2.0):
@@ -197,10 +198,10 @@ def test_principal_eigenpair_matches_dense_matrix():
 def test_principal_eigenpair_below_two_reports_honestly():
     """For 1 < p < 2 the quotient is C1 but not C2 (the operator kink
     sits at equal neighbor values, which the flat top of the
-    eigenfunction comes close to), so for p near 1 the descent can stall
-    above the residual target even in the even subspace.  The value
-    still settles; the report must say converged=False rather than
-    pretend."""
+    eigenfunction comes close to), so for p near 1 the residual can
+    plateau for thousands of iterations even in the even subspace, and
+    the stall rule gives up above the residual target.  The report must
+    then say converged=False rather than pretend."""
     mesh = build_mesh(-1.0, 1.0, 56)
     kern = KernelMatrix.from_sigma(mesh, 0.3)
     opts = dataclasses.replace(SolverOptions(), max_iter=20000)
@@ -213,18 +214,22 @@ def test_principal_eigenpair_below_two_reports_honestly():
 
 
 def test_principal_eigenpair_gives_up_on_a_slow_residual():
-    # p = 1.3: the residual stalls near 1e-2 and the stall rule stops
-    # long before max_iter = 50000, and says so; the reported residual
-    # is the full-space one
-    mesh = build_mesh(-1.0, 1.0, 32)
-    kern = KernelMatrix.from_sigma(mesh, 0.45)
-    res = principal_eigenpair(kern, 1.3)
+    # p = 1.35: the best residual still falls by about 18 % per window
+    # of 1000 iterations, a rate that would not reach the target within
+    # max_iter = 50000, so the stall rule's rate test stops the run at
+    # 6000 iterations and says so (with the rule off the rate picks up
+    # and the run converges at 6965, to 41.4087185441); the value has
+    # settled to 1e-7 and the reported residual is the full-space one
+    mesh = build_mesh(-1.0, 1.0, 47)
+    kern = KernelMatrix.from_sigma(mesh, 0.1)
+    res = principal_eigenpair(kern, 1.35)
     assert not res.converged
     assert res.iterations <= 10000
-    assert 1e-9 < res.residual < 2e-2
+    assert 1e-9 < res.residual < 1e-3
+    assert res.value == pytest.approx(41.4087185441, rel=1e-7)
     u = res.eigenfunction.values
-    full = np.max(np.abs(apply_operator(kern, u, 1.3)
-                         - res.value * mesh.h * odd_power(u, 1.3)))
+    full = np.max(np.abs(apply_operator(kern, u, 1.35)
+                         - res.value * mesh.h * odd_power(u, 1.35)))
     assert res.residual == full
 
 
@@ -280,6 +285,18 @@ def test_folded_minimize_matches_full_descent_at_odd_n():
     assert np.max(np.abs(total_gradient(kern, model, full))) <= 1e-9 * abs(E)
     assert rep.energy == pytest.approx(E, rel=1e-12)
     assert np.max(np.abs(u - full)) <= 1e-7 * np.max(u)
+
+
+def test_eigen_descent_on_a_full_kernel_keeps_full_space_terms():
+    # the loop weighs node sums by KernelMatrix.copies * weight, so on
+    # an unfolded kernel it is the plain full-space iteration
+    mesh = build_mesh(-1.0, 1.0, 40)
+    kern = KernelMatrix.from_sigma(mesh, 0.4)
+    res = principal_eigenpair(kern, 2.0)
+    u, _ = _eigen_descent(kern, 2.0, (mesh.dist / np.max(mesh.dist)) ** 0.2,
+                          SolverOptions())
+    assert mesh.h * np.sum(u ** 2) == pytest.approx(1.0, rel=1e-12)
+    assert np.max(np.abs(u - res.eigenfunction.values)) <= 1e-6 * np.max(u)
 
 
 def test_minimize_descends_from_any_start():
@@ -412,6 +429,33 @@ def test_solve_above_warns_on_bad_anchor(small_problem, small_big_solution):
         out = solve_above(kern, params, 0.9 * u)
     assert float(np.min(out.solution.values - 0.9 * u)) >= 0.0
     assert float(np.max(np.abs(out.solution.values - u))) <= 1e-6
+
+
+def test_solve_above_rejects_an_anchor_that_is_not_even(small_problem,
+                                                        small_big_solution,
+                                                        small_saddle):
+    # the descent sees only the mirror average of the anchor, which
+    # poses a different problem unless the anchor is even
+    kern, params = small_problem
+    u = small_big_solution.solution.values
+    lopsided = 0.9 * u
+    lopsided[:kern.n // 2] *= 0.8
+    with pytest.raises(ParameterError, match="anchor is not mirror-even"):
+        solve_above(kern, params, lopsided)
+    # an asymmetry at rounding level is folded away
+    v = small_saddle.solution.values
+    noise = np.random.default_rng(5).standard_normal(kern.n)
+    out = solve_above(kern, params, v * (1.0 + 1e-12 * noise))
+    assert float(np.max(np.abs(out.solution.values - v))) <= 1e-9
+
+
+def test_find_saddle_rejects_a_ceiling_that_is_not_even(small_problem,
+                                                        small_big_solution):
+    kern, params = small_problem
+    u = small_big_solution.solution.values.copy()
+    u[0] *= 1.1
+    with pytest.raises(ParameterError, match="ceiling is not mirror-even"):
+        find_saddle(kern, params, u, seed=0)
 
 
 def test_find_saddle_sits_between_zero_and_ceiling(small_problem,
