@@ -256,21 +256,26 @@ def seminorm_energy_and_operator(kern, u, p):
     return pairwise_energy(kern, _check_values(kern, u), p, gradient=True)
 
 
-def operator_hessian(kern, u, p):
+def operator_hessian(kern, u, p, out=None):
     """Dense Jacobian of apply_operator at u, the Hessian of seminorm_energy.
 
     With W = K * |u_i - u_j|^(p-2) it is
     2(p-1) [diag(W 1 + T |u|^(p-2)) - W], read through curvature_power
     so that for p < 2 a tie or a zero node stays finite.  Unlike the
-    pairwise sums it holds n x n floats.
+    pairwise sums it holds n x n floats: it is built in place in one
+    n x n array, out when given (for instance the leading block of a
+    bordered matrix), else a new one.
     """
     u = _check_values(kern, u)
     scale = float(np.linalg.norm(u))
-    W = kern.K * curvature_power(u[:, None] - u[None, :], p - 2.0, scale)
-    H = -W
-    H[np.diag_indices_from(H)] += (np.sum(W, axis=1)
-                                   + kern.T * curvature_power(u, p - 2.0, scale))
-    return 2.0 * (p - 1.0) * H
+    H = np.subtract.outer(u, u, out=out)
+    curvature_power(H, p - 2.0, scale, out=H)
+    H *= kern.K
+    diag = np.sum(H, axis=1) + kern.T * curvature_power(u, p - 2.0, scale)
+    np.negative(H, out=H)
+    H[np.diag_indices_from(H)] += diag
+    H *= 2.0 * (p - 1.0)
+    return H
 
 
 def pairing(au, phi):

@@ -12,9 +12,14 @@ backtracking from the full step.  Near a minimizer the decrease Armijo
 asks for drops below the rounding of the energy (1e-13 * max(1, |E|));
 from there a step is accepted on its slope instead, by the approximate
 Wolfe test of Hager and Zhang, so descent runs on to the residual
-target rather than stalling on noise.  principal_eigenpair is
-Barzilai-Borwein steepest descent and accepts its steps the same way;
-it gives up once its residual stalls.
+target rather than stalling on noise.  principal_eigenpair takes
+damped Newton steps on the bordered eigen system (the eigen equation
+plus the normalization, solved for the eigenfunction and the
+eigenvalue together with the exact Hessian of the operator) once its
+residual is below NEWTON_FROM of the eigenvalue scale, and keeps a
+Barzilai-Borwein steepest descent, which accepts its steps the same
+way as minimize, as the globaliser wherever a Newton step fails; it
+gives up once its residual stalls.
 find_saddle runs a mountain-pass search on the capped energy between
 the zero function and a known minimizer: the maximal-energy point of a
 piecewise-linear path is pushed downhill, with the path redistributed
@@ -48,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (GridFunction, MeshMismatchError, ParameterError,
-                   mirror_fold, mirror_unfold, odd_power)
+                   curvature_power, mirror_fold, mirror_unfold, odd_power)
 from .kernel import (apply_operator, operator_hessian, pairwise_energy,
                      seminorm_energy, seminorm_energy_and_operator)
 from .reaction import (ReactionModel, F_values, df_values, f_values,
@@ -71,6 +76,8 @@ class SaddleNotFound(SolverError):
 
 HISTORY = 8             # (s, y) pairs behind minimize's L-BFGS directions
 STALL_WINDOW = 1000     # eigen iterations between progress checks
+NEWTON_FROM = 0.1       # eigen residual / max(1, R) below which Newton steps are tried
+NEWTON_HALVINGS = 8     # step halvings a Newton step of the eigen iteration may try
 ARMIJO = 1e-4           # sufficient-decrease fraction of every line search
 BACKTRACK = 0.5         # step shrink factor while backtracking
 STEP_MIN = 1e-8         # bounds of the step scales the line searches start from
@@ -404,17 +411,31 @@ def solve_above(kern, params, subsol, opts=None):
 def principal_eigenpair(kern, p, opts=None, start=None):
     """Smallest Rayleigh quotient of the discrete operator.
 
-    Minimizes pairing(A(u), u) / (h * sum |u_i|^p) by projected descent:
-    after each step the iterate is replaced by its absolute value
-    (which never increases the quotient) and renormalized.  Returns the
-    eigenvalue, a nonnegative eigenfunction with h*sum|u|^p = 1, and
-    the sup-norm of the eigen-equation residual.  Gives up, with
-    converged=False, once the best residual has fallen by less than 1 %
-    over the last STALL_WINDOW iterations, or by too little for that
-    rate to reach tol within max_iter (for p < 2 the residual can decay
-    like 1/iterations, far too slowly).  The descent runs in the even
-    subspace from the mirror average of the start; the value and the
-    residual of the result are measured on kern.
+    Minimizes pairing(A(u), u) / (h * sum |u_i|^p): every trial point
+    is replaced by its absolute value (which never increases the
+    quotient) and renormalized, and the eigenvalue estimate is the
+    quotient there.  Returns the eigenvalue, a nonnegative eigenfunction
+    with h*sum|u|^p = 1, and the sup-norm of the eigen-equation
+    residual.
+
+    While that residual is below NEWTON_FROM * max(1, R), each step is
+    a damped Newton step on the bordered system for (u, R): the
+    eigen equation A(u) = R h |u|^(p-2) u and the normalization, solved
+    with the exact Hessian of the energy (kernel.operator_hessian).  The
+    border is needed, as the Jacobian of the eigen equation alone is
+    singular at the eigenpair.  A Newton step is taken at full length
+    or halved up to NEWTON_HALVINGS times, and only if the residual
+    falls.  Where it fails, or the system is singular, the step is one
+    of Barzilai-Borwein descent on the quotient, and Newton is tried
+    again once the residual has fallen by another factor of 10.
+    iterations counts the descent steps plus the Newton steps.  Gives
+    up, with converged=False, once the best residual has fallen by less
+    than 1 % over the last STALL_WINDOW iterations, or by too little for
+    that rate to reach tol within max_iter (for p < 2 the residual can
+    decay like 1/iterations, far too slowly).  The iteration runs in the
+    even subspace from the mirror average of the start; the value and
+    the residual of the result are measured on kern, after the folded
+    kernel is released.
     """
     opts = opts or SolverOptions()
     if start is None:
@@ -432,11 +453,11 @@ def principal_eigenpair(kern, p, opts=None, start=None):
 
 
 def _eigen_descent(kern, p, u, opts):
-    """principal_eigenpair's descent, in full-space terms on a folded
-    kernel: a node stands for c = copies * weight nodes of the full mesh,
-    so every sum over nodes is weighted by c and the operator is divided
-    by the weight.  Returns the point reached, of unit full-space mass,
-    and the number of accepted steps."""
+    """principal_eigenpair's descent and Newton finish, in full-space
+    terms on a folded kernel: a node stands for c = copies * weight nodes
+    of the full mesh, so every sum over nodes is weighted by c and the
+    operator is divided by the weight.  Returns the point reached, of
+    unit full-space mass, and the number of descent plus Newton steps."""
     h = kern.mesh.h
     c = kern.copies * kern.weight
 
@@ -452,6 +473,25 @@ def _eigen_descent(kern, p, u, opts):
     def operator(v):
         return apply_operator(kern, v, p) / kern.weight
 
+    def newton_step(u, R, rvec, residual):
+        # damped Newton on the bordered system (u has unit mass, so the
+        # normalization row of F is zero); None if no trial lowers the
+        # residual or the system is singular
+        try:
+            d = np.linalg.solve(_eigen_jacobian(kern, p, u, R),
+                                -np.append(rvec, 0.0))[:-1]
+        except np.linalg.LinAlgError:
+            return None
+        t = 1.0
+        for _half in range(NEWTON_HALVINGS):
+            v = normalized(np.abs(u + t * d))
+            Av = operator(v)
+            R_v = dot(Av, v)
+            if _sup(Av - R_v * h * odd_power(v, p)) < residual:
+                return v, Av, R_v
+            t *= BACKTRACK
+        return None
+
     u = normalized(u)
     Au = operator(u)
     R = dot(Au, u)
@@ -459,6 +499,7 @@ def _eigen_descent(kern, p, u, opts):
     du = dg = None
     iterations = 0
     best = mark = np.inf
+    newton_below = np.inf
     while iterations < opts.max_iter:
         rvec = Au - R * h * odd_power(u, p)
         residual = _sup(rvec)
@@ -474,6 +515,15 @@ def _eigen_descent(kern, p, u, opts):
                                or best * (best / mark) ** left > target):
                 break
             mark = best
+        if residual <= min(newton_below, NEWTON_FROM * max(1.0, R)):
+            moved = newton_step(u, R, rvec, residual)
+            if moved is not None:
+                u, Au, R = moved
+                du = dg = None
+                iterations += 1
+                continue
+            # descend from here, and gain a decade before the next try
+            newton_below = 0.1 * residual
         grad = p * rvec
         if du is not None:
             sy = dot(du, dg)
@@ -498,6 +548,33 @@ def _eigen_descent(kern, p, u, opts):
         u, Au, R = v, Av, R_try
         iterations += 1
     return u, iterations
+
+
+def _eigen_jacobian(kern, p, w, R):
+    """Jacobian of the bordered eigen system at (w, R) on kern.
+
+    The system, for unknowns w (folded or full) and R, is
+        F(w, R) = [op(w) - R h phi_p(w);  h sum c |w|^p - 1]
+    with op(w) = A(w) / weight, phi_p the signed power |w|^(p-1) sign(w)
+    and c = copies * weight.  Its (m+1) x (m+1) Jacobian has the block
+    operator_hessian / weight - R h (p-1) diag|w|^(p-2), built in place
+    in the bordered matrix, the column -h phi_p(w) and the row
+    p c h phi_p(w).  The block alone is singular at an eigenpair, with w
+    in its kernel by (p-1)-homogeneity; the border makes the system
+    regular there, since the row pairs with w to p h sum c|w|^p = p.
+    """
+    m = len(w)
+    h = kern.mesh.h
+    B = np.empty((m + 1, m + 1))
+    J = operator_hessian(kern, w, p, out=B[:m, :m])
+    J /= kern.weight[:, None]
+    J[np.diag_indices(m)] -= R * h * (p - 1.0) * curvature_power(
+        w, p - 2.0, float(np.linalg.norm(w)))
+    phi = odd_power(w, p)
+    B[:m, m] = -h * phi
+    B[m, :m] = p * kern.copies * kern.weight * h * phi
+    B[m, m] = 0.0
+    return B
 
 
 def _reequispace(Z, frac):
@@ -684,11 +761,19 @@ def _mountain_pass(kern, params, u_big, P, opts, seed):
             if not moved:
                 break
         if energies[m] <= end_energy + 1e-12 * scale:
-            gap = min(np.linalg.norm(Z[m]), np.linalg.norm(Z[m] - u_big))
-            if gap <= 1e-8 * max(1.0, _sup(u_big)):
-                raise SaddleNotFound(
-                    "mountain-pass path collapsed onto an endpoint")
+            _check_not_collapsed(Z[m], u_big)
+    # the zero function is critical too: a maximal point that stopped at
+    # an endpoint is no saddle, however small its residual
+    _check_not_collapsed(Z[m], u_big)
     return Z, m, iterations
+
+
+def _check_not_collapsed(v, u_big):
+    """Raise SaddleNotFound if v lies within 1e-8 * max(1, sup u_big) of
+    either end of the mountain-pass path, the zero function or u_big."""
+    gap = min(np.linalg.norm(v), np.linalg.norm(v - u_big))
+    if gap <= 1e-8 * max(1.0, _sup(u_big)):
+        raise SaddleNotFound("mountain-pass path collapsed onto an endpoint")
 
 
 def _newton_polish(kern, model, v, tol_scale, rounds=6):

@@ -220,6 +220,18 @@ def test_solve_keeps_minimizer_when_saddle_not_found(tmp_path, outdir,
     assert rec["diagnostics"]["iterations_v"] == 0
 
 
+def test_solve_notes_a_saddle_search_that_ends_at_zero(tmp_path, outdir,
+                                                        capsys):
+    # unpatched: the search collapses onto the zero endpoint at this point
+    cfg = write_config(tmp_path / "run.cfg", p=4.0, s=0.2, q=3.0, r=2.0,
+                       **{"lambda": 12.5, "mesh.n": 32})
+    assert main(["solve", "--config", cfg, "--out", outdir]) == 0
+    assert "saddle sup norm" not in capsys.readouterr().out
+    rec = json.load(open(os.path.join(outdir, "solution.json")))
+    assert rec["saddle_note"] == "mountain-pass path collapsed onto an endpoint"
+    assert rec["outcome"] == "one solution"
+
+
 def test_lambda_flag_overrides_file(tmp_path, outdir, capsys):
     cfg = write_config(tmp_path / "run.cfg", **{"lambda": 8.0, "mesh.n": 32})
     code = main(["solve", "--config", cfg, "--out", outdir,

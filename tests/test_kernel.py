@@ -9,7 +9,8 @@ from fracbif import (KernelError, KernelMatrix, MeshMismatchError, Mesh1D,
                      apply_operator, assemble_kernel, build_mesh, mirror_fold,
                      mirror_unfold, odd_power, pairing, seminorm_energy,
                      seminorm_energy_and_operator, validate_params)
-from fracbif.kernel import PAIR_BUDGET, pairwise_energy
+from fracbif.core import curvature_power
+from fracbif.kernel import PAIR_BUDGET, operator_hessian, pairwise_energy
 
 
 def overlap_pair_weight(cell_i, cell_j, sigma):
@@ -294,6 +295,37 @@ def test_operator_working_set_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2 ** 20
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_operator_hessian_is_built_in_one_array(p):
+    # the formula with its temporaries spelled out, as it was written
+    # before the in-place build (3 n x n arrays at its peak)
+    n = 512
+    kern = KernelMatrix.from_sigma(build_mesh(-1.0, 1.0, n), 0.45)
+    u = np.random.default_rng(7).random(n)
+    u[3] = u[7]         # a tie and a zero node: floored powers for p < 2
+    u[10] = 0.0
+    scale = float(np.linalg.norm(u))
+    W = kern.K * curvature_power(u[:, None] - u[None, :], p - 2.0, scale)
+    expect = -W
+    expect[np.diag_indices_from(expect)] += (
+        np.sum(W, axis=1) + kern.T * curvature_power(u, p - 2.0, scale))
+    expect = 2.0 * (p - 1.0) * expect
+    del W
+    tracemalloc.start()
+    try:
+        H = operator_hessian(kern, u, p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(H, expect)
+    assert peak <= 1.25 * n * n * 8
+    # into a given block, such as that of a bordered matrix
+    B = np.zeros((n + 1, n + 1))
+    assert operator_hessian(kern, u, p, out=B[:n, :n]).base is B
+    assert np.array_equal(B[:n, :n], expect)
+    assert not B[n].any() and not B[:, n].any()
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
