@@ -18,9 +18,8 @@ def test_all_five_demos_are_checked():
 @pytest.mark.parametrize("name", DEMOS)
 def test_demo_runs_with_default_arguments(name):
     env = dict(os.environ)
-    src = os.path.join(ROOT, "src")
     env["PYTHONPATH"] = os.pathsep.join(
-        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        filter(None, [os.path.join(ROOT, "src"), env.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning",
          os.path.join(ROOT, "demos", name)],

@@ -288,6 +288,7 @@ def test_principal_eigenpair_falls_back_to_descent_on_a_singular_system(
     with monkeypatch.context() as patch:
         patch.setattr(solvers, "NEWTON_FROM", 0.0)   # never tries Newton
         descent = principal_eigenpair(kern, 3.0)
+    assert principal_eigenpair(kern, 3.0).iterations < descent.iterations
 
     def singular(*args):
         raise np.linalg.LinAlgError("Singular matrix")
