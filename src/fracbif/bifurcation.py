@@ -60,7 +60,7 @@ def _point_diagnostics(params, bp):
             "sup_v": float("nan"), "energy_v": float("nan"),
             "hopf_v": float("nan"), "margin": float("nan"),
             "weighted_margin": float("nan"),
-            "iterations_v": 0, "residual_v": float("nan")}
+            "iterations_v": 0, "residual_v": float("nan"), "morse_v": None}
     if bp.v_saddle is not None:
         v = bp.v_saddle
         margin, weighted = check_ordering(u.solution, v.solution, params.s)
@@ -68,6 +68,7 @@ def _point_diagnostics(params, bp):
                     hopf_v=hopf_ratio(v.solution, params.s),
                     margin=margin, weighted_margin=weighted,
                     iterations_v=v.iterations, residual_v=v.residual,
+                    morse_v=v.morse_index,
                     converged=u.converged and v.converged)
     return diag
 

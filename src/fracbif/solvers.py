@@ -24,10 +24,12 @@ find_saddle runs a mountain-pass search on the capped energy between
 the zero function and a known minimizer: the maximal-energy point of a
 piecewise-linear path is pushed downhill, with the path redistributed
 at fixed arclength fractions, until progress stalls at the path
-resolution; the maximal point alone then climbs to the saddle by
-reflecting the gradient across the lowest eigenvector of the exact
-Hessian (total_hessian), and a damped Newton polish on the
-same Hessian finishes the degenerate modes, while the rest of the
+resolution.  The maximal point alone then takes damped min-max Newton
+steps on the exact Hessian (total_hessian), and the result counts if
+it converges to a point of Morse index one.  Otherwise the search
+returns to where the descent stopped and climbs to the saddle by
+reflecting the gradient across the lowest eigenvector of that Hessian,
+with a plain Newton polish for the degenerate modes.  The rest of the
 path stays where the descent left it.  The saddle search reads
 curvature from that Hessian alone.
 
@@ -78,6 +80,7 @@ HISTORY = 8             # (s, y) pairs behind minimize's L-BFGS directions
 STALL_WINDOW = 1000     # eigen iterations between progress checks
 NEWTON_FROM = 0.1       # eigen residual / max(1, R) below which Newton steps are tried
 NEWTON_HALVINGS = 8     # step halvings a Newton step of the eigen iteration may try
+SADDLE_ROUNDS = 60      # min-max Newton steps the saddle finish may take
 ARMIJO = 1e-4           # sufficient-decrease fraction of every line search
 BACKTRACK = 0.5         # step shrink factor while backtracking
 STEP_MIN = 1e-8         # bounds of the step scales the line searches start from
@@ -107,6 +110,7 @@ class SolveReport:
     iterations: int
     converged: bool
     classification: str
+    morse_index: int = None     # saddles: negative even-subspace curvatures
 
 
 @dataclass
@@ -611,20 +615,28 @@ def find_saddle(kern, params, u_big, opts=None, seed=0, return_path=False):
     with the capped one on that range.
 
     The descent phase moves the maximal point of the path and
-    redistributes the path after every step.  Once progress stalls, the
-    climb and the Newton polish move that point alone; the other path
-    points stay where the descent left them, so their energies stay
-    exact and only the maximal point's energy is recomputed.  Each climb
-    step reflects the gradient across the lowest eigenvector of the
-    exact Hessian at that point (Choi & McKenna, Nonlinear Anal. 20,
-    1993).
+    redistributes the path after every step.  Once progress stalls,
+    that point alone takes up to SADDLE_ROUNDS min-max Newton steps
+    (_newton_polish; Li & Zhou, SIAM J. Sci. Comput. 23, 2001), which
+    are kept if they reach the residual target at a point where the
+    Hessian has exactly one negative eigenvalue.  Otherwise the point
+    goes back to where the descent left it and climbs: each climb step
+    reflects the gradient across the lowest eigenvector of the exact
+    Hessian at that point (Choi & McKenna, Nonlinear Anal. 20, 1993),
+    with plain Newton polishing once it slows.  The other path points
+    stay where the descent left them, so their energies stay exact and
+    only the maximal point's energy is recomputed.  iterations counts
+    the descent steps plus the Newton steps kept, or plus the climb.
 
     The search runs in the even subspace, where the saddle has Morse
     index one (in the full space the lowest odd mode can be negative
     too), so u_big must be even under the mirror map to within 1e-6 of
-    max(1, sup|u_big|); otherwise ParameterError.  The path returned
-    with return_path is unfolded, with its energies measured on kern
-    for the ceiling u_big.
+    max(1, sup|u_big|); otherwise ParameterError.  The report carries
+    that index (morse_index, the number of negative eigenvalues of the
+    folded Hessian of the capped energy at the result, which is the
+    plain one below the ceiling) and has converged=False unless it is
+    one.  The path returned with return_path is unfolded, with its
+    energies measured on kern for the ceiling u_big.
     """
     opts = opts or SolverOptions()
     _check_compat(kern, params)
@@ -635,14 +647,17 @@ def find_saddle(kern, params, u_big, opts=None, seed=0, return_path=False):
     P = int(opts.path_points)
     if P < 5:
         raise ParameterError("path needs at least 5 points, got %d" % P)
-    Z, m, iterations = _mountain_pass(kern.fold(), params, mirror_fold(u_big),
-                                      P, opts, seed)
+    Z, m, iterations, index = _mountain_pass(kern.fold(), params,
+                                             mirror_fold(u_big), P, opts, seed)
     v = mirror_unfold(Z[m], kern.n)
     bound_tol = 1e-6 * max(1.0, _sup(u_big))
     if float(np.min(v)) < -bound_tol or float(np.max(v - u_big)) > bound_tol:
         raise SolverError("saddle point escaped the [0, ceiling] range")
     report = _report(kern, ReactionModel.plain(params), v, iterations,
                      opts.tol, "saddle")
+    # a critical point of any other Morse index is not the mountain pass
+    report.morse_index = index
+    report.converged = report.converged and index == 1
     if return_path:
         Z = mirror_unfold(Z, kern.n)
         energies = _batch_energy(kern, ReactionModel.capped(params, u_big), Z)
@@ -652,7 +667,8 @@ def find_saddle(kern, params, u_big, opts=None, seed=0, return_path=False):
 
 def _mountain_pass(kern, params, u_big, P, opts, seed):
     """find_saddle's search on a folded (or full) kernel; returns the
-    path, the index of its maximal point and the number of iterations."""
+    path, the index of its maximal point, the number of iterations and
+    the Morse index of the capped energy at that point."""
     model = ReactionModel.capped(params, u_big)
     _probe_local_min(kern, model, np.zeros_like(u_big), params, seed)
     _probe_local_min(kern, model, u_big, params, seed + 1)
@@ -670,6 +686,7 @@ def _mountain_pass(kern, params, u_big, P, opts, seed):
     stall = 0
     polish_left = 3
     iterations = 0
+    index = None
     phase = "descent"
     v_prev = g_prev = None
     m = 1 + int(np.argmax(energies[1:-1]))
@@ -696,6 +713,20 @@ def _mountain_pass(kern, params, u_big, P, opts, seed):
                                    or stall > 80):
             phase = "climb"
             stall = 0
+            # the min-max Newton finish counts only if it converges to a
+            # point of Morse index one; otherwise the climb starts from
+            # the point the descent left
+            w, res_w, steps = _newton_polish(
+                kern, model, Z[m], opts.tol * scale,
+                min(SADDLE_ROUNDS, opts.max_iter - iterations), minmax=True)
+            E_w = total_energy(kern, model, w)
+            if (res_w <= opts.tol * _scale(kern, E_w)
+                    and _morse_index(kern, model, w) == 1):
+                Z[m] = w
+                energies[m] = E_w
+                iterations += steps
+                index = 1
+                break
         elif phase == "climb" and stall > 120:
             break
         if phase == "descent":
@@ -750,7 +781,8 @@ def _mountain_pass(kern, params, u_big, P, opts, seed):
             want_polish = not moved or (stall >= 8 and residual <= 1e-4 * scale)
             if want_polish and polish_left > 0:
                 polish_left -= 1
-                w, res_p = _newton_polish(kern, model, Z[m], opts.tol * scale)
+                w, res_p, _steps = _newton_polish(kern, model, Z[m],
+                                                  opts.tol * scale)
                 if res_p < residual:
                     Z[m] = w
                     v_prev = g_prev = None
@@ -765,7 +797,9 @@ def _mountain_pass(kern, params, u_big, P, opts, seed):
     # the zero function is critical too: a maximal point that stopped at
     # an endpoint is no saddle, however small its residual
     _check_not_collapsed(Z[m], u_big)
-    return Z, m, iterations
+    if index is None:
+        index = _morse_index(kern, model, Z[m])
+    return Z, m, iterations, index
 
 
 def _check_not_collapsed(v, u_big):
@@ -776,46 +810,57 @@ def _check_not_collapsed(v, u_big):
         raise SaddleNotFound("mountain-pass path collapsed onto an endpoint")
 
 
-def _newton_polish(kern, model, v, tol_scale, rounds=6):
-    """Damped Newton finish for an almost-converged saddle.
+def _morse_index(kern, model, v):
+    """Number of negative eigenvalues of the exact Hessian at v."""
+    return int(np.sum(np.linalg.eigvalsh(total_hessian(kern, model, v)) < 0.0))
 
-    Close to the critical point the leftover gradient can sit in modes
-    whose curvature is orders of magnitude below the rest of the
-    spectrum, and those modes couple: moving along one leaks gradient
-    into the others, so per-direction steps stall.  Solving H d = -g
-    with the exact Hessian (total_hessian) treats all modes at once; it
-    is inverted through its eigendecomposition with curvatures below
-    1e-9 of the largest dropped.  Candidate steps are projected onto the
-    box where the capped reaction agrees with the plain one and kept
-    only when the gradient sup-norm falls, so the iterate cannot leave
-    the basin the climb ended in.  Returns the refined point and its
-    residual.
+
+def _newton_polish(kern, model, v, tol_scale, rounds=6, minmax=False):
+    """Damped Newton steps on the exact Hessian (total_hessian).
+
+    Each step inverts the Hessian through its eigendecomposition, with
+    curvatures below 1e-9 of the largest dropped.  With minmax every
+    curvature is taken by its modulus except the lowest, which is taken
+    negative: the min-max Newton step toward a saddle of Morse index one
+    (Li & Zhou, SIAM J. Sci. Comput. 23, 2001), which is the Newton step
+    where the Hessian has exactly one negative eigenvalue and elsewhere
+    climbs the lowest mode and descends all the others.  Without it the
+    step is the plain Newton step.  Treating every mode at once also
+    handles the leftover gradient in flat, coupled modes near the
+    critical point, where per-direction steps stall.  Candidate steps
+    are projected onto the box where the capped reaction agrees with the
+    plain one, halved up to 30 times, and kept only when the gradient
+    sup-norm falls, so the iterate cannot leave the basin it started
+    in.  Stops once that residual is at most tol_scale or after rounds
+    steps; returns the point, its residual and the number of steps
+    taken.
     """
     top = model.ceiling if model.ceiling is not None else np.inf
     g = total_gradient(kern, model, v)
     res = _residual(kern, g)
-    for _ in range(rounds):
-        if res <= tol_scale:
-            break
+    steps = 0
+    while steps < rounds and res > tol_scale:
         curv, Q = np.linalg.eigh(total_hessian(kern, model, v))
         floor = 1e-9 * float(np.max(np.abs(curv)))
         keep = np.abs(curv) > floor
+        if minmax:
+            curv = np.abs(curv)
+            curv[0] = -curv[0]
         coef = Q.T @ g
         d = -(Q[:, keep] @ (coef[keep] / curv[keep]))
         t = 1.0
-        improved = False
         for _half in range(30):
             w = _clip_box(v + t * d, top)
             gw = total_gradient(kern, model, w)
             rw = _residual(kern, gw)
             if rw < res:
                 v, g, res = w, gw, rw
-                improved = True
                 break
             t *= 0.5
-        if not improved:
+        else:
             break
-    return v, res
+        steps += 1
+    return v, res, steps
 
 
 def _probe_local_min(kern, model, point, params, seed, probes=6):

@@ -94,6 +94,7 @@ def test_solve_at_lambda_supercritical(small_problem, small_big_solution):
     assert d["energy_u"] < 0.0 < d["energy_v"]
     assert d["sup_v"] < d["sup_u"]
     assert d["residual_u"] <= 1e-8 and d["residual_v"] <= 1e-8
+    assert d["morse_v"] == 1
 
 
 def test_solve_at_lambda_warm_start(small_problem, small_big_solution):

@@ -184,6 +184,7 @@ def test_solve_reports_both_solutions(tmp_path, outdir, capsys):
     rec = json.load(open(os.path.join(outdir, "solution.json")))
     assert rec["outcome"] == "two ordered solutions"
     assert rec["diagnostics"]["margin"] > 0.0
+    assert rec["diagnostics"]["morse_v"] == 1
     assert rec["boundary"]["hopf_ratio"] > 0.0
     assert os.path.exists(os.path.join(outdir, "kernel.csv"))
     assert os.path.exists(os.path.join(outdir, "kernel_tails.csv"))
@@ -218,6 +219,7 @@ def test_solve_keeps_minimizer_when_saddle_not_found(tmp_path, outdir,
     assert rec["outcome"] == "one solution"
     assert rec["diagnostics"]["sup_u"] > 0.0
     assert rec["diagnostics"]["iterations_v"] == 0
+    assert rec["diagnostics"]["morse_v"] is None
 
 
 def test_solve_notes_a_saddle_search_that_ends_at_zero(tmp_path, outdir,

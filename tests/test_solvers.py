@@ -183,6 +183,56 @@ def test_saddle_has_morse_index_one_in_the_even_subspace():
     assert even[0] == pytest.approx(full[0], rel=1e-8)
 
 
+@pytest.mark.parametrize("n,lam,most", [(128, 12.5, 60), (64, 40.0, 200)])
+def test_saddle_newton_finish_converges_at_index_one(n, lam, most):
+    # the reflection climb took 191-206 iterations at the demo point
+    # (n = 128) and 1194 at lambda = 40, n = 64; the min-max Newton
+    # finish takes over once the path descent stalls
+    params = validate_params({"p": 3.0, "s": 0.3, "q": 2.5, "r": 1.5,
+                              "lambda": lam})
+    kern = assemble_kernel(build_mesh(-1.0, 1.0, n), params)
+    plain = ReactionModel.plain(params)
+    u = select_solution(minimize_multistart(kern, plain, seed=0))
+    v = find_saddle(kern, params, u.solution.values, seed=0)
+    curv = np.linalg.eigvalsh(total_hessian(
+        kern.fold(), plain, mirror_fold(v.solution.values)))
+    assert v.converged
+    assert curv[0] < 0.0 < curv[1]
+    assert v.morse_index == 1
+    assert v.iterations <= most
+
+
+@pytest.mark.parametrize("failure", ["index", "rounds"])
+def test_saddle_falls_back_to_the_climb_when_the_newton_finish_fails(
+        monkeypatch, small_problem, small_big_solution, small_saddle,
+        failure):
+    kern, params = small_problem
+    u = small_big_solution.solution.values
+    with monkeypatch.context() as patch:
+        patch.setattr(solvers, "SADDLE_ROUNDS", 0)      # climb only
+        climb = find_saddle(kern, params, u, seed=0)
+    assert climb.converged and climb.morse_index == 1
+    assert small_saddle.iterations < climb.iterations
+    if failure == "index":
+        # the finish converges, but its index check reads 2
+        morse_index = solvers._morse_index
+        calls = []
+
+        def rejects_first(*args):
+            calls.append(1)
+            return 2 if len(calls) == 1 else morse_index(*args)
+
+        monkeypatch.setattr(solvers, "_morse_index", rejects_first)
+    else:
+        # one Newton step does not reach the target
+        monkeypatch.setattr(solvers, "SADDLE_ROUNDS", 1)
+    rep = find_saddle(kern, params, u, seed=0)
+    assert rep.converged and rep.morse_index == 1
+    assert rep.iterations == climb.iterations
+    assert rep.energy == climb.energy
+    assert np.array_equal(rep.solution.values, climb.solution.values)
+
+
 def test_principal_eigenpair_matches_dense_matrix():
     mesh = build_mesh(-1.0, 1.0, 40)
     kern = KernelMatrix.from_sigma(mesh, 0.4)
@@ -557,8 +607,9 @@ def test_find_saddle_returns_path(small_problem, small_big_solution):
     assert path.energies.shape == (path.points.shape[0],)
     assert path.max_index == int(np.argmax(path.energies))
     assert np.array_equal(path.points[path.max_index], rep.solution.values)
-    # the climb updates only the maximal point's energy; every row must
-    # still carry the energy of the point it belongs to
+    # the Newton finish and the climb update only the maximal point's
+    # energy; every row must still carry the energy of the point it
+    # belongs to
     model = ReactionModel.capped(params, u)
     assert np.array_equal(path.energies, _batch_energy(kern, model, path.points))
 
