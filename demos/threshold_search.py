@@ -2,10 +2,11 @@
 
 Below some critical reaction strength lambda* the only solution is
 zero; above it two positive solutions appear.  This script brackets
-lambda* by bisection on "does a nontrivial minimizer exist", cross
-checks the answer against the fold of a continuation run, and then
-walks the branch upward printing both solution sizes.  A small mesh
-keeps the whole run under a minute.
+lambda* by bisection on "does a nontrivial minimizer exist", checks
+the bracket by following the branch down from its upper end with warm
+starts (it must die at the lower end), and then walks the branch
+upward printing both solution sizes.  A small mesh keeps the whole run
+under a minute.
 """
 
 import argparse
@@ -44,7 +45,7 @@ def main():
           % (diagram.lambda_star_estimate, diagram.bracket_width,
              rec["predicate_evaluations"]))
     if rec["fold_bracket"] is not None:
-        print("continuation fold  [%.6f, %.6f]" % tuple(rec["fold_bracket"]))
+        print("warm-start fold    [%.6f, %.6f]" % tuple(rec["fold_bracket"]))
         print("fold vs bisection  %.1f%% apart" % (100.0 * rec["agreement_rel"]))
     for w in rec["warnings"]:
         print("warning: %s" % w)

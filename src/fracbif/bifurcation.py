@@ -3,17 +3,11 @@
 For small reaction strength the only solution is zero; above a
 threshold a pair of ordered positive solutions appears (an energy
 minimizer and a mountain-pass point below it).  The threshold is
-estimated two independent ways:
-
-* bisection on the predicate "multi-start minimization finds a
-  converged nontrivial solution", down to a requested bracket width;
-* continuation of the nontrivial branch from above with warm starts,
-  recording where it folds (the warm-started solve collapses to zero
-  and a fresh multi-start confirms).
-
-Both are operational: they see the discrete problem through solver
-basins, so they may disagree slightly; the method record keeps both
-and flags disagreement beyond 10% relative.
+bracketed by bisection on the predicate "multi-start minimization
+finds a converged nontrivial solution", down to a requested width.
+Warm starts then follow the branch down from the bracket's upper end:
+it must die at the lower end, or the multi-start missed it there and
+a warning says where it died.
 """
 
 from dataclasses import dataclass
@@ -103,14 +97,14 @@ def solve_at_lambda(kern, params, warm_start=None, opts=None, seed=0,
 
 
 def continue_branch(kern, params, lam_grid, opts=None, seed=0, threads=1,
-                    with_saddles=True, stop_at_fold=False):
+                    with_saddles=True):
     """Trace the branch over a monotone grid, warm-starting downward.
 
     Returns a diagram with points in ascending lambda; the method
-    record holds the fold bracket (first dead, last alive) seen from
-    above.  A warm start that collapses is re-checked by multi-start
-    before the branch is declared dead there.  With stop_at_fold the
-    trace ends at the first dead point below an alive one.
+    record holds the grid and the fold bracket (first dead, last alive)
+    seen from above, at the grid's resolution.  A warm start that
+    collapses is re-checked by multi-start before the branch is
+    declared dead there.
     """
     opts = opts or SolverOptions()
     grid = np.asarray(lam_grid, dtype=float)
@@ -141,21 +135,23 @@ def continue_branch(kern, params, lam_grid, opts=None, seed=0, threads=1,
             if last_alive is not None and fold is None:
                 fold = (float(lam), last_alive)
         points.append(bp)
-        if stop_at_fold and fold is not None:
-            break
-    record = {"fold_bracket": fold, "fold_upper": last_alive,
-              "grid": [float(x) for x in grid]}
+    record = {"fold_bracket": fold, "grid": [float(x) for x in grid]}
     return BifurcationDiagram(points=list(reversed(points)),
                               method_record=record)
 
 
 def estimate_lambda_star(kern, params, bracket, opts=None, seed=0, threads=1):
-    """Bisection estimate of the existence threshold, cross-checked
-    against the continuation fold.
+    """Bisection estimate of the existence threshold, checked by warm
+    starts at the bisection's own bracket (lo, hi).
+
+    From the solution at hi, warm starts run at hi - (hi - lo) 2^k for
+    k = 0..7 while above zero, until one collapses: the fold bracket is
+    (that lambda, the last one alive), so (lo, hi) if the bisection is
+    right.  A branch alive at lo, or never dead (fold bracket None), warns.
 
     Returns a BifurcationDiagram carrying only the estimate fields and
-    a method record (bisection bracket, fold bracket, agreement flag,
-    analytic lower bound from the principal eigenvalue).
+    a method record (bisection and fold brackets, the fold midpoint and
+    its relative distance from the estimate, warnings, predicate count).
     """
     opts = opts or SolverOptions()
     lo, hi = float(bracket[0]), float(bracket[1])
@@ -163,28 +159,29 @@ def estimate_lambda_star(kern, params, bracket, opts=None, seed=0, threads=1):
         raise ParameterError("bracket must satisfy 0 < lo < hi, got %r" % (bracket,))
     cache = {}
 
-    def found_nontrivial(lam):
+    def nontrivial_at(lam):
         if lam not in cache:
             pr = with_lambda(params, lam)
             reports = minimize_multistart(kern, ReactionModel.plain(pr), opts,
                                           seed=seed, threads=threads,
                                           stop_at_nontrivial=True)
-            cache[lam] = any(_nontrivial(r, opts.zero_tol) for r in reports)
+            cache[lam] = next((r for r in reports
+                               if _nontrivial(r, opts.zero_tol)), None)
         return cache[lam]
 
-    if found_nontrivial(lo):
+    if nontrivial_at(lo):
         for _ in range(8):
             lo *= 0.5
-            if not found_nontrivial(lo):
+            if not nontrivial_at(lo):
                 break
         else:
             raise SolverError(
                 "nontrivial solutions persist down to lambda=%g; "
                 "lower the bracket" % lo)
-    if not found_nontrivial(hi):
+    if not nontrivial_at(hi):
         for _ in range(8):
             hi *= 2.0
-            if found_nontrivial(hi):
+            if nontrivial_at(hi):
                 break
         else:
             eig = principal_eigenpair(kern, params.p, opts)
@@ -194,35 +191,34 @@ def estimate_lambda_star(kern, params, bracket, opts=None, seed=0, threads=1):
                 % (hi, min(1.0, eig.value)))
     while hi - lo > opts.width:
         mid = 0.5 * (lo + hi)
-        if found_nontrivial(mid):
+        if nontrivial_at(mid):
             hi = mid
         else:
             lo = mid
     estimate = 0.5 * (lo + hi)
 
-    grid = np.linspace(1.6 * estimate, 0.4 * estimate, 14)
-    trace = continue_branch(kern, params, grid, opts=opts, seed=seed,
-                            threads=threads, with_saddles=False,
-                            stop_at_fold=True)
-    fold = trace.method_record["fold_bracket"]
-    if fold is None and trace.method_record["fold_upper"] is not None:
-        wider = np.linspace(0.4 * estimate, 0.1 * estimate, 7)
-        lower = continue_branch(kern, params, wider, opts=opts, seed=seed,
-                                threads=threads, with_saddles=False,
-                                stop_at_fold=True)
-        fold = lower.method_record["fold_bracket"]
+    warm, live, fold = cache[hi].solution.values, hi, None
+    for k in range(8):
+        lam = hi - (hi - lo) * 2.0 ** k
+        if lam <= 0.0:
+            break
+        rep = minimize(kern, ReactionModel.plain(with_lambda(params, lam)),
+                       warm, opts)
+        if not _nontrivial(rep, opts.zero_tol):
+            fold = (lam, live)
+            break
+        warm, live = rep.solution.values, lam
     warnings = []
-    fold_estimate = None
-    agreement = None
+    if live < hi:
+        warnings.append("the branch is still alive at lambda=%g, below the "
+                        "bisection bracket (%g, %g)" % (live, lo, hi))
+    fold_estimate = agreement = None
     if fold is None:
-        warnings.append("continuation found no fold in the scanned range")
+        warnings.append("the warm-started branch did not die down to "
+                        "lambda=%g" % live)
     else:
         fold_estimate = 0.5 * (fold[0] + fold[1])
         agreement = abs(estimate - fold_estimate) / max(estimate, fold_estimate)
-        if agreement > 0.10:
-            warnings.append(
-                "bisection and fold estimates disagree by %.1f%%"
-                % (100.0 * agreement))
     record = {"bisection_bracket": (lo, hi),
               "fold_bracket": fold, "fold_estimate": fold_estimate,
               "agreement_rel": agreement, "warnings": warnings,

@@ -48,13 +48,13 @@ def curvature_power(a, e, scale, out=None):
 
     A negative e (p < 2, q < 2 or r < 2) makes the power infinite at an
     exact tie or a zero node; there |a| is floored at
-    1e-6 * max(1, scale), the step of a central difference on a vector
-    of norm scale, so the value stays finite.  Elsewhere it is exact.
+    1e-14 * max(1, scale), some fifty roundings of a vector of norm
+    scale, so the value stays finite.  Elsewhere it is exact.
     With out (which may be a itself) every step is computed in place.
     """
     a = np.abs(a, out=out)
     if e < 0.0:
-        a = np.maximum(a, 1e-6 * max(1.0, scale), out=out)
+        a = np.maximum(a, 1e-14 * max(1.0, scale), out=out)
     return np.power(a, e, out=out)
 
 

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from fracbif import (ParameterError, SolverError, assemble_kernel,
-                     build_diagram, build_mesh, biggest_solution,
-                     continue_branch, estimate_lambda_star, solve_at_lambda,
-                     validate_params, with_lambda)
+from fracbif import (ParameterError, ReactionModel, SolverError,
+                     assemble_kernel, build_diagram, build_mesh,
+                     biggest_solution, continue_branch, estimate_lambda_star,
+                     find_saddle, minimize_multistart, select_solution,
+                     solve_at_lambda, validate_params, with_lambda)
+from fracbif import bifurcation
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +70,61 @@ def test_estimate_gives_up_on_hopeless_bracket(coarse_problem):
         estimate_lambda_star(kern, params, (1e-4, 2e-4), seed=0)
 
 
+def test_estimate_warns_when_the_bisection_misses_the_branch(
+        coarse_problem, monkeypatch):
+    # a multistart blind below lambda = 6.9 puts the bisection bracket
+    # above the true one, (6.4375, 6.46875); the warm starts from its
+    # upper end follow the branch below it and find where it dies
+    kern, params = coarse_problem
+    seeing = bifurcation.minimize_multistart
+
+    def blind(kern, model, *args, **kwargs):
+        if model.params.lam < 6.9:
+            return []
+        return seeing(kern, model, *args, **kwargs)
+
+    monkeypatch.setattr(bifurcation, "minimize_multistart", blind)
+    rec = estimate_lambda_star(kern, params, (5.0, 9.0), seed=0).method_record
+    lo, hi = rec["bisection_bracket"]
+    assert lo >= 6.9 - 0.05
+    assert rec["warnings"]
+    fold = rec["fold_bracket"]
+    assert fold[1] < lo
+    assert fold[0] <= 6.4375 and 6.46875 <= fold[1]
+
+
+def test_stretching_the_domain_scales_both_solutions_exactly():
+    # u_L = L^(sigma/(p-r)) u_1 at lambda_L = lambda L^(-sigma(q-r)/(p-r)),
+    # exactly on the mesh; sigma = 0.9 gives the factor 2^0.6 at L = 2
+    params = validate_params({"p": 3.0, "s": 0.3, "q": 2.5, "r": 1.5,
+                              "lambda": 8.0})
+    c = 2.0 ** 0.6
+    pairs = []
+    for L, lam in ((1.0, 8.0), (2.0, 8.0 / c)):
+        pr = with_lambda(params, lam)
+        kern = assemble_kernel(build_mesh(-L, L, 64), pr)
+        u = select_solution(minimize_multistart(
+            kern, ReactionModel.plain(pr), seed=0))
+        v = find_saddle(kern, pr, u.solution.values, seed=0)
+        assert u.converged and v.converged
+        pairs.append((u.solution.values, v.solution.values))
+    (u1, v1), (u2, v2) = pairs
+    assert np.max(np.abs(u2 - c * u1)) <= 1e-7 * np.max(u2)
+    assert np.max(np.abs(v2 - c * v1)) <= 1e-7 * np.max(v2)
+
+
+def test_stretching_the_domain_scales_the_threshold(coarse_problem,
+                                                    coarse_estimate):
+    kern, params = coarse_problem
+    wide = assemble_kernel(build_mesh(-2.0, 2.0, kern.mesh.n), params)
+    est = estimate_lambda_star(wide, params, (5.0, 9.0), seed=0)
+    c = 2.0 ** -0.6
+    lo, hi = coarse_estimate.method_record["bisection_bracket"]
+    lo_l, hi_l = est.method_record["bisection_bracket"]
+    assert c * lo <= hi_l and lo_l <= c * hi
+    assert est.method_record["warnings"] == []
+
+
 def test_solve_at_lambda_subcritical(coarse_problem):
     kern, params = coarse_problem
     bp = solve_at_lambda(kern, with_lambda(params, 0.5), seed=0)
@@ -126,20 +183,6 @@ def test_continue_branch_finds_fold(coarse_problem):
     assert fold[0] < fold[1]
     assert not alive[lams.index(fold[0])]
     assert alive[lams.index(fold[1])]
-
-
-def test_continue_branch_stops_at_fold(coarse_problem):
-    kern, params = coarse_problem
-    grid = np.linspace(9.0, 4.0, 6)
-    full = continue_branch(kern, params, grid, seed=0, with_saddles=False)
-    short = continue_branch(kern, params, grid, seed=0, with_saddles=False,
-                            stop_at_fold=True)
-    fold = full.method_record["fold_bracket"]
-    assert short.method_record["fold_bracket"] == fold
-    # the trace ends at the first dead point, lambda ascending
-    assert [bp.lam for bp in short.points] == \
-        [bp.lam for bp in full.points if bp.lam >= fold[0]]
-    assert short.points[0].lam == fold[0]
 
 
 def test_continue_branch_grid_validation(coarse_problem):

@@ -54,7 +54,7 @@ def even_morse_index(prob, v, lam, rel=1e-6):
 
 
 # (p, s, q, r, lambda): p < 2, p >= 4, near and far above lambda*;
-# at n = 32 these end, in order, converged, converged, converged=False,
+# at n = 32 these end, in order, converged, converged, converged,
 # SaddleNotFound, converged, and converged=False (the climb stops at a
 # critical point of Morse index 11)
 POINTS = [(3.0, 0.3, 2.5, 1.5, 12.5), (1.8, 0.4, 1.6, 1.2, 12.5),
