@@ -229,13 +229,18 @@ def estimate_lambda_star(kern, params, bracket, opts=None, seed=0, threads=1):
 
 def build_diagram(kern, params, lam_grid, bracket, opts=None, seed=0,
                   threads=1, with_saddles=True):
-    """Full diagram: threshold estimate plus branch points on a grid."""
+    """Full diagram: threshold estimate plus branch points on a grid.
+
+    The method record is the estimate's, plus the grid and the grid's
+    own fold bracket (continue_branch's fold_bracket) as grid_fold_bracket.
+    """
     est = estimate_lambda_star(kern, params, bracket, opts=opts, seed=seed,
                                threads=threads)
     trace = continue_branch(kern, params, lam_grid, opts=opts, seed=seed,
                             threads=threads, with_saddles=with_saddles)
-    record = dict(trace.method_record)
-    record.update(est.method_record)
+    record = dict(est.method_record,
+                  grid=trace.method_record["grid"],
+                  grid_fold_bracket=trace.method_record["fold_bracket"])
     return BifurcationDiagram(points=trace.points,
                               lambda_star_estimate=est.lambda_star_estimate,
                               bracket_width=est.bracket_width,

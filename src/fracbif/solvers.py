@@ -12,7 +12,12 @@ backtracking from the full step.  Near a minimizer the decrease Armijo
 asks for drops below the rounding of the energy (1e-13 * max(1, |E|));
 from there a step is accepted on its slope instead, by the approximate
 Wolfe test of Hager and Zhang, so descent runs on to the residual
-target rather than stalling on noise.  principal_eigenpair takes
+target rather than stalling on noise.  Once the residual is below
+NEWTON_FROM of the energy scale, minimize tries a damped Newton step on
+the exact Hessian (total_hessian) instead, where a Cholesky
+factorization shows that Hessian positive definite, accepted by the
+same line-search tests; where it fails, the L-BFGS step is taken and
+Newton waits for the residual to fall tenfold.  principal_eigenpair takes
 damped Newton steps on the bordered eigen system (the eigen equation
 plus the normalization, solved for the eigenfunction and the
 eigenvalue together with the exact Hessian of the operator) once its
@@ -78,8 +83,9 @@ class SaddleNotFound(SolverError):
 
 HISTORY = 8             # (s, y) pairs behind minimize's L-BFGS directions
 STALL_WINDOW = 1000     # eigen iterations between progress checks
-NEWTON_FROM = 0.1       # eigen residual / max(1, R) below which Newton steps are tried
-NEWTON_HALVINGS = 8     # step halvings a Newton step of the eigen iteration may try
+NEWTON_FROM = 0.1       # residual / max(1, |E|) (minimize) or / max(1, R) (eigen
+                        # iteration) below which Newton steps are tried
+NEWTON_HALVINGS = 8     # step lengths 1, 1/2, ... a Newton step of either loop may try
 SADDLE_ROUNDS = 60      # min-max Newton steps the saddle finish may take
 ARMIJO = 1e-4           # sufficient-decrease fraction of every line search
 BACKTRACK = 0.5         # step shrink factor while backtracking
@@ -245,15 +251,28 @@ def _clip_box(w, top):
 
 
 def minimize(kern, model, u0, opts=None):
-    """Limited-memory BFGS descent on the total energy.
+    """Limited-memory BFGS descent on the total energy, with a Newton finish.
 
     Directions come from the last HISTORY accepted moves (a move whose
     s.y <= 0 is not stored), scaled by the step s.y / y.y of the newest
     one clamped to [STEP_MIN, STEP_MAX]; a direction that fails to
     descend is replaced by the scaled gradient.  Each step backtracks
     from the full direction until Armijo's decrease holds, or, below
-    the rounding of the energy, the approximate Wolfe test.  Stops when
-    the gradient sup-norm falls below tol * max(1, |E|), when
+    the rounding of the energy, the approximate Wolfe test.
+
+    Once the gradient sup-norm is at most NEWTON_FROM * max(1, |E|),
+    the step is a damped Newton step instead: the exact Hessian
+    (total_hessian) is built, and only if its Cholesky factorization
+    succeeds, so that it is positive definite and the step descends
+    toward a minimizer rather than a saddle, is d = -H^-1 g tried, at
+    full length and then halved, NEWTON_HALVINGS lengths in all, under
+    the same acceptance tests.  Where the factorization fails, d does
+    not descend or no length is accepted, the L-BFGS step is taken, and
+    Newton is not tried again until the residual has fallen by another
+    factor of 10.  An accepted Newton move enters the (s, y) history
+    and counts as an iteration like any other.
+
+    Stops when the gradient sup-norm falls below tol * max(1, |E|), when
     backtracking finds no acceptable step (converged=False), or after
     max_iter accepted steps.  For the plain reaction the negative part
     of the result is removed and descent resumed with a fresh history,
@@ -281,9 +300,43 @@ def _descend(kern, model, u0, opts):
         delta = sign_threshold_delta(model.params)
     u = np.array(u0, dtype=float)
     E, g = _energy_and_gradient(kern, model, u)
+
+    def search(d, gd, t_min):
+        # backtrack from u + d until Armijo's decrease holds or, below
+        # the rounding of E, the approximate Wolfe test; returns the
+        # accepted point with its energy and gradient, or None
+        t = 1.0
+        while t > t_min:
+            u_new = u + t * d
+            decrease = -ARMIJO * t * gd
+            if decrease > _rounding(E):
+                if total_energy(kern, model, u_new) <= E - decrease:
+                    return (u_new,) + _energy_and_gradient(kern, model, u_new)
+            else:
+                E_new, g_new = _energy_and_gradient(kern, model, u_new)
+                if _slope_accepts(E, E_new, float(g_new @ d), gd):
+                    return u_new, E_new, g_new
+            t *= BACKTRACK
+        return None
+
+    def newton_step():
+        # only where the Hessian is positive definite, so d descends and
+        # the step heads for a minimizer, never a saddle
+        H = total_hessian(kern, model, u)
+        try:
+            L = np.linalg.cholesky(H)
+            d = -np.linalg.solve(L.T, np.linalg.solve(L, g))
+        except np.linalg.LinAlgError:
+            return None
+        gd = float(g @ d)
+        if not gd < 0.0:
+            return None
+        return search(d, gd, BACKTRACK ** NEWTON_HALVINGS)
+
     gamma = 1.0 / max(1.0, _residual(kern, g))
     pairs = deque(maxlen=HISTORY)
     iterations = 0
+    newton_below = np.inf
     for _round in range(4):
         while iterations < opts.max_iter:
             if delta is not None and float(np.max(u)) < delta:
@@ -292,32 +345,26 @@ def _descend(kern, model, u0, opts):
                 g = np.zeros_like(g)
                 iterations += 1
                 break
-            if _residual(kern, g) <= opts.tol * _scale(kern, E):
+            residual = _residual(kern, g)
+            scale = _scale(kern, E)
+            if residual <= opts.tol * scale:
                 break
-            d = _lbfgs_direction(g, pairs, gamma)
-            gd = float(g @ d)
-            if not gd < 0.0:
-                d = -gamma * g
+            moved = None
+            if residual <= min(newton_below, NEWTON_FROM * scale):
+                moved = newton_step()
+                if moved is None:
+                    # descend from here, and gain a decade before the next try
+                    newton_below = 0.1 * residual
+            if moved is None:
+                d = _lbfgs_direction(g, pairs, gamma)
                 gd = float(g @ d)
-            t = 1.0
-            g_new = None
-            while t > 1e-20:
-                u_new = u + t * d
-                decrease = -ARMIJO * t * gd
-                if decrease > _rounding(E):
-                    E_new = total_energy(kern, model, u_new)
-                    if E_new <= E - decrease:
-                        break
-                else:
-                    E_new, g_new = _energy_and_gradient(kern, model, u_new)
-                    if _slope_accepts(E, E_new, float(g_new @ d), gd):
-                        break
-                    g_new = None
-                t *= BACKTRACK
-            else:
-                break       # no acceptable step left
-            if g_new is None:
-                E_new, g_new = _energy_and_gradient(kern, model, u_new)
+                if not gd < 0.0:
+                    d = -gamma * g
+                    gd = float(g @ d)
+                moved = search(d, gd, 1e-20)
+                if moved is None:
+                    break       # no acceptable step left
+            u_new, E_new, g_new = moved
             s, y = u_new - u, g_new - g
             sy = float(s @ y)
             if sy > 0.0:

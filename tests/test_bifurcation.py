@@ -210,6 +210,23 @@ def test_build_diagram_merges_estimate_and_branch(coarse_problem):
         [b.u_big.energy for b in d1.points]
 
 
+def test_build_diagram_keeps_both_fold_brackets(coarse_problem,
+                                                coarse_estimate):
+    # a grid that straddles lambda* has a fold bracket of its own, which
+    # the estimate's fold_bracket used to overwrite in the merged record
+    kern, params = coarse_problem
+    grid = np.linspace(4.0, 9.0, 6)
+    diagram = build_diagram(kern, params, grid, (5.0, 9.0), seed=0,
+                            with_saddles=False)
+    rec = diagram.method_record
+    trace = continue_branch(kern, params, grid, seed=0, with_saddles=False)
+    assert rec["grid_fold_bracket"] == trace.method_record["fold_bracket"]
+    assert rec["grid_fold_bracket"] == (6.0, 7.0)
+    assert rec["fold_bracket"] == coarse_estimate.method_record["fold_bracket"]
+    assert rec["fold_bracket"] != rec["grid_fold_bracket"]
+    assert rec["grid"] == trace.method_record["grid"]
+
+
 def test_biggest_solution_tops_known_pair(small_problem, small_big_solution,
                                           small_saddle):
     kern, params = small_problem

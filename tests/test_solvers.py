@@ -454,6 +454,97 @@ def test_warm_start_converges_below_the_armijo_resolution():
     assert rep.residual <= 1e-9 * max(1.0, abs(rep.energy))
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_minimize_newton_finish_does_not_stop_at_the_saddle(small_problem,
+                                                            small_saddle,
+                                                            seed):
+    # the Hessian is indefinite at the saddle: without the Cholesky
+    # check one Newton step from here landed back on it, an uphill step
+    # by less than rounding that the approximate Wolfe test accepts
+    kern, params = small_problem
+    v = small_saddle.solution.values
+    noise = np.random.default_rng(seed).standard_normal(kern.n)
+    noise += noise[::-1]
+    start = v + 1e-6 * np.max(v) * noise / np.max(np.abs(noise))
+    rep = minimize(kern, ReactionModel.plain(params), start)
+    assert rep.converged
+    E_v = small_saddle.energy
+    assert (rep.classification == "zero"
+            or rep.energy < E_v - 1e-6 * max(1.0, abs(E_v)))
+
+
+def test_minimize_falls_back_to_lbfgs_where_cholesky_fails(monkeypatch,
+                                                            small_problem):
+    kern, params = small_problem
+    model = ReactionModel.plain(params)
+    u0 = default_starts(kern.mesh, params, 10, 0)[6]
+    with monkeypatch.context() as patch:
+        patch.setattr(solvers, "NEWTON_FROM", 0.0)   # never tries Newton
+        lbfgs = minimize(kern, model, u0)
+    assert minimize(kern, model, u0).iterations < lbfgs.iterations
+
+    def indefinite(*args):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", indefinite)
+    rep = minimize(kern, model, u0)
+    assert lbfgs.converged and rep.converged
+    assert rep.iterations == lbfgs.iterations
+    assert rep.energy == lbfgs.energy
+    assert np.array_equal(rep.solution.values, lbfgs.solution.values)
+
+
+def test_minimize_newton_finish_agrees_with_lbfgs(monkeypatch):
+    # the exponent sets of the low-p, demo and high-p corners: at p < 2
+    # the Hessian is indefinite near zero, and at p = 6 its pair weights
+    # |u_i - u_j|^4 vanish where u is flat
+    iterations = {True: 0, False: 0}
+    for p, s, q, r in [(1.5, 0.5, 1.3, 1.1), (1.8, 0.4, 1.6, 1.2),
+                       (3.0, 0.3, 2.5, 1.5), (6.0, 0.1, 5.0, 4.0)]:
+        params = validate_params({"p": p, "s": s, "q": q, "r": r,
+                                  "lambda": 12.5})
+        kern = assemble_kernel(build_mesh(-1.0, 1.0, 32), params)
+        model = ReactionModel.plain(params)
+        found = {}
+        for newton in (True, False):
+            with monkeypatch.context() as patch:
+                if not newton:
+                    patch.setattr(solvers, "NEWTON_FROM", 0.0)
+                reports = minimize_multistart(kern, model, seed=0)
+            found[newton] = (
+                sum(r.converged for r in reports),
+                sum(r.converged and r.classification != "zero"
+                    for r in reports),
+                select_solution(reports).energy)
+            iterations[newton] += sum(r.iterations for r in reports)
+        (conv, nontrivial, E), (conv_off, nontrivial_off, E_off) = \
+            found[True], found[False]
+        assert (conv, nontrivial) == (conv_off, nontrivial_off)
+        assert abs(E - E_off) <= 1e-10 * max(1.0, abs(E_off))
+    assert iterations[True] < iterations[False]
+
+
+def test_solve_above_newton_finish_keeps_the_pin(monkeypatch, small_problem,
+                                                 small_big_solution):
+    kern, params = small_problem
+    anchor = 0.9 * small_big_solution.solution.values
+    # the L-BFGS reference runs to a tolerance tight enough to compare
+    # with at 1e-9 of sup: at the default one it stops 6.5e-9 of sup
+    # away from the minimizer (its stopping test reads the floored
+    # energy, whose scale here is 13 times the plain one)
+    with monkeypatch.context() as patch, \
+            pytest.warns(UserWarning, match="subsolution inequality"):
+        patch.setattr(solvers, "NEWTON_FROM", 0.0)
+        lbfgs = solve_above(kern, params, anchor, SolverOptions(tol=1e-12))
+    with pytest.warns(UserWarning, match="subsolution inequality"):
+        rep = solve_above(kern, params, anchor)
+    u = rep.solution.values
+    assert rep.converged
+    assert float(np.min(u - anchor)) >= 0.0
+    assert rep.iterations < lbfgs.iterations
+    assert float(np.max(np.abs(u - lbfgs.solution.values))) <= 1e-9 * np.max(u)
+
+
 def test_singular_multistart_converges():
     # 1 < p < 2: steepest descent ran all 50000 iterations of every
     # nontrivial start here and stopped at residual ~1e-8
