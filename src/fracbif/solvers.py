@@ -5,21 +5,17 @@ All solvers work on the total energy
     total_energy(u) = seminorm_energy(u) - h * sum_i F(i, u_i)
 
 whose exact gradient is apply_operator(u) - h * f(., u).  minimize
-takes limited-memory BFGS directions (Liu and Nocedal, 1989): the
-two-loop recursion over the last HISTORY accepted moves, scaled by the
-Barzilai-Borwein step s.y / y.y of the newest one, with Armijo
-backtracking from the full step.  Near a minimizer the decrease Armijo
-asks for drops below the rounding of the energy (1e-13 * max(1, |E|));
-from there a step is accepted on its slope instead, by the approximate
-Wolfe test of Hager and Zhang, so descent runs on to the residual
-target rather than stalling on noise.  Once the residual is below
-NEWTON_FROM of the energy scale, minimize tries a damped Newton step on
-the exact Hessian (total_hessian) instead, where a Cholesky
-factorization shows that Hessian positive definite, accepted by the
-same line-search tests; where it fails, the L-BFGS step is taken and
-Newton waits for the residual to fall tenfold.  principal_eigenpair takes
-damped Newton steps on the bordered eigen system (the eigen equation
-plus the normalization, solved for the eigenfunction and the
+takes damped Newton steps on the exact Hessian (total_hessian) with
+every curvature taken by its modulus, so each step descends: the Newton
+step where a Cholesky factorization shows the Hessian positive
+definite, and elsewhere one through its eigendecomposition.  Each step
+backtracks from the full length until Armijo's decrease holds; near a
+minimizer that decrease drops below the rounding of the energy (1e-13 *
+max(1, |E|)), and from there a step is accepted on its slope instead,
+by the approximate Wolfe test of Hager and Zhang, so descent runs on to
+the residual target rather than stalling on noise.  principal_eigenpair
+takes damped Newton steps on the bordered eigen system (the eigen
+equation plus the normalization, solved for the eigenfunction and the
 eigenvalue together with the exact Hessian of the operator) once its
 residual is below NEWTON_FROM of the eigenvalue scale, and keeps a
 Barzilai-Borwein steepest descent, which accepts its steps the same
@@ -53,7 +49,6 @@ not mirror symmetric cannot pass for converged.
 """
 
 import warnings
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -81,21 +76,21 @@ class SaddleNotFound(SolverError):
     point = None
 
 
-HISTORY = 8             # (s, y) pairs behind minimize's L-BFGS directions
 STALL_WINDOW = 1000     # eigen iterations between progress checks
-NEWTON_FROM = 0.1       # residual / max(1, |E|) (minimize) or / max(1, R) (eigen
-                        # iteration) below which Newton steps are tried
-NEWTON_HALVINGS = 8     # step lengths 1, 1/2, ... a Newton step of either loop may try
+NEWTON_FROM = 0.1       # residual / max(1, R) below which the eigen iteration
+                        # tries Newton steps
+NEWTON_HALVINGS = 8     # step lengths 1, 1/2, ... an eigen Newton step may try
 SADDLE_ROUNDS = 60      # min-max Newton steps the saddle finish may take
 ARMIJO = 1e-4           # sufficient-decrease fraction of every line search
 BACKTRACK = 0.5         # step shrink factor while backtracking
-STEP_MIN = 1e-8         # bounds of the step scales the line searches start from
-STEP_MAX = 1e2
+STEP_MIN = 1e-8         # bounds of the eigen descent's step scale; the saddle's
+STEP_MAX = 1e2          # path descent caps its own at STEP_MAX
 
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Knobs shared by the descent-based solvers."""
+    """Knobs shared by the descent-based solvers; a value out of range
+    raises ParameterError."""
 
     tol: float = 1e-9
     max_iter: int = 50_000
@@ -104,6 +99,21 @@ class SolverOptions:
     path_points: int = 41
     damping: float = 0.2
     width: float = 0.05
+
+    def __post_init__(self):
+        # a zero or negative tolerance or width is never met, a path descent
+        # with zero or negative damping never moves, so the loops that
+        # read them run on to their caps or forever; with no start there
+        # is no report to select, and with no step nothing converges
+        for name in ("tol", "width", "damping"):
+            if not getattr(self, name) > 0.0:
+                raise ParameterError("%s must be positive, got %r"
+                                     % (name, getattr(self, name)))
+        for name, least in (("starts", 1), ("max_iter", 1),
+                            ("path_points", 5)):
+            if not getattr(self, name) >= least:
+                raise ParameterError("%s must be at least %d, got %r"
+                                     % (name, least, getattr(self, name)))
 
 
 @dataclass
@@ -231,54 +241,32 @@ def _slope_accepts(E, E_new, slope, gd):
     return E_new <= E + _rounding(E) and slope <= -0.8 * gd
 
 
-def _lbfgs_direction(g, pairs, gamma):
-    """L-BFGS two-loop recursion: -H g for the inverse-Hessian estimate
-    that the (s, y, 1/s.y) pairs, oldest first, build on gamma * I."""
-    q = g.copy()
-    alphas = []
-    for s, y, rho in reversed(pairs):
-        a = rho * float(s @ q)
-        q -= a * y
-        alphas.append(a)
-    q *= gamma
-    for (s, y, rho), a in zip(pairs, reversed(alphas)):
-        q += (a - rho * float(y @ q)) * s
-    return -q
-
-
 def _clip_box(w, top):
     return np.minimum(np.maximum(w, 0.0), top)
 
 
 def minimize(kern, model, u0, opts=None):
-    """Limited-memory BFGS descent on the total energy, with a Newton finish.
+    """Damped Newton descent on the total energy, with the Hessian's
+    curvatures taken by their modulus.
 
-    Directions come from the last HISTORY accepted moves (a move whose
-    s.y <= 0 is not stored), scaled by the step s.y / y.y of the newest
-    one clamped to [STEP_MIN, STEP_MAX]; a direction that fails to
-    descend is replaced by the scaled gradient.  Each step backtracks
-    from the full direction until Armijo's decrease holds, or, below
-    the rounding of the energy, the approximate Wolfe test.
+    Every step builds the exact Hessian H (total_hessian) and takes
+    d = -|H|^-1 g, where |H| is H with each eigenvalue c replaced by
+    max(|c|, 1e-9 max|c|): the Newton step where H is positive definite
+    (solved through its Cholesky factor), and elsewhere a descent
+    direction that moves away from saddles along the negative modes
+    (saddle-free Newton, Dauphin et al., NeurIPS 2014; modified Newton,
+    Nocedal and Wright, Numerical Optimization, section 3.4).  Each
+    step backtracks from the full length until Armijo's decrease holds,
+    or, below the rounding of the energy, the approximate Wolfe test.
 
-    Once the gradient sup-norm is at most NEWTON_FROM * max(1, |E|),
-    the step is a damped Newton step instead: the exact Hessian
-    (total_hessian) is built, and only if its Cholesky factorization
-    succeeds, so that it is positive definite and the step descends
-    toward a minimizer rather than a saddle, is d = -H^-1 g tried, at
-    full length and then halved, NEWTON_HALVINGS lengths in all, under
-    the same acceptance tests.  Where the factorization fails, d does
-    not descend or no length is accepted, the L-BFGS step is taken, and
-    Newton is not tried again until the residual has fallen by another
-    factor of 10.  An accepted Newton move enters the (s, y) history
-    and counts as an iteration like any other.
-
-    Stops when the gradient sup-norm falls below tol * max(1, |E|), when
-    backtracking finds no acceptable step (converged=False), or after
-    max_iter accepted steps.  For the plain reaction the negative part
-    of the result is removed and descent resumed with a fresh history,
-    which never increases the energy; exact critical points are
-    nonnegative anyway.  Descent runs in the even subspace from the
-    mirror average of u0; the report is measured on kern.
+    Stops when the gradient sup-norm falls below tol * max(1, |E|) at a
+    point where the Cholesky factorization succeeds, so never at a
+    saddle; when backtracking finds no acceptable step (converged=False);
+    or after max_iter accepted steps.  For the plain reaction the
+    negative part of the result is removed and descent resumed, which
+    never increases the energy; exact critical points are nonnegative
+    anyway.  Descent runs in the even subspace from the mirror average
+    of u0; the report is measured on kern.
     """
     opts = opts or SolverOptions()
     _check_compat(kern, model.params)
@@ -301,12 +289,12 @@ def _descend(kern, model, u0, opts):
     u = np.array(u0, dtype=float)
     E, g = _energy_and_gradient(kern, model, u)
 
-    def search(d, gd, t_min):
+    def search(d, gd):
         # backtrack from u + d until Armijo's decrease holds or, below
         # the rounding of E, the approximate Wolfe test; returns the
         # accepted point with its energy and gradient, or None
         t = 1.0
-        while t > t_min:
+        while t > 1e-20:
             u_new = u + t * d
             decrease = -ARMIJO * t * gd
             if decrease > _rounding(E):
@@ -319,24 +307,7 @@ def _descend(kern, model, u0, opts):
             t *= BACKTRACK
         return None
 
-    def newton_step():
-        # only where the Hessian is positive definite, so d descends and
-        # the step heads for a minimizer, never a saddle
-        H = total_hessian(kern, model, u)
-        try:
-            L = np.linalg.cholesky(H)
-            d = -np.linalg.solve(L.T, np.linalg.solve(L, g))
-        except np.linalg.LinAlgError:
-            return None
-        gd = float(g @ d)
-        if not gd < 0.0:
-            return None
-        return search(d, gd, BACKTRACK ** NEWTON_HALVINGS)
-
-    gamma = 1.0 / max(1.0, _residual(kern, g))
-    pairs = deque(maxlen=HISTORY)
     iterations = 0
-    newton_below = np.inf
     for _round in range(4):
         while iterations < opts.max_iter:
             if delta is not None and float(np.max(u)) < delta:
@@ -345,37 +316,26 @@ def _descend(kern, model, u0, opts):
                 g = np.zeros_like(g)
                 iterations += 1
                 break
-            residual = _residual(kern, g)
-            scale = _scale(kern, E)
-            if residual <= opts.tol * scale:
-                break
-            moved = None
-            if residual <= min(newton_below, NEWTON_FROM * scale):
-                moved = newton_step()
-                if moved is None:
-                    # descend from here, and gain a decade before the next try
-                    newton_below = 0.1 * residual
+            H = total_hessian(kern, model, u)
+            try:
+                L = np.linalg.cholesky(H)
+            except np.linalg.LinAlgError:
+                curv, Q = np.linalg.eigh(H)
+                curv = np.abs(curv)
+                d = -(Q @ ((Q.T @ g) / np.maximum(curv, 1e-9 * np.max(curv))))
+            else:
+                if _residual(kern, g) <= opts.tol * _scale(kern, E):
+                    break
+                d = -np.linalg.solve(L.T, np.linalg.solve(L, g))
+            gd = float(g @ d)
+            moved = search(d, gd) if gd < 0.0 else None
             if moved is None:
-                d = _lbfgs_direction(g, pairs, gamma)
-                gd = float(g @ d)
-                if not gd < 0.0:
-                    d = -gamma * g
-                    gd = float(g @ d)
-                moved = search(d, gd, 1e-20)
-                if moved is None:
-                    break       # no acceptable step left
-            u_new, E_new, g_new = moved
-            s, y = u_new - u, g_new - g
-            sy = float(s @ y)
-            if sy > 0.0:
-                pairs.append((s, y, 1.0 / sy))
-                gamma = min(max(sy / float(y @ y), STEP_MIN), STEP_MAX)
-            u, E, g = u_new, E_new, g_new
+                break       # no acceptable step left
+            u, E, g = moved
             iterations += 1
         if model.variant == "plain" and float(np.min(u)) < 0.0:
             u = np.maximum(u, 0.0)
             E, g = _energy_and_gradient(kern, model, u)
-            pairs.clear()
             continue
         break
     return u, iterations
@@ -692,8 +652,6 @@ def find_saddle(kern, params, u_big, opts=None, seed=0, return_path=False):
     if _sup(u_big) <= opts.zero_tol:
         raise SaddleNotFound("ceiling solution is numerically zero")
     P = int(opts.path_points)
-    if P < 5:
-        raise ParameterError("path needs at least 5 points, got %d" % P)
     Z, m, iterations, index = _mountain_pass(kern.fold(), params,
                                              mirror_fold(u_big), P, opts, seed)
     v = mirror_unfold(Z[m], kern.n)

@@ -62,6 +62,27 @@ def test_malformed_bracket_flag(tmp_path, outdir, capsys):
     assert "--bracket" in capsys.readouterr().err
 
 
+def test_zero_width_is_a_config_error(tmp_path, outdir, capsys):
+    # a width of 0 is never met: the bisection spun on adjacent floats
+    cfg = write_config(tmp_path / "run.cfg", **{"mesh.n": 32},
+                       lambda_min=7.0, lambda_max=9.0, steps=2,
+                       bracket_lo=5.0, bracket_hi=9.0)
+    code = main(["bifurcation", "--config", cfg, "--out", outdir,
+                 "--width", "0"])
+    assert code == 1
+    assert "width must be positive" in capsys.readouterr().err
+    assert not os.path.exists(outdir)
+
+
+def test_zero_starts_is_a_config_error(tmp_path, outdir, capsys):
+    # no start gives no report to select from
+    cfg = write_config(tmp_path / "run.cfg", starts=0)
+    code = main(["solve", "--config", cfg, "--out", outdir])
+    assert code == 1
+    assert "starts must be at least 1" in capsys.readouterr().err
+    assert not os.path.exists(outdir)
+
+
 def test_bad_threads_env(tmp_path, outdir, capsys, monkeypatch):
     monkeypatch.setenv("FRACBIF_THREADS", "many")
     cfg = write_config(tmp_path / "run.cfg", **{"mesh.n": 24})
