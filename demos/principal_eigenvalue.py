@@ -1,10 +1,10 @@
 """Compute the principal eigenvalue of the discrete nonlocal operator.
 
-Runs the eigen iteration (Newton steps on the bordered eigen system,
-with projected descent on the Rayleigh quotient as the fallback) for a
-few mesh sizes and prints the eigenvalue, the first-order residual,
-and the shape of the eigenfunction.  For p = 2 the result is checked against
-a dense matrix eigendecomposition on the spot.
+Runs the eigen iteration (damped Newton steps on the bordered eigen
+system) for a few mesh sizes and prints the eigenvalue, the
+first-order residual, and the shape of the eigenfunction.  For p = 2
+the result is checked against a dense matrix eigendecomposition on the
+spot.
 """
 
 import argparse

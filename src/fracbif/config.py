@@ -111,6 +111,12 @@ def resolve(file_values=None, overrides=None):
             if not hasattr(cfg, name):
                 raise ConfigError("unknown config field: %s" % name)
             setattr(cfg, name, value)
+    # numpy rejects a negative seed deep inside a run, and with no
+    # operator trial the verify checks would pass on nothing
+    for name, least in (("seed", 0), ("trials", 1)):
+        if not getattr(cfg, name) >= least:
+            raise ConfigError("%s must be at least %d, got %r"
+                              % (name, least, getattr(cfg, name)))
     return cfg
 
 

@@ -66,8 +66,11 @@ def verify_operator_properties(kern, p, trials=200, seed=0,
     * pairing(A(u) - A(v), (u - v)+) > 0 whenever (u - v)+ is nonzero;
     * pairing(A(u) - A(v), odd_power(u - v, t + 1)) >= 0 for t >= 1.
 
-    Returns a dict of worst margins and an overall pass flag.
+    Returns a dict of worst margins and an overall pass flag; with no
+    trial there is nothing to pass, so trials < 1 raises ParameterError.
     """
+    if not trials >= 1:
+        raise ParameterError("trials must be at least 1, got %r" % trials)
     rng = np.random.default_rng(seed)
     n = kern.n
     worst = {"mon-i": np.inf, "mon-ii": np.inf, "mon-iii": np.inf}

@@ -16,11 +16,9 @@ by the approximate Wolfe test of Hager and Zhang, so descent runs on to
 the residual target rather than stalling on noise.  principal_eigenpair
 takes damped Newton steps on the bordered eigen system (the eigen
 equation plus the normalization, solved for the eigenfunction and the
-eigenvalue together with the exact Hessian of the operator) once its
-residual is below NEWTON_FROM of the eigenvalue scale, and keeps a
-Barzilai-Borwein steepest descent, which accepts its steps the same
-way as minimize, as the globaliser wherever a Newton step fails; it
-gives up once its residual stalls.
+eigenvalue together with the exact Hessian of the operator) from its
+first iterate, each accepted only if the residual falls, and gives up
+once no step lowers it.
 find_saddle runs a mountain-pass search on the capped energy between
 the zero function and a known minimizer: the maximal-energy point of a
 piecewise-linear path is pushed downhill, with the path redistributed
@@ -76,15 +74,11 @@ class SaddleNotFound(SolverError):
     point = None
 
 
-STALL_WINDOW = 1000     # eigen iterations between progress checks
-NEWTON_FROM = 0.1       # residual / max(1, R) below which the eigen iteration
-                        # tries Newton steps
-NEWTON_HALVINGS = 8     # step lengths 1, 1/2, ... an eigen Newton step may try
+NEWTON_HALVINGS = 8     # step lengths t, t/2, ... an eigen Newton step may try
 SADDLE_ROUNDS = 60      # min-max Newton steps the saddle finish may take
 ARMIJO = 1e-4           # sufficient-decrease fraction of every line search
 BACKTRACK = 0.5         # step shrink factor while backtracking
-STEP_MIN = 1e-8         # bounds of the eigen descent's step scale; the saddle's
-STEP_MAX = 1e2          # path descent caps its own at STEP_MAX
+STEP_MAX = 1e2          # cap on the step scale of the saddle's path descent
 
 
 @dataclass(frozen=True)
@@ -422,38 +416,36 @@ def solve_above(kern, params, subsol, opts=None):
 def principal_eigenpair(kern, p, opts=None, start=None):
     """Smallest Rayleigh quotient of the discrete operator.
 
-    Minimizes pairing(A(u), u) / (h * sum |u_i|^p): every trial point
-    is replaced by its absolute value (which never increases the
-    quotient) and renormalized, and the eigenvalue estimate is the
-    quotient there.  Returns the eigenvalue, a nonnegative eigenfunction
-    with h*sum|u|^p = 1, and the sup-norm of the eigen-equation
-    residual.
+    Solves the eigen equation A(u) = R h |u|^(p-2) u with the
+    normalization h * sum |u_i|^p = 1 for (u, R) together, by damped
+    Newton steps on this bordered system with the exact Hessian of the
+    energy (kernel.operator_hessian); the border is needed, as the
+    Jacobian of the eigen equation alone is singular at the eigenpair.
+    Every trial point is replaced by its absolute value and
+    renormalized, and the eigenvalue estimate is the quotient
+    pairing(A(u), u) there.  Returns the eigenvalue, a nonnegative
+    eigenfunction with h*sum|u|^p = 1, and the sup-norm of the
+    eigen-equation residual.
 
-    While that residual is below NEWTON_FROM * max(1, R), each step is
-    a damped Newton step on the bordered system for (u, R): the
-    eigen equation A(u) = R h |u|^(p-2) u and the normalization, solved
-    with the exact Hessian of the energy (kernel.operator_hessian).  The
-    border is needed, as the Jacobian of the eigen equation alone is
-    singular at the eigenpair.  A Newton step is taken at full length
-    or halved up to NEWTON_HALVINGS times, and only if the residual
-    falls.  Where it fails, or the system is singular, the step is one
-    of Barzilai-Borwein descent on the quotient, and Newton is tried
-    again once the residual has fallen by another factor of 10.
-    iterations counts the descent steps plus the Newton steps.  Gives
-    up, with converged=False, once the best residual has fallen by less
-    than 1 % over the last STALL_WINDOW iterations, or by too little for
-    that rate to reach tol within max_iter (for p < 2 the residual can
-    decay like 1/iterations, far too slowly).  The iteration runs in the
-    even subspace from the mirror average of the start; the value and
-    the residual of the result are measured on kern, after the folded
-    kernel is released.
+    Each step solves the system once.  Its first trial length is
+    t = min(1, |u| / |d|) for the Newton direction d, so no trial is
+    longer than the iterate, and it tries up to NEWTON_HALVINGS lengths
+    t, t/2, t/4, ...; a trial is accepted only if the residual falls.
+    iterations counts the accepted steps.  Gives up, with
+    converged=False, when the system is singular or no trial is
+    accepted (for p near 1 the linear model misses the kink of the
+    operator near the flat top of the eigenfunction, and the residual
+    can stop short of tol).  The iteration runs in the even subspace
+    from the mirror average of the start; the value and the residual of
+    the result are measured on kern, after the folded kernel is
+    released.
     """
     opts = opts or SolverOptions()
     if start is None:
         u = (kern.mesh.dist / np.max(kern.mesh.dist)) ** (kern.sigma / p)
     else:
         u = np.asarray(getattr(start, "values", start), dtype=float)
-    w, iterations = _eigen_descent(kern.fold(), p, mirror_fold(np.abs(u)), opts)
+    w, iterations = _eigen_newton(kern.fold(), p, mirror_fold(np.abs(u)), opts)
     u = mirror_unfold(w, kern.n)
     Au = apply_operator(kern, u, p)
     R = float(np.dot(Au, u))
@@ -463,100 +455,47 @@ def principal_eigenpair(kern, p, opts=None, start=None):
                        converged=residual <= opts.tol * max(1.0, R))
 
 
-def _eigen_descent(kern, p, u, opts):
-    """principal_eigenpair's descent and Newton finish, in full-space
+def _eigen_newton(kern, p, u, opts):
+    """principal_eigenpair's damped Newton iteration, in full-space
     terms on a folded kernel: a node stands for c = copies * weight nodes
     of the full mesh, so every sum over nodes is weighted by c and the
     operator is divided by the weight.  Returns the point reached, of
-    unit full-space mass, and the number of descent plus Newton steps."""
+    unit full-space mass, and the number of Newton steps."""
     h = kern.mesh.h
     c = kern.copies * kern.weight
 
-    def dot(x, y):
-        return float(np.sum(c * x * y))
-
-    def normalized(v):
+    def state(v):
+        # v at unit mass, its quotient, its eigen-equation residual
+        # vector and that vector's sup-norm
         nv = (h * float(np.sum(c * np.abs(v) ** p))) ** (1.0 / p)
         if nv == 0.0:
             raise SolverError("eigen iteration degenerated to zero")
-        return v / nv
+        v = v / nv
+        Av = apply_operator(kern, v, p) / kern.weight
+        R = float(np.sum(c * Av * v))
+        rvec = Av - R * h * odd_power(v, p)
+        return v, R, rvec, _sup(rvec)
 
-    def operator(v):
-        return apply_operator(kern, v, p) / kern.weight
-
-    def newton_step(u, R, rvec, residual):
-        # damped Newton on the bordered system (u has unit mass, so the
-        # normalization row of F is zero); None if no trial lowers the
-        # residual or the system is singular
+    u, R, rvec, residual = state(u)
+    iterations = 0
+    while iterations < opts.max_iter and residual > opts.tol * max(1.0, R):
+        # u has unit mass, so the normalization row of F is zero
         try:
             d = np.linalg.solve(_eigen_jacobian(kern, p, u, R),
                                 -np.append(rvec, 0.0))[:-1]
         except np.linalg.LinAlgError:
-            return None
-        t = 1.0
+            break
+        # no trial is longer than the iterate
+        nu, nd = float(np.linalg.norm(u)), float(np.linalg.norm(d))
+        t = 1.0 if nd <= nu else nu / nd
         for _half in range(NEWTON_HALVINGS):
-            v = normalized(np.abs(u + t * d))
-            Av = operator(v)
-            R_v = dot(Av, v)
-            if _sup(Av - R_v * h * odd_power(v, p)) < residual:
-                return v, Av, R_v
+            trial = state(np.abs(u + t * d))
+            if trial[3] < residual:
+                break
             t *= BACKTRACK
-        return None
-
-    u = normalized(u)
-    Au = operator(u)
-    R = dot(Au, u)
-    step = 1.0
-    du = dg = None
-    iterations = 0
-    best = mark = np.inf
-    newton_below = np.inf
-    while iterations < opts.max_iter:
-        rvec = Au - R * h * odd_power(u, p)
-        residual = _sup(rvec)
-        target = opts.tol * max(1.0, R)
-        if residual <= target:
-            break
-        best = min(best, residual)
-        if iterations % STALL_WINDOW == 0:
-            # stalled, or too slow: at the last window's rate the best
-            # residual would still miss the target at max_iter
-            left = (opts.max_iter - iterations) / STALL_WINDOW
-            if iterations and (best > 0.99 * mark
-                               or best * (best / mark) ** left > target):
-                break
-            mark = best
-        if residual <= min(newton_below, NEWTON_FROM * max(1.0, R)):
-            moved = newton_step(u, R, rvec, residual)
-            if moved is not None:
-                u, Au, R = moved
-                du = dg = None
-                iterations += 1
-                continue
-            # descend from here, and gain a decade before the next try
-            newton_below = 0.1 * residual
-        grad = p * rvec
-        if du is not None:
-            sy = dot(du, dg)
-            if sy > 0.0:
-                step = dot(du, du) / sy
-        step = min(max(step, STEP_MIN), STEP_MAX)
-        gg = dot(grad, grad)
-        while step > 1e-20:
-            v = normalized(np.abs(u - step * grad))
-            Av = operator(v)
-            R_try = dot(Av, v)
-            grad_new = p * (Av - R_try * h * odd_power(v, p))
-            if ARMIJO * step * gg > _rounding(R):
-                if R_try <= R - ARMIJO * step * gg:
-                    break
-            elif _slope_accepts(R, R_try, -dot(grad_new, grad), -gg):
-                break
-            step *= BACKTRACK
         else:
-            break
-        du, dg = v - u, grad_new - grad
-        u, Au, R = v, Av, R_try
+            break       # no trial lowers the residual
+        u, R, rvec, residual = trial
         iterations += 1
     return u, iterations
 

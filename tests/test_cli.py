@@ -83,6 +83,29 @@ def test_zero_starts_is_a_config_error(tmp_path, outdir, capsys):
     assert not os.path.exists(outdir)
 
 
+def test_zero_trials_is_a_config_error(tmp_path, outdir, capsys):
+    # with no operator trial the mon-* checks passed on nothing
+    cfg = write_config(tmp_path / "run.cfg", trials=0)
+    code = main(["verify", "--config", cfg, "--out", outdir])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "trials must be at least 1" in err
+    assert not os.path.exists(outdir)
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_negative_seed_is_a_config_error(tmp_path, outdir, capsys, command):
+    # numpy rejects a negative seed only once the run is under way
+    cfg = write_config(tmp_path / "run.cfg")
+    code = main([command, "--config", cfg, "--out", outdir, "--seed", "-1"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "seed must be at least 0" in err
+    assert not os.path.exists(outdir)
+
+
 def test_bad_threads_env(tmp_path, outdir, capsys, monkeypatch):
     monkeypatch.setenv("FRACBIF_THREADS", "many")
     cfg = write_config(tmp_path / "run.cfg", **{"mesh.n": 24})

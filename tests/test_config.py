@@ -48,6 +48,13 @@ def test_resolve_precedence():
     assert cfg2.seed == 5
 
 
+@pytest.mark.parametrize("field,value", [("seed", -1), ("trials", 0),
+                                         ("trials", -5)])
+def test_resolve_rejects_out_of_range_values(field, value):
+    with pytest.raises(ConfigError, match=field):
+        resolve({"p": 3.0}, {field: value})
+
+
 def test_config_hash_tracks_numbers_not_destinations():
     a = resolve({"p": 3.0, "s": 0.3})
     b = resolve({"p": 3.0, "s": 0.3, "out": "elsewhere", "threads": 8})

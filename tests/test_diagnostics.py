@@ -68,6 +68,13 @@ def test_operator_properties_hold(p):
     assert out["worst"]["mon-ii"] > 1e-14
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_operator_properties_need_a_trial(trials):
+    kern = KernelMatrix.from_sigma(build_mesh(-1.0, 1.0, 16), 0.55)
+    with pytest.raises(ParameterError, match="trials"):
+        verify_operator_properties(kern, 2.0, trials=trials)
+
+
 def test_operator_properties_catch_broken_kernel():
     mesh = build_mesh(-1.0, 1.0, 16)
     kern = KernelMatrix.from_sigma(mesh, 0.55)

@@ -14,8 +14,8 @@ from fracbif import (KernelMatrix, MountainPassPath, ParameterError,
                      with_lambda)
 from fracbif import solvers
 from fracbif.reaction import F_values, f_values
-from fracbif.solvers import (_batch_energy, _descend, _eigen_descent,
-                             _eigen_jacobian, default_starts)
+from fracbif.solvers import (_batch_energy, _descend, _eigen_jacobian,
+                             _eigen_newton, default_starts)
 
 
 def make_params(p, lam=2.0):
@@ -258,11 +258,10 @@ def test_principal_eigenpair_matches_dense_matrix():
 def test_principal_eigenpair_below_two_reports_honestly():
     """For 1 < p < 2 the quotient is C1 but not C2 (the operator kink
     sits at equal neighbor values, which the flat top of the
-    eigenfunction comes close to), so for p near 1 the Newton steps fail
-    and the descent's residual can plateau, even in the even subspace:
-    here the stall rule gives up at 2000 iterations, and with the rule
-    off the run still misses the target after 50000 (residual 5.6e-6).
-    The report must then say converged=False rather than pretend."""
+    eigenfunction comes close to), so for p near 1 the Newton steps can
+    stop short, even in the even subspace: here no trial lowers the
+    residual after 203 steps, at residual 5.6e-6.  The report must then
+    say converged=False rather than pretend."""
     mesh = build_mesh(-1.0, 1.0, 64)
     kern = KernelMatrix.from_sigma(mesh, 0.2)
     opts = dataclasses.replace(SolverOptions(), max_iter=20000)
@@ -275,20 +274,16 @@ def test_principal_eigenpair_below_two_reports_honestly():
 
 
 def test_principal_eigenpair_gives_up_on_a_slow_residual():
-    # p = 1.15: the Newton steps stop short and the descent's best
-    # residual falls by about 1.5 % per window of 1000 iterations, a
-    # rate that would not reach the target within max_iter = 50000, so
-    # the stall rule's rate test stops the run at 2000 iterations and
-    # says so
-    # (with the rule off the run still misses the target at 50000,
-    # residual 2.8e-4, with the same value to 2e-15);
-    # the value has settled to 1e-7 and the reported residual is the
-    # full-space one
+    # p = 1.15: after 30 Newton steps no trial length lowers the
+    # residual, and the run stops there and says so rather than spend
+    # max_iter; a descent run on to 50000 iterations also missed the
+    # target (residual 2.8e-4) at the same value to 2e-15, so the value
+    # has settled to 1e-7; the reported residual is the full-space one
     mesh = build_mesh(-1.0, 1.0, 53)
     kern = KernelMatrix.from_sigma(mesh, 0.1)
     res = principal_eigenpair(kern, 1.15)
     assert not res.converged
-    assert res.iterations <= 10000
+    assert res.iterations <= 100
     assert 1e-9 < res.residual < 1e-3
     assert res.value == pytest.approx(41.4640842301, rel=1e-7)
     u = res.eigenfunction.values
@@ -329,9 +324,9 @@ def test_eigen_jacobian_matches_central_differences(p, n):
 
 
 def test_principal_eigenpair_newton_finish_converges_below_two():
-    # the descent alone stopped here at 6000 iterations with residual
-    # 5.9e-4; the Newton steps converge to the value the descent reaches
-    # with its stall rule off
+    # a gradient descent on the Rayleigh quotient stopped here at 6000
+    # iterations with residual 5.9e-4; the Newton steps converge to the
+    # value that descent reached when run on without a stall test
     mesh = build_mesh(-1.0, 1.0, 47)
     kern = KernelMatrix.from_sigma(mesh, 0.1)
     res = principal_eigenpair(kern, 1.35)
@@ -341,25 +336,51 @@ def test_principal_eigenpair_newton_finish_converges_below_two():
     assert np.all(res.eigenfunction.values > 0.0)
 
 
-def test_principal_eigenpair_falls_back_to_descent_on_a_singular_system(
-        monkeypatch):
+def test_principal_eigenpair_stops_on_a_singular_system(monkeypatch):
+    # with no Newton step to take the iteration stops where it started,
+    # and the report says so, measured on the full kernel
     mesh = build_mesh(-1.0, 1.0, 40)
     kern = KernelMatrix.from_sigma(mesh, 0.4)
-    with monkeypatch.context() as patch:
-        patch.setattr(solvers, "NEWTON_FROM", 0.0)   # never tries Newton
-        descent = principal_eigenpair(kern, 3.0)
-    assert principal_eigenpair(kern, 3.0).iterations < descent.iterations
+    p = 3.0
+    u = mirror_unfold(mirror_fold((mesh.dist / np.max(mesh.dist)) ** (0.4 / p)),
+                      mesh.n)
+    u /= (mesh.h * np.sum(u ** p)) ** (1.0 / p)
+    Au = apply_operator(kern, u, p)
+    start = np.max(np.abs(Au - float(Au @ u) * mesh.h * odd_power(u, p)))
 
     def singular(*args):
         raise np.linalg.LinAlgError("Singular matrix")
 
     monkeypatch.setattr(np.linalg, "solve", singular)
-    res = principal_eigenpair(kern, 3.0)
-    assert descent.converged and res.converged
-    assert res.iterations == descent.iterations
-    assert res.value == descent.value
-    assert np.array_equal(res.eigenfunction.values,
-                          descent.eigenfunction.values)
+    res = principal_eigenpair(kern, p)
+    assert not res.converged
+    assert res.iterations == 0
+    assert res.residual == pytest.approx(start, rel=1e-12)
+    assert res.residual > 1e-9 * res.value
+
+
+def test_principal_eigenpair_caps_the_newton_step_at_the_iterate():
+    # the first Newton step here is longer than the iterate; taken from
+    # t = 1 the damped iteration stops at residual 0.125 after 3 steps
+    kern = KernelMatrix.from_sigma(build_mesh(-1.0, 1.0, 32), 0.3)
+    res = principal_eigenpair(kern, 4.0)
+    assert res.converged
+    assert res.value == pytest.approx(13.838709734532612, rel=1e-10)
+    assert np.all(res.eigenfunction.values > 0.0)
+
+
+def test_principal_eigenpair_converges_on_the_sweep():
+    # every mesh of the 128-mesh sweep, singular (p < 2) and degenerate
+    # (p > 2) alike, converges to a positive eigenfunction of unit mass
+    for p in (1.3, 1.4, 1.5, 1.6, 1.8, 2.5, 3.0, 4.0):
+        for n in (17, 32, 47, 64):
+            mesh = build_mesh(-1.0, 1.0, n)
+            for sigma in (0.1, 0.3, 0.5, 0.7):
+                res = principal_eigenpair(KernelMatrix.from_sigma(mesh, sigma), p)
+                assert res.converged, (p, n, sigma)
+                u = res.eigenfunction.values
+                assert np.all(u > 0.0), (p, n, sigma)
+                assert mesh.h * np.sum(u ** p) == pytest.approx(1.0, rel=1e-12)
 
 
 @pytest.mark.parametrize("p,n,sigma", [
@@ -370,8 +391,8 @@ def test_principal_eigenpair_falls_back_to_descent_on_a_singular_system(
 def test_principal_eigenpair_below_two_converges_when_even(p, n, sigma):
     # the full-space iteration stalled on every one of these meshes; in
     # the even subspace the mirror ties u_i = u_(n-1-i) are gone, and
-    # the last one, where the descent alone still gave up, converges
-    # with the Newton steps
+    # the last one, where a gradient descent on the Rayleigh quotient
+    # still gave up, converges with the Newton steps
     mesh = build_mesh(-1.0, 1.0, n)
     kern = KernelMatrix.from_sigma(mesh, sigma)
     res = principal_eigenpair(kern, p)
@@ -418,14 +439,14 @@ def test_folded_minimize_matches_full_descent_at_odd_n():
     assert np.max(np.abs(u - full)) <= 1e-7 * np.max(u)
 
 
-def test_eigen_descent_on_a_full_kernel_keeps_full_space_terms():
+def test_eigen_newton_on_a_full_kernel_keeps_full_space_terms():
     # the loop weighs node sums by KernelMatrix.copies * weight, so on
     # an unfolded kernel it is the plain full-space iteration
     mesh = build_mesh(-1.0, 1.0, 40)
     kern = KernelMatrix.from_sigma(mesh, 0.4)
     res = principal_eigenpair(kern, 2.0)
-    u, _ = _eigen_descent(kern, 2.0, (mesh.dist / np.max(mesh.dist)) ** 0.2,
-                          SolverOptions())
+    u, _ = _eigen_newton(kern, 2.0, (mesh.dist / np.max(mesh.dist)) ** 0.2,
+                         SolverOptions())
     assert mesh.h * np.sum(u ** 2) == pytest.approx(1.0, rel=1e-12)
     assert np.max(np.abs(u - res.eigenfunction.values)) <= 1e-6 * np.max(u)
 
