@@ -1,8 +1,10 @@
 """Locate the existence threshold and trace the solution branch.
 
 Below some critical reaction strength lambda* the only solution is
-zero; above it two positive solutions appear.  This script brackets
-lambda* by bisection on "does a nontrivial minimizer exist", checks
+zero; above it two positive solutions appear.  This script prints the
+closed-form lower bound on lambda* that the principal eigenfunction
+proves, brackets lambda* by bisection on "does a nontrivial minimizer
+exist" (answered without a search below that bound), checks
 the bracket by following the branch down from its upper end with warm
 starts (it must die at the lower end), and then walks the branch
 upward printing both solution sizes.  A small mesh keeps the whole run
@@ -14,7 +16,8 @@ import argparse
 import numpy as np
 
 from fracbif import (KernelMatrix, build_diagram, build_mesh,
-                     principal_eigenpair, validate_params)
+                     lambda_lower_bound, principal_eigenpair,
+                     validate_params)
 
 
 def main():
@@ -32,8 +35,11 @@ def main():
 
     eig = principal_eigenpair(kern, params.p)
     print("principal eigenvalue lambda_1 = %.6f" % eig.value)
-    print("the threshold cannot sit below min(1, lambda_1) = %.6f"
-          % min(1.0, eig.value))
+    low = lambda_lower_bound(kern, params, eigenpair=eig)
+    if low is None:
+        print("no nonexistence certificate from this eigenfunction")
+    else:
+        print("zero is the only solution below lambda_low = %.6f" % low)
     print()
 
     grid = np.linspace(args.lo + 1.0, args.hi + 4.0, 6)
@@ -41,9 +47,10 @@ def main():
                             seed=args.seed)
     rec = diagram.method_record
     print("bisection bracket  [%.6f, %.6f]" % tuple(rec["bisection_bracket"]))
-    print("lambda* estimate   %.6f  (bracket width %.4f, %d solves)"
+    print("lambda* estimate   %.6f  (bracket width %.4f, %d predicates, "
+          "%d settled by the bound)"
           % (diagram.lambda_star_estimate, diagram.bracket_width,
-             rec["predicate_evaluations"]))
+             rec["predicate_evaluations"], rec["certified_predicates"]))
     if rec["fold_bracket"] is not None:
         print("warm-start fold    [%.6f, %.6f]" % tuple(rec["fold_bracket"]))
         print("fold vs bisection  %.1f%% apart" % (100.0 * rec["agreement_rel"]))

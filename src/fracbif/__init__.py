@@ -28,7 +28,8 @@ from .diagnostics import (DiagnosticReport, boundary_ratios, check_ordering,
                           verify_energy_bound, verify_operator_properties)
 from .bifurcation import (BifurcationDiagram, BranchPoint, biggest_solution,
                           build_diagram, continue_branch,
-                          estimate_lambda_star, solve_at_lambda)
+                          estimate_lambda_star, lambda_lower_bound,
+                          solve_at_lambda)
 from .config import RunConfig, ConfigError, config_hash, parse_config_file, resolve
 from .verify import (pair_weight_quadrature, run_verification,
                      tail_weight_quadrature)

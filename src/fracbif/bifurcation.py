@@ -5,9 +5,12 @@ threshold a pair of ordered positive solutions appears (an energy
 minimizer and a mountain-pass point below it).  The threshold is
 bracketed by bisection on the predicate "multi-start minimization
 finds a converged nontrivial solution", down to a requested width.
-Warm starts then follow the branch down from the bracket's upper end:
-it must die at the lower end, or the multi-start missed it there and
-a warning says where it died.
+Below a closed-form lower bound lambda_low (lambda_lower_bound: the
+principal eigenfunction and the discrete Picone inequality prove that
+zero is the only solution there) the predicate is answered without a
+search.  Warm starts then follow the branch down from the bracket's
+upper end: it must die at the lower end, or the multi-start missed it
+there and a warning says where it died.
 """
 
 from dataclasses import dataclass
@@ -21,6 +24,9 @@ from .reaction import ReactionModel, f_values
 from .solvers import (SaddleNotFound, SolverError, SolverOptions,
                       find_saddle, minimize, minimize_multistart,
                       principal_eigenpair, select_solution, solve_above)
+
+
+BOUND_MARGIN = 1e-10     # relative shrink of lambda_low, for the rounding of mu
 
 
 @dataclass
@@ -140,33 +146,96 @@ def continue_branch(kern, params, lam_grid, opts=None, seed=0, threads=1,
                               method_record=record)
 
 
+def lambda_lower_bound(kern, params, opts=None, eigenpair=None):
+    """Reaction strength lambda_low below which zero is the only
+    solution on kern, or None where no certificate is possible.
+
+    Let phi > 0 be principal_eigenpair's eigenfunction on kern (or that
+    of the eigenpair given) and mu = min_i A(phi)_i / (h phi_i^(p-1)).
+    For a symmetric kernel with K, T >= 0 the discrete Picone
+    inequality (Brasco and Franzina, Kodai Math. J. 37, 2014) gives,
+    for every u >= 0,
+
+        sum_i A(phi)_i u_i^p / phi_i^(p-1) <= pairing(A(u), u),
+
+    so mu h sum u^p <= pairing(A(u), u).  A solution is nonnegative
+    (the reaction vanishes for t <= 0), and at one
+
+        pairing(A(u), u) = h sum f(u_i) u_i <= G(lam) h sum u_i^p,
+        G(lam) = max_t f(t) / t^(p-1)
+               = (q-r)/(p-q) (lam (p-q)/(p-r))^((p-r)/(q-r)),
+
+    the maximum taken at t* = ((p-r) / (lam (p-q)))^(1/(q-r)).  A
+    nontrivial solution therefore needs G(lam) >= mu, that is
+
+        lam >= lambda_low = (p-r)/(p-q) (mu (p-q)/(q-r))^((q-r)/(p-r)).
+
+    This holds for any positive phi, converged or not, for p above and
+    below 2; the nearer phi is to the eigenfunction, the nearer mu is
+    to the eigenvalue and lambda_low to the threshold.  The value
+    returned is shrunk by the relative margin BOUND_MARGIN, which covers
+    the rounding of mu.  None is returned for a kernel that is not
+    symmetric with K, T >= 0, for a phi with a node that is not
+    positive, and for mu <= 0.
+    """
+    if eigenpair is None:
+        eigenpair = principal_eigenpair(kern, params.p, opts)
+    phi = eigenpair.eigenfunction.values
+    p, q, r = params.p, params.q, params.r
+    # a node that is not positive (or whose power underflows) leaves a
+    # zero here
+    den = kern.mesh.h * np.maximum(phi, 0.0) ** (p - 1.0)
+    if not (np.array_equal(kern.K, kern.K.T) and np.all(kern.K >= 0.0)
+            and np.all(kern.T >= 0.0) and np.all(den > 0.0)):
+        return None
+    mu = float(np.min(apply_operator(kern, phi, p) / den))
+    if not mu > 0.0:
+        return None
+    lam = (p - r) / (p - q) * (mu * (p - q) / (q - r)) ** ((q - r) / (p - r))
+    return (1.0 - BOUND_MARGIN) * lam
+
+
 def estimate_lambda_star(kern, params, bracket, opts=None, seed=0, threads=1):
     """Bisection estimate of the existence threshold, checked by warm
     starts at the bisection's own bracket (lo, hi).
 
-    From the solution at hi, warm starts run at hi - (hi - lo) 2^k for
-    k = 0..7 while above zero, until one collapses: the fold bracket is
-    (that lambda, the last one alive), so (lo, hi) if the bisection is
-    right.  A branch alive at lo, or never dead (fold bracket None), warns.
+    The principal eigenpair is solved once, for lambda_lower_bound; a
+    predicate at a lambda below that bound is answered "zero only"
+    without a multi-start.  From the solution at hi, warm starts run at
+    hi - (hi - lo) 2^k for k = 0..7 while above zero, until one
+    collapses: the fold bracket is (that lambda, the last one alive),
+    so (lo, hi) if the bisection is right.  A branch alive at lo, or
+    never dead (fold bracket None), warns.
 
     Returns a BifurcationDiagram carrying only the estimate fields and
-    a method record (bisection and fold brackets, the fold midpoint and
-    its relative distance from the estimate, warnings, predicate count).
+    a method record: the bisection and fold brackets, the fold midpoint
+    and its relative distance from the estimate, warnings, the number
+    of lambdas the predicate decided (predicate_evaluations), the bound
+    (lambda_lower_bound, None without a certificate) and how many of
+    those lambdas it decided alone (certified_predicates).
     """
     opts = opts or SolverOptions()
     lo, hi = float(bracket[0]), float(bracket[1])
     if not 0.0 < lo < hi:
         raise ParameterError("bracket must satisfy 0 < lo < hi, got %r" % (bracket,))
+    eig = principal_eigenpair(kern, params.p, opts)
+    lam_low = lambda_lower_bound(kern, params, eigenpair=eig)
     cache = {}
+
+    def certified(lam):
+        # zero is the only solution below the bound
+        return lam_low is not None and lam < lam_low
 
     def nontrivial_at(lam):
         if lam not in cache:
-            pr = with_lambda(params, lam)
-            reports = minimize_multistart(kern, ReactionModel.plain(pr), opts,
-                                          seed=seed, threads=threads,
-                                          stop_at_nontrivial=True)
-            cache[lam] = next((r for r in reports
-                               if _nontrivial(r, opts.zero_tol)), None)
+            cache[lam] = None
+            if not certified(lam):
+                pr = with_lambda(params, lam)
+                reports = minimize_multistart(kern, ReactionModel.plain(pr),
+                                              opts, seed=seed, threads=threads,
+                                              stop_at_nontrivial=True)
+                cache[lam] = next((r for r in reports
+                                   if _nontrivial(r, opts.zero_tol)), None)
         return cache[lam]
 
     if nontrivial_at(lo):
@@ -184,7 +253,6 @@ def estimate_lambda_star(kern, params, bracket, opts=None, seed=0, threads=1):
             if nontrivial_at(hi):
                 break
         else:
-            eig = principal_eigenpair(kern, params.p, opts)
             raise SolverError(
                 "no nontrivial solution up to lambda=%g; the threshold lies "
                 "above min(1, eigenvalue)=%g, raise the bracket"
@@ -222,7 +290,9 @@ def estimate_lambda_star(kern, params, bracket, opts=None, seed=0, threads=1):
     record = {"bisection_bracket": (lo, hi),
               "fold_bracket": fold, "fold_estimate": fold_estimate,
               "agreement_rel": agreement, "warnings": warnings,
-              "predicate_evaluations": len(cache)}
+              "predicate_evaluations": len(cache),
+              "lambda_lower_bound": lam_low,
+              "certified_predicates": sum(map(certified, cache))}
     return BifurcationDiagram(points=[], lambda_star_estimate=estimate,
                               bracket_width=hi - lo, method_record=record)
 

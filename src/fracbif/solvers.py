@@ -18,7 +18,7 @@ takes damped Newton steps on the bordered eigen system (the eigen
 equation plus the normalization, solved for the eigenfunction and the
 eigenvalue together with the exact Hessian of the operator) from its
 first iterate, each accepted only if the residual falls, and gives up
-once no step lowers it.
+once no step lowers it or the residual has stopped moving.
 find_saddle runs a mountain-pass search on the capped energy between
 the zero function and a known minimizer: the maximal-energy point of a
 piecewise-linear path is pushed downhill, with the path redistributed
@@ -75,6 +75,8 @@ class SaddleNotFound(SolverError):
 
 
 NEWTON_HALVINGS = 8     # step lengths t, t/2, ... an eigen Newton step may try
+STALL_WINDOW = 20       # eigen Newton steps over which the residual must fall
+STALL_DECREASE = 5e-3   # by this fraction, or the eigen iteration gives up
 SADDLE_ROUNDS = 60      # min-max Newton steps the saddle finish may take
 ARMIJO = 1e-4           # sufficient-decrease fraction of every line search
 BACKTRACK = 0.5         # step shrink factor while backtracking
@@ -245,8 +247,8 @@ def minimize(kern, model, u0, opts=None):
 
     Every step builds the exact Hessian H (total_hessian) and takes
     d = -|H|^-1 g, where |H| is H with each eigenvalue c replaced by
-    max(|c|, 1e-9 max|c|): the Newton step where H is positive definite
-    (solved through its Cholesky factor), and elsewhere a descent
+    max(|c|, 1e-9 max|c|): the Newton step where a Cholesky
+    factorization shows H positive definite, and elsewhere a descent
     direction that moves away from saddles along the negative modes
     (saddle-free Newton, Dauphin et al., NeurIPS 2014; modified Newton,
     Nocedal and Wright, Numerical Optimization, section 3.4).  Each
@@ -270,9 +272,12 @@ def minimize(kern, model, u0, opts=None):
     return _report(kern, model, u, iterations, opts.tol, cls)
 
 
-def _descend(kern, model, u0, opts):
+def _descend(kern, model, u0, opts, shift=0.0):
     """minimize's descent on a folded (or full) kernel; returns the
-    point reached and the number of accepted steps."""
+    point reached and the number of accepted steps.  The stopping test
+    reads the energy scale of E + shift, so a caller whose model's
+    energy differs from the reported one by a constant can stop on the
+    reported scale."""
     # Inside the box max(u) < delta the reaction primitive is <= 0, so
     # the energy is >= 0 there while energy(0) = 0, and pairing the
     # operator with u+ shows zero is the only critical point in the
@@ -290,14 +295,14 @@ def _descend(kern, model, u0, opts):
         t = 1.0
         while t > 1e-20:
             u_new = u + t * d
+            E_new, g_new = _energy_and_gradient(kern, model, u_new)
             decrease = -ARMIJO * t * gd
             if decrease > _rounding(E):
-                if total_energy(kern, model, u_new) <= E - decrease:
-                    return (u_new,) + _energy_and_gradient(kern, model, u_new)
+                accepted = E_new <= E - decrease
             else:
-                E_new, g_new = _energy_and_gradient(kern, model, u_new)
-                if _slope_accepts(E, E_new, float(g_new @ d), gd):
-                    return u_new, E_new, g_new
+                accepted = _slope_accepts(E, E_new, float(g_new @ d), gd)
+            if accepted:
+                return u_new, E_new, g_new
             t *= BACKTRACK
         return None
 
@@ -312,15 +317,17 @@ def _descend(kern, model, u0, opts):
                 break
             H = total_hessian(kern, model, u)
             try:
-                L = np.linalg.cholesky(H)
+                np.linalg.cholesky(H)       # succeeds iff H is positive definite
             except np.linalg.LinAlgError:
                 curv, Q = np.linalg.eigh(H)
                 curv = np.abs(curv)
                 d = -(Q @ ((Q.T @ g) / np.maximum(curv, 1e-9 * np.max(curv))))
             else:
-                if _residual(kern, g) <= opts.tol * _scale(kern, E):
+                if _residual(kern, g) <= opts.tol * _scale(kern, E + shift):
                     break
-                d = -np.linalg.solve(L.T, np.linalg.solve(L, g))
+                # numpy has no triangular solve: one general solve of H
+                # costs less than two through the Cholesky factor
+                d = -np.linalg.solve(H, g)
             gd = float(g @ d)
             moved = search(d, gd) if gd < 0.0 else None
             if moved is None:
@@ -404,8 +411,16 @@ def solve_above(kern, params, subsol, opts=None):
     worst = float(np.max(slack))
     if worst > 1e-6 * max(1.0, _sup(subsol)):
         warnings.warn("anchor violates the subsolution inequality by %.3e" % worst)
+    folded = kern.fold()
     model = ReactionModel.floored(params, subsol).fold()
-    w, iterations = _descend(kern.fold(), model, mirror_fold(subsol), opts)
+    # above the anchor the floored primitive differs from the plain one
+    # by a constant, so the energies differ by their difference at the
+    # anchor: the descent stops on the scale of the plain energy, which
+    # the report is measured on
+    shift = -folded.mesh.h * float(np.sum(folded.weight * (
+        F_values(plain, model.anchor) - F_values(model, model.anchor))))
+    w, iterations = _descend(folded, model, mirror_fold(subsol), opts, shift)
+    del folded
     u = mirror_unfold(w, kern.n)
     pin = float(np.min(u - subsol))
     if pin < -1e-6 * max(1.0, _sup(subsol)):
@@ -432,10 +447,12 @@ def principal_eigenpair(kern, p, opts=None, start=None):
     longer than the iterate, and it tries up to NEWTON_HALVINGS lengths
     t, t/2, t/4, ...; a trial is accepted only if the residual falls.
     iterations counts the accepted steps.  Gives up, with
-    converged=False, when the system is singular or no trial is
-    accepted (for p near 1 the linear model misses the kink of the
-    operator near the flat top of the eigenfunction, and the residual
-    can stop short of tol).  The iteration runs in the even subspace
+    converged=False, when the system is singular, when no trial is
+    accepted, or when the residual has fallen by less than the fraction
+    STALL_DECREASE over the last STALL_WINDOW steps (for p near 1 the
+    linear model misses the kink of the operator near the flat top of
+    the eigenfunction, and the residual can stop short of tol, or crawl
+    towards a plateau above it).  The iteration runs in the even subspace
     from the mirror average of the start; the value and the residual of
     the result are measured on kern, after the folded kernel is
     released.
@@ -478,7 +495,11 @@ def _eigen_newton(kern, p, u, opts):
 
     u, R, rvec, residual = state(u)
     iterations = 0
+    history = [residual]
     while iterations < opts.max_iter and residual > opts.tol * max(1.0, R):
+        if (iterations >= STALL_WINDOW and residual
+                > (1.0 - STALL_DECREASE) * history[-1 - STALL_WINDOW]):
+            break       # the residual has stopped moving
         # u has unit mass, so the normalization row of F is zero
         try:
             d = np.linalg.solve(_eigen_jacobian(kern, p, u, R),
@@ -497,6 +518,7 @@ def _eigen_newton(kern, p, u, opts):
             break       # no trial lowers the residual
         u, R, rvec, residual = trial
         iterations += 1
+        history.append(residual)
     return u, iterations
 
 

@@ -2,7 +2,8 @@
 
 Re-derives the kernel weights by numerical quadrature (independent of
 the closed form), finite-differences the energy gradient, re-solves the
-p=2 eigenproblem densely, and scans the reaction inequalities.  Each
+p=2 eigenproblem densely, and scans the reaction inequalities (among
+them the one behind the closed-form nonexistence bound lambda_low).  Each
 check returns (name, passed, detail); the command exits nonzero if any
 fails.  Evidence that several checks read (the kernel comparison, the
 operator-property trials) is computed once and shared; a step that
@@ -27,6 +28,7 @@ from functools import cache, partial
 import numpy as np
 
 from .core import build_mesh, validate_params, with_lambda
+from .bifurcation import lambda_lower_bound
 from .diagnostics import (gradient_check, verify_energy_bound,
                           verify_operator_properties)
 from .kernel import KernelMatrix, apply_operator, pairing, seminorm_energy
@@ -229,17 +231,30 @@ def run_verification(cfg, kernel_hook=None):
                 "max f on [0, delta] = %.2e, f(2 delta) = %.2e" % (worst, past))
 
     def nonexistence():
+        # the closed-form lambda_low of lambda_lower_bound is where the
+        # scanned reaction first rises above mu t^(p-1), with mu measured
+        # here from the eigenfunction
         mesh = build_mesh(-1.0, 1.0, 64)
         kern = make_kernel(mesh, sigma)
         eig = principal_eigenpair(kern, params.p, quick)
         if not eig.converged:
             return False, "eigen solve did not converge"
-        eps = 0.9 * eig.value
-        lam0 = min(1.0, eps)
-        pr = with_lambda(params, 0.5 * lam0)
-        slack = scan_reaction_slack(pr, eps)
-        return slack <= 0.0, ("max f - eps t^(p-1) over scan = %.2e "
-                              "(lambda0 = %.4g)" % (slack, lam0))
+        lam_low = lambda_lower_bound(kern, params, eigenpair=eig)
+        if lam_low is None:
+            return False, "no nonexistence certificate for this kernel"
+        p, q, r = params.p, params.q, params.r
+        phi = eig.eigenfunction.values
+        mu = float(np.min(apply_operator(kern, phi, p)
+                          / (mesh.h * phi ** (p - 1.0))))
+        slack = []
+        for lam in ((1.0 - 1e-6) * lam_low, 1.001 * lam_low):
+            # the scan covers the maximiser of f(t) / t^(p-1)
+            t_star = ((p - r) / (lam * (p - q))) ** (1.0 / (q - r))
+            slack.append(scan_reaction_slack(with_lambda(params, lam), mu,
+                                             t_max=3.0 * t_star))
+        return slack[0] <= 0.0 < slack[1], (
+            "max f - mu t^(p-1) over scan = %.2e below lambda_low = %.6g, "
+            "%.2e above (mu = %.6g)" % (slack[0], lam_low, slack[1], mu))
 
     def energy_bound():
         mesh = build_mesh(-1.0, 1.0, 48)

@@ -1,12 +1,31 @@
 import numpy as np
 import pytest
 
-from fracbif import (ParameterError, ReactionModel, SolverError,
-                     assemble_kernel, build_diagram, build_mesh,
-                     biggest_solution, continue_branch, estimate_lambda_star,
-                     find_saddle, minimize_multistart, select_solution,
-                     solve_at_lambda, validate_params, with_lambda)
+from fracbif import (KernelMatrix, ParameterError, ReactionModel,
+                     SolverError, apply_operator, assemble_kernel,
+                     build_diagram, build_mesh, biggest_solution,
+                     continue_branch, estimate_lambda_star, find_saddle,
+                     lambda_lower_bound, minimize_multistart,
+                     principal_eigenpair, scan_reaction_slack,
+                     select_solution, solve_at_lambda, validate_params,
+                     with_lambda)
 from fracbif import bifurcation
+
+# exponent sets (p, s, q, r) with the bracket their threshold search
+# starts from, on n = 32
+EXPONENT_SETS = [((3.0, 0.3, 2.5, 1.5), (5.0, 9.0)),
+                 ((1.8, 0.4, 1.6, 1.2), (5.0, 12.0)),
+                 ((4.0, 0.2, 3.0, 2.0), (2.0, 30.0)),
+                 ((2.0, 0.3, 1.7, 1.3), (2.0, 30.0)),
+                 ((1.5, 0.5, 1.3, 1.1), (2.0, 30.0)),
+                 ((2.5, 0.3, 2.0, 1.5), (2.0, 30.0)),
+                 ((3.0, 0.2, 2.0, 1.2), (2.0, 30.0))]
+
+
+def exponent_problem(exps, n=32, a=-1.0, b=1.0):
+    p, s, q, r = exps
+    params = validate_params({"p": p, "s": s, "q": q, "r": r, "lambda": 8.0})
+    return assemble_kernel(build_mesh(a, b, n), params), params
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +87,106 @@ def test_estimate_gives_up_on_hopeless_bracket(coarse_problem):
     # eight doublings of 2e-4 stay far below the threshold
     with pytest.raises(SolverError, match="no nontrivial solution"):
         estimate_lambda_star(kern, params, (1e-4, 2e-4), seed=0)
+
+
+def test_estimate_records_the_lower_bound(coarse_problem, coarse_estimate):
+    kern, params = coarse_problem
+    rec = coarse_estimate.method_record
+    assert rec["lambda_lower_bound"] == lambda_lower_bound(kern, params)
+    assert rec["lambda_lower_bound"] < rec["bisection_bracket"][1]
+    # the lambdas 5, 6 and 6.25 of the bisection from (5, 9) lie below it
+    assert rec["certified_predicates"] == 3
+
+
+@pytest.mark.parametrize("exps,bracket", EXPONENT_SETS)
+def test_lambda_lower_bound_is_where_the_reaction_scan_turns(exps, bracket):
+    # with eps = mu, f(t) <= eps t^(p-1) for every t exactly below the
+    # closed form, and not just above it; the bound stays below the
+    # bracket's upper end, and near its lower end
+    kern, params = exponent_problem(exps)
+    p, q, r = params.p, params.q, params.r
+    eig = principal_eigenpair(kern, p)
+    low = lambda_lower_bound(kern, params, eigenpair=eig)
+    phi = eig.eigenfunction.values
+    mu = np.min(apply_operator(kern, phi, p) / (kern.mesh.h * phi ** (p - 1.0)))
+    assert mu == pytest.approx(eig.value, rel=1e-8)
+    for lam, above in ((0.999999 * low, False), (1.001 * low, True)):
+        t_star = ((p - r) / (lam * (p - q))) ** (1.0 / (q - r))
+        slack = scan_reaction_slack(with_lambda(params, lam), mu,
+                                    t_max=3.0 * t_star)
+        assert (slack > 0.0) == above
+        assert slack >= 0.0      # f(0) = 0
+    rec = estimate_lambda_star(kern, params, bracket, seed=0).method_record
+    lo, hi = rec["bisection_bracket"]
+    assert rec["lambda_lower_bound"] == low
+    assert 0.999 * low <= lo and low < hi
+
+
+@pytest.mark.parametrize("bracket", [(5.0, 9.0), (0.6, 0.9)])
+def test_lower_bound_keeps_the_brackets_with_fewer_searches(
+        coarse_problem, monkeypatch, bracket):
+    kern, params = coarse_problem
+    seeing = bifurcation.minimize_multistart
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return seeing(*args, **kwargs)
+
+    monkeypatch.setattr(bifurcation, "minimize_multistart", counted)
+    with_bound = estimate_lambda_star(kern, params, bracket, seed=0)
+    searched = len(calls)
+    monkeypatch.setattr(bifurcation, "lambda_lower_bound",
+                        lambda *args, **kwargs: None)
+    calls.clear()
+    without = estimate_lambda_star(kern, params, bracket, seed=0)
+    on, off = with_bound.method_record, without.method_record
+    for key in ("bisection_bracket", "fold_bracket", "predicate_evaluations",
+                "warnings"):
+        assert on[key] == off[key], key
+    assert with_bound.lambda_star_estimate == without.lambda_star_estimate
+    assert off["lambda_lower_bound"] is None
+    assert off["certified_predicates"] == 0
+    assert on["certified_predicates"] >= 3
+    assert searched == len(calls) - on["certified_predicates"]
+
+
+def test_lambda_lower_bound_stretches_exactly():
+    # on (-L, L) the weights scale by L^(1-sigma) and h by L, so mu
+    # scales by L^-sigma and lambda_low by L^(-sigma (q-r)/(p-r))
+    exps = (3.0, 0.3, 2.5, 1.5)
+    narrow = lambda_lower_bound(*exponent_problem(exps, 64))
+    wide = lambda_lower_bound(*exponent_problem(exps, 64, -2.0, 2.0))
+    assert wide == pytest.approx(2.0 ** -0.6 * narrow, rel=1e-10)
+
+
+def test_multistart_below_the_lower_bound_finds_only_zero(coarse_problem):
+    kern, params = coarse_problem
+    low = lambda_lower_bound(kern, params)
+    reports = minimize_multistart(
+        kern, ReactionModel.plain(with_lambda(params, 0.999 * low)), seed=0)
+    assert len(reports) == 10
+    for rep in reports:
+        assert rep.converged and rep.classification == "zero"
+
+
+def test_lambda_lower_bound_needs_a_certificate(coarse_problem):
+    kern, params = coarse_problem
+    eig = principal_eigenpair(kern, params.p)
+    assert lambda_lower_bound(kern, params, eigenpair=eig) is not None
+    K = kern.K.copy()
+    K[0, 1] *= 1.5                      # not symmetric
+    assert lambda_lower_bound(KernelMatrix(K, kern.T, kern.sigma, kern.mesh),
+                              params, eigenpair=eig) is None
+    K = kern.K.copy()
+    K[0, 1] = K[1, 0] = -K[0, 1]        # a negative weight
+    assert lambda_lower_bound(KernelMatrix(K, kern.T, kern.sigma, kern.mesh),
+                              params, eigenpair=eig) is None
+    eig.eigenfunction.values[3] = 0.0   # a zero node
+    assert lambda_lower_bound(kern, params, eigenpair=eig) is None
+    # p = 6: the eigen solve stops at residual 7.8e-2, and mu = -21.9
+    kern6, params6 = exponent_problem((6.0, 0.1, 5.0, 4.0))
+    assert lambda_lower_bound(kern6, params6) is None
 
 
 def test_estimate_warns_when_the_bisection_misses_the_branch(

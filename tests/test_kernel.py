@@ -233,6 +233,27 @@ def oracle_values(n, rng):
 
 
 @pytest.mark.parametrize("toeplitz", [True, False])
+@pytest.mark.parametrize("p", [1.3, 1.8, 2.0, 3.0, 4.5])
+def test_discrete_picone_inequality(p, toeplitz):
+    # sum_i A(phi)_i u_i^p / phi_i^(p-1) <= pairing(A(u), u) for every
+    # phi > 0 and u >= 0 (Brasco and Franzina, Kodai Math. J. 37, 2014),
+    # with equality for u a multiple of phi: what lambda_lower_bound
+    # rests on
+    rng = np.random.default_rng(int(10 * p))
+    for n in (2, 5, 64):
+        kern = oracle_kernel(n, rng, toeplitz)
+        for _ in range(20):
+            phi = rng.uniform(0.05, 2.0, n)
+            phi[:n // 2] = phi[-1]              # ties in phi
+            u = np.abs(oracle_values(n, rng))   # ties and zeros in u
+            for v in (u, 0.7 * phi):
+                lhs = float(np.sum(apply_operator(kern, phi, p) * v ** p
+                                   / phi ** (p - 1.0)))
+                rhs = pairing(apply_operator(kern, v, p), v)
+                assert lhs <= rhs + 1e-12 * max(1.0, abs(rhs))
+
+
+@pytest.mark.parametrize("toeplitz", [True, False])
 @pytest.mark.parametrize("n", [1, 2, 5, 128, 1030])
 @pytest.mark.parametrize("p", [1.3, 2.0, 3.0, 4.5])
 def test_pairwise_energy_matches_dense_double_sum(p, n, toeplitz):

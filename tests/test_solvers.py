@@ -259,9 +259,11 @@ def test_principal_eigenpair_below_two_reports_honestly():
     """For 1 < p < 2 the quotient is C1 but not C2 (the operator kink
     sits at equal neighbor values, which the flat top of the
     eigenfunction comes close to), so for p near 1 the Newton steps can
-    stop short, even in the even subspace: here no trial lowers the
-    residual after 203 steps, at residual 5.6e-6.  The report must then
-    say converged=False rather than pretend."""
+    stop short, even in the even subspace: here the residual stops
+    moving at 5.6e-6, where the iteration gives up after 85 steps (it
+    ran on to 203, at the same residual to 0.1 %, before it watched for
+    that).  The report must then say converged=False rather than
+    pretend."""
     mesh = build_mesh(-1.0, 1.0, 64)
     kern = KernelMatrix.from_sigma(mesh, 0.2)
     opts = dataclasses.replace(SolverOptions(), max_iter=20000)
@@ -290,6 +292,24 @@ def test_principal_eigenpair_gives_up_on_a_slow_residual():
     full = np.max(np.abs(apply_operator(kern, u, 1.15)
                          - res.value * mesh.h * odd_power(u, 1.15)))
     assert res.residual == full
+
+
+@pytest.mark.parametrize("p,n,sigma,steps,final", [
+    (1.2, 256, 0.2, 906, 1.6411210761457795e-06),
+    (1.15, 47, 0.2, 570, 5.297847454721616e-05)])
+def test_principal_eigenpair_gives_up_once_the_residual_stops_moving(
+        p, n, sigma, steps, final):
+    # every step here still lowers the residual a little, so without a
+    # test on its progress the iteration ran `steps` steps to `final`;
+    # a residual that falls by less than STALL_DECREASE over
+    # STALL_WINDOW steps now ends it, near half as early and within 1 %
+    # of that residual
+    kern = KernelMatrix.from_sigma(build_mesh(-1.0, 1.0, n), sigma)
+    res = principal_eigenpair(kern, p)
+    assert not res.converged
+    assert res.iterations <= 0.6 * steps
+    assert final <= res.residual <= 1.01 * final
+    assert np.all(res.eigenfunction.values > 0.0)
 
 
 def eigen_system(kern, p, w, R):
@@ -585,8 +605,7 @@ def test_solve_above_newton_finish_keeps_the_pin(small_problem,
     kern, params = small_problem
     anchor = 0.9 * small_big_solution.solution.values
     # the reference runs to a tolerance tight enough to compare with at
-    # 1e-9 of sup: the stopping test reads the floored energy, whose
-    # scale here is 13 times the plain one
+    # 1e-9 of sup
     with pytest.warns(UserWarning, match="subsolution inequality"):
         ref = solve_above(kern, params, anchor, SolverOptions(tol=1e-12))
     with pytest.warns(UserWarning, match="subsolution inequality"):
@@ -596,6 +615,28 @@ def test_solve_above_newton_finish_keeps_the_pin(small_problem,
     assert float(np.min(u - anchor)) >= 0.0
     assert rep.iterations <= 10
     assert float(np.max(np.abs(u - ref.solution.values))) <= 1e-9 * np.max(u)
+
+
+@pytest.mark.filterwarnings("ignore:anchor violates the subsolution")
+@pytest.mark.parametrize("lam,n", [(8.0, 48), (12.5, 128), (8.0, 32),
+                                   (40.0, 64)])
+def test_solve_above_stops_on_the_plain_energy_scale(lam, n):
+    # the floored energy differs from the plain one by a constant above
+    # the anchor (|E_floored| = 14.1 against |E| = 1.10 at c = 0.9 on
+    # n = 48); stopping on the floored scale left 5 of these 28 anchors
+    # above the residual target of the plain energy the report reads
+    params = validate_params({"p": 3.0, "s": 0.3, "q": 2.5, "r": 1.5,
+                              "lambda": lam})
+    kern = assemble_kernel(build_mesh(-1.0, 1.0, n), params)
+    u = select_solution(minimize_multistart(
+        kern, ReactionModel.plain(params), seed=0)).solution.values
+    tight = SolverOptions(tol=1e-14)
+    for c in (0.3, 0.5, 0.7, 0.8, 0.9, 0.95, 0.99):
+        rep = solve_above(kern, params, c * u)
+        ref = solve_above(kern, params, c * u, tight)
+        assert rep.converged, c
+        gap = np.max(np.abs(rep.solution.values - ref.solution.values))
+        assert gap <= 1e-6 * np.max(u), c
 
 
 def test_singular_multistart_converges():
