@@ -37,6 +37,7 @@ class BranchPoint:
     u_big: object                # SolveReport
     v_saddle: object = None      # SolveReport or None
     diagnostics: dict = None
+    saddle_note: str = None      # why there is no converged saddle
 
 
 @dataclass
@@ -56,7 +57,7 @@ def _point_diagnostics(params, bp):
     diag = {"sup_u": u.solution.sup_norm, "energy_u": u.energy,
             "hopf_u": hopf_ratio(u.solution, params.s),
             "iterations_u": u.iterations, "residual_u": u.residual,
-            "converged": u.converged,
+            "converged": u.converged and bp.saddle_note is None,
             "sup_v": float("nan"), "energy_v": float("nan"),
             "hopf_v": float("nan"), "margin": float("nan"),
             "weighted_margin": float("nan"),
@@ -68,8 +69,7 @@ def _point_diagnostics(params, bp):
                     hopf_v=hopf_ratio(v.solution, params.s),
                     margin=margin, weighted_margin=weighted,
                     iterations_v=v.iterations, residual_v=v.residual,
-                    morse_v=v.morse_index,
-                    converged=u.converged and v.converged)
+                    morse_v=v.morse_index)
     return diag
 
 
@@ -77,8 +77,10 @@ def solve_at_lambda(kern, params, warm_start=None, opts=None, seed=0,
                     threads=1, with_saddle=True):
     """Minimizer (warm-started or multi-start) plus its saddle companion.
 
-    When the saddle search raises SaddleNotFound, the exception carries
-    the minimizer's BranchPoint (without a saddle) as its point.
+    When the saddle search raises SaddleNotFound, or its saddle did not
+    converge, the point's saddle_note says why and its diagnostics read
+    converged=False; an unconverged saddle stays as v_saddle, so its
+    *_v diagnostics are kept.
     """
     opts = opts or SolverOptions()
     model = ReactionModel.plain(params)
@@ -92,12 +94,15 @@ def solve_at_lambda(kern, params, warm_start=None, opts=None, seed=0,
     bp = BranchPoint(lam=params.lam, u_big=rep)
     if with_saddle and _nontrivial(rep, opts.zero_tol):
         try:
-            bp.v_saddle = find_saddle(kern, params, rep.solution.values, opts,
-                                      seed=seed)
+            v = bp.v_saddle = find_saddle(kern, params, rep.solution.values,
+                                          opts, seed=seed)
         except SaddleNotFound as exc:
-            bp.diagnostics = _point_diagnostics(params, bp)
-            exc.point = bp
-            raise
+            bp.saddle_note = str(exc)
+        else:
+            if not v.converged:
+                bp.saddle_note = ("saddle search did not converge (Morse "
+                                  "index %s, residual %.3e)"
+                                  % (v.morse_index, v.residual))
     bp.diagnostics = _point_diagnostics(params, bp)
     return bp
 

@@ -27,7 +27,7 @@ from .diagnostics import make_report
 from .kernel import KernelMatrix
 from .output import (write_branch_csv, write_diagram_svg, write_eigen_csv,
                      write_kernel_csv, write_run_record, write_solution_csv)
-from .solvers import SaddleNotFound, SolverError, SolverOptions, principal_eigenpair
+from .solvers import SolverError, SolverOptions, principal_eigenpair
 from .verify import run_verification
 
 
@@ -137,16 +137,12 @@ def cmd_solve(cfg, args, kernel_hook):
     meta = _meta(cfg)
     rec = _record(cfg, "solve")
 
-    saddle_note = None
-    try:
-        bp = solve_at_lambda(kern, params, opts=opts, seed=cfg.seed,
-                             threads=cfg.threads, with_saddle=True)
-    except SaddleNotFound as exc:
-        saddle_note = str(exc)
-        bp = exc.point
+    bp = solve_at_lambda(kern, params, opts=opts, seed=cfg.seed,
+                         threads=cfg.threads, with_saddle=True)
     rec["diagnostics"] = bp.diagnostics
-    if saddle_note:
-        rec["saddle_note"] = saddle_note
+    saddle = bp.v_saddle if bp.saddle_note is None else None
+    if bp.saddle_note:
+        rec["saddle_note"] = bp.saddle_note
 
     u = bp.u_big.solution.values
     nontrivial = bp.u_big.converged and bp.u_big.solution.sup_norm > opts.zero_tol
@@ -160,12 +156,11 @@ def cmd_solve(cfg, args, kernel_hook):
     if args.dump_kernel:
         write_kernel_csv(out, kern, meta)
 
-    v = bp.v_saddle.solution.values if bp.v_saddle is not None else None
+    v = saddle.solution.values if saddle is not None else None
     write_solution_csv(os.path.join(out, "solution.csv"), mesh, params.s,
                        u, v, meta)
-    report = make_report(kern, params,
-                         bp.u_big.solution,
-                         bp.v_saddle.solution if bp.v_saddle else None)
+    report = make_report(kern, params, bp.u_big.solution,
+                         saddle.solution if saddle is not None else None)
     rec["outcome"] = ("two ordered solutions" if v is not None
                       else "one solution")
     rec["boundary"] = report.as_dict()
@@ -174,7 +169,7 @@ def cmd_solve(cfg, args, kernel_hook):
         bp.u_big.solution.sup_norm, bp.u_big.energy)
     if v is not None:
         line += "; saddle sup norm %.6g, energy %.6g" % (
-            bp.v_saddle.solution.sup_norm, bp.v_saddle.energy)
+            saddle.solution.sup_norm, saddle.energy)
     print(line)
     return 0
 
@@ -202,6 +197,8 @@ def cmd_bifurcation(cfg, args, kernel_hook):
                bracket_width=diagram.bracket_width,
                method_record=diagram.method_record,
                points=[bp.diagnostics | {"lambda": bp.lam}
+                       | ({"saddle_note": bp.saddle_note} if bp.saddle_note
+                          else {})
                        for bp in diagram.points])
     write_run_record(os.path.join(out, "bifurcation.json"), rec)
     print("lambda* estimate %.8g (bracket width %.3g, %d branch points)"

@@ -25,8 +25,8 @@ def _header(meta):
         meta["version"], meta["config_hash"], meta["seed"])
 
 
-def write_solution_csv(path, mesh, s, u, v=None, meta=None):
-    """Columns x, u, v, u/d^s, v/d^s (v columns nan when absent)."""
+def write_solution_csv(path, mesh, s, u, v, meta):
+    """Columns x, u, v, u/d^s, v/d^s (v columns nan when v is None)."""
     d = mesh.dist ** s
     vv = v if v is not None else np.full(mesh.n, np.nan)
     with open(path, "w") as fh:
@@ -37,7 +37,7 @@ def write_solution_csv(path, mesh, s, u, v=None, meta=None):
                                fmt(u[i] / d[i]), fmt(vv[i] / d[i])]) + "\n")
 
 
-def write_eigen_csv(path, mesh, phi, meta=None):
+def write_eigen_csv(path, mesh, phi, meta):
     with open(path, "w") as fh:
         fh.write(_header(meta))
         fh.write("x,phi\n")
@@ -50,7 +50,7 @@ BRANCH_COLUMNS = ["lambda", "sup_u", "sup_v", "energy_u", "energy_v",
                   "iterations_v", "converged"]
 
 
-def write_branch_csv(path, diagram, meta=None):
+def write_branch_csv(path, diagram, meta):
     with open(path, "w") as fh:
         fh.write(_header(meta))
         fh.write(",".join(BRANCH_COLUMNS) + "\n")
@@ -64,7 +64,7 @@ def write_branch_csv(path, diagram, meta=None):
             fh.write(",".join(row) + "\n")
 
 
-def write_kernel_csv(outdir, kern, meta=None):
+def write_kernel_csv(outdir, kern, meta):
     kpath = os.path.join(outdir, "kernel.csv")
     with open(kpath, "w") as fh:
         fh.write(_header(meta))
@@ -107,7 +107,7 @@ def _ticks(lo, hi, count=5):
     return [float(t) for t in raw]
 
 
-def write_diagram_svg(path, diagram, meta=None):
+def write_diagram_svg(path, diagram, meta):
     """Hand-built SVG of sup-norms against lambda, both branches, with
     the lambda* bracket marked; every branch point gets a circle."""
     W, H = 640, 420

@@ -65,13 +65,7 @@ class SolverError(RuntimeError):
 
 
 class SaddleNotFound(SolverError):
-    """Raised when the mountain-pass path collapses onto an endpoint.
-
-    bifurcation.solve_at_lambda sets point to the BranchPoint of the
-    minimizer it had found, without a saddle, so callers can keep it.
-    """
-
-    point = None
+    """Raised when the mountain-pass path collapses onto an endpoint."""
 
 
 NEWTON_HALVINGS = 8     # step lengths t, t/2, ... an eigen Newton step may try
@@ -428,7 +422,7 @@ def solve_above(kern, params, subsol, opts=None):
     return _report(kern, plain, u, iterations, opts.tol, "pinned")
 
 
-def principal_eigenpair(kern, p, opts=None, start=None):
+def principal_eigenpair(kern, p, opts=None):
     """Smallest Rayleigh quotient of the discrete operator.
 
     Solves the eigen equation A(u) = R h |u|^(p-2) u with the
@@ -453,16 +447,13 @@ def principal_eigenpair(kern, p, opts=None, start=None):
     linear model misses the kink of the operator near the flat top of
     the eigenfunction, and the residual can stop short of tol, or crawl
     towards a plateau above it).  The iteration runs in the even subspace
-    from the mirror average of the start; the value and the residual of
-    the result are measured on kern, after the folded kernel is
-    released.
+    from (d / max d)^(sigma/p), d the distance to the boundary; the value
+    and the residual of the result are measured on kern, after the folded
+    kernel is released.
     """
     opts = opts or SolverOptions()
-    if start is None:
-        u = (kern.mesh.dist / np.max(kern.mesh.dist)) ** (kern.sigma / p)
-    else:
-        u = np.asarray(getattr(start, "values", start), dtype=float)
-    w, iterations = _eigen_newton(kern.fold(), p, mirror_fold(np.abs(u)), opts)
+    u = (kern.mesh.dist / np.max(kern.mesh.dist)) ** (kern.sigma / p)
+    w, iterations = _eigen_newton(kern.fold(), p, mirror_fold(u), opts)
     u = mirror_unfold(w, kern.n)
     Au = apply_operator(kern, u, p)
     R = float(np.dot(Au, u))

@@ -278,6 +278,70 @@ def test_solve_notes_a_saddle_search_that_ends_at_zero(tmp_path, outdir,
     assert rec["outcome"] == "one solution"
 
 
+def test_bifurcation_keeps_a_point_whose_saddle_search_ends_at_zero(
+        tmp_path, outdir, capsys):
+    # the point of the test above, as the top of a branch grid
+    cfg = write_config(tmp_path / "run.cfg", p=4.0, s=0.2, q=3.0, r=2.0,
+                       lambda_min=12.5, lambda_max=13.0, steps=2,
+                       bracket_lo=2.0, bracket_hi=20.0, **{"mesh.n": 32})
+    assert main(["bifurcation", "--config", cfg, "--out", outdir]) == 0
+    rows = open(os.path.join(outdir, "branch.csv")).read().splitlines()
+    header = rows[1].split(",")
+    row = dict(zip(header, rows[2].split(",")))
+    assert float(row["lambda"]) == 12.5
+    assert float(row["sup_u"]) > 0.0
+    assert np.isnan(float(row["sup_v"]))
+    assert row["converged"] == "0"
+    rec = json.load(open(os.path.join(outdir, "bifurcation.json")))
+    point = rec["points"][0]
+    assert point["saddle_note"] == ("mountain-pass path collapsed onto "
+                                    "an endpoint")
+    assert point["converged"] is False
+
+
+def test_solve_claims_two_solutions_only_for_a_converged_saddle(
+        tmp_path, outdir, capsys):
+    # at this point the saddle search ends at a critical point of
+    # even-subspace Morse index 11, not at the mountain pass
+    cfg = write_config(tmp_path / "run.cfg", p=6.0, s=0.1, q=5.0, r=4.0,
+                       **{"lambda": 12.5, "mesh.n": 32})
+    assert main(["solve", "--config", cfg, "--out", outdir]) == 0
+    assert "saddle sup norm" not in capsys.readouterr().out
+    rec = json.load(open(os.path.join(outdir, "solution.json")))
+    diag = rec["diagnostics"]
+    assert rec["outcome"] == "one solution"
+    assert diag["converged"] is False
+    assert diag["morse_v"] == 11
+    assert diag["sup_v"] > 0.0 and diag["iterations_v"] > 0
+    assert rec["saddle_note"] == (
+        "saddle search did not converge (Morse index 11, residual %.3e)"
+        % diag["residual_v"])
+    rows = open(os.path.join(outdir, "solution.csv")).read().splitlines()
+    v = [float(line.split(",")[2]) for line in rows[2:]]
+    assert len(v) == 32 and all(np.isnan(v))
+
+
+def test_bifurcation_notes_an_unconverged_saddle(tmp_path, outdir, capsys):
+    # the point of the test above as a grid point: the same note as
+    # solve gives, with the saddle's diagnostics kept
+    cfg = write_config(tmp_path / "run.cfg", p=6.0, s=0.1, q=5.0, r=4.0,
+                       lambda_min=12.5, lambda_max=13.0, steps=2,
+                       bracket_lo=2.0, bracket_hi=20.0, **{"mesh.n": 32})
+    assert main(["bifurcation", "--config", cfg, "--out", outdir]) == 0
+    point = json.load(open(os.path.join(outdir, "bifurcation.json")))[
+        "points"][0]
+    assert point["lambda"] == 12.5
+    assert point["converged"] is False
+    assert point["morse_v"] == 11
+    assert point["saddle_note"] == (
+        "saddle search did not converge (Morse index 11, residual %.3e)"
+        % point["residual_v"])
+    rows = open(os.path.join(outdir, "branch.csv")).read().splitlines()
+    row = dict(zip(rows[1].split(","), rows[2].split(",")))
+    assert float(row["sup_v"]) == point["sup_v"] > 0.0
+    assert row["converged"] == "0"
+
+
 def test_lambda_flag_overrides_file(tmp_path, outdir, capsys):
     cfg = write_config(tmp_path / "run.cfg", **{"lambda": 8.0, "mesh.n": 32})
     code = main(["solve", "--config", cfg, "--out", outdir,

@@ -1,8 +1,11 @@
 import json
 
 import numpy as np
+import pytest
 
-from fracbif.output import fmt, write_run_record
+from fracbif import build_mesh
+from fracbif.output import (fmt, write_eigen_csv, write_run_record,
+                            write_solution_csv)
 
 
 def test_fmt_is_fixed_width_scientific():
@@ -31,3 +34,14 @@ def test_run_record_is_strict_json(tmp_path):
     assert loaded["missing"] is None
     assert loaded["nested"]["inf"] is None
     assert loaded["grid"] == [1.0, 2.0]
+
+
+def test_writers_need_meta(tmp_path):
+    # a missing meta fails at the call, before any file is opened
+    mesh = build_mesh(-1.0, 1.0, 4)
+    path = tmp_path / "eigen.csv"
+    with pytest.raises(TypeError, match="meta"):
+        write_eigen_csv(str(path), mesh, np.ones(4))
+    with pytest.raises(TypeError, match="meta"):
+        write_solution_csv(str(path), mesh, 0.3, np.ones(4), None)
+    assert not path.exists()
