@@ -4,9 +4,11 @@ Below some critical reaction strength lambda* the only solution is
 zero; above it two positive solutions appear.  This script prints the
 closed-form lower bound on lambda* that the principal eigenfunction
 proves, brackets lambda* by bisection on "does a nontrivial minimizer
-exist" (answered without a search below that bound), checks
-the bracket by following the branch down from its upper end with warm
-starts (it must die at the lower end), and then walks the branch
+exist" (answered without a search below that bound, and elsewhere by a
+descent from the minimizer at the bracket's upper end, with a
+multi-start only where that descent collapses), checks the bracket by
+following the branch down from its upper end with warm starts (it must
+die at the lower end), and then walks the branch
 upward printing both solution sizes.  A small mesh keeps the whole run
 under a minute.
 """

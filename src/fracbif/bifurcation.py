@@ -3,14 +3,16 @@
 For small reaction strength the only solution is zero; above a
 threshold a pair of ordered positive solutions appears (an energy
 minimizer and a mountain-pass point below it).  The threshold is
-bracketed by bisection on the predicate "multi-start minimization
-finds a converged nontrivial solution", down to a requested width.
-Below a closed-form lower bound lambda_low (lambda_lower_bound: the
-principal eigenfunction and the discrete Picone inequality prove that
-zero is the only solution there) the predicate is answered without a
-search.  Warm starts then follow the branch down from the bracket's
-upper end: it must die at the lower end, or the multi-start missed it
-there and a warning says where it died.
+bracketed by bisection on the predicate "a converged nontrivial
+minimizer exists", down to a requested width.  Once the bracket's
+upper end holds a minimizer, each predicate first descends from it;
+only where that descent collapses does a multi-start decide.  Below a
+closed-form lower bound lambda_low (lambda_lower_bound: the principal
+eigenfunction and the discrete Picone inequality prove that zero is the
+only solution there) the predicate is answered without a search.  Warm
+starts then follow the branch down from the bracket's upper end: it
+must die at the lower end, or the searches missed it there and a
+warning says where it died.
 """
 
 from dataclasses import dataclass
@@ -52,6 +54,27 @@ def _nontrivial(report, zero_tol):
     return report.converged and report.solution.sup_norm > zero_tol
 
 
+def _find_minimizer(kern, model, opts, warm=None, seed=0, threads=1,
+                    stop_early=False):
+    """Minimizer at model's lambda, warm start first.
+
+    One descent from warm is kept when it ends converged and nontrivial:
+    minimize stops only where the Hessian is positive definite, so that
+    is a local minimizer on the branch warm came from (natural-parameter
+    continuation; Allgower and Georg, Numerical Continuation Methods,
+    1990).  When it collapses, or without warm, the multi-start decides
+    (select_solution of its reports; stop_early ends it at the first
+    nontrivial one), so a zero answer always rests on the multi-start.
+    """
+    if warm is not None:
+        rep = minimize(kern, model, warm, opts)
+        if _nontrivial(rep, opts.zero_tol):
+            return rep
+    reports = minimize_multistart(kern, model, opts, seed=seed,
+                                  threads=threads, stop_at_nontrivial=stop_early)
+    return select_solution(reports, opts.zero_tol)
+
+
 def _point_diagnostics(params, bp):
     u = bp.u_big
     diag = {"sup_u": u.solution.sup_norm, "energy_u": u.energy,
@@ -75,7 +98,11 @@ def _point_diagnostics(params, bp):
 
 def solve_at_lambda(kern, params, warm_start=None, opts=None, seed=0,
                     threads=1, with_saddle=True):
-    """Minimizer (warm-started or multi-start) plus its saddle companion.
+    """Minimizer plus its saddle companion.
+
+    The minimizer is the descent from warm_start when that ends
+    converged and nontrivial, and otherwise (or without warm_start) the
+    multi-start's select_solution.
 
     When the saddle search raises SaddleNotFound, or its saddle did not
     converge, the point's saddle_note says why and its diagnostics read
@@ -83,14 +110,11 @@ def solve_at_lambda(kern, params, warm_start=None, opts=None, seed=0,
     *_v diagnostics are kept.
     """
     opts = opts or SolverOptions()
-    model = ReactionModel.plain(params)
     if warm_start is not None:
-        warm = np.asarray(getattr(warm_start, "values", warm_start), dtype=float)
-        rep = minimize(kern, model, warm, opts)
-    else:
-        reports = minimize_multistart(kern, model, opts, seed=seed,
-                                      threads=threads)
-        rep = select_solution(reports, opts.zero_tol)
+        warm_start = np.asarray(getattr(warm_start, "values", warm_start),
+                                dtype=float)
+    rep = _find_minimizer(kern, ReactionModel.plain(params), opts, warm_start,
+                          seed=seed, threads=threads)
     bp = BranchPoint(lam=params.lam, u_big=rep)
     if with_saddle and _nontrivial(rep, opts.zero_tol):
         try:
@@ -113,9 +137,9 @@ def continue_branch(kern, params, lam_grid, opts=None, seed=0, threads=1,
 
     Returns a diagram with points in ascending lambda; the method
     record holds the grid and the fold bracket (first dead, last alive)
-    seen from above, at the grid's resolution.  A warm start that
-    collapses is re-checked by multi-start before the branch is
-    declared dead there.
+    seen from above, at the grid's resolution.  Each point is
+    warm-started from the last one alive (solve_at_lambda), so the
+    branch is declared dead only where a multi-start finds it gone too.
     """
     opts = opts or SolverOptions()
     grid = np.asarray(lam_grid, dtype=float)
@@ -134,10 +158,6 @@ def continue_branch(kern, params, lam_grid, opts=None, seed=0, threads=1,
         pr = with_lambda(params, lam)
         bp = solve_at_lambda(kern, pr, warm_start=warm, opts=opts, seed=seed,
                              threads=threads, with_saddle=with_saddles)
-        if warm is not None and not _nontrivial(bp.u_big, opts.zero_tol):
-            bp = solve_at_lambda(kern, pr, warm_start=None, opts=opts,
-                                 seed=seed, threads=threads,
-                                 with_saddle=with_saddles)
         if _nontrivial(bp.u_big, opts.zero_tol):
             warm = bp.u_big.solution.values
             last_alive = float(lam)
@@ -206,7 +226,13 @@ def estimate_lambda_star(kern, params, bracket, opts=None, seed=0, threads=1):
 
     The principal eigenpair is solved once, for lambda_lower_bound; a
     predicate at a lambda below that bound is answered "zero only"
-    without a multi-start.  From the solution at hi, warm starts run at
+    without a search.  Any other predicate descends first from the
+    nontrivial solution cached at the current hi, once there is one,
+    and answers "nontrivial" when that descent ends converged and
+    nontrivial (a local minimizer: minimize stops only where the
+    Hessian is positive definite).  Otherwise a multi-start stopping at
+    its first nontrivial report decides, so a "zero only" answer rests
+    on the multi-start alone.  From the solution at hi, warm starts run at
     hi - (hi - lo) 2^k for k = 0..7 while above zero, until one
     collapses: the fold bracket is (that lambda, the last one alive),
     so (lo, hi) if the bisection is right.  A branch alive at lo, or
@@ -235,12 +261,14 @@ def estimate_lambda_star(kern, params, bracket, opts=None, seed=0, threads=1):
         if lam not in cache:
             cache[lam] = None
             if not certified(lam):
-                pr = with_lambda(params, lam)
-                reports = minimize_multistart(kern, ReactionModel.plain(pr),
-                                              opts, seed=seed, threads=threads,
-                                              stop_at_nontrivial=True)
-                cache[lam] = next((r for r in reports
-                                   if _nontrivial(r, opts.zero_tol)), None)
+                # no warm start until hi is known to be nontrivial
+                top = cache.get(hi)
+                rep = _find_minimizer(
+                    kern, ReactionModel.plain(with_lambda(params, lam)), opts,
+                    None if top is None else top.solution.values, seed=seed,
+                    threads=threads, stop_early=True)
+                if _nontrivial(rep, opts.zero_tol):
+                    cache[lam] = rep
         return cache[lam]
 
     if nontrivial_at(lo):

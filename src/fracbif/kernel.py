@@ -273,7 +273,7 @@ def operator_hessian(kern, u, p, out=None):
     H *= kern.K
     diag = np.sum(H, axis=1) + kern.T * curvature_power(u, p - 2.0, scale)
     np.negative(H, out=H)
-    H[np.diag_indices_from(H)] += diag
+    np.einsum("ii->i", H)[...] += diag     # a view, also of a strided out
     H *= 2.0 * (p - 1.0)
     return H
 

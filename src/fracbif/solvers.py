@@ -158,7 +158,7 @@ def total_gradient(kern, model, u):
 def total_hessian(kern, model, u):
     """Exact Hessian of total_energy at u, a dense symmetric n x n matrix."""
     H = operator_hessian(kern, u, model.params.p)
-    H[np.diag_indices_from(H)] -= kern.mesh.h * kern.weight * df_values(model, u)
+    np.einsum("ii->i", H)[...] -= kern.mesh.h * kern.weight * df_values(model, u)
     return H
 
 
@@ -531,7 +531,7 @@ def _eigen_jacobian(kern, p, w, R):
     B = np.empty((m + 1, m + 1))
     J = operator_hessian(kern, w, p, out=B[:m, :m])
     J /= kern.weight[:, None]
-    J[np.diag_indices(m)] -= R * h * (p - 1.0) * curvature_power(
+    np.einsum("ii->i", J)[...] -= R * h * (p - 1.0) * curvature_power(
         w, p - 2.0, float(np.linalg.norm(w)))
     phi = odd_power(w, p)
     B[:m, m] = -h * phi

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from fracbif import (KernelMatrix, ParameterError, ReactionModel,
-                     SolverError, apply_operator, assemble_kernel,
-                     build_diagram, build_mesh, biggest_solution,
-                     continue_branch, estimate_lambda_star, find_saddle,
-                     lambda_lower_bound, minimize_multistart,
-                     principal_eigenpair, scan_reaction_slack,
-                     select_solution, solve_at_lambda, validate_params,
-                     with_lambda)
+                     SolverError, SolverOptions, apply_operator,
+                     assemble_kernel, build_diagram, build_mesh,
+                     biggest_solution, continue_branch, estimate_lambda_star,
+                     find_saddle, lambda_lower_bound, minimize,
+                     minimize_multistart, principal_eigenpair,
+                     scan_reaction_slack, select_solution, solve_at_lambda,
+                     validate_params, with_lambda)
 from fracbif import bifurcation
 
 # exponent sets (p, s, q, r) with the bracket their threshold search
@@ -191,18 +191,19 @@ def test_lambda_lower_bound_needs_a_certificate(coarse_problem):
 
 def test_estimate_warns_when_the_bisection_misses_the_branch(
         coarse_problem, monkeypatch):
-    # a multistart blind below lambda = 6.9 puts the bisection bracket
-    # above the true one, (6.4375, 6.46875); the warm starts from its
-    # upper end follow the branch below it and find where it dies
+    # a predicate search blind below lambda = 6.9 (warm descent and
+    # multistart alike see only zero) puts the bisection bracket above
+    # the true one, (6.4375, 6.46875); the warm starts from its upper
+    # end follow the branch below it and find where it dies
     kern, params = coarse_problem
-    seeing = bifurcation.minimize_multistart
+    seeing = bifurcation._find_minimizer
 
-    def blind(kern, model, *args, **kwargs):
+    def blind(kern, model, opts, *args, **kwargs):
         if model.params.lam < 6.9:
-            return []
-        return seeing(kern, model, *args, **kwargs)
+            return minimize(kern, model, np.zeros(kern.n), opts)
+        return seeing(kern, model, opts, *args, **kwargs)
 
-    monkeypatch.setattr(bifurcation, "minimize_multistart", blind)
+    monkeypatch.setattr(bifurcation, "_find_minimizer", blind)
     rec = estimate_lambda_star(kern, params, (5.0, 9.0), seed=0).method_record
     lo, hi = rec["bisection_bracket"]
     assert lo >= 6.9 - 0.05
@@ -210,6 +211,48 @@ def test_estimate_warns_when_the_bisection_misses_the_branch(
     fold = rec["fold_bracket"]
     assert fold[1] < lo
     assert fold[0] <= 6.4375 and 6.46875 <= fold[1]
+
+
+def test_warm_starts_decide_the_nontrivial_predicates(coarse_problem,
+                                                      monkeypatch):
+    # once the bisection holds a nontrivial hi, each predicate descends
+    # from it first, so a multistart runs only where the branch is gone;
+    # the record is the one the multistart-only predicates gave
+    kern, params = coarse_problem
+    seeing = bifurcation.minimize_multistart
+    searched = []
+
+    def logged(kern, model, *args, **kwargs):
+        reports = seeing(kern, model, *args, **kwargs)
+        found = any(r.converged and r.classification != "zero"
+                    for r in reports)
+        searched.append((model.params.lam, found))
+        return reports
+
+    monkeypatch.setattr(bifurcation, "minimize_multistart", logged)
+    rec = estimate_lambda_star(kern, params, (5.0, 9.0), seed=0).method_record
+    assert rec["bisection_bracket"] == (6.4375, 6.46875)
+    assert rec["fold_bracket"] == (6.4375, 6.46875)
+    assert rec["predicate_evaluations"] == 9
+    assert rec["certified_predicates"] == 3
+    first = next(k for k, (_, found) in enumerate(searched) if found)
+    assert searched[first + 1:]
+    assert not any(found for _, found in searched[first + 1:])
+    searching = rec["predicate_evaluations"] - rec["certified_predicates"]
+    assert len(searched) < searching
+
+
+def test_estimate_follows_the_singular_branch_down_to_the_lower_bound():
+    # p < 2: the multistart alone answered "zero only" at 6.58 and put
+    # the bracket at (6.566, 6.594), while the branch lives down to
+    # 6.4845, just above lambda_low = 6.4808
+    kern, params = exponent_problem((1.3, 0.5, 1.2, 1.1))
+    rec = estimate_lambda_star(kern, params, (2.0, 30.0),
+                               opts=SolverOptions(width=0.05),
+                               seed=0).method_record
+    _, hi = rec["bisection_bracket"]
+    assert rec["warnings"] == []
+    assert hi - 0.05 <= rec["lambda_lower_bound"]
 
 
 def test_stretching_the_domain_scales_both_solutions_exactly():
@@ -280,6 +323,16 @@ def test_solve_at_lambda_warm_start(small_problem, small_big_solution):
                          seed=0)
     assert float(np.max(np.abs(bp.u_big.solution.values - u))) <= 1e-9
     assert bp.u_big.iterations <= small_big_solution.iterations
+
+
+def test_solve_at_lambda_searches_where_the_warm_start_collapses(
+        small_problem, small_big_solution):
+    # a warm start from zero ends at zero; the multistart then finds the
+    # minimizer a cold solve finds
+    kern, params = small_problem
+    bp = solve_at_lambda(kern, params, warm_start=np.zeros(kern.n),
+                         with_saddle=False, seed=0)
+    assert bp.u_big.energy == small_big_solution.energy
 
 
 def test_continue_branch_finds_fold(coarse_problem):
