@@ -21,15 +21,14 @@ from .reaction import (F_values, ReactionModel, df_values, f_values,
 from .solvers import (EigenResult, MountainPassPath, SaddleNotFound,
                       SolveReport, SolverError, SolverOptions, find_saddle,
                       minimize, minimize_multistart, principal_eigenpair,
-                      select_solution, solve_above, total_energy,
-                      total_gradient, total_hessian)
+                      select_solution, total_energy, total_gradient,
+                      total_hessian)
 from .diagnostics import (DiagnosticReport, boundary_ratios, check_ordering,
                           gradient_check, hopf_ratio, make_report,
                           verify_energy_bound, verify_operator_properties)
-from .bifurcation import (BifurcationDiagram, BranchPoint, biggest_solution,
-                          build_diagram, continue_branch,
-                          estimate_lambda_star, lambda_lower_bound,
-                          solve_at_lambda)
+from .bifurcation import (BifurcationDiagram, BranchPoint, build_diagram,
+                          continue_branch, estimate_lambda_star,
+                          lambda_lower_bound, solve_at_lambda)
 from .config import RunConfig, ConfigError, config_hash, parse_config_file, resolve
 from .verify import (pair_weight_quadrature, run_verification,
                      tail_weight_quadrature)

@@ -22,10 +22,10 @@ import numpy as np
 from .core import ParameterError, with_lambda
 from .diagnostics import check_ordering, hopf_ratio
 from .kernel import apply_operator
-from .reaction import ReactionModel, f_values
+from .reaction import ReactionModel
 from .solvers import (SaddleNotFound, SolverError, SolverOptions,
                       find_saddle, minimize, minimize_multistart,
-                      principal_eigenpair, select_solution, solve_above)
+                      principal_eigenpair, select_solution)
 
 
 BOUND_MARGIN = 1e-10     # relative shrink of lambda_low, for the rounding of mu
@@ -348,28 +348,3 @@ def build_diagram(kern, params, lam_grid, bracket, opts=None, seed=0,
                               lambda_star_estimate=est.lambda_star_estimate,
                               bracket_width=est.bracket_width,
                               method_record=record)
-
-
-def biggest_solution(kern, params, known, opts=None):
-    """Least solution above the nodewise maximum of known solutions.
-
-    Every input must be residual-verified; their pointwise max is a
-    discrete subsolution (exactly, nodewise), so solve_above applies.
-    That max must be mirror-even, as solve_above requires of its anchor.
-    """
-    opts = opts or SolverOptions()
-    stack = []
-    for item in known:
-        sol = getattr(item, "solution", item)
-        values = np.asarray(getattr(sol, "values", sol), dtype=float)
-        res = float(np.max(np.abs(
-            apply_operator(kern, values, params.p)
-            - kern.mesh.h * f_values(ReactionModel.plain(params), values))))
-        if res > 1e-6 * max(1.0, float(np.max(np.abs(values)))):
-            raise ParameterError(
-                "known solution has residual %.3e, not residual-verified" % res)
-        stack.append(values)
-    if not stack:
-        raise ParameterError("need at least one known solution")
-    top = np.max(np.vstack(stack), axis=0)
-    return solve_above(kern, params, top, opts)

@@ -82,9 +82,8 @@ class ProblemParams:
 
     p, s, q, r are the exponents (1 < r < q < p, 0 < s < 1, p*s < 1 so
     the critical exponent p/(1 - p*s) is finite), lam >= 0 is the
-    reaction strength, c0 the growth constant of the plain reaction and
-    pstar the critical exponent.  Use validate_params to build one from
-    a raw mapping.
+    reaction strength and pstar the critical exponent, computed on
+    construction.  Use validate_params to build one from a raw mapping.
     """
 
     p: float
@@ -92,7 +91,6 @@ class ProblemParams:
     q: float
     r: float
     lam: float
-    c0: float = field(default=None)
     pstar: float = field(default=None)
 
     def __post_init__(self):
@@ -113,10 +111,6 @@ class ProblemParams:
             raise ParameterError(
                 "need p*s < 1 for the interval model, got p*s=%g" % sigma)
         object.__setattr__(self, "pstar", self.p / (1.0 - sigma))
-        if self.c0 is None:
-            object.__setattr__(self, "c0", self.lam + 1.0)
-        elif self.c0 <= 0.0:
-            raise ParameterError("c0 must be positive, got %g" % self.c0)
 
     @property
     def sigma(self):
@@ -125,12 +119,12 @@ class ProblemParams:
 
 
 def with_lambda(params, lam):
-    """Copy of params at a different reaction strength (c0 recomputed)."""
+    """Copy of params at a different reaction strength."""
     return ProblemParams(p=params.p, s=params.s, q=params.q, r=params.r,
                          lam=float(lam))
 
 
-_PARAM_KEYS = {"p", "s", "q", "r", "lambda", "lam", "c0"}
+_PARAM_KEYS = {"p", "s", "q", "r", "lambda", "lam"}
 
 
 def validate_params(raw):
@@ -149,8 +143,7 @@ def validate_params(raw):
         raise ParameterError("missing parameter keys: %s" % ", ".join(missing))
     lam = raw.get("lambda", raw.get("lam", 0.0))
     return ProblemParams(p=float(raw["p"]), s=float(raw["s"]), q=float(raw["q"]),
-                         r=float(raw["r"]), lam=float(lam),
-                         c0=(float(raw["c0"]) if "c0" in raw else None))
+                         r=float(raw["r"]), lam=float(lam))
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,10 @@
-"""Two-power reaction lam*t^(q-1) - t^(r-1) and its truncations.
+"""Two-power reaction lam*t^(q-1) - t^(r-1), plain or capped by a ceiling.
 
 The plain reaction acts on the positive part of t and vanishes for
-t <= 0.  Two position-dependent variants support the ordered-solution
-machinery:
-
-* "floored": below a nodal anchor value w_i the reaction is frozen at
-  its anchor value, f(i, t) = plain(max(t, w_i)).  Minimizing the
-  corresponding energy pins the minimizer above the anchor.
-* "capped": above a nodal ceiling value c_i the q-power is frozen,
-  f(i, t) = lam*c_i^(q-1) - t^(r-1), which caps minimizers and path
-  points below the ceiling while keeping the primitive well defined.
+t <= 0.  The capped one, used by the mountain-pass search, freezes the
+q-power above a nodal ceiling value c_i,
+f(i, t) = lam*c_i^(q-1) - t^(r-1), which caps minimizers and path
+points below the ceiling while keeping the primitive well defined.
 
 All evaluations are vectorized over nodes.
 """
@@ -23,45 +18,34 @@ from .core import ParameterError, curvature_power, mirror_fold, odd_power
 
 @dataclass(frozen=True)
 class ReactionModel:
-    """Reaction variant bound to a parameter record.
+    """The reaction bound to a parameter record, plain or capped.
 
-    anchor/ceiling are nodal value arrays for the truncated variants
-    (None for the plain one); c0 is an effective growth constant with
+    ceiling is the nodal value array of the capped reaction (None for
+    the plain one); c0 is an effective growth constant with
     |f(i, t)| <= c0 * (1 + |t|^(q-1)) for all nodes and arguments.
     """
 
     params: object
-    variant: str
-    anchor: np.ndarray = None
     ceiling: np.ndarray = None
     c0: float = None
 
     @classmethod
     def plain(cls, params):
-        return cls(params=params, variant="plain", c0=params.lam + 1.0)
-
-    @classmethod
-    def floored(cls, params, anchor):
-        anchor = np.asarray(anchor, dtype=float)
-        top = float(np.max(np.maximum(anchor, 0.0), initial=0.0))
-        c0 = (params.lam + 1.0) * (1.0 + top ** (params.q - 1.0))
-        return cls(params=params, variant="floored", anchor=anchor, c0=c0)
+        return cls(params=params, c0=params.lam + 1.0)
 
     @classmethod
     def capped(cls, params, ceiling):
         ceiling = np.asarray(ceiling, dtype=float)
         top = float(np.max(np.maximum(ceiling, 0.0), initial=0.0))
         c0 = (params.lam + 1.0) * (1.0 + top ** (params.q - 1.0))
-        return cls(params=params, variant="capped", ceiling=ceiling, c0=c0)
+        return cls(params=params, ceiling=ceiling, c0=c0)
 
     def fold(self):
-        """The model on the even subspace: anchor or ceiling mirror-averaged
+        """The model on the even subspace: the ceiling mirror-averaged
         onto the first ceil(n/2) nodes (see KernelMatrix.fold)."""
-        if self.variant == "floored":
-            return ReactionModel.floored(self.params, mirror_fold(self.anchor))
-        if self.variant == "capped":
-            return ReactionModel.capped(self.params, mirror_fold(self.ceiling))
-        return self
+        if self.ceiling is None:
+            return self
+        return ReactionModel.capped(self.params, mirror_fold(self.ceiling))
 
 
 def _plain_f(params, t):
@@ -78,15 +62,11 @@ def f_values(model, u):
     """Reaction at every node for nodal values u."""
     u = np.asarray(u, dtype=float)
     pr = model.params
-    if model.variant == "plain":
+    c = model.ceiling
+    if c is None:
         return _plain_f(pr, u)
-    if model.variant == "floored":
-        return _plain_f(pr, np.maximum(u, model.anchor))
-    if model.variant == "capped":
-        c = model.ceiling
-        frozen = pr.lam * np.maximum(c, 0.0) ** (pr.q - 1.0) - odd_power(u, pr.r)
-        return np.where(u < c, _plain_f(pr, u), frozen)
-    raise ParameterError("unknown reaction variant %r" % model.variant)
+    frozen = pr.lam * np.maximum(c, 0.0) ** (pr.q - 1.0) - odd_power(u, pr.r)
+    return np.where(u < c, _plain_f(pr, u), frozen)
 
 
 def _plain_df(params, t, scale):
@@ -99,41 +79,30 @@ def _plain_df(params, t, scale):
 def df_values(model, u):
     """t-derivative of the reaction at every node for nodal values u.
 
-    Zero where the reaction is frozen (below the anchor, and for t <= 0
-    in the plain variant); negative powers are read through
+    Zero for t <= 0 in the plain reaction; above the ceiling only the
+    r-power term is left.  Negative powers are read through
     curvature_power, so t -> 0+ with r < 2 gives a large finite value.
     """
     u = np.asarray(u, dtype=float)
     pr = model.params
     scale = float(np.linalg.norm(u))
-    if model.variant == "plain":
+    if model.ceiling is None:
         return _plain_df(pr, u, scale)
-    if model.variant == "floored":
-        return np.where(u > model.anchor, _plain_df(pr, u, scale), 0.0)
-    if model.variant == "capped":
-        frozen = -(pr.r - 1.0) * curvature_power(u, pr.r - 2.0, scale)
-        return np.where(u < model.ceiling, _plain_df(pr, u, scale), frozen)
-    raise ParameterError("unknown reaction variant %r" % model.variant)
+    frozen = -(pr.r - 1.0) * curvature_power(u, pr.r - 2.0, scale)
+    return np.where(u < model.ceiling, _plain_df(pr, u, scale), frozen)
 
 
 def F_values(model, u):
     """Primitive of the reaction (in t, from 0) at every node."""
     u = np.asarray(u, dtype=float)
     pr = model.params
-    if model.variant == "plain":
+    c = model.ceiling
+    if c is None:
         return _plain_F(pr, u)
-    if model.variant == "floored":
-        w = model.anchor
-        fw = _plain_f(pr, w)
-        return (fw * (np.minimum(u, w) - np.minimum(0.0, w))
-                + _plain_F(pr, np.maximum(u, w)) - _plain_F(pr, np.maximum(0.0, w)))
-    if model.variant == "capped":
-        c = model.ceiling
-        above = (_plain_F(pr, c)
-                 + pr.lam * np.maximum(c, 0.0) ** (pr.q - 1.0) * (u - c)
-                 - (np.abs(u) ** pr.r - np.abs(c) ** pr.r) / pr.r)
-        return np.where(u < c, _plain_F(pr, u), above)
-    raise ParameterError("unknown reaction variant %r" % model.variant)
+    above = (_plain_F(pr, c)
+             + pr.lam * np.maximum(c, 0.0) ** (pr.q - 1.0) * (u - c)
+             - (np.abs(u) ** pr.r - np.abs(c) ** pr.r) / pr.r)
+    return np.where(u < c, _plain_F(pr, u), above)
 
 
 def sign_threshold_delta(params):

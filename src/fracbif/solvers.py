@@ -46,7 +46,6 @@ kernel, computed after the folded kernel is released: a kernel that is
 not mirror symmetric cannot pass for converged.
 """
 
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -54,8 +53,9 @@ import numpy as np
 
 from .core import (GridFunction, MeshMismatchError, ParameterError,
                    curvature_power, mirror_fold, mirror_unfold, odd_power)
-from .kernel import (apply_operator, operator_hessian, pairwise_energy,
-                     seminorm_energy, seminorm_energy_and_operator)
+from .kernel import (_check_values, apply_operator, operator_hessian,
+                     pairwise_energy, seminorm_energy,
+                     seminorm_energy_and_operator)
 from .reaction import (ReactionModel, F_values, df_values, f_values,
                        sign_threshold_delta)
 
@@ -191,19 +191,19 @@ def _scale(kern, E):
     return max(1.0, kern.copies * abs(E))
 
 
-def _require_even(u, what):
-    """Reject a bound vector that is not even under the mirror map.
+def _require_even(u):
+    """Reject a ceiling that is not even under the mirror map.
 
-    An anchor or ceiling enters the folded problem as its mirror
-    average, which is the problem posed only if the vector is even: to
-    within 1e-6 of max(1, sup|u|), the slack the pin and range checks
-    already allow, as folding moves it by at most half of that.
+    The ceiling enters the folded problem as its mirror average, which
+    is the problem posed only if the ceiling is even: to within 1e-6 of
+    max(1, sup|u|), the slack the range check already allows, as
+    folding moves it by at most half of that.
     """
     gap = _sup(u - u[::-1])
     if gap > 1e-6 * max(1.0, _sup(u)):
         raise ParameterError(
-            "%s is not mirror-even (|u_i - u_(n-1-i)| up to %.3e): the "
-            "solvers work in the even subspace" % (what, gap))
+            "ceiling is not mirror-even (|u_i - u_(n-1-i)| up to %.3e): "
+            "the solvers work in the even subspace" % gap)
 
 
 def _report(kern, model, u, iterations, tol, classification):
@@ -260,24 +260,22 @@ def minimize(kern, model, u0, opts=None):
     """
     opts = opts or SolverOptions()
     _check_compat(kern, model.params)
+    u0 = _check_values(kern, u0)
     w, iterations = _descend(kern.fold(), model.fold(), mirror_fold(u0), opts)
     u = mirror_unfold(w, kern.n)
     cls = "zero" if _sup(u) <= opts.zero_tol else "minimizer"
     return _report(kern, model, u, iterations, opts.tol, cls)
 
 
-def _descend(kern, model, u0, opts, shift=0.0):
+def _descend(kern, model, u0, opts):
     """minimize's descent on a folded (or full) kernel; returns the
-    point reached and the number of accepted steps.  The stopping test
-    reads the energy scale of E + shift, so a caller whose model's
-    energy differs from the reported one by a constant can stop on the
-    reported scale."""
+    point reached and the number of accepted steps."""
     # Inside the box max(u) < delta the reaction primitive is <= 0, so
     # the energy is >= 0 there while energy(0) = 0, and pairing the
     # operator with u+ shows zero is the only critical point in the
     # box: descent that enters it can be finished at zero exactly.
     delta = None
-    if model.variant == "plain" and model.params.lam > 0.0:
+    if model.ceiling is None and model.params.lam > 0.0:
         delta = sign_threshold_delta(model.params)
     u = np.array(u0, dtype=float)
     E, g = _energy_and_gradient(kern, model, u)
@@ -317,7 +315,7 @@ def _descend(kern, model, u0, opts, shift=0.0):
                 curv = np.abs(curv)
                 d = -(Q @ ((Q.T @ g) / np.maximum(curv, 1e-9 * np.max(curv))))
             else:
-                if _residual(kern, g) <= opts.tol * _scale(kern, E + shift):
+                if _residual(kern, g) <= opts.tol * _scale(kern, E):
                     break
                 # numpy has no triangular solve: one general solve of H
                 # costs less than two through the Cholesky factor
@@ -328,7 +326,7 @@ def _descend(kern, model, u0, opts, shift=0.0):
                 break       # no acceptable step left
             u, E, g = moved
             iterations += 1
-        if model.variant == "plain" and float(np.min(u)) < 0.0:
+        if model.ceiling is None and float(np.min(u)) < 0.0:
             u = np.maximum(u, 0.0)
             E, g = _energy_and_gradient(kern, model, u)
             continue
@@ -383,43 +381,6 @@ def select_solution(reports, zero_tol=1e-6):
     if nontrivial:
         return min(nontrivial, key=lambda r: r.energy)
     return min(reports, key=lambda r: (not r.converged, r.residual))
-
-
-def solve_above(kern, params, subsol, opts=None):
-    """Least solution above a nonnegative subsolution.
-
-    Minimizes the energy with the reaction frozen below the anchor,
-    which pins every critical point above the anchor.  The anchor is
-    checked for the subsolution inequality first (a warning only: a
-    discretized subsolution may violate it at truncation level).  The
-    descent runs in the even subspace, so the anchor must be even under
-    the mirror map (node i <-> n-1-i) to within 1e-6 of
-    max(1, sup|anchor|); otherwise ParameterError.
-    """
-    opts = opts or SolverOptions()
-    _check_compat(kern, params)
-    subsol = np.asarray(getattr(subsol, "values", subsol), dtype=float)
-    _require_even(subsol, "anchor")
-    plain = ReactionModel.plain(params)
-    slack = apply_operator(kern, subsol, params.p) - kern.mesh.h * f_values(plain, subsol)
-    worst = float(np.max(slack))
-    if worst > 1e-6 * max(1.0, _sup(subsol)):
-        warnings.warn("anchor violates the subsolution inequality by %.3e" % worst)
-    folded = kern.fold()
-    model = ReactionModel.floored(params, subsol).fold()
-    # above the anchor the floored primitive differs from the plain one
-    # by a constant, so the energies differ by their difference at the
-    # anchor: the descent stops on the scale of the plain energy, which
-    # the report is measured on
-    shift = -folded.mesh.h * float(np.sum(folded.weight * (
-        F_values(plain, model.anchor) - F_values(model, model.anchor))))
-    w, iterations = _descend(folded, model, mirror_fold(subsol), opts, shift)
-    del folded
-    u = mirror_unfold(w, kern.n)
-    pin = float(np.min(u - subsol))
-    if pin < -1e-6 * max(1.0, _sup(subsol)):
-        raise SolverError("minimizer dropped %.3e below the anchor" % -pin)
-    return _report(kern, plain, u, iterations, opts.tol, "pinned")
 
 
 def principal_eigenpair(kern, p, opts=None):
@@ -599,8 +560,8 @@ def find_saddle(kern, params, u_big, opts=None, seed=0, return_path=False):
     """
     opts = opts or SolverOptions()
     _check_compat(kern, params)
-    u_big = np.asarray(getattr(u_big, "values", u_big), dtype=float)
-    _require_even(u_big, "ceiling")
+    u_big = _check_values(kern, getattr(u_big, "values", u_big))
+    _require_even(u_big)
     if _sup(u_big) <= opts.zero_tol:
         raise SaddleNotFound("ceiling solution is numerically zero")
     P = int(opts.path_points)

@@ -4,7 +4,7 @@ import pytest
 from fracbif import (KernelMatrix, ParameterError, ReactionModel,
                      SolverError, SolverOptions, apply_operator,
                      assemble_kernel, build_diagram, build_mesh,
-                     biggest_solution, continue_branch, estimate_lambda_star,
+                     continue_branch, estimate_lambda_star,
                      find_saddle, lambda_lower_bound, minimize,
                      minimize_multistart, principal_eigenpair,
                      scan_reaction_slack, select_solution, solve_at_lambda,
@@ -397,23 +397,3 @@ def test_build_diagram_keeps_both_fold_brackets(coarse_problem,
     assert rec["fold_bracket"] == coarse_estimate.method_record["fold_bracket"]
     assert rec["fold_bracket"] != rec["grid_fold_bracket"]
     assert rec["grid"] == trace.method_record["grid"]
-
-
-def test_biggest_solution_tops_known_pair(small_problem, small_big_solution,
-                                          small_saddle):
-    kern, params = small_problem
-    out = biggest_solution(kern, params,
-                           [small_saddle, small_big_solution])
-    u = small_big_solution.solution.values
-    assert out.classification == "pinned"
-    assert float(np.max(np.abs(out.solution.values - u))) <= 1e-9
-
-
-def test_biggest_solution_rejects_unverified_input(small_problem,
-                                                   small_big_solution):
-    kern, params = small_problem
-    u = small_big_solution.solution.values
-    with pytest.raises(ParameterError, match="residual"):
-        biggest_solution(kern, params, [0.7 * u])
-    with pytest.raises(ParameterError):
-        biggest_solution(kern, params, [])

@@ -33,7 +33,6 @@ def test_validate_params_happy_path():
     assert pr.lam == 4.0
     assert pr.sigma == pytest.approx(0.9)
     assert pr.pstar == pytest.approx(3.0 / (1.0 - 0.9))
-    assert pr.c0 == pytest.approx(5.0)
 
 
 def test_validate_params_lambda_alias():
@@ -49,6 +48,8 @@ def test_validate_params_names_missing_and_unknown_keys():
         validate_params({"p": 3.0, "r": 1.5})
     with pytest.raises(ParameterError, match="unknown parameter keys: zeta"):
         validate_params({"p": 3.0, "s": 0.3, "q": 2.5, "r": 1.5, "zeta": 1})
+    with pytest.raises(ParameterError, match="unknown parameter keys: c0"):
+        validate_params({"p": 3.0, "s": 0.3, "q": 2.5, "r": 1.5, "c0": 1})
 
 
 def test_validate_params_enforces_ranges():
@@ -69,11 +70,10 @@ def test_validate_params_enforces_ranges():
         validate_params(dict(base, p=float("nan")))
 
 
-def test_with_lambda_recomputes_growth_constant():
+def test_with_lambda_changes_only_the_reaction_strength():
     pr = validate_params({"p": 3.0, "s": 0.3, "q": 2.5, "r": 1.5, "lambda": 4.0})
     pr2 = with_lambda(pr, 9.0)
     assert pr2.lam == 9.0
-    assert pr2.c0 == pytest.approx(10.0)
     assert (pr2.p, pr2.s, pr2.q, pr2.r) == (pr.p, pr.s, pr.q, pr.r)
 
 

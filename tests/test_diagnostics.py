@@ -94,9 +94,8 @@ def test_gradient_check_small_for_all_variants():
     rng = np.random.default_rng(2)
     u = 0.4 + 0.1 * rng.random(12)
     plain = ReactionModel.plain(params)
-    floored = ReactionModel.floored(params, np.full(12, 0.2))
     capped = ReactionModel.capped(params, np.full(12, 2.0))
-    for model in (plain, floored, capped):
+    for model in (plain, capped):
         assert gradient_check(kern, model, u) < 1e-7
 
 

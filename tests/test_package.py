@@ -1,0 +1,57 @@
+"""Checks that tie the package to its README and keep its modules tidy."""
+
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+import fracbif
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+MODULES = sorted(p for p in Path(fracbif.__file__).parent.glob("*.py")
+                 if p.name != "__init__.py")
+
+
+def _section(text, title):
+    """Body of the '## title' section, fenced code blocks removed."""
+    body = text.split("\n## %s\n" % title, 1)[1].split("\n## ", 1)[0]
+    return re.sub(r"```.*?```", "", body, flags=re.S)
+
+
+def _resolve(name):
+    for root in (fracbif, fracbif.verify):
+        obj = root
+        try:
+            for part in name.removeprefix("fracbif.").split("."):
+                obj = getattr(obj, part)
+        except AttributeError:
+            continue
+        return True
+    return False
+
+
+def test_readme_python_api_names_exist():
+    names = re.findall(r"`([^`]+)`", _section(README.read_text(), "Python API"))
+    assert len(names) >= 20
+    missing = [name for name in names if not _resolve(name)]
+    assert not missing, "README names that fracbif lacks: %s" % missing
+
+
+def _unused_imports(tree):
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in used)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_imports_are_all_used(path):
+    unused = _unused_imports(ast.parse(path.read_text(), str(path)))
+    assert not unused, "%s imports names it never uses: %s" % (
+        path.name, ", ".join("%s (line %d)" % (n, ln) for ln, n in unused))

@@ -12,10 +12,8 @@ PARAMS = validate_params({"p": 3.0, "s": 0.3, "q": 2.5, "r": 1.5,
 
 def make_models(n=6):
     rng = np.random.default_rng(42)
-    anchor = 0.1 + 0.2 * rng.random(n)
     ceiling = 1.0 + rng.random(n)
     return [ReactionModel.plain(PARAMS),
-            ReactionModel.floored(PARAMS, anchor),
             ReactionModel.capped(PARAMS, ceiling)]
 
 
@@ -52,8 +50,6 @@ def test_primitive_matches_quadrature():
         for t in (-2.0, -0.4, 0.2, 0.8, 1.4, 3.0):
             for i in (0, 3, 5):
                 kinks = []
-                if model.anchor is not None:
-                    kinks.append(float(model.anchor[i]))
                 if model.ceiling is not None:
                     kinks.append(float(model.ceiling[i]))
                 pts = [k for k in kinks if min(0.0, t) < k < max(0.0, t)]
@@ -72,17 +68,6 @@ def test_primitive_vectorization():
         for i in range(6):
             assert vals[i] == pytest.approx(
                 at_node(F_values, model, i, u[i]), rel=1e-13, abs=1e-300)
-
-
-def test_floored_variant_is_constant_below_anchor():
-    anchor = np.full(4, 0.5)
-    model = ReactionModel.floored(validate_params(
-        {"p": 3.0, "s": 0.3, "q": 2.5, "r": 1.5, "lambda": 4.0}), anchor)
-    lo = f_values(model, np.array([-1.0, 0.0, 0.2, 0.5]))
-    at = at_node(f_values, model, 0, 0.5, n=4)
-    assert np.all(lo == at)
-    above = at_node(f_values, model, 0, 0.8, n=4)
-    assert above != at
 
 
 def test_capped_variant_freezes_growth():
@@ -124,8 +109,7 @@ def test_growth_envelope():
     rng = np.random.default_rng(17)
     t = rng.uniform(-50.0, 50.0, size=200)
     for model in make_models():
-        c0 = model.c0 if model.c0 is not None else model.params.c0
         for i in (0, 2, 5):
             vals = np.array([at_node(f_values, model, i, x) for x in t])
-            cap = c0 * (1.0 + np.abs(t) ** (model.params.q - 1.0))
+            cap = model.c0 * (1.0 + np.abs(t) ** (model.params.q - 1.0))
             assert np.all(np.abs(vals) <= cap * (1.0 + 1e-12))

@@ -3,13 +3,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from fracbif import (KernelMatrix, MountainPassPath, ParameterError,
-                     ReactionModel, SaddleNotFound, SolverError,
-                     SolverOptions, apply_operator, assemble_kernel,
-                     build_mesh, continue_branch, find_saddle, minimize,
-                     minimize_multistart, mirror_fold, mirror_unfold,
-                     odd_power, principal_eigenpair, select_solution,
-                     seminorm_energy, solve_above, total_energy,
+from fracbif import (KernelMatrix, MeshMismatchError, MountainPassPath,
+                     ParameterError, ReactionModel, SaddleNotFound,
+                     SolverError, SolverOptions, apply_operator,
+                     assemble_kernel, build_mesh, continue_branch,
+                     find_saddle, minimize, minimize_multistart, mirror_fold,
+                     mirror_unfold, odd_power, principal_eigenpair,
+                     select_solution, seminorm_energy, total_energy,
                      total_gradient, total_hessian, validate_params,
                      with_lambda)
 from fracbif import solvers
@@ -76,17 +76,15 @@ def test_total_gradient_matches_finite_differences(p):
 
 
 def _variant(name, params, u):
-    # anchor/ceiling 0.1 above and below alternate nodes: every node sits
-    # clear of the kink where the truncation switches on
+    # a ceiling 0.1 above and below alternate nodes: every node sits
+    # clear of the kink where the cap switches on
     bound = u + np.where(np.arange(u.size) % 2 == 0, 0.1, -0.1)
-    if name == "floored":
-        return ReactionModel.floored(params, bound)
     if name == "capped":
         return ReactionModel.capped(params, bound)
     return ReactionModel.plain(params)
 
 
-@pytest.mark.parametrize("variant", ["plain", "floored", "capped"])
+@pytest.mark.parametrize("variant", ["plain", "capped"])
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_total_hessian_matches_gradient_differences(p, variant):
     params = make_params(p)
@@ -108,7 +106,7 @@ def test_total_hessian_matches_gradient_differences(p, variant):
     assert np.max(np.abs(H - fd)) <= 1e-6 * np.max(np.abs(H))
 
 
-@pytest.mark.parametrize("variant", ["plain", "floored", "capped"])
+@pytest.mark.parametrize("variant", ["plain", "capped"])
 @pytest.mark.parametrize("n", [10, 11])
 def test_folded_total_hessian_matches_gradient_differences(n, variant):
     params = make_params(2.5)
@@ -119,11 +117,10 @@ def test_folded_total_hessian_matches_gradient_differences(n, variant):
     w = 0.5 + rng.random(m)
     w[0] = -0.3             # the plain reaction is flat for t <= 0
     u = mirror_unfold(w, n)
-    # an even anchor or ceiling 0.1 above and below alternate nodes of
-    # the half mesh: every node sits clear of its kink
+    # an even ceiling 0.1 above and below alternate nodes of the half
+    # mesh: every node sits clear of its kink
     bound = mirror_unfold(w + np.where(np.arange(m) % 2 == 0, 0.1, -0.1), n)
     full_model = {"plain": ReactionModel.plain(params),
-                  "floored": ReactionModel.floored(params, bound),
                   "capped": ReactionModel.capped(params, bound)}[variant]
     model = full_model.fold()
     H = total_hessian(half, model, w)
@@ -600,45 +597,6 @@ def test_minimize_climbs_from_near_zero_at_low_p():
     assert rep.energy == pytest.approx(-1346369.60, rel=1e-8)
 
 
-def test_solve_above_newton_finish_keeps_the_pin(small_problem,
-                                                 small_big_solution):
-    kern, params = small_problem
-    anchor = 0.9 * small_big_solution.solution.values
-    # the reference runs to a tolerance tight enough to compare with at
-    # 1e-9 of sup
-    with pytest.warns(UserWarning, match="subsolution inequality"):
-        ref = solve_above(kern, params, anchor, SolverOptions(tol=1e-12))
-    with pytest.warns(UserWarning, match="subsolution inequality"):
-        rep = solve_above(kern, params, anchor)
-    u = rep.solution.values
-    assert rep.converged
-    assert float(np.min(u - anchor)) >= 0.0
-    assert rep.iterations <= 10
-    assert float(np.max(np.abs(u - ref.solution.values))) <= 1e-9 * np.max(u)
-
-
-@pytest.mark.filterwarnings("ignore:anchor violates the subsolution")
-@pytest.mark.parametrize("lam,n", [(8.0, 48), (12.5, 128), (8.0, 32),
-                                   (40.0, 64)])
-def test_solve_above_stops_on_the_plain_energy_scale(lam, n):
-    # the floored energy differs from the plain one by a constant above
-    # the anchor (|E_floored| = 14.1 against |E| = 1.10 at c = 0.9 on
-    # n = 48); stopping on the floored scale left 5 of these 28 anchors
-    # above the residual target of the plain energy the report reads
-    params = validate_params({"p": 3.0, "s": 0.3, "q": 2.5, "r": 1.5,
-                              "lambda": lam})
-    kern = assemble_kernel(build_mesh(-1.0, 1.0, n), params)
-    u = select_solution(minimize_multistart(
-        kern, ReactionModel.plain(params), seed=0)).solution.values
-    tight = SolverOptions(tol=1e-14)
-    for c in (0.3, 0.5, 0.7, 0.8, 0.9, 0.95, 0.99):
-        rep = solve_above(kern, params, c * u)
-        ref = solve_above(kern, params, c * u, tight)
-        assert rep.converged, c
-        gap = np.max(np.abs(rep.solution.values - ref.solution.values))
-        assert gap <= 1e-6 * np.max(u), c
-
-
 def test_singular_multistart_converges():
     # 1 < p < 2: steepest descent ran all 50000 iterations of every
     # nontrivial start here and stopped at residual ~1e-8
@@ -711,58 +669,39 @@ def test_select_solution_prefers_lowest_energy(small_problem):
     assert pick.energy < 0.0
 
 
-def test_solve_above_pins_and_returns_known_solutions(small_problem,
-                                                      small_big_solution,
-                                                      small_saddle):
-    kern, params = small_problem
-    u = small_big_solution.solution.values
-    v = small_saddle.solution.values
-    # an exact solution is its own least solution from above
-    out = solve_above(kern, params, v)
-    assert out.classification == "pinned"
-    assert out.converged
-    assert float(np.max(np.abs(out.solution.values - v))) <= 1e-9
-    out2 = solve_above(kern, params, u)
-    assert float(np.max(np.abs(out2.solution.values - u))) <= 1e-9
-
-
-def test_solve_above_warns_on_bad_anchor(small_problem, small_big_solution):
-    kern, params = small_problem
-    u = small_big_solution.solution.values
-    # scaling a solution down breaks the subsolution inequality near the
-    # boundary (the negative reaction term dominates there), so the
-    # anchor check must fire; the minimizer still lands back on u
-    with pytest.warns(UserWarning, match="subsolution inequality"):
-        out = solve_above(kern, params, 0.9 * u)
-    assert float(np.min(out.solution.values - 0.9 * u)) >= 0.0
-    assert float(np.max(np.abs(out.solution.values - u))) <= 1e-6
-
-
-def test_solve_above_rejects_an_anchor_that_is_not_even(small_problem,
+def test_find_saddle_rejects_a_ceiling_that_is_not_even(small_problem,
                                                         small_big_solution,
                                                         small_saddle):
-    # the descent sees only the mirror average of the anchor, which
-    # poses a different problem unless the anchor is even
-    kern, params = small_problem
-    u = small_big_solution.solution.values
-    lopsided = 0.9 * u
-    lopsided[:kern.n // 2] *= 0.8
-    with pytest.raises(ParameterError, match="anchor is not mirror-even"):
-        solve_above(kern, params, lopsided)
-    # an asymmetry at rounding level is folded away
-    v = small_saddle.solution.values
-    noise = np.random.default_rng(5).standard_normal(kern.n)
-    out = solve_above(kern, params, v * (1.0 + 1e-12 * noise))
-    assert float(np.max(np.abs(out.solution.values - v))) <= 1e-9
-
-
-def test_find_saddle_rejects_a_ceiling_that_is_not_even(small_problem,
-                                                        small_big_solution):
+    # the search sees only the mirror average of the ceiling, which
+    # poses a different problem unless the ceiling is even
     kern, params = small_problem
     u = small_big_solution.solution.values.copy()
     u[0] *= 1.1
     with pytest.raises(ParameterError, match="ceiling is not mirror-even"):
         find_saddle(kern, params, u, seed=0)
+    # an asymmetry at rounding level is folded away
+    u = small_big_solution.solution.values
+    noise = np.random.default_rng(5).standard_normal(kern.n)
+    out = find_saddle(kern, params, u * (1.0 + 1e-12 * noise), seed=0)
+    v = small_saddle.solution.values
+    assert float(np.max(np.abs(out.solution.values - v))) <= 1e-9
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+@pytest.mark.parametrize("entry", ["minimize", "find_saddle"])
+def test_start_and_ceiling_lengths_are_checked_on_the_full_mesh(
+        small_problem, small_big_solution, entry, extra):
+    # n - 1 values fold to the same length as n, so the length must be
+    # checked, and named, on the full mesh before folding
+    kern, params = small_problem
+    u = small_big_solution.solution.values
+    bad = np.resize(u, kern.n + extra)
+    with pytest.raises(MeshMismatchError,
+                       match="expected %d nodal values" % kern.n):
+        if entry == "minimize":
+            minimize(kern, ReactionModel.plain(params), bad)
+        else:
+            find_saddle(kern, params, bad, seed=0)
 
 
 def test_find_saddle_sits_between_zero_and_ceiling(small_problem,
