@@ -24,7 +24,7 @@ from .diagnostics import check_ordering, hopf_ratio
 from .kernel import apply_operator
 from .reaction import ReactionModel
 from .solvers import (SaddleNotFound, SolverError, SolverOptions,
-                      find_saddle, minimize, minimize_multistart,
+                      find_saddle, minimize, minimize_multistart, nontrivial,
                       principal_eigenpair, select_solution)
 
 
@@ -50,10 +50,6 @@ class BifurcationDiagram:
     method_record: dict = None
 
 
-def _nontrivial(report, zero_tol):
-    return report.converged and report.solution.sup_norm > zero_tol
-
-
 def _find_minimizer(kern, model, opts, warm=None, seed=0, threads=1,
                     stop_early=False):
     """Minimizer at model's lambda, warm start first.
@@ -68,7 +64,7 @@ def _find_minimizer(kern, model, opts, warm=None, seed=0, threads=1,
     """
     if warm is not None:
         rep = minimize(kern, model, warm, opts)
-        if _nontrivial(rep, opts.zero_tol):
+        if nontrivial(rep, opts.zero_tol):
             return rep
     reports = minimize_multistart(kern, model, opts, seed=seed,
                                   threads=threads, stop_at_nontrivial=stop_early)
@@ -116,7 +112,7 @@ def solve_at_lambda(kern, params, warm_start=None, opts=None, seed=0,
     rep = _find_minimizer(kern, ReactionModel.plain(params), opts, warm_start,
                           seed=seed, threads=threads)
     bp = BranchPoint(lam=params.lam, u_big=rep)
-    if with_saddle and _nontrivial(rep, opts.zero_tol):
+    if with_saddle and nontrivial(rep, opts.zero_tol):
         try:
             v = bp.v_saddle = find_saddle(kern, params, rep.solution.values,
                                           opts, seed=seed)
@@ -158,7 +154,7 @@ def continue_branch(kern, params, lam_grid, opts=None, seed=0, threads=1,
         pr = with_lambda(params, lam)
         bp = solve_at_lambda(kern, pr, warm_start=warm, opts=opts, seed=seed,
                              threads=threads, with_saddle=with_saddles)
-        if _nontrivial(bp.u_big, opts.zero_tol):
+        if nontrivial(bp.u_big, opts.zero_tol):
             warm = bp.u_big.solution.values
             last_alive = float(lam)
         else:
@@ -234,7 +230,8 @@ def estimate_lambda_star(kern, params, bracket, opts=None, seed=0, threads=1):
     its first nontrivial report decides, so a "zero only" answer rests
     on the multi-start alone.  From the solution at hi, warm starts run at
     hi - (hi - lo) 2^k for k = 0..7 while above zero, until one
-    collapses: the fold bracket is (that lambda, the last one alive),
+    collapses (one the predicate at lo already ran is not run again):
+    the fold bracket is (that lambda, the last one alive),
     so (lo, hi) if the bisection is right.  A branch alive at lo, or
     never dead (fold bracket None), warns.
 
@@ -252,6 +249,7 @@ def estimate_lambda_star(kern, params, bracket, opts=None, seed=0, threads=1):
     eig = principal_eigenpair(kern, params.p, opts)
     lam_low = lambda_lower_bound(kern, params, eigenpair=eig)
     cache = {}
+    descended = {}      # lambda -> the warm start its predicate descended from
 
     def certified(lam):
         # zero is the only solution below the bound
@@ -263,11 +261,13 @@ def estimate_lambda_star(kern, params, bracket, opts=None, seed=0, threads=1):
             if not certified(lam):
                 # no warm start until hi is known to be nontrivial
                 top = cache.get(hi)
+                if top is not None:
+                    descended[lam] = top.solution.values
                 rep = _find_minimizer(
                     kern, ReactionModel.plain(with_lambda(params, lam)), opts,
-                    None if top is None else top.solution.values, seed=seed,
-                    threads=threads, stop_early=True)
-                if _nontrivial(rep, opts.zero_tol):
+                    descended.get(lam), seed=seed, threads=threads,
+                    stop_early=True)
+                if nontrivial(rep, opts.zero_tol):
                     cache[lam] = rep
         return cache[lam]
 
@@ -303,9 +303,14 @@ def estimate_lambda_star(kern, params, bracket, opts=None, seed=0, threads=1):
         lam = hi - (hi - lo) * 2.0 ** k
         if lam <= 0.0:
             break
+        if descended.get(lam) is warm:
+            # the predicate at lam ran this descent already, and it did
+            # not end nontrivial, or hi would lie at or below lam
+            fold = (lam, live)
+            break
         rep = minimize(kern, ReactionModel.plain(with_lambda(params, lam)),
                        warm, opts)
-        if not _nontrivial(rep, opts.zero_tol):
+        if not nontrivial(rep, opts.zero_tol):
             fold = (lam, live)
             break
         warm, live = rep.solution.values, lam

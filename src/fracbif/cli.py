@@ -27,7 +27,8 @@ from .diagnostics import make_report
 from .kernel import KernelMatrix
 from .output import (write_branch_csv, write_diagram_svg, write_eigen_csv,
                      write_kernel_csv, write_run_record, write_solution_csv)
-from .solvers import SolverError, SolverOptions, principal_eigenpair
+from .solvers import (SolverError, SolverOptions, nontrivial,
+                      principal_eigenpair)
 from .verify import run_verification
 
 
@@ -145,8 +146,7 @@ def cmd_solve(cfg, args, kernel_hook):
         rec["saddle_note"] = bp.saddle_note
 
     u = bp.u_big.solution.values
-    nontrivial = bp.u_big.converged and bp.u_big.solution.sup_norm > opts.zero_tol
-    if not nontrivial:
+    if not nontrivial(bp.u_big, opts.zero_tol):
         write_solution_csv(os.path.join(out, "solution.csv"), mesh, params.s,
                            u, None, meta)
         rec["outcome"] = "no nontrivial solution"

@@ -25,12 +25,10 @@ piecewise-linear path is pushed downhill, with the path redistributed
 at fixed arclength fractions, until progress stalls at the path
 resolution.  The maximal point alone then takes damped min-max Newton
 steps on the exact Hessian (total_hessian), and the result counts if
-it converges to a point of Morse index one.  Otherwise the search
-returns to where the descent stopped and climbs to the saddle by
-reflecting the gradient across the lowest eigenvector of that Hessian,
-with a plain Newton polish for the degenerate modes.  The rest of the
-path stays where the descent left it.  The saddle search reads
-curvature from that Hessian alone.
+it converges to a point of Morse index one.  Otherwise the descent
+resumes from where it stopped and the finish is tried again at its
+next stall.  The rest of the path stays where the descent left it.
+The saddle search reads curvature from that Hessian alone.
 
 The solutions sought are even under the mirror map of the interval, so
 every solver works in the even subspace: it folds the kernel
@@ -65,7 +63,7 @@ class SolverError(RuntimeError):
 
 
 class SaddleNotFound(SolverError):
-    """Raised when the mountain-pass path collapses onto an endpoint."""
+    """Raised when the mountain-pass path crosses no barrier."""
 
 
 NEWTON_HALVINGS = 8     # step lengths t, t/2, ... an eigen Newton step may try
@@ -368,18 +366,21 @@ def minimize_multistart(kern, model, opts=None, seed=0, threads=1,
     for u0 in starts:
         rep = minimize(kern, model, u0, opts)
         reports.append(rep)
-        if (stop_at_nontrivial and rep.converged
-                and rep.classification != "zero"):
+        if stop_at_nontrivial and nontrivial(rep, opts.zero_tol):
             break
     return reports
 
 
+def nontrivial(report, zero_tol):
+    """Whether a report is converged with sup norm above zero_tol."""
+    return report.converged and report.solution.sup_norm > zero_tol
+
+
 def select_solution(reports, zero_tol=1e-6):
     """Lowest-energy converged nontrivial report, else the cleanest zero."""
-    nontrivial = [r for r in reports
-                  if r.converged and r.solution.sup_norm > zero_tol]
-    if nontrivial:
-        return min(nontrivial, key=lambda r: r.energy)
+    found = [r for r in reports if nontrivial(r, zero_tol)]
+    if found:
+        return min(found, key=lambda r: r.energy)
     return min(reports, key=lambda r: (not r.converged, r.residual))
 
 
@@ -506,8 +507,8 @@ def _reequispace(Z, frac):
 
     frac gives the target cumulative-arclength fraction of every point;
     keeping it non-uniform preserves a resolution bias along the path
-    across redistributions.  Only the descent phase of find_saddle
-    redistributes: the climb moves the maximal point alone.
+    across redistributions.  Only the path descent of find_saddle
+    redistributes: the Newton finish moves the maximal point alone.
     """
     seg = np.linalg.norm(np.diff(Z, axis=0), axis=1)
     total = float(np.sum(seg))
@@ -534,19 +535,20 @@ def find_saddle(kern, params, u_big, opts=None, seed=0, return_path=False):
     its residual is reported for the uncapped reaction, which coincides
     with the capped one on that range.
 
-    The descent phase moves the maximal point of the path and
+    The path descent moves the maximal point of the path and
     redistributes the path after every step.  Once progress stalls,
     that point alone takes up to SADDLE_ROUNDS min-max Newton steps
     (_newton_polish; Li & Zhou, SIAM J. Sci. Comput. 23, 2001), which
     are kept if they reach the residual target at a point where the
     Hessian has exactly one negative eigenvalue.  Otherwise the point
-    goes back to where the descent left it and climbs: each climb step
-    reflects the gradient across the lowest eigenvector of the exact
-    Hessian at that point (Choi & McKenna, Nonlinear Anal. 20, 1993),
-    with plain Newton polishing once it slows.  The other path points
-    stay where the descent left them, so their energies stay exact and
-    only the maximal point's energy is recomputed.  iterations counts
-    the descent steps plus the Newton steps kept, or plus the climb.
+    goes back to where the descent left it, the descent resumes, and
+    the finish is tried again at the next stall; the search gives up
+    when a finish fails and the descent has not lowered its best
+    residual since the finish before.  The other path points stay where
+    the descent left them, so their energies stay exact and only the
+    maximal point's energy is recomputed.  iterations counts the
+    descent steps plus the Newton steps kept.  SaddleNotFound is raised
+    when the maximal point ends no higher than both endpoints.
 
     The search runs in the even subspace, where the saddle has Morse
     index one (in the full space the lowest odd mode can be negative
@@ -599,21 +601,13 @@ def _mountain_pass(kern, params, u_big, P, opts, seed):
     energies = _batch_energy(kern, model, Z)
     end_energy = max(energies[0], energies[-1])
     step = None
-    climb_step = None
-    best_residual = np.inf
+    best_residual = finish_best = np.inf
     stall = 0
-    polish_left = 3
     iterations = 0
     index = None
-    phase = "descent"
-    v_prev = g_prev = None
-    m = 1 + int(np.argmax(energies[1:-1]))
     while iterations < opts.max_iter:
         iterations += 1
-        if phase == "descent":
-            # once the climb starts the index is frozen: the climber
-            # walks freely, and only Z[m] and energies[m] are read again
-            m = 1 + int(np.argmax(energies[1:-1]))
+        m = 1 + int(np.argmax(energies[1:-1]))
         E_m, g = _energy_and_gradient(kern, model, Z[m])
         residual = _residual(kern, g)
         scale = _scale(kern, E_m)
@@ -624,19 +618,18 @@ def _mountain_pass(kern, params, u_big, P, opts, seed):
             stall = 0
         else:
             stall += 1
-        # descend while the best residual keeps improving; switch once
+        # descend while the best residual keeps improving; finish once
         # it stalls at the path resolution, avoiding moments when the
         # residual spikes from a redistribution
-        if phase == "descent" and ((stall >= 15 and residual <= 2.0 * best_residual)
-                                   or stall > 80):
-            phase = "climb"
+        if (stall >= 15 and residual <= 2.0 * best_residual) or stall > 80:
             stall = 0
             # the min-max Newton finish counts only if it converges to a
-            # point of Morse index one; otherwise the climb starts from
-            # the point the descent left
+            # point of Morse index one; otherwise the descent resumes
+            # from the point it left and the finish is tried again at
+            # the next stall
             w, res_w, steps = _newton_polish(
                 kern, model, Z[m], opts.tol * scale,
-                min(SADDLE_ROUNDS, opts.max_iter - iterations), minmax=True)
+                min(SADDLE_ROUNDS, opts.max_iter - iterations))
             E_w = total_energy(kern, model, w)
             if (res_w <= opts.tol * _scale(kern, E_w)
                     and _morse_index(kern, model, w) == 1):
@@ -645,87 +638,32 @@ def _mountain_pass(kern, params, u_big, P, opts, seed):
                 iterations += steps
                 index = 1
                 break
-        elif phase == "climb" and stall > 120:
-            break
-        if phase == "descent":
-            if step is None:
-                step = 1.0 / max(1.0, residual)
-            step = min(step * 2.0, STEP_MAX)
-            gg = float(g @ g)
-            # projected step: boundary nodes overshoot below zero
-            # otherwise, and redistribution then smears the violation
-            # along the whole path
-            while step > 1e-20:
-                trial = _clip_box(Z[m] - opts.damping * step * g, u_big)
-                E_try = total_energy(kern, model, trial)
-                if E_try <= E_m - ARMIJO * opts.damping * step * gg:
-                    break
-                step *= BACKTRACK
-            Z[m] = trial
-            Z = _reequispace(Z, frac=frac)
-            energies = _batch_energy(kern, model, Z)
-        else:
-            # in the even subspace the mountain-pass point has Morse
-            # index one: the climb reflects across the lowest mode alone
-            mode = np.linalg.eigh(total_hessian(kern, model, Z[m]))[1][:, 0]
-
-            def reflect(vec):
-                return vec - 2.0 * float(mode @ vec) * mode
-
-            d = reflect(g)
-            if climb_step is None:
-                climb_step = opts.damping / max(1.0, residual)
-            if v_prev is not None:
-                dv = Z[m] - v_prev
-                dd = d - reflect(g_prev)
-                sy = float(dv @ dd)
-                if sy > 0.0:
-                    # flat modes need steps ~ 1/curvature, far beyond
-                    # the descent-phase cap; acceptance guards excess
-                    climb_step = min(max(float(dv @ dv) / sy, 1e-12), 1e8)
-            moved = False
-            for _try in range(40):
-                w = _clip_box(Z[m] - climb_step * d, u_big)
-                res_try = _residual(kern, total_gradient(kern, model, w))
-                if res_try < residual:
-                    v_prev, g_prev = Z[m].copy(), g
-                    Z[m] = w
-                    climb_step = min(climb_step * 1.25, 1e8)
-                    moved = True
-                    break
-                climb_step *= 0.5
-            if moved:
-                energies[m] = total_energy(kern, model, Z[m])
-            want_polish = not moved or (stall >= 8 and residual <= 1e-4 * scale)
-            if want_polish and polish_left > 0:
-                polish_left -= 1
-                w, res_p, _steps = _newton_polish(kern, model, Z[m],
-                                                  opts.tol * scale)
-                if res_p < residual:
-                    Z[m] = w
-                    v_prev = g_prev = None
-                    stall = 0
-                    best_residual = min(best_residual, res_p)
-                    energies[m] = total_energy(kern, model, Z[m])
-                    continue
-            if not moved:
+            if best_residual == finish_best:
+                break       # no descent progress since the last finish
+            finish_best = best_residual
+        if step is None:
+            step = 1.0 / max(1.0, residual)
+        step = min(step * 2.0, STEP_MAX)
+        gg = float(g @ g)
+        # projected step: boundary nodes overshoot below zero
+        # otherwise, and redistribution then smears the violation
+        # along the whole path
+        while step > 1e-20:
+            trial = _clip_box(Z[m] - opts.damping * step * g, u_big)
+            E_try = total_energy(kern, model, trial)
+            if E_try <= E_m - ARMIJO * opts.damping * step * gg:
                 break
-        if energies[m] <= end_energy + 1e-12 * scale:
-            _check_not_collapsed(Z[m], u_big)
-    # the zero function is critical too: a maximal point that stopped at
-    # an endpoint is no saddle, however small its residual
-    _check_not_collapsed(Z[m], u_big)
+            step *= BACKTRACK
+        Z[m] = trial
+        Z = _reequispace(Z, frac=frac)
+        energies = _batch_energy(kern, model, Z)
+    # the zero function is critical too: a maximal point no higher than
+    # the endpoints (to rounding) is no saddle, however small its residual
+    if energies[m] <= end_energy + 1e-12 * scale:
+        raise SaddleNotFound("mountain-pass path collapsed onto an endpoint")
     if index is None:
         index = _morse_index(kern, model, Z[m])
     return Z, m, iterations, index
-
-
-def _check_not_collapsed(v, u_big):
-    """Raise SaddleNotFound if v lies within 1e-8 * max(1, sup u_big) of
-    either end of the mountain-pass path, the zero function or u_big."""
-    gap = min(np.linalg.norm(v), np.linalg.norm(v - u_big))
-    if gap <= 1e-8 * max(1.0, _sup(u_big)):
-        raise SaddleNotFound("mountain-pass path collapsed onto an endpoint")
 
 
 def _morse_index(kern, model, v):
@@ -733,25 +671,21 @@ def _morse_index(kern, model, v):
     return int(np.sum(np.linalg.eigvalsh(total_hessian(kern, model, v)) < 0.0))
 
 
-def _newton_polish(kern, model, v, tol_scale, rounds=6, minmax=False):
-    """Damped Newton steps on the exact Hessian (total_hessian).
+def _newton_polish(kern, model, v, tol_scale, rounds):
+    """Damped min-max Newton steps toward a saddle of Morse index one
+    (Li & Zhou, SIAM J. Sci. Comput. 23, 2001).
 
-    Each step inverts the Hessian through its eigendecomposition, with
-    curvatures below 1e-9 of the largest dropped.  With minmax every
-    curvature is taken by its modulus except the lowest, which is taken
-    negative: the min-max Newton step toward a saddle of Morse index one
-    (Li & Zhou, SIAM J. Sci. Comput. 23, 2001), which is the Newton step
-    where the Hessian has exactly one negative eigenvalue and elsewhere
-    climbs the lowest mode and descends all the others.  Without it the
-    step is the plain Newton step.  Treating every mode at once also
-    handles the leftover gradient in flat, coupled modes near the
-    critical point, where per-direction steps stall.  Candidate steps
-    are projected onto the box where the capped reaction agrees with the
-    plain one, halved up to 30 times, and kept only when the gradient
-    sup-norm falls, so the iterate cannot leave the basin it started
-    in.  Stops once that residual is at most tol_scale or after rounds
-    steps; returns the point, its residual and the number of steps
-    taken.
+    Each step inverts the exact Hessian (total_hessian) through its
+    eigendecomposition, with curvatures below 1e-9 of the largest
+    dropped and every curvature taken by its modulus except the lowest,
+    which is taken negative: the Newton step where the Hessian has
+    exactly one negative eigenvalue, and elsewhere a climb of the lowest
+    mode and a descent of all the others.  Steps are projected onto the
+    box where the capped reaction agrees with the plain one, halved up
+    to 30 times, and kept only when the gradient sup-norm falls, so the
+    iterate cannot leave the basin it started in.  Stops once that
+    residual is at most tol_scale or after rounds steps; returns the
+    point, its residual and the number of steps taken.
     """
     top = model.ceiling if model.ceiling is not None else np.inf
     g = total_gradient(kern, model, v)
@@ -761,9 +695,8 @@ def _newton_polish(kern, model, v, tol_scale, rounds=6, minmax=False):
         curv, Q = np.linalg.eigh(total_hessian(kern, model, v))
         floor = 1e-9 * float(np.max(np.abs(curv)))
         keep = np.abs(curv) > floor
-        if minmax:
-            curv = np.abs(curv)
-            curv[0] = -curv[0]
+        curv = np.abs(curv)
+        curv[0] = -curv[0]
         coef = Q.T @ g
         d = -(Q[:, keep] @ (coef[keep] / curv[keep]))
         t = 1.0

@@ -269,8 +269,8 @@ def test_solve_keeps_minimizer_when_saddle_not_found(tmp_path, outdir,
 def test_solve_notes_a_saddle_search_that_ends_at_zero(tmp_path, outdir,
                                                         capsys):
     # unpatched: the search collapses onto the zero endpoint at this point
-    cfg = write_config(tmp_path / "run.cfg", p=4.0, s=0.2, q=3.0, r=2.0,
-                       **{"lambda": 12.5, "mesh.n": 32})
+    cfg = write_config(tmp_path / "run.cfg", p=1.8, s=0.4, q=1.6, r=1.2,
+                       **{"lambda": 40.0, "mesh.n": 32})
     assert main(["solve", "--config", cfg, "--out", outdir]) == 0
     assert "saddle sup norm" not in capsys.readouterr().out
     rec = json.load(open(os.path.join(outdir, "solution.json")))
@@ -281,14 +281,14 @@ def test_solve_notes_a_saddle_search_that_ends_at_zero(tmp_path, outdir,
 def test_bifurcation_keeps_a_point_whose_saddle_search_ends_at_zero(
         tmp_path, outdir, capsys):
     # the point of the test above, as the top of a branch grid
-    cfg = write_config(tmp_path / "run.cfg", p=4.0, s=0.2, q=3.0, r=2.0,
-                       lambda_min=12.5, lambda_max=13.0, steps=2,
+    cfg = write_config(tmp_path / "run.cfg", p=1.8, s=0.4, q=1.6, r=1.2,
+                       lambda_min=40.0, lambda_max=40.5, steps=2,
                        bracket_lo=2.0, bracket_hi=20.0, **{"mesh.n": 32})
     assert main(["bifurcation", "--config", cfg, "--out", outdir]) == 0
     rows = open(os.path.join(outdir, "branch.csv")).read().splitlines()
     header = rows[1].split(",")
     row = dict(zip(header, rows[2].split(",")))
-    assert float(row["lambda"]) == 12.5
+    assert float(row["lambda"]) == 40.0
     assert float(row["sup_u"]) > 0.0
     assert np.isnan(float(row["sup_v"]))
     assert row["converged"] == "0"

@@ -10,6 +10,7 @@ differences of the reference gradient, has exactly one negative
 eigenvalue.
 """
 
+import functools
 import importlib.util
 import os
 
@@ -53,18 +54,45 @@ def even_morse_index(prob, v, lam, rel=1e-6):
     return int(np.sum(np.linalg.eigvalsh(0.5 * (M + M.T)) < 0.0))
 
 
-# (p, s, q, r, lambda): p < 2, p >= 4, near and far above lambda*;
-# at n = 32 these end, in order, converged, converged, converged,
-# SaddleNotFound, converged, and converged=False (the climb stops at a
-# critical point of Morse index 11)
+# the n = 32 saddle sweep, seed 0: ten exponent sets (p < 2, p >= 4)
+# at lambda = 12.5 and 40, with how each search ends: "converged" (at
+# Morse index one), "SaddleNotFound", or "unconverged" (converged=False)
+SWEEP = {
+    (3.0, 0.3, 2.5, 1.5, 12.5): "converged",
+    (3.0, 0.3, 2.5, 1.5, 40.0): "converged",
+    (1.8, 0.4, 1.6, 1.2, 12.5): "converged",
+    (1.8, 0.4, 1.6, 1.2, 40.0): "SaddleNotFound",
+    (2.0, 0.3, 1.7, 1.3, 12.5): "converged",
+    (2.0, 0.3, 1.7, 1.3, 40.0): "SaddleNotFound",
+    (4.0, 0.2, 3.0, 2.0, 12.5): "converged",
+    (4.0, 0.2, 3.0, 2.0, 40.0): "converged",
+    (4.0, 0.2, 2.0, 1.5, 12.5): "converged",
+    (4.0, 0.2, 2.0, 1.5, 40.0): "SaddleNotFound",
+    (6.0, 0.1, 5.0, 4.0, 12.5): "unconverged",
+    (6.0, 0.1, 5.0, 4.0, 40.0): "unconverged",
+    (1.5, 0.5, 1.3, 1.1, 12.5): "SaddleNotFound",
+    (1.5, 0.5, 1.3, 1.1, 40.0): "SaddleNotFound",
+    (2.5, 0.3, 2.0, 1.5, 12.5): "converged",
+    (2.5, 0.3, 2.0, 1.5, 40.0): "converged",
+    (3.0, 0.2, 2.0, 1.2, 12.5): "unconverged",
+    (3.0, 0.2, 2.0, 1.2, 40.0): "unconverged",
+    (5.0, 0.15, 4.0, 3.0, 12.5): "converged",
+    (5.0, 0.15, 4.0, 3.0, 40.0): "converged",
+}
+
+# (p, s, q, r, lambda): p < 2, p >= 4, near and far above lambda*; at
+# n = 32 each of these converges but (6, 0.1, 5, 4; 12.5), where the
+# search stops at a critical point of Morse index 11
 POINTS = [(3.0, 0.3, 2.5, 1.5, 12.5), (1.8, 0.4, 1.6, 1.2, 12.5),
           (2.0, 0.3, 1.7, 1.3, 12.5), (4.0, 0.2, 3.0, 2.0, 12.5),
-          (4.0, 0.2, 3.0, 2.0, 40.0), (6.0, 0.1, 5.0, 4.0, 12.5)]
+          (4.0, 0.2, 3.0, 2.0, 40.0), (6.0, 0.1, 5.0, 4.0, 12.5),
+          (5.0, 0.15, 4.0, 3.0, 12.5)]
 
 
-@pytest.mark.parametrize("p,s,q,r,lam", POINTS)
-def test_saddle_is_confirmed_by_the_reference_or_reported_as_failed(p, s, q,
-                                                                    r, lam):
+@functools.lru_cache(maxsize=None)
+def search(p, s, q, r, lam):
+    """The minimizer u at (p, s, q, r; lambda) on n = N, and find_saddle's
+    report from it, or None where it raises SaddleNotFound."""
     params = validate_params({"p": p, "s": s, "q": q, "r": r, "lambda": lam})
     kern = assemble_kernel(build_mesh(-1.0, 1.0, N), params)
     u = select_solution(minimize_multistart(kern, ReactionModel.plain(params),
@@ -73,8 +101,15 @@ def test_saddle_is_confirmed_by_the_reference_or_reported_as_failed(p, s, q,
     try:
         rep = find_saddle(kern, params, u.solution.values, seed=0)
     except SaddleNotFound:
-        return
-    if not rep.converged:
+        rep = None
+    return u, rep
+
+
+@pytest.mark.parametrize("p,s,q,r,lam", POINTS)
+def test_saddle_is_confirmed_by_the_reference_or_reported_as_failed(p, s, q,
+                                                                    r, lam):
+    u, rep = search(p, s, q, r, lam)
+    if rep is None or not rep.converged:
         return
     prob = reference.Problem(N, -1.0, 1.0, p, s, q, r)
     uu, v = u.solution.values, rep.solution.values
@@ -84,3 +119,18 @@ def test_saddle_is_confirmed_by_the_reference_or_reported_as_failed(p, s, q,
     assert Ev > max(0.0, Eu)
     assert even_morse_index(prob, v, lam) == 1
     assert rep.morse_index == 1
+
+
+@pytest.mark.parametrize("p,s,q,r,lam", list(SWEEP))
+def test_saddle_sweep_outcome_matches_the_table(p, s, q, r, lam):
+    # a change to the saddle search that gains or loses a saddle here
+    # must update SWEEP, and a gained saddle belongs in POINTS as well
+    _u, rep = search(p, s, q, r, lam)
+    if rep is None:
+        outcome = "SaddleNotFound"
+    elif rep.converged:
+        assert rep.morse_index == 1
+        outcome = "converged"
+    else:
+        outcome = "unconverged"
+    assert outcome == SWEEP[p, s, q, r, lam]

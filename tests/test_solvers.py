@@ -209,18 +209,15 @@ def test_saddle_newton_finish_converges_at_index_one(n, lam, most):
 
 
 @pytest.mark.parametrize("failure", ["index", "rounds"])
-def test_saddle_falls_back_to_the_climb_when_the_newton_finish_fails(
+def test_saddle_retries_the_newton_finish_after_more_descent(
         monkeypatch, small_problem, small_big_solution, small_saddle,
         failure):
+    # a rejected finish sends the maximal point back to the path descent,
+    # and the finish is tried again at the descent's next stall
     kern, params = small_problem
     u = small_big_solution.solution.values
-    with monkeypatch.context() as patch:
-        patch.setattr(solvers, "SADDLE_ROUNDS", 0)      # climb only
-        climb = find_saddle(kern, params, u, seed=0)
-    assert climb.converged and climb.morse_index == 1
-    assert small_saddle.iterations < climb.iterations
     if failure == "index":
-        # the finish converges, but its index check reads 2
+        # the first finish converges, but its index check reads 2
         morse_index = solvers._morse_index
         calls = []
 
@@ -229,14 +226,36 @@ def test_saddle_falls_back_to_the_climb_when_the_newton_finish_fails(
             return 2 if len(calls) == 1 else morse_index(*args)
 
         monkeypatch.setattr(solvers, "_morse_index", rejects_first)
+        rep = find_saddle(kern, params, u, seed=0)
+        assert len(calls) == 2
+        assert rep.converged and rep.morse_index == 1
+        assert rep.iterations > small_saddle.iterations
+        assert np.max(np.abs(rep.solution.values
+                             - small_saddle.solution.values)) <= 1e-9
     else:
-        # one Newton step does not reach the target
+        # one Newton step does not reach the target, so every finish
+        # fails: the search must not claim a saddle
         monkeypatch.setattr(solvers, "SADDLE_ROUNDS", 1)
-    rep = find_saddle(kern, params, u, seed=0)
-    assert rep.converged and rep.morse_index == 1
-    assert rep.iterations == climb.iterations
-    assert rep.energy == climb.energy
-    assert np.array_equal(rep.solution.values, climb.solution.values)
+        rep = find_saddle(kern, params, u, seed=0)
+        assert not rep.converged
+
+
+@pytest.mark.parametrize("p,s,q,r", [(4.0, 0.2, 3.0, 2.0),
+                                     (5.0, 0.15, 4.0, 3.0)])
+def test_saddle_retried_finish_reaches_the_mountain_pass(p, s, q, r):
+    # at lambda = 12.5, n = 32 the first finish is rejected (it stops at
+    # Morse index 0 and 6); the finish retried after more path descent
+    # converges at index one
+    params = validate_params({"p": p, "s": s, "q": q, "r": r,
+                              "lambda": 12.5})
+    kern = assemble_kernel(build_mesh(-1.0, 1.0, 32), params)
+    plain = ReactionModel.plain(params)
+    u = select_solution(minimize_multistart(kern, plain, seed=0))
+    v = find_saddle(kern, params, u.solution.values, seed=0)
+    curv = np.linalg.eigvalsh(total_hessian(
+        kern.fold(), plain, mirror_fold(v.solution.values)))
+    assert v.converged and v.morse_index == 1
+    assert curv[0] < 0.0 < curv[1]
 
 
 def test_principal_eigenpair_matches_dense_matrix():
@@ -732,9 +751,8 @@ def test_find_saddle_returns_path(small_problem, small_big_solution):
     assert path.energies.shape == (path.points.shape[0],)
     assert path.max_index == int(np.argmax(path.energies))
     assert np.array_equal(path.points[path.max_index], rep.solution.values)
-    # the Newton finish and the climb update only the maximal point's
-    # energy; every row must still carry the energy of the point it
-    # belongs to
+    # the Newton finish updates only the maximal point's energy; every
+    # row must still carry the energy of the point it belongs to
     model = ReactionModel.capped(params, u)
     assert np.array_equal(path.energies, _batch_energy(kern, model, path.points))
 
@@ -746,11 +764,11 @@ def test_find_saddle_rejects_zero_ceiling(small_problem):
 
 
 def test_find_saddle_never_returns_the_zero_function():
-    # here the path's maximal point descends onto the zero endpoint,
-    # where the residual vanishes exactly: a stop on the residual
-    # alone reported v = 0 as a converged saddle after 17 iterations
-    params = validate_params({"p": 4.0, "s": 0.2, "q": 3.0, "r": 2.0,
-                              "lambda": 12.5})
+    # here the Newton finish lands exactly on v = 0, where the residual
+    # vanishes; it is rejected (Morse index 0), and the search ends with
+    # the path's maximal point no higher than its endpoints
+    params = validate_params({"p": 1.8, "s": 0.4, "q": 1.6, "r": 1.2,
+                              "lambda": 40.0})
     kern = assemble_kernel(build_mesh(-1.0, 1.0, 32), params)
     reports = minimize_multistart(kern, ReactionModel.plain(params), seed=0)
     u_big = select_solution(reports)
