@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ParameterError, odd_power
-from .kernel import apply_operator, pairing, seminorm_energy
+from .kernel import PAIR_BUDGET, apply_operator, pairing, seminorm_energy
 from .reaction import ReactionModel, f_values
 from .solvers import total_energy, total_gradient
 
@@ -28,7 +28,9 @@ def boundary_ratios(u, s, alpha=None):
 
     Returns (sup_ratio, holder_ratio): the sup norm of w = u/d^s and
     the discrete Holder quotient max |w_i - w_j| / |x_i - x_j|^alpha.
-    alpha defaults to 0.9*s and must satisfy 0 <= alpha < s.
+    alpha defaults to 0.9*s and must satisfy 0 <= alpha < s.  The
+    quotients are taken over blocks of rows of at most PAIR_BUDGET
+    pairs, as the pairwise sums are.
     """
     if alpha is None:
         alpha = 0.9 * s
@@ -36,10 +38,14 @@ def boundary_ratios(u, s, alpha=None):
         raise ParameterError("need 0 <= alpha < s, got alpha=%g, s=%g" % (alpha, s))
     w = u.values / u.mesh.dist ** s
     x = u.mesh.nodes
-    dw = np.abs(w[:, None] - w[None, :])
-    dx = np.abs(x[:, None] - x[None, :])
-    iu = np.triu_indices(len(w), k=1)
-    holder = float(np.max(dw[iu] / dx[iu] ** alpha))
+    rows = max(1, PAIR_BUDGET // len(w))
+    holder = 0.0
+    for lo in range(0, len(w), rows):
+        dw = np.abs(w[lo:lo + rows, None] - w)
+        dx = np.abs(x[lo:lo + rows, None] - x)
+        quotient = np.divide(dw, dx ** alpha, out=np.zeros_like(dw),
+                             where=dx > 0.0)
+        holder = max(holder, float(np.max(quotient)))
     return float(np.max(np.abs(w))), holder
 
 

@@ -22,23 +22,24 @@ offsets and copied along the diagonals.  The diagonal vanishes: a
 function constant on a cell has no self-interaction.  Adjacent cells
 are fine because 1 + sigma < 2 keeps the pair integral convergent.
 
-The energy carried by a vector u of nodal values is, summed over the
-upper triangle of the symmetric K,
+The energy carried by a vector u of nodal values is, summed over all
+ordered pairs of the symmetric K,
 
-    seminorm_energy(u) = (2/p) * [ sum_{i<j} K[i][j] |u_i-u_j|^p
-                                   + sum_i T[i] |u_i|^p ],
+    seminorm_energy(u) = (1/p) * [ sum_{i,j} K[i][j] |u_i-u_j|^p
+                                   + 2 sum_i T[i] |u_i|^p ],
 
 and apply_operator returns its exact gradient, the discrete operator
 
     A(u)_i = 2 * sum_{j!=i} K[i][j] op(u_i-u_j, p) + 2 T[i] op(u_i, p)
 
 with op the signed power.  pairing(A(u), u) = p * seminorm_energy(u)
-by p-homogeneity.  Both come from pairwise_energy, which needs one
-power |u_i-u_j|^(p-1) per pair i < j (the pair term is antisymmetric,
-so it is added to row i and subtracted from row j) and visits the
-triangle in chunks of whole rows of at most PAIR_BUDGET pairs: every
-temporary holds at most PAIR_BUDGET floats (128 KiB), whatever n is.
-operator_hessian, the dense Jacobian of A, is the one n x n exception.
+by p-homogeneity.  Both come from pairwise_energy, which walks K in
+dense blocks of whole rows against all n columns, for a stack of batch
+rows at once: row i of a block gives A(u)_i directly, and every pair is
+visited twice, once from each end.  A block holds at most PAIR_BUDGET
+differences (128 KiB), whatever n is, and nothing is cached on the
+kernel.  operator_hessian, the dense Jacobian of A, is the one n x n
+exception.
 
 The solutions the solvers look for are even under the mirror map
 x -> a + b - x, which sends node i to node n-1-i, and a critical point
@@ -60,14 +61,13 @@ folded kernel, 1 otherwise) turns energies back into full-space ones.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .core import Mesh1D, MeshMismatchError, curvature_power
 
-# pairs per chunk of the triangle; a single row longer than this is
-# one chunk of its own
+# entries u_i - u_j per block of the pairwise sums (batch rows x rows
+# of K x n); a single row of K longer than this is a block of its own
 PAIR_BUDGET = 1 << 14
 
 
@@ -128,33 +128,6 @@ class KernelMatrix:
         return KernelMatrix(K=K, T=weight * self.T[:m], sigma=self.sigma,
                             mesh=half, weight=weight, copies=2)
 
-    @cached_property
-    def triangle(self):
-        """The pairs i < j of K row by row, cut into chunks of whole rows.
-
-        Each chunk is (rows, counts, starts, J, W): the slice of rows it
-        covers, the number of pairs in each row and the offset of each
-        row's first pair, the column index of every pair and its weight
-        K[i, j].  Read from K as given, so any symmetric K works,
-        Toeplitz or not; K must not change after the first evaluation.
-        """
-        n = self.K.shape[0]
-        I, J = np.triu_indices(n, k=1)
-        W = self.K[I, J]
-        counts = np.arange(n - 1, 0, -1)
-        first = np.concatenate(([0], np.cumsum(counts)))
-        chunks = []
-        lo = 0
-        while lo < n - 1:
-            hi = lo + 1
-            while hi < n - 1 and first[hi + 1] - first[lo] <= PAIR_BUDGET:
-                hi += 1
-            a, b = first[lo], first[hi]
-            chunks.append((slice(lo, hi), counts[lo:hi], first[lo:hi] - a,
-                           J[a:b], W[a:b]))
-            lo = hi
-        return tuple(chunks)
-
     @classmethod
     def from_sigma(cls, mesh, sigma):
         """Assemble the weights for kernel |x-y|^(-(1+sigma)) on mesh."""
@@ -196,9 +169,10 @@ def pairwise_energy(kern, U, p, gradient=False):
 
     U has shape (n,) or (m, n).  Returns the energy (a float, or an
     array of m), and with gradient=True also the operator A(U), shaped
-    like U.  Rows are evaluated one at a time over the chunks of
-    kern.triangle; each energy is a pairwise np.sum per chunk, so a row
-    of a batch gets exactly the energy it gets alone.
+    like U.  The sums run over the blocks of rows of K that the module
+    docstring describes; a batch row meets the same blocks in the same
+    order as the vector alone, so it gets exactly the energy and the
+    operator it gets alone.
     """
     U = np.asarray(U, dtype=float)
     n = kern.n
@@ -206,27 +180,43 @@ def pairwise_energy(kern, U, p, gradient=False):
         raise MeshMismatchError(
             "expected %d nodal values, got shape %r" % (n, U.shape))
     batch = U.reshape(-1, n)
-    energy = np.empty(batch.shape[0])
-    grad = np.zeros_like(batch) if gradient else None
-    for k, u in enumerate(batch):
-        pair = 0.0
-        for rows, counts, starts, J, W in kern.triangle:
-            D = np.repeat(u[rows], counts) - u[J]
-            A = np.abs(D)
-            A1 = A ** (p - 1.0)
+    m = batch.shape[0]
+    rows = min(n, max(1, PAIR_BUDGET // n))
+    stack = max(1, PAIR_BUDGET // (rows * n))
+    D_buf, t_buf = np.empty((2, min(stack, m) * rows * n))
+    pair = np.zeros(m)
+    grad = np.empty_like(batch) if gradient else None
+    for b0 in range(0, m, stack):
+        b1 = min(b0 + stack, m)
+        for lo in range(0, n, rows):
+            hi = min(lo + rows, n)
+            size = (b1 - b0) * (hi - lo) * n
+            D = D_buf[:size].reshape(b1 - b0, hi - lo, n)
+            t = t_buf[:size].reshape(D.shape)
+            np.subtract(batch[b0:b1, lo:hi, None], batch[b0:b1, None, :],
+                        out=D)
             if gradient:
-                t = W * np.copysign(A1, D)
-                pair += float(np.sum(t * D))
-                grad[k, rows] += np.add.reduceat(t, starts)
-                grad[k] -= np.bincount(J, t, minlength=n)
+                np.abs(D, out=t)
+                np.power(t, p - 1.0, out=t)
+                np.copysign(t, D, out=t)
+                t *= kern.K[lo:hi]
+                np.sum(t, axis=2, out=grad[b0:b1, lo:hi])
+                D *= t
+                pair[b0:b1] += np.sum(D, axis=(1, 2))
             else:
-                pair += float(np.sum(W * A1 * A))
-        absu = np.abs(u)
-        up1 = absu ** (p - 1.0)
-        tail = float(np.sum(kern.T * up1 * absu))
-        energy[k] = 2.0 * (pair + tail) / p
-        if gradient:
-            grad[k] = 2.0 * (grad[k] + kern.T * np.copysign(up1, u))
+                # |D|^(p-1) K |D|, multiplied as the operator's t D is,
+                # so that both give the same bits
+                np.abs(D, out=D)
+                np.power(D, p - 1.0, out=t)
+                t *= kern.K[lo:hi]
+                t *= D
+                pair[b0:b1] += np.sum(t, axis=(1, 2))
+    absU = np.abs(batch)
+    up1 = absU ** (p - 1.0)
+    energy = (pair + 2.0 * np.sum(kern.T * up1 * absU, axis=1)) / p
+    if gradient:
+        grad += kern.T * np.copysign(up1, batch)
+        grad *= 2.0
     if U.ndim == 1:
         energy = float(energy[0])
         grad = grad[0] if gradient else None

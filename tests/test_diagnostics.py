@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,29 @@ def test_boundary_ratios_of_distance_profile():
     sup_r2, holder_r2 = boundary_ratios(profile(mesh, 0.2), 0.3, alpha=0.1)
     assert sup_r2 > 1.0
     assert holder_r2 > 0.0
+
+
+def test_boundary_ratios_match_the_dense_quotients_in_bounded_memory():
+    # the Holder quotient taken over blocks of rows is the maximum over
+    # all pairs bit for bit, and needs no n x n arrays (36 MiB at this n)
+    for n in (2, 129, 1030):
+        mesh = build_mesh(-1.0, 1.0, n)
+        u = GridFunction(np.random.default_rng(n).random(n), mesh)
+        w = u.values / mesh.dist ** 0.3
+        i, j = np.triu_indices(n, k=1)
+        dense = float(np.max(np.abs(w[i] - w[j])
+                             / np.abs(mesh.nodes[i] - mesh.nodes[j])
+                             ** (0.9 * 0.3)))
+        del i, j
+        tracemalloc.start()
+        try:
+            sup_r, holder_r = boundary_ratios(u, 0.3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert holder_r == dense
+        assert sup_r == float(np.max(w))
+        assert peak < 2 * 2 ** 20
 
 
 def test_boundary_ratios_alpha_range():

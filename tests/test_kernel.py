@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -10,7 +11,7 @@ from fracbif import (KernelError, KernelMatrix, MeshMismatchError, Mesh1D,
                      mirror_unfold, odd_power, pairing, seminorm_energy,
                      seminorm_energy_and_operator, validate_params)
 from fracbif.core import curvature_power
-from fracbif.kernel import PAIR_BUDGET, operator_hessian, pairwise_energy
+from fracbif.kernel import operator_hessian, pairwise_energy
 
 
 def overlap_pair_weight(cell_i, cell_j, sigma):
@@ -284,14 +285,30 @@ def test_pairwise_energy_matches_dense_double_sum(p, n, toeplitz):
             assert abs(fd - g[k]) <= 1e-6 * scale
 
 
-def test_pairwise_energy_chunks_cover_the_triangle():
-    kern = KernelMatrix.from_sigma(build_mesh(-1.0, 1.0, 1030), 0.6)
-    chunks = kern.triangle
-    assert len(chunks) > 1
-    assert sum(len(chunk[-1]) for chunk in chunks) == 1030 * 1029 // 2
-    assert all(len(chunk[-1]) <= PAIR_BUDGET for chunk in chunks)
-    single = KernelMatrix.from_sigma(build_mesh(-1.0, 1.0, 128), 0.6)
-    assert len(single.triangle) == 1
+@pytest.mark.parametrize("n", [64, 127, 129, 1030])
+@pytest.mark.parametrize("p", [1.3, 3.0])
+def test_pairwise_energy_blocks_cover_every_pair(p, n):
+    # at n = 129 and 1030 the last block of rows of K is partial, at
+    # n = 64 a block stacks four batch rows (so 41 rows end on a partial
+    # stack) and at n = 127 one block holds all of K; a batch of 1, 3 or
+    # 41 rows is evaluated exactly as its rows are alone, and the rows
+    # agree with the dense double sum
+    rng = np.random.default_rng(n)
+    kern = oracle_kernel(n, rng, toeplitz=False)
+    U = np.vstack([oracle_values(n, rng) for _ in range(41)])
+    alone = [pairwise_energy(kern, u, p, gradient=True) for u in U]
+    for rows in (1, 3, 41):
+        energies, grads = pairwise_energy(kern, U[:rows], p, gradient=True)
+        assert np.array_equal(energies, pairwise_energy(kern, U[:rows], p))
+        for k in range(rows):
+            assert energies[k] == alone[k][0]
+            assert np.array_equal(grads[k], alone[k][1])
+    for u, (e, g) in zip(U[::20], alone[::20]):
+        ref = dense_energy_oracle(kern.K, kern.T, u, p)
+        assert e == pytest.approx(ref, rel=1e-13, abs=1e-300)
+        op = dense_operator_oracle(kern.K, kern.T, u, p)
+        scale = max(1.0, float(np.max(np.abs(op))))
+        assert np.max(np.abs(g - op)) <= 1e-12 * scale
 
 
 def test_pairwise_energy_rejects_wrong_shapes():
@@ -304,18 +321,21 @@ def test_pairwise_energy_rejects_wrong_shapes():
 
 
 def test_operator_working_set_is_bounded():
-    # the dense form allocated several n x n arrays (8 MB each at this n)
+    # the dense form allocated several n x n arrays (8 MB each at this
+    # n), and the energy of a batch of 41 rows several 41 x n x n ones
     n = 1024
     kern = KernelMatrix.from_sigma(build_mesh(-1.0, 1.0, n), 0.9)
     u = np.cos(0.5 * np.pi * kern.mesh.nodes)
-    apply_operator(kern, u, 2.5)        # fills the cached triangle
-    tracemalloc.start()
-    try:
-        apply_operator(kern, u, 2.5)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * 2 ** 20
+    U = np.outer(np.linspace(0.0, 2.0, 41), u)
+    for evaluate in (lambda: apply_operator(kern, u, 2.5),
+                     lambda: pairwise_energy(kern, U, 2.5)):
+        tracemalloc.start()
+        try:
+            evaluate()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
@@ -381,7 +401,9 @@ def test_fold_leaves_the_full_kernel_alone():
     half = kern.fold()
     assert np.array_equal(kern.K, K)
     assert np.array_equal(kern.weight, np.ones(9))
-    assert "triangle" not in vars(kern)
+    seminorm_energy(kern, np.ones(9), 2.5)
+    # nothing is cached on a kernel: it holds its fields and no more
+    assert set(vars(kern)) == {f.name for f in dataclasses.fields(kern)}
     assert (kern.copies, half.copies) == (1, 2)
     with pytest.raises(KernelError, match="already folded"):
         half.fold()
