@@ -23,9 +23,8 @@ from .solvers import (EigenResult, MountainPassPath, SaddleNotFound,
                       minimize, minimize_multistart, principal_eigenpair,
                       select_solution, total_energy, total_gradient,
                       total_hessian)
-from .diagnostics import (DiagnosticReport, boundary_ratios, check_ordering,
-                          gradient_check, hopf_ratio, make_report,
-                          verify_energy_bound, verify_operator_properties)
+from .diagnostics import (boundary_ratios, check_ordering, gradient_check,
+                          hopf_ratio, verify_operator_properties)
 from .bifurcation import (BifurcationDiagram, BranchPoint, build_diagram,
                           continue_branch, estimate_lambda_star,
                           lambda_lower_bound, solve_at_lambda)

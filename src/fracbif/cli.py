@@ -23,7 +23,7 @@ from .bifurcation import build_diagram, solve_at_lambda
 from .config import (ConfigError, config_hash, parse_config_file,
                      problem_params, require, resolve)
 from .core import MeshError, ParameterError, build_mesh
-from .diagnostics import make_report
+from .diagnostics import boundary_ratios
 from .kernel import KernelMatrix
 from .output import (write_branch_csv, write_diagram_svg, write_eigen_csv,
                      write_kernel_csv, write_run_record, write_solution_csv)
@@ -145,6 +145,8 @@ def cmd_solve(cfg, args, kernel_hook):
     if bp.saddle_note:
         rec["saddle_note"] = bp.saddle_note
 
+    if args.dump_kernel:
+        write_kernel_csv(out, kern, meta)
     u = bp.u_big.solution.values
     if not nontrivial(bp.u_big, opts.zero_tol):
         write_solution_csv(os.path.join(out, "solution.csv"), mesh, params.s,
@@ -153,17 +155,14 @@ def cmd_solve(cfg, args, kernel_hook):
         write_run_record(os.path.join(out, "solution.json"), rec)
         print("no nontrivial solution at lambda=%.6g" % params.lam)
         return 3
-    if args.dump_kernel:
-        write_kernel_csv(out, kern, meta)
 
     v = saddle.solution.values if saddle is not None else None
     write_solution_csv(os.path.join(out, "solution.csv"), mesh, params.s,
                        u, v, meta)
-    report = make_report(kern, params, bp.u_big.solution,
-                         saddle.solution if saddle is not None else None)
+    sup_ratio, holder_ratio = boundary_ratios(bp.u_big.solution, params.s)
     rec["outcome"] = ("two ordered solutions" if v is not None
                       else "one solution")
-    rec["boundary"] = report.as_dict()
+    rec["boundary"] = {"sup_ratio": sup_ratio, "holder_ratio": holder_ratio}
     write_run_record(os.path.join(out, "solution.json"), rec)
     line = "solution sup norm %.6g, energy %.6g" % (
         bp.u_big.solution.sup_norm, bp.u_big.energy)
@@ -211,6 +210,7 @@ def cmd_bifurcation(cfg, args, kernel_hook):
 
 def cmd_verify(cfg, args, kernel_hook):
     problem_params(cfg)
+    _solver_options(cfg)
     passed, results = run_verification(cfg, kernel_hook=kernel_hook)
     for name, ok, detail in results:
         print("%-18s %s  %s" % (name, "ok" if ok else "FAIL", detail))

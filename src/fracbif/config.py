@@ -20,6 +20,7 @@ import hashlib
 from dataclasses import dataclass, fields
 
 from .core import validate_params
+from .solvers import SolverOptions
 
 
 class ConfigError(ValueError):
@@ -36,12 +37,12 @@ class RunConfig:
     domain_a: float = -1.0
     domain_b: float = 1.0
     mesh_n: int = 200
-    tol: float = 1e-9
-    max_iter: int = 50_000
-    starts: int = 10
-    path_points: int = 41
-    damping: float = 0.2
-    width: float = 0.05
+    tol: float = SolverOptions.tol
+    max_iter: int = SolverOptions.max_iter
+    starts: int = SolverOptions.starts
+    path_points: int = SolverOptions.path_points
+    damping: float = SolverOptions.damping
+    width: float = SolverOptions.width
     seed: int = 0
     threads: int = 1
     lambda_min: float = None

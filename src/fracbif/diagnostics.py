@@ -4,17 +4,15 @@ Positive solutions of the continuous problem behave like dist(x)^s at
 the boundary: the ratio u/d^s is bounded above (weighted sup norm),
 bounded below away from zero (Hopf-type ratio), and Holder continuous
 with any exponent below s.  These diagnostics report the discrete
-counterparts, plus ordering margins between two solutions and the
-energy-versus-growth bound chain used to sanity-check solvers.
+counterparts and the ordering margins between two solutions, and hold
+the operator-property trials and the finite-difference gradient check
+that the verify command runs.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import ParameterError, odd_power
 from .kernel import PAIR_BUDGET, apply_operator, pairing, seminorm_energy
-from .reaction import ReactionModel, f_values
 from .solvers import total_energy, total_gradient
 
 
@@ -121,67 +119,3 @@ def gradient_check(kern, model, u, step=1e-6):
                  - total_energy(kern, model, u - bump)) / (2.0 * step)
     denom = max(float(np.max(np.abs(g))), 1e-300)
     return float(np.max(np.abs(fd - g))) / denom
-
-
-def verify_energy_bound(kern, params, u):
-    """Energy/pairing/growth chain for a residual-verified solution.
-
-    Measures p * energy(u) = pairing(A(u), u) = h * sum f(u) u and the
-    growth bound by c0 * (h*sum|u| + h*sum|u|^q); returns all measured
-    constants and pass flags.  The middle equality only holds up to the
-    solution residual, which is measured and used as its tolerance.
-    """
-    values = np.asarray(getattr(u, "values", u), dtype=float)
-    model = ReactionModel.plain(params)
-    h = kern.mesh.h
-    p = params.p
-    lhs = p * seminorm_energy(kern, values, p)
-    Au = apply_operator(kern, values, p)
-    pair = pairing(Au, values)
-    weak = h * float(np.sum(f_values(model, values) * values))
-    residual = float(np.max(np.abs(Au - h * f_values(model, values))))
-    rhs = model.c0 * (h * float(np.sum(np.abs(values)))
-                      + h * float(np.sum(np.abs(values) ** params.q)))
-    scale = max(1.0, abs(lhs))
-    slack = residual * float(np.sum(np.abs(values))) + 1e-10 * scale
-    out = {"p_energy": lhs, "pairing": pair, "weak_form": weak,
-           "growth_rhs": rhs, "residual": residual,
-           "identity_ok": abs(lhs - pair) <= 1e-10 * scale,
-           "weak_ok": abs(pair - weak) <= slack,
-           "bound_ok": weak <= rhs + 1e-10 * max(1.0, rhs)}
-    out["passed"] = out["identity_ok"] and out["weak_ok"] and out["bound_ok"]
-    return out
-
-
-@dataclass
-class DiagnosticReport:
-    hopf_ratio: float
-    sup_ratio: float
-    holder_ratio: float
-    ordering_margin: float = None
-    weighted_margin: float = None
-    bound: dict = None
-
-    def as_dict(self):
-        d = {"hopf_ratio": self.hopf_ratio, "sup_ratio": self.sup_ratio,
-             "holder_ratio": self.holder_ratio}
-        if self.ordering_margin is not None:
-            d["ordering_margin"] = self.ordering_margin
-            d["weighted_margin"] = self.weighted_margin
-        if self.bound is not None:
-            d["bound"] = self.bound
-        return d
-
-
-def make_report(kern, params, u, v=None):
-    """Bundle the standard diagnostics for a solution (and an optional
-    smaller companion solution v <= u)."""
-    hr = hopf_ratio(u, params.s)
-    sup_r, holder_r = boundary_ratios(u, params.s)
-    margin = weighted = None
-    if v is not None:
-        margin, weighted = check_ordering(u, v, params.s)
-    bound = verify_energy_bound(kern, params, u)
-    return DiagnosticReport(hopf_ratio=hr, sup_ratio=sup_r,
-                            holder_ratio=holder_r, ordering_margin=margin,
-                            weighted_margin=weighted, bound=bound)

@@ -21,24 +21,19 @@ class ReactionModel:
     """The reaction bound to a parameter record, plain or capped.
 
     ceiling is the nodal value array of the capped reaction (None for
-    the plain one); c0 is an effective growth constant with
-    |f(i, t)| <= c0 * (1 + |t|^(q-1)) for all nodes and arguments.
+    the plain one).
     """
 
     params: object
     ceiling: np.ndarray = None
-    c0: float = None
 
     @classmethod
     def plain(cls, params):
-        return cls(params=params, c0=params.lam + 1.0)
+        return cls(params=params)
 
     @classmethod
     def capped(cls, params, ceiling):
-        ceiling = np.asarray(ceiling, dtype=float)
-        top = float(np.max(np.maximum(ceiling, 0.0), initial=0.0))
-        c0 = (params.lam + 1.0) * (1.0 + top ** (params.q - 1.0))
-        return cls(params=params, ceiling=ceiling, c0=c0)
+        return cls(params=params, ceiling=np.asarray(ceiling, dtype=float))
 
     def fold(self):
         """The model on the even subspace: the ceiling mirror-averaged

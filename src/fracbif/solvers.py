@@ -376,7 +376,7 @@ def nontrivial(report, zero_tol):
     return report.converged and report.solution.sup_norm > zero_tol
 
 
-def select_solution(reports, zero_tol=1e-6):
+def select_solution(reports, zero_tol=SolverOptions.zero_tol):
     """Lowest-energy converged nontrivial report, else the cleanest zero."""
     found = [r for r in reports if nontrivial(r, zero_tol)]
     if found:

@@ -6,9 +6,9 @@ p=2 eigenproblem densely, and scans the reaction inequalities (among
 them the one behind the closed-form nonexistence bound lambda_low).  Each
 check returns (name, passed, detail); the command exits nonzero if any
 fails.  Evidence that several checks read (the kernel comparison, the
-operator-property trials) is computed once and shared; a step that
-raises is not kept, so it runs again, and fails, in every check that
-reads it.
+n = 32 kernel, the operator-property trials) is computed once and
+shared; a step that raises is not kept, so it runs again, and fails,
+in every check that reads it.
 
 The quadrature oracle reduces each double integral over a cell pair to
 one dimension: with m(rho) the measure of {(x, y) in C_i x C_j :
@@ -29,13 +29,11 @@ import numpy as np
 
 from .core import build_mesh, validate_params, with_lambda
 from .bifurcation import lambda_lower_bound
-from .diagnostics import (gradient_check, verify_energy_bound,
-                          verify_operator_properties)
+from .diagnostics import gradient_check, verify_operator_properties
 from .kernel import KernelMatrix, apply_operator, pairing, seminorm_energy
 from .reaction import (ReactionModel, scan_reaction_slack,
                        sign_threshold_delta, f_values)
-from .solvers import (SolverOptions, minimize_multistart, principal_eigenpair,
-                      select_solution)
+from .solvers import SolverOptions, principal_eigenpair
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _DECAY = 45.0          # e^-45 ~ 3e-20: relative truncation of exp tails
@@ -161,13 +159,12 @@ def run_verification(cfg, kernel_hook=None):
     params = validate_params({"p": cfg.p, "s": cfg.s, "q": cfg.q, "r": cfg.r,
                               "lambda": cfg.lam})
     sigma = params.sigma
-    quick = SolverOptions(tol=cfg.tol, max_iter=min(cfg.max_iter, 4000),
-                          starts=min(cfg.starts, 4))
+    quick = SolverOptions(tol=cfg.tol, max_iter=min(cfg.max_iter, 4000))
 
     kernel_report = cache(lambda: _kernel_checks(make_kernel, sigma))
+    kernel32 = cache(lambda: make_kernel(build_mesh(-1.0, 1.0, 32), sigma))
     mon_report = cache(lambda: verify_operator_properties(
-        make_kernel(build_mesh(-1.0, 1.0, 32), sigma), params.p,
-        trials=cfg.trials, seed=cfg.seed))
+        kernel32(), params.p, trials=cfg.trials, seed=cfg.seed))
 
     def kernel_oracle():
         worst_pair, _, anchor, _ = kernel_report()
@@ -193,12 +190,11 @@ def run_verification(cfg, kernel_hook=None):
         return worst <= 1e-6, "max rel gradient err %.2e" % worst
 
     def euler_identity():
-        mesh = build_mesh(-1.0, 1.0, 32)
-        kern = make_kernel(mesh, sigma)
+        kern = kernel32()
         rng = np.random.default_rng(cfg.seed + 1)
         worst = 0.0
         for _ in range(50):
-            u = rng.standard_normal(mesh.n)
+            u = rng.standard_normal(kern.n)
             lhs = pairing(apply_operator(kern, u, params.p), u)
             rhs = params.p * seminorm_energy(kern, u, params.p)
             worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
@@ -256,17 +252,6 @@ def run_verification(cfg, kernel_hook=None):
             "max f - mu t^(p-1) over scan = %.2e below lambda_low = %.6g, "
             "%.2e above (mu = %.6g)" % (slack[0], lam_low, slack[1], mu))
 
-    def energy_bound():
-        mesh = build_mesh(-1.0, 1.0, 48)
-        kern = make_kernel(mesh, sigma)
-        reports = minimize_multistart(kern, ReactionModel.plain(params),
-                                      quick, seed=cfg.seed)
-        rep = select_solution(reports, quick.zero_tol)
-        bound = verify_energy_bound(kern, params, rep.solution)
-        return bound["passed"], ("p*energy %.4e <= growth rhs %.4e (%s)"
-                                 % (bound["p_energy"], bound["growth_rhs"],
-                                    rep.classification))
-
     run("kernel-oracle", kernel_oracle)
     run("tail-oracle", tail_oracle)
     run("gradient", gradient)
@@ -276,5 +261,4 @@ def run_verification(cfg, kernel_hook=None):
         run(which, partial(mon, which))
     run("delta-threshold", delta_threshold)
     run("nonexistence-scan", nonexistence)
-    run("energy-bound", energy_bound)
     return all(ok for _, ok, _ in results), results

@@ -75,12 +75,14 @@ def test_zero_width_is_a_config_error(tmp_path, outdir, capsys):
 
 
 def test_zero_starts_is_a_config_error(tmp_path, outdir, capsys):
-    # no start gives no report to select from
+    # no start gives no report to select from; verify, which runs no
+    # multistart, rejects the same config as the solver commands do
     cfg = write_config(tmp_path / "run.cfg", starts=0)
-    code = main(["solve", "--config", cfg, "--out", outdir])
-    assert code == 1
-    assert "starts must be at least 1" in capsys.readouterr().err
-    assert not os.path.exists(outdir)
+    for command in ("solve", "verify"):
+        code = main([command, "--config", cfg, "--out", outdir])
+        assert code == 1
+        assert "starts must be at least 1" in capsys.readouterr().err
+        assert not os.path.exists(outdir)
 
 
 def test_zero_trials_is_a_config_error(tmp_path, outdir, capsys):
@@ -208,8 +210,10 @@ def test_verify_catches_corrupted_kernel(tmp_path, outdir, capsys):
 
 def test_solve_subcritical_exits_three(tmp_path, outdir, capsys):
     cfg = write_config(tmp_path / "run.cfg", **{"lambda": 0.5, "mesh.n": 32})
-    code = main(["solve", "--config", cfg, "--out", outdir])
+    code = main(["solve", "--config", cfg, "--out", outdir, "--dump-kernel"])
     assert code == 3
+    for name in ("kernel.csv", "kernel_tails.csv"):
+        assert os.path.exists(os.path.join(outdir, name)), name
     assert "no nontrivial solution" in capsys.readouterr().out
     rec = json.load(open(os.path.join(outdir, "solution.json")))
     assert rec["outcome"] == "no nontrivial solution"
@@ -227,9 +231,13 @@ def test_solve_reports_both_solutions(tmp_path, outdir, capsys):
     assert "solution sup norm" in out and "saddle sup norm" in out
     rec = json.load(open(os.path.join(outdir, "solution.json")))
     assert rec["outcome"] == "two ordered solutions"
-    assert rec["diagnostics"]["margin"] > 0.0
-    assert rec["diagnostics"]["morse_v"] == 1
-    assert rec["boundary"]["hopf_ratio"] > 0.0
+    diag = rec["diagnostics"]
+    assert diag["margin"] > 0.0 and diag["weighted_margin"] > 0.0
+    assert diag["morse_v"] == 1
+    assert diag["residual_u"] <= 1e-8
+    assert set(rec["boundary"]) == {"holder_ratio", "sup_ratio"}
+    assert diag["hopf_u"] > 0.0
+    assert rec["boundary"]["sup_ratio"] >= diag["hopf_u"]
     assert os.path.exists(os.path.join(outdir, "kernel.csv"))
     assert os.path.exists(os.path.join(outdir, "kernel_tails.csv"))
     rows = open(os.path.join(outdir, "solution.csv")).read().splitlines()

@@ -5,8 +5,8 @@ import pytest
 
 from fracbif import (GridFunction, KernelMatrix, ParameterError,
                      ReactionModel, boundary_ratios, check_ordering,
-                     build_mesh, gradient_check, hopf_ratio, make_report,
-                     verify_energy_bound, verify_operator_properties)
+                     build_mesh, gradient_check, hopf_ratio,
+                     verify_operator_properties)
 
 
 def profile(mesh, s, scale=1.0):
@@ -122,33 +122,3 @@ def test_gradient_check_small_for_all_variants():
     capped = ReactionModel.capped(params, np.full(12, 2.0))
     for model in (plain, capped):
         assert gradient_check(kern, model, u) < 1e-7
-
-
-def test_energy_bound_on_solution(small_problem, small_big_solution):
-    kern, params = small_problem
-    out = verify_energy_bound(kern, params, small_big_solution.solution)
-    assert out["passed"]
-    assert out["identity_ok"] and out["weak_ok"] and out["bound_ok"]
-    assert out["residual"] <= 1e-8
-    assert out["weak_form"] <= out["growth_rhs"]
-
-
-def test_make_report_with_companion(small_problem, small_big_solution,
-                                    small_saddle):
-    kern, params = small_problem
-    rep = make_report(kern, params, small_big_solution.solution,
-                      small_saddle.solution)
-    d = rep.as_dict()
-    assert d["hopf_ratio"] > 0.0
-    assert d["sup_ratio"] >= d["hopf_ratio"]
-    assert d["ordering_margin"] > 0.0
-    assert d["weighted_margin"] > 0.0
-    assert d["bound"]["passed"]
-
-
-def test_make_report_without_companion(small_problem, small_big_solution):
-    kern, params = small_problem
-    rep = make_report(kern, params, small_big_solution.solution)
-    d = rep.as_dict()
-    assert "ordering_margin" not in d
-    assert rep.ordering_margin is None

@@ -38,6 +38,15 @@ def test_readme_python_api_names_exist():
     assert not missing, "README names that fracbif lacks: %s" % missing
 
 
+def test_readme_names_every_verify_check():
+    bullet = README.read_text().split("\n* `verify`", 1)[1]
+    named = re.findall(r"`([^`]+)`", bullet.split("\n\n", 1)[0])
+    cfg = fracbif.resolve({"p": 3.0, "s": 0.3, "q": 2.5, "r": 1.5,
+                           "lam": 8.0, "trials": 1})
+    _, results = fracbif.run_verification(cfg)
+    assert named == [name for name, _, _ in results]
+
+
 def _unused_imports(tree):
     imported = {}
     for node in ast.walk(tree):

@@ -106,10 +106,15 @@ def test_reaction_slack_scan_sign():
 
 
 def test_growth_envelope():
+    # |f(i, t)| <= c0 * (1 + |t|^(q-1)) with c0 = (lam + 1) * (1 +
+    # top^(q-1)), top the largest ceiling value (0 for the plain reaction)
     rng = np.random.default_rng(17)
     t = rng.uniform(-50.0, 50.0, size=200)
     for model in make_models():
+        q = model.params.q
+        top = 0.0 if model.ceiling is None else float(np.max(model.ceiling))
+        c0 = (model.params.lam + 1.0) * (1.0 + top ** (q - 1.0))
         for i in (0, 2, 5):
             vals = np.array([at_node(f_values, model, i, x) for x in t])
-            cap = model.c0 * (1.0 + np.abs(t) ** (model.params.q - 1.0))
+            cap = c0 * (1.0 + np.abs(t) ** (q - 1.0))
             assert np.all(np.abs(vals) <= cap * (1.0 + 1e-12))

@@ -31,8 +31,7 @@ def test_run_verification_reports_all_checks():
     names = [name for name, ok, detail in results]
     assert names == ["kernel-oracle", "tail-oracle", "gradient",
                      "euler-identity", "eigen-oracle-p2", "mon-i", "mon-ii",
-                     "mon-iii", "delta-threshold", "nonexistence-scan",
-                     "energy-bound"]
+                     "mon-iii", "delta-threshold", "nonexistence-scan"]
     assert passed
     for name, ok, detail in results:
         assert ok, "%s failed: %s" % (name, detail)
@@ -57,7 +56,7 @@ def test_run_verification_flags_corrupted_kernel():
 def test_run_verification_runs_shared_evidence_once(monkeypatch):
     cfg = resolve({"p": 3.0, "s": 0.3, "q": 2.5, "r": 1.5, "lam": 8.0,
                    "mesh_n": 48, "trials": 60})
-    calls = {"kernel": 0, "operator": 0}
+    calls = {"kernel": 0, "operator": 0, "assembled": 0}
 
     def counted(key, func):
         def wrapped(*args, **kwargs):
@@ -69,9 +68,13 @@ def test_run_verification_runs_shared_evidence_once(monkeypatch):
                         counted("kernel", verify._kernel_checks))
     monkeypatch.setattr(verify, "verify_operator_properties",
                         counted("operator", verify.verify_operator_properties))
-    passed, _ = run_verification(cfg)
+    passed, _ = run_verification(cfg, kernel_hook=counted("assembled",
+                                                          lambda k: k))
     assert passed
-    assert calls == {"kernel": 1, "operator": 1}
+    # two kernels for the oracles, one each for gradient, eigen-oracle-p2
+    # and nonexistence-scan, and one n = 32 kernel that euler-identity
+    # and the mon-* trials share
+    assert calls == {"kernel": 1, "operator": 1, "assembled": 6}
 
 
 def test_run_verification_fails_every_check_of_a_raising_step():
