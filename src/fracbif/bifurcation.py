@@ -172,17 +172,18 @@ def lambda_lower_bound(kern, params, opts=None, eigenpair=None):
     solution on kern, or None where no certificate is possible.
 
     Let phi > 0 be principal_eigenpair's eigenfunction on kern (or that
-    of the eigenpair given) and mu = min_i A(phi)_i / (h phi_i^(p-1)).
+    of the eigenpair given) and mu = min_i A(phi)_i / (mass_i
+    phi_i^(p-1)), with mass the node measure of KernelMatrix.mass.
     For a symmetric kernel with K, T >= 0 the discrete Picone
     inequality (Brasco and Franzina, Kodai Math. J. 37, 2014) gives,
     for every u >= 0,
 
         sum_i A(phi)_i u_i^p / phi_i^(p-1) <= pairing(A(u), u),
 
-    so mu h sum u^p <= pairing(A(u), u).  A solution is nonnegative
+    so mu sum mass u^p <= pairing(A(u), u).  A solution is nonnegative
     (the reaction vanishes for t <= 0), and at one
 
-        pairing(A(u), u) = h sum f(u_i) u_i <= G(lam) h sum u_i^p,
+        pairing(A(u), u) = sum mass_i f(u_i) u_i <= G(lam) sum mass_i u_i^p,
         G(lam) = max_t f(t) / t^(p-1)
                = (q-r)/(p-q) (lam (p-q)/(p-r))^((p-r)/(q-r)),
 
@@ -205,7 +206,7 @@ def lambda_lower_bound(kern, params, opts=None, eigenpair=None):
     p, q, r = params.p, params.q, params.r
     # a node that is not positive (or whose power underflows) leaves a
     # zero here
-    den = kern.mesh.h * np.maximum(phi, 0.0) ** (p - 1.0)
+    den = kern.mass * np.maximum(phi, 0.0) ** (p - 1.0)
     if not (np.array_equal(kern.K, kern.K.T) and np.all(kern.K >= 0.0)
             and np.all(kern.T >= 0.0) and np.all(den > 0.0)):
         return None

@@ -112,9 +112,10 @@ def resolve(file_values=None, overrides=None):
             if not hasattr(cfg, name):
                 raise ConfigError("unknown config field: %s" % name)
             setattr(cfg, name, value)
-    # numpy rejects a negative seed deep inside a run, and with no
-    # operator trial the verify checks would pass on nothing
-    for name, least in (("seed", 0), ("trials", 1)):
+    # numpy rejects a negative seed deep inside a run, with no operator
+    # trial the verify checks would pass on nothing, and a thread count
+    # below one would be written into the run record
+    for name, least in (("seed", 0), ("trials", 1), ("threads", 1)):
         if not getattr(cfg, name) >= least:
             raise ConfigError("%s must be at least %d, got %r"
                               % (name, least, getattr(cfg, name)))

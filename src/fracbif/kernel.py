@@ -46,18 +46,18 @@ x -> a + b - x, which sends node i to node n-1-i, and a critical point
 of the energy restricted to even vectors is a critical point of the
 full energy (symmetric criticality, Palais 1979).  KernelMatrix.fold
 returns the kernel of that restriction on the first m = ceil(n/2)
-nodes: K'[i][j] = K[i][j] + K[i][n-1-j] and T' = T[:m], so that for
-the even unfolding U w of a half-mesh vector w
+nodes: K'[i][j] = 2 (K[i][j] + K[i][n-1-j]) and T' = 2 T[:m], so that
+for the even unfolding U w of a half-mesh vector w
 
-    seminorm_energy(K, U w) = 2 seminorm_energy(K', w),
-    apply_operator(K, U w)[:m] = apply_operator(K', w) / weight,
+    seminorm_energy(K', w) = seminorm_energy(K, U w),
+    apply_operator(K', w) = (mass / h) apply_operator(K, U w)[:m],
 
-and every pairwise sum covers a quarter of the pairs.  For odd n the
-middle node is its own mirror: its pairs are not doubled, its tail is
-halved, and it carries weight 1/2 where every other node carries 1
-(the full kernel has weight 1 everywhere).  The reaction sums of the
-solvers are weighted the same way, and KernelMatrix.copies (2 on a
-folded kernel, 1 otherwise) turns energies back into full-space ones.
+and every pairwise sum covers a quarter of the pairs.
+KernelMatrix.mass, the measure of the full mesh that a node stands for,
+is h on an assembled kernel and 2h on a folded one.  The middle node of
+an odd mesh is its own mirror: its pairs are not summed with their
+mirrors, and its tail and its mass are not doubled.  The solvers weigh
+every reaction sum by mass, so a folded problem carries the full energy.
 """
 
 from dataclasses import dataclass
@@ -79,23 +79,20 @@ class KernelError(ValueError):
 class KernelMatrix:
     """Pairwise weights K (symmetric, zero diagonal), tails T, order sigma.
 
-    weight is the share of a node in the reaction sums: 1 everywhere
-    (the default), except 1/2 at the middle node of a folded odd mesh.
-    copies is the number of full-mesh nodes a node of weight 1 stands
-    for: 1, or 2 on a folded kernel, whose energies are half those of
-    the unfoldings.
+    mass is the measure of the full mesh that each node stands for: the
+    cell width h at every node (the default), or on a folded kernel 2h,
+    and h at the middle node of an odd mesh.
     """
 
     K: np.ndarray
     T: np.ndarray
     sigma: float
     mesh: Mesh1D
-    weight: np.ndarray = None
-    copies: int = 1
+    mass: np.ndarray = None
 
     def __post_init__(self):
-        if self.weight is None:
-            object.__setattr__(self, "weight", np.ones(len(self.T)))
+        if self.mass is None:
+            object.__setattr__(self, "mass", np.full(len(self.T), self.mesh.h))
 
     @property
     def n(self):
@@ -104,29 +101,31 @@ class KernelMatrix:
     def fold(self):
         """Kernel of the even subspace on the first m = ceil(n/2) nodes.
 
-        K'[i][j] = K[i][j] + K[i][n-1-j] with a zero diagonal, T' = T[:m]
-        and the same cell width; for odd n the middle node's pairs keep
-        their single weight, its tail is halved and its weight is 1/2.
-        The mesh is the first m cells of this one.  A new kernel on
-        every call: nothing is cached on this one.  A folded kernel
-        does not fold again.
+        K'[i][j] = 2 (K[i][j] + K[i][n-1-j]) with a zero diagonal,
+        T' = 2 T[:m] and mass 2h, so that the energy of a half-mesh
+        vector is the full energy of its even unfolding; for odd n the
+        middle node's pairs are not summed with their mirrors, and its
+        tail and mass are not doubled.  The mesh is the first m cells
+        of this one.  A new kernel on every call: nothing is cached on
+        this one.  A folded kernel (mass[0] != h) does not fold again.
         """
-        if self.copies != 1:
+        if self.mass[0] != self.mesh.h:
             raise KernelError("kernel is already folded")
         n = self.n
         m = (n + 1) // 2
         K = self.K[:m, :m] + self.K[:m, ::-1][:, :m]
-        weight = np.ones(m)
+        copies = np.full(m, 2.0)
         if n % 2:
             K[:, -1] = K[-1, :] = self.K[:m, m - 1]
-            weight[-1] = 0.5
+            copies[-1] = 1.0
         np.fill_diagonal(K, 0.0)
+        K *= 2.0
         mesh = self.mesh
         half = Mesh1D(a=mesh.a, b=float(mesh.cell_edges[m]), n=m,
                       cell_edges=mesh.cell_edges[:m + 1], nodes=mesh.nodes[:m],
                       h=mesh.h, dist=mesh.dist[:m])
-        return KernelMatrix(K=K, T=weight * self.T[:m], sigma=self.sigma,
-                            mesh=half, weight=weight, copies=2)
+        return KernelMatrix(K=K, T=copies * self.T[:m], sigma=self.sigma,
+                            mesh=half, mass=copies * self.mass[:m])
 
     @classmethod
     def from_sigma(cls, mesh, sigma):

@@ -2,46 +2,46 @@
 
 All solvers work on the total energy
 
-    total_energy(u) = seminorm_energy(u) - h * sum_i F(i, u_i)
+    total_energy(u) = seminorm_energy(u) - sum_i mass_i F(i, u_i),
 
-whose exact gradient is apply_operator(u) - h * f(., u).  minimize
-takes damped Newton steps on the exact Hessian (total_hessian) with
-every curvature taken by its modulus, so each step descends: the Newton
-step where a Cholesky factorization shows the Hessian positive
-definite, and elsewhere one through its eigendecomposition.  Each step
-backtracks from the full length until Armijo's decrease holds; near a
-minimizer that decrease drops below the rounding of the energy (1e-13 *
-max(1, |E|)), and from there a step is accepted on its slope instead,
-by the approximate Wolfe test of Hager and Zhang, so descent runs on to
-the residual target rather than stalling on noise.  principal_eigenpair
-takes damped Newton steps on the bordered eigen system (the eigen
-equation plus the normalization, solved for the eigenfunction and the
-eigenvalue together with the exact Hessian of the operator) from its
-first iterate, each accepted only if the residual falls, and gives up
-once no step lowers it or the residual has stopped moving.
-find_saddle runs a mountain-pass search on the capped energy between
-the zero function and a known minimizer: the maximal-energy point of a
-piecewise-linear path is pushed downhill, with the path redistributed
-at fixed arclength fractions, until progress stalls at the path
-resolution.  The maximal point alone then takes damped min-max Newton
-steps on the exact Hessian (total_hessian), and the result counts if
-it converges to a point of Morse index one.  Otherwise the descent
-resumes from where it stopped and the finish is tried again at its
-next stall.  The rest of the path stays where the descent left it.
-The saddle search reads curvature from that Hessian alone.
+with mass from KernelMatrix.mass, whose exact gradient is
+apply_operator(u) - mass f(., u).  minimize takes damped Newton steps on
+the exact Hessian (total_hessian) with every curvature taken by its
+modulus, so each step descends: the Newton step where a Cholesky
+factorization shows the Hessian positive definite, and elsewhere one
+through its eigendecomposition.  Each step backtracks from the full
+length until Armijo's decrease holds; near a minimizer that decrease
+drops below the rounding of the energy (1e-13 * max(1, |E|)), and from
+there a step is accepted on its slope instead, by the approximate Wolfe
+test of Hager and Zhang, so descent runs on to the residual target
+rather than stalling on noise.  principal_eigenpair takes damped Newton
+steps on the bordered eigen system (the eigen equation plus the
+normalization, solved for the eigenfunction and the eigenvalue together
+with the exact Hessian of the operator) from its first iterate, each
+accepted only if the residual falls, and gives up once no step lowers it
+or the residual has stopped moving.  find_saddle runs a mountain-pass
+search on the capped energy between the zero function and a known
+minimizer: the maximal-energy point of a piecewise-linear path is pushed
+downhill, with the path redistributed at fixed arclength fractions,
+until progress stalls at the path resolution.  The maximal point alone
+then takes damped min-max Newton steps on the exact Hessian
+(total_hessian), and the result counts if it converges to a point of
+Morse index one.  Otherwise the descent resumes from where it stopped
+and the finish is tried again at its next stall.  The rest of the path
+stays where the descent left it.  The saddle search reads curvature from
+that Hessian alone.
 
 The solutions sought are even under the mirror map of the interval, so
 every solver works in the even subspace: it folds the kernel
 (KernelMatrix.fold), the reaction model and its start onto the first
 ceil(n/2) nodes on entry, solves there, and unfolds the result.  On
-the folded kernel the energy of a point is half the energy of its
-unfolding and the gradient is the full one times the node weight, so
-the stopping tests read the full-space energy copies * E and residual
-sup |g / weight| (KernelMatrix.copies is 2 on a folded kernel and 1 on
-a full one, so the loops are right on either).  Every report carries
-the energy and residual of the unfolded point measured on the full
-kernel, computed after the folded kernel is released: a kernel that is
-not mirror symmetric cannot pass for converged.
+the folded kernel the energy of a point is the energy of its unfolding
+and the gradient is the full one times mass / h, so the stopping tests
+read the full-space residual sup |g h / mass| (mass is h on a full
+kernel, so the loops are right on either).  Every report carries the
+energy and residual of the unfolded point measured on the full kernel,
+computed after the folded kernel is released: a kernel that is not
+mirror symmetric cannot pass for converged.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -144,34 +144,33 @@ def _check_compat(kern, params):
 def total_energy(kern, model, u):
     """Seminorm energy minus the integrated reaction primitive."""
     S = seminorm_energy(kern, u, model.params.p)
-    return S - kern.mesh.h * float(np.sum(kern.weight * F_values(model, u)))
+    return S - float(np.sum(kern.mass * F_values(model, u)))
 
 
 def total_gradient(kern, model, u):
     """Exact gradient of total_energy at u."""
     A = apply_operator(kern, u, model.params.p)
-    return A - kern.mesh.h * kern.weight * f_values(model, u)
+    return A - kern.mass * f_values(model, u)
 
 
 def total_hessian(kern, model, u):
     """Exact Hessian of total_energy at u, a dense symmetric n x n matrix."""
     H = operator_hessian(kern, u, model.params.p)
-    np.einsum("ii->i", H)[...] -= kern.mesh.h * kern.weight * df_values(model, u)
+    np.einsum("ii->i", H)[...] -= kern.mass * df_values(model, u)
     return H
 
 
 def _energy_and_gradient(kern, model, u):
     S, A = seminorm_energy_and_operator(kern, u, model.params.p)
-    h = kern.mesh.h
-    E = S - h * float(np.sum(kern.weight * F_values(model, u)))
-    g = A - h * kern.weight * f_values(model, u)
+    E = S - float(np.sum(kern.mass * F_values(model, u)))
+    g = A - kern.mass * f_values(model, u)
     return E, g
 
 
 def _batch_energy(kern, model, Z):
     """total_energy for every row of Z at once."""
     S = pairwise_energy(kern, Z, model.params.p)
-    return S - kern.mesh.h * np.sum(kern.weight * F_values(model, Z), axis=1)
+    return S - np.sum(kern.mass * F_values(model, Z), axis=1)
 
 
 def _sup(x):
@@ -180,13 +179,12 @@ def _sup(x):
 
 def _residual(kern, g):
     """Sup-norm of the full-space gradient that a folded gradient g stands for."""
-    return _sup(g / kern.weight)
+    return _sup(g * (kern.mesh.h / kern.mass))
 
 
-def _scale(kern, E):
-    """max(1, |energy|) of the full-space point that a point of energy E
-    on kern stands for."""
-    return max(1.0, kern.copies * abs(E))
+def _scale(E):
+    """max(1, |E|), the scale of the tests on an energy E."""
+    return max(1.0, abs(E))
 
 
 def _require_even(u):
@@ -211,13 +209,13 @@ def _report(kern, model, u, iterations, tol, classification):
     residual = _sup(g)
     return SolveReport(solution=GridFunction(u, kern.mesh), energy=float(E),
                        residual=residual, iterations=iterations,
-                       converged=residual <= tol * max(1.0, abs(E)),
+                       converged=residual <= tol * _scale(E),
                        classification=classification)
 
 
 def _rounding(E):
     """Rounding level of an energy E: changes below it carry no signal."""
-    return 1e-13 * max(1.0, abs(E))
+    return 1e-13 * _scale(E)
 
 
 def _slope_accepts(E, E_new, slope, gd):
@@ -313,7 +311,7 @@ def _descend(kern, model, u0, opts):
                 curv = np.abs(curv)
                 d = -(Q @ ((Q.T @ g) / np.maximum(curv, 1e-9 * np.max(curv))))
             else:
-                if _residual(kern, g) <= opts.tol * _scale(kern, E):
+                if _residual(kern, g) <= opts.tol * _scale(E):
                     break
                 # numpy has no triangular solve: one general solve of H
                 # costs less than two through the Cholesky factor
@@ -387,15 +385,15 @@ def select_solution(reports, zero_tol=SolverOptions.zero_tol):
 def principal_eigenpair(kern, p, opts=None):
     """Smallest Rayleigh quotient of the discrete operator.
 
-    Solves the eigen equation A(u) = R h |u|^(p-2) u with the
-    normalization h * sum |u_i|^p = 1 for (u, R) together, by damped
+    Solves the eigen equation A(u) = R mass |u|^(p-2) u with the
+    normalization sum mass_i |u_i|^p = 1 for (u, R) together, by damped
     Newton steps on this bordered system with the exact Hessian of the
     energy (kernel.operator_hessian); the border is needed, as the
     Jacobian of the eigen equation alone is singular at the eigenpair.
     Every trial point is replaced by its absolute value and
     renormalized, and the eigenvalue estimate is the quotient
     pairing(A(u), u) there.  Returns the eigenvalue, a nonnegative
-    eigenfunction with h*sum|u|^p = 1, and the sup-norm of the
+    eigenfunction with sum mass |u|^p = 1, and the sup-norm of the
     eigen-equation residual.
 
     Each step solves the system once.  Its first trial length is
@@ -419,32 +417,30 @@ def principal_eigenpair(kern, p, opts=None):
     u = mirror_unfold(w, kern.n)
     Au = apply_operator(kern, u, p)
     R = float(np.dot(Au, u))
-    residual = _sup(Au - R * kern.mesh.h * odd_power(u, p))
+    residual = _sup(Au - R * kern.mass * odd_power(u, p))
     return EigenResult(value=R, eigenfunction=GridFunction(u, kern.mesh),
                        residual=residual, iterations=iterations,
                        converged=residual <= opts.tol * max(1.0, R))
 
 
 def _eigen_newton(kern, p, u, opts):
-    """principal_eigenpair's damped Newton iteration, in full-space
-    terms on a folded kernel: a node stands for c = copies * weight nodes
-    of the full mesh, so every sum over nodes is weighted by c and the
-    operator is divided by the weight.  Returns the point reached, of
-    unit full-space mass, and the number of Newton steps."""
-    h = kern.mesh.h
-    c = kern.copies * kern.weight
+    """principal_eigenpair's damped Newton iteration on a folded (or
+    full) kernel for A(w) = R mass |w|^(p-2) w, sum mass |w|^p = 1: the
+    full-space system, each equation times mass / h, stopped on the
+    full-space residual.  Returns the point reached, of unit mass, and
+    the number of Newton steps."""
 
     def state(v):
         # v at unit mass, its quotient, its eigen-equation residual
-        # vector and that vector's sup-norm
-        nv = (h * float(np.sum(c * np.abs(v) ** p))) ** (1.0 / p)
+        # vector and the full-space sup-norm of that vector
+        nv = float(np.sum(kern.mass * np.abs(v) ** p)) ** (1.0 / p)
         if nv == 0.0:
             raise SolverError("eigen iteration degenerated to zero")
         v = v / nv
-        Av = apply_operator(kern, v, p) / kern.weight
-        R = float(np.sum(c * Av * v))
-        rvec = Av - R * h * odd_power(v, p)
-        return v, R, rvec, _sup(rvec)
+        Av = apply_operator(kern, v, p)
+        R = float(np.sum(Av * v))
+        rvec = Av - R * kern.mass * odd_power(v, p)
+        return v, R, rvec, _residual(kern, rvec)
 
     u, R, rvec, residual = state(u)
     iterations = 0
@@ -479,25 +475,23 @@ def _eigen_jacobian(kern, p, w, R):
     """Jacobian of the bordered eigen system at (w, R) on kern.
 
     The system, for unknowns w (folded or full) and R, is
-        F(w, R) = [op(w) - R h phi_p(w);  h sum c |w|^p - 1]
-    with op(w) = A(w) / weight, phi_p the signed power |w|^(p-1) sign(w)
-    and c = copies * weight.  Its (m+1) x (m+1) Jacobian has the block
-    operator_hessian / weight - R h (p-1) diag|w|^(p-2), built in place
-    in the bordered matrix, the column -h phi_p(w) and the row
-    p c h phi_p(w).  The block alone is singular at an eigenpair, with w
-    in its kernel by (p-1)-homogeneity; the border makes the system
-    regular there, since the row pairs with w to p h sum c|w|^p = p.
+        F(w, R) = [A(w) - R mass phi_p(w);  sum mass |w|^p - 1]
+    with phi_p the signed power |w|^(p-1) sign(w).  Its (m+1) x (m+1)
+    Jacobian has the block operator_hessian - R (p-1) diag(mass
+    |w|^(p-2)), built in place in the bordered matrix, the column
+    -mass phi_p(w) and the row p mass phi_p(w).  The block alone is
+    singular at an eigenpair, with w in its kernel by (p-1)-homogeneity;
+    the border makes the system regular there, since the row pairs with
+    w to p sum mass |w|^p = p.
     """
     m = len(w)
-    h = kern.mesh.h
     B = np.empty((m + 1, m + 1))
     J = operator_hessian(kern, w, p, out=B[:m, :m])
-    J /= kern.weight[:, None]
-    np.einsum("ii->i", J)[...] -= R * h * (p - 1.0) * curvature_power(
+    np.einsum("ii->i", J)[...] -= R * (p - 1.0) * kern.mass * curvature_power(
         w, p - 2.0, float(np.linalg.norm(w)))
-    phi = odd_power(w, p)
-    B[:m, m] = -h * phi
-    B[m, :m] = p * kern.copies * kern.weight * h * phi
+    phi = kern.mass * odd_power(w, p)
+    B[:m, m] = -phi
+    B[m, :m] = p * phi
     B[m, m] = 0.0
     return B
 
@@ -590,7 +584,11 @@ def _mountain_pass(kern, params, u_big, P, opts, seed):
     path, the index of its maximal point, the number of iterations and
     the Morse index of the capped energy at that point."""
     model = ReactionModel.capped(params, u_big)
-    _probe_local_min(kern, model, np.zeros_like(u_big), params, seed)
+    # Zero is always a local minimizer, so only u_big is probed.  The
+    # plain primitive is <= 0 for t < delta = lam^(-1/(q-r)) (for every
+    # t at lam = 0), and the capped one equals it below the ceiling and
+    # lies under it above, so the capped energy is >= 0 = E(0) wherever
+    # max u < delta.
     _probe_local_min(kern, model, u_big, params, seed + 1)
 
     # quadratic spacing: the barrier hugs the zero endpoint once the
@@ -610,7 +608,7 @@ def _mountain_pass(kern, params, u_big, P, opts, seed):
         m = 1 + int(np.argmax(energies[1:-1]))
         E_m, g = _energy_and_gradient(kern, model, Z[m])
         residual = _residual(kern, g)
-        scale = _scale(kern, E_m)
+        scale = _scale(E_m)
         if residual <= opts.tol * scale:
             break
         if residual < 0.95 * best_residual:
@@ -631,7 +629,7 @@ def _mountain_pass(kern, params, u_big, P, opts, seed):
                 kern, model, Z[m], opts.tol * scale,
                 min(SADDLE_ROUNDS, opts.max_iter - iterations))
             E_w = total_energy(kern, model, w)
-            if (res_w <= opts.tol * _scale(kern, E_w)
+            if (res_w <= opts.tol * _scale(E_w)
                     and _morse_index(kern, model, w) == 1):
                 Z[m] = w
                 energies[m] = E_w
@@ -644,12 +642,13 @@ def _mountain_pass(kern, params, u_big, P, opts, seed):
         if step is None:
             step = 1.0 / max(1.0, residual)
         step = min(step * 2.0, STEP_MAX)
-        gg = float(g @ g)
+        gf = g * (kern.mesh.h / kern.mass)     # the full-space gradient
+        gg = float(g @ gf)
         # projected step: boundary nodes overshoot below zero
         # otherwise, and redistribution then smears the violation
         # along the whole path
         while step > 1e-20:
-            trial = _clip_box(Z[m] - opts.damping * step * g, u_big)
+            trial = _clip_box(Z[m] - opts.damping * step * gf, u_big)
             E_try = total_energy(kern, model, trial)
             if E_try <= E_m - ARMIJO * opts.damping * step * gg:
                 break
@@ -722,5 +721,5 @@ def _probe_local_min(kern, model, point, params, seed, probes=6):
     E0 = total_energy(kern, model, point)
     for _ in range(probes):
         pert = amp * rng.standard_normal(point.shape)
-        if total_energy(kern, model, point + pert) < E0 - 1e-10 * max(1.0, abs(E0)):
+        if total_energy(kern, model, point + pert) < E0 - 1e-10 * _scale(E0):
             raise SolverError("path endpoint is not a local minimizer")

@@ -241,7 +241,7 @@ def run_verification(cfg, kernel_hook=None):
         p, q, r = params.p, params.q, params.r
         phi = eig.eigenfunction.values
         mu = float(np.min(apply_operator(kern, phi, p)
-                          / (mesh.h * phi ** (p - 1.0))))
+                          / (kern.mass * phi ** (p - 1.0))))
         slack = []
         for lam in ((1.0 - 1e-6) * lam_low, 1.001 * lam_low):
             # the scan covers the maximiser of f(t) / t^(p-1)

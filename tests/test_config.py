@@ -49,7 +49,7 @@ def test_resolve_precedence():
 
 
 @pytest.mark.parametrize("field,value", [("seed", -1), ("trials", 0),
-                                         ("trials", -5)])
+                                         ("trials", -5), ("threads", 0)])
 def test_resolve_rejects_out_of_range_values(field, value):
     with pytest.raises(ConfigError, match=field):
         resolve({"p": 3.0}, {field: value})

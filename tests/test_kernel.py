@@ -7,9 +7,10 @@ import pytest
 from scipy import integrate
 
 from fracbif import (KernelError, KernelMatrix, MeshMismatchError, Mesh1D,
-                     apply_operator, assemble_kernel, build_mesh, mirror_fold,
-                     mirror_unfold, odd_power, pairing, seminorm_energy,
-                     seminorm_energy_and_operator, validate_params)
+                     ReactionModel, apply_operator, assemble_kernel,
+                     build_mesh, mirror_fold, mirror_unfold, odd_power,
+                     pairing, seminorm_energy, seminorm_energy_and_operator,
+                     total_energy, validate_params)
 from fracbif.core import curvature_power
 from fracbif.kernel import operator_hessian, pairwise_energy
 
@@ -375,15 +376,23 @@ def test_fold_energy_and_operator_identities(n, p):
     kern = KernelMatrix.from_sigma(build_mesh(-1.0, 1.0, n), 0.45)
     half = kern.fold()
     m = (n + 1) // 2
-    assert half.n == m and half.mesh.h == kern.mesh.h
+    h = kern.mesh.h
+    assert half.n == m and half.mesh.h == h
     assert np.array_equal(half.K, half.K.T)
     assert np.all(np.diag(half.K) == 0.0)
-    weight = np.ones(m)
+    copies = np.full(m, 2.0)
     if n % 2:
-        weight[-1] = 0.5
-    assert np.array_equal(half.weight, weight)
-    assert np.array_equal(half.T, weight * kern.T[:m])
+        copies[-1] = 1.0
+    assert np.array_equal(half.mass, copies * h)
+    assert np.array_equal(half.T, copies * kern.T[:m])
+    # the half mesh stands for the whole interval
+    assert abs(half.mass.sum() - kern.mass.sum()) <= 1e-15
+    assert kern.mass.sum() == pytest.approx(2.0, abs=1e-15)
+    params = validate_params({"p": p, "s": 0.45 / p,
+                              "q": 1.0 + 0.75 * (p - 1.0),
+                              "r": 1.0 + 0.25 * (p - 1.0), "lambda": 2.0})
     rng = np.random.default_rng(n)
+    ceiling = mirror_unfold(rng.uniform(0.2, 1.0, m), n)
     for _ in range(3):
         w = rng.standard_normal(m)
         u = mirror_unfold(w, n)
@@ -391,8 +400,15 @@ def test_fold_energy_and_operator_identities(n, p):
         assert np.array_equal(mirror_fold(u), w)
         E, A = seminorm_energy_and_operator(kern, u, p)
         e, a = seminorm_energy_and_operator(half, w, p)
-        assert abs(E - 2.0 * e) <= 1e-13 * abs(E)
-        assert np.max(np.abs(weight * A[:m] - a)) <= 1e-13 * np.max(np.abs(A))
+        assert abs(E - e) <= 1e-13 * abs(E)
+        assert (np.max(np.abs(half.mass / h * A[:m] - a))
+                <= 1e-13 * np.max(np.abs(A)))
+        # the folded problem carries the full energy, reaction included
+        for model in (ReactionModel.plain(params),
+                      ReactionModel.capped(params, ceiling)):
+            E = total_energy(kern, model, u)
+            e = total_energy(half, model.fold(), w)
+            assert abs(E - e) <= 1e-13 * abs(E)
 
 
 def test_fold_leaves_the_full_kernel_alone():
@@ -400,10 +416,11 @@ def test_fold_leaves_the_full_kernel_alone():
     K = kern.K.copy()
     half = kern.fold()
     assert np.array_equal(kern.K, K)
-    assert np.array_equal(kern.weight, np.ones(9))
+    assert np.array_equal(kern.mass, np.full(9, kern.mesh.h))
     seminorm_energy(kern, np.ones(9), 2.5)
     # nothing is cached on a kernel: it holds its fields and no more
+    assert [f.name for f in dataclasses.fields(kern)] == [
+        "K", "T", "sigma", "mesh", "mass"]
     assert set(vars(kern)) == {f.name for f in dataclasses.fields(kern)}
-    assert (kern.copies, half.copies) == (1, 2)
     with pytest.raises(KernelError, match="already folded"):
         half.fold()

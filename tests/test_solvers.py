@@ -133,9 +133,10 @@ def test_folded_total_hessian_matches_gradient_differences(n, variant):
         fd[:, j] = (total_gradient(half, model, w + e)
                     - total_gradient(half, model, w - e)) / (2.0 * step)
     assert np.max(np.abs(H - fd)) <= 1e-6 * np.max(np.abs(H))
-    # and the folded gradient is the full one, weighted
+    # and the folded gradient is the full one times mass / h
     g = total_gradient(kern, full_model, u)
-    assert np.allclose(total_gradient(half, model, w), half.weight * g[:m],
+    assert np.allclose(total_gradient(half, model, w),
+                       half.mass / kern.mesh.h * g[:m],
                        rtol=1e-12, atol=1e-12 * np.max(np.abs(g)))
 
 
@@ -181,8 +182,12 @@ def test_saddle_has_morse_index_one_in_the_even_subspace():
     v = find_saddle(kern, params, u.solution.values, seed=0)
     assert v.converged
     h = kern.mesh.h
-    even = np.linalg.eigvalsh(total_hessian(
-        kern.fold(), plain, mirror_fold(v.solution.values))) / h
+    # the folded Hessian in the metric of the full space, D^-1/2 H D^-1/2
+    # with D = mass / h
+    half = kern.fold()
+    root = np.sqrt(h / half.mass)
+    H = total_hessian(half, plain, mirror_fold(v.solution.values))
+    even = np.linalg.eigvalsh(root[:, None] * H * root[None, :]) / h
     full = np.linalg.eigvalsh(total_hessian(kern, plain, v.solution.values)) / h
     assert even[0] < 0.0 < even[1]
     assert full[0] < full[1] < 0.0 < full[2]
@@ -256,6 +261,20 @@ def test_saddle_retried_finish_reaches_the_mountain_pass(p, s, q, r):
         kern.fold(), plain, mirror_fold(v.solution.values)))
     assert v.converged and v.morse_index == 1
     assert curv[0] < 0.0 < curv[1]
+
+
+def test_odd_mesh_path_step_follows_the_full_space_gradient():
+    # the path step moves the middle node of an odd mesh by its
+    # full-space gradient g h / mass; a step of half that there leaves
+    # this search at Morse index 2 after 184 iterations (residual 1.8e-3)
+    params = validate_params({"p": 4.0, "s": 0.2, "q": 3.0, "r": 2.0,
+                              "lambda": 12.5})
+    kern = assemble_kernel(build_mesh(-1.0, 1.0, 31), params)
+    u = select_solution(minimize_multistart(kern, ReactionModel.plain(params),
+                                            seed=0))
+    v = find_saddle(kern, params, u.solution.values, seed=0)
+    assert v.converged and v.morse_index == 1
+    assert v.iterations <= 100
 
 
 def test_principal_eigenpair_matches_dense_matrix():
@@ -342,10 +361,8 @@ def test_principal_eigenpair_gives_up_once_the_residual_stops_moving(
 
 def eigen_system(kern, p, w, R):
     # the bordered eigen system, written out from its definition
-    h = kern.mesh.h
-    top = apply_operator(kern, w, p) / kern.weight - R * h * odd_power(w, p)
-    mass = h * np.sum(kern.copies * kern.weight * np.abs(w) ** p)
-    return np.append(top, mass - 1.0)
+    top = apply_operator(kern, w, p) - R * kern.mass * odd_power(w, p)
+    return np.append(top, np.sum(kern.mass * np.abs(w) ** p) - 1.0)
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
@@ -488,8 +505,8 @@ def test_folded_minimize_matches_full_descent_at_odd_n():
 
 
 def test_eigen_newton_on_a_full_kernel_keeps_full_space_terms():
-    # the loop weighs node sums by KernelMatrix.copies * weight, so on
-    # an unfolded kernel it is the plain full-space iteration
+    # the loop weighs node sums by KernelMatrix.mass, so on an unfolded
+    # kernel it is the plain full-space iteration
     mesh = build_mesh(-1.0, 1.0, 40)
     kern = KernelMatrix.from_sigma(mesh, 0.4)
     res = principal_eigenpair(kern, 2.0)
