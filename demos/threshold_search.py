@@ -3,14 +3,18 @@
 Below some critical reaction strength lambda* the only solution is
 zero; above it two positive solutions appear.  This script prints the
 closed-form lower bound on lambda* that the principal eigenfunction
-proves, brackets lambda* by bisection on "does a nontrivial minimizer
-exist" (answered without a search below that bound, and elsewhere by a
-descent from the minimizer at the bracket's upper end, with a
-multi-start only where that descent collapses), checks the bracket by
-following the branch down from its upper end with warm starts (it must
-die at the lower end), and then walks the branch
-upward printing both solution sizes.  A small mesh keeps the whole run
-under a minute.
+proves, then estimates lambda* as the turning point lambda*_h of the
+minimizer branch: a Newton solve of the fold system, started from the
+minimizer at the upper end of the starting bracket, and bracketed by
+two existence predicates a quarter width either side of it (answered
+without a search below that bound, and elsewhere by a descent from the
+minimizer at the bracket's upper end, with a multi-start only where
+that descent collapses).  Where the fold solve does not converge, or
+the predicates disagree with it, bisection finishes the bracket.  It
+checks the bracket by following the branch down from its upper end
+with warm starts (it must die at the lower end), and then walks the
+branch upward printing both solution sizes.  A small mesh keeps the
+whole run under a minute.
 """
 
 import argparse
@@ -48,6 +52,12 @@ def main():
     diagram = build_diagram(kern, params, grid, (args.lo, args.hi),
                             seed=args.seed)
     rec = diagram.method_record
+    if rec["fold_estimate"] is None:
+        print("fold solve did not converge: %s" % rec["fold_note"])
+    else:
+        print("fold solve         lambda*_h = %.10f  (residual %.1e, %d "
+              "Newton steps)" % (rec["fold_estimate"], rec["fold_residual"],
+                                 rec["fold_iterations"]))
     print("bisection bracket  [%.6f, %.6f]" % tuple(rec["bisection_bracket"]))
     print("lambda* estimate   %.6f  (bracket width %.4f, %d predicates, "
           "%d settled by the bound)"
@@ -55,7 +65,8 @@ def main():
              rec["predicate_evaluations"], rec["certified_predicates"]))
     if rec["fold_bracket"] is not None:
         print("warm-start fold    [%.6f, %.6f]" % tuple(rec["fold_bracket"]))
-        print("fold vs bisection  %.1f%% apart" % (100.0 * rec["agreement_rel"]))
+    if rec["agreement_rel"] is not None:
+        print("lambda*_h vs midpoint  %.1e apart" % rec["agreement_rel"])
     for w in rec["warnings"]:
         print("warning: %s" % w)
     print()

@@ -2,17 +2,21 @@
 
 For small reaction strength the only solution is zero; above a
 threshold a pair of ordered positive solutions appears (an energy
-minimizer and a mountain-pass point below it).  The threshold is
-bracketed by bisection on the predicate "a converged nontrivial
-minimizer exists", down to a requested width.  Once the bracket's
-upper end holds a minimizer, each predicate first descends from it;
-only where that descent collapses does a multi-start decide.  Below a
-closed-form lower bound lambda_low (lambda_lower_bound: the principal
-eigenfunction and the discrete Picone inequality prove that zero is the
-only solution there) the predicate is answered without a search.  Warm
-starts then follow the branch down from the bracket's upper end: it
-must die at the lower end, or the searches missed it there and a
-warning says where it died.
+minimizer and a mountain-pass point below it).  On the mesh the
+threshold is the turning point lambda*_h of the minimizer branch, which
+solve_fold finds by Newton steps on the fold system from the minimizer
+at the bracket's upper end.  The predicate "a converged nontrivial
+minimizer exists" then brackets it, a quarter of the requested width
+either side; where the fold solve fails, or the predicates disagree
+with it, bisection on the same predicate narrows the bracket to the
+width.  Once the bracket's upper end holds a minimizer, each predicate
+first descends from it; only where that descent collapses does a
+multi-start decide.  Below a closed-form lower bound lambda_low
+(lambda_lower_bound: the principal eigenfunction and the discrete
+Picone inequality prove that zero is the only solution there) the
+predicate is answered without a search.  Warm starts then follow the
+branch down from the bracket's upper end: it must die at the lower end,
+or the searches missed it there and a warning says where it died.
 """
 
 from dataclasses import dataclass
@@ -25,7 +29,7 @@ from .kernel import apply_operator
 from .reaction import ReactionModel
 from .solvers import (SaddleNotFound, SolverError, SolverOptions,
                       find_saddle, minimize, minimize_multistart, nontrivial,
-                      principal_eigenpair, select_solution)
+                      principal_eigenpair, select_solution, solve_fold)
 
 
 BOUND_MARGIN = 1e-10     # relative shrink of lambda_low, for the rounding of mu
@@ -218,8 +222,9 @@ def lambda_lower_bound(kern, params, opts=None, eigenpair=None):
 
 
 def estimate_lambda_star(kern, params, bracket, opts=None, seed=0, threads=1):
-    """Bisection estimate of the existence threshold, checked by warm
-    starts at the bisection's own bracket (lo, hi).
+    """Threshold estimate: the branch's turning point lambda*_h, bracketed
+    by the existence predicate, and checked by warm starts at that
+    bracket (lo, hi).
 
     The principal eigenpair is solved once, for lambda_lower_bound; a
     predicate at a lambda below that bound is answered "zero only"
@@ -229,17 +234,34 @@ def estimate_lambda_star(kern, params, bracket, opts=None, seed=0, threads=1):
     nontrivial (a local minimizer: minimize stops only where the
     Hessian is positive definite).  Otherwise a multi-start stopping at
     its first nontrivial report decides, so a "zero only" answer rests
-    on the multi-start alone.  From the solution at hi, warm starts run at
-    hi - (hi - lo) 2^k for k = 0..7 while above zero, until one
-    collapses (one the predicate at lo already ran is not run again):
-    the fold bracket is (that lambda, the last one alive),
-    so (lo, hi) if the bisection is right.  A branch alive at lo, or
-    never dead (fold bracket None), warns.
+    on the multi-start alone.
+
+    A bracket whose lo is nontrivial moves down: lo becomes hi and
+    halves; one whose hi is zero only moves up: hi becomes lo and
+    doubles.  Then, from each new nontrivial hi, solve_fold runs from
+    the minimizer cached there, until one attempt converges to a
+    lambda*_h with lambda_low <= lambda*_h and
+    lo < lambda*_h -+ width/4 < hi.  The next predicates are then at
+    lambda*_h + width/4 and, descending from the solution found there,
+    at lambda*_h - width/4: if both agree with lambda*_h the bracket is
+    (lambda*_h - width/4, lambda*_h + width/4).  Every other predicate is
+    at the bracket's midpoint, until the bracket is no wider than width.
+
+    From the solution at hi, warm starts run at hi - (hi - lo) 2^k for
+    k = 0..7 while above zero, until one collapses (one the predicate at
+    lo already ran is not run again): the fold bracket is (that lambda,
+    the last one alive), so (lo, hi) if the bisection is right.  A
+    branch alive at lo, or never dead (fold bracket None), warns, and so
+    does a converged lambda*_h outside (lo, hi).
 
     Returns a BifurcationDiagram carrying only the estimate fields and
-    a method record: the bisection and fold brackets, the fold midpoint
-    and its relative distance from the estimate, warnings, the number
-    of lambdas the predicate decided (predicate_evaluations), the bound
+    a method record: the bisection and fold brackets; the fold solve's
+    lambda*_h (fold_estimate, None when no attempt converged), its
+    residual and Newton steps (fold_residual, fold_iterations), and
+    the reasons of the attempts that failed or were not used
+    (fold_note); the relative distance of lambda*_h from the bracket
+    midpoint (agreement_rel); warnings; the number of lambdas the
+    predicate decided (predicate_evaluations), the bound
     (lambda_lower_bound, None without a certificate) and how many of
     those lambdas it decided alone (certified_predicates).
     """
@@ -274,7 +296,7 @@ def estimate_lambda_star(kern, params, bracket, opts=None, seed=0, threads=1):
 
     if nontrivial_at(lo):
         for _ in range(8):
-            lo *= 0.5
+            lo, hi = 0.5 * lo, lo
             if not nontrivial_at(lo):
                 break
         else:
@@ -283,7 +305,7 @@ def estimate_lambda_star(kern, params, bracket, opts=None, seed=0, threads=1):
                 "lower the bracket" % lo)
     if not nontrivial_at(hi):
         for _ in range(8):
-            hi *= 2.0
+            lo, hi = hi, 2.0 * hi
             if nontrivial_at(hi):
                 break
         else:
@@ -291,15 +313,41 @@ def estimate_lambda_star(kern, params, bracket, opts=None, seed=0, threads=1):
                 "no nontrivial solution up to lambda=%g; the threshold lies "
                 "above min(1, eigenvalue)=%g, raise the bracket"
                 % (hi, min(1.0, eig.value)))
+    fold = None         # the last fold solve that converged
+    notes = []          # why each attempt placed no predicates
+    tried = None        # the hi of the last attempt
+    placed = False      # whether a lambda*_h placed the next predicates
+    queue = []
+    quarter = 0.25 * opts.width
     while hi - lo > opts.width:
-        mid = 0.5 * (lo + hi)
+        if not placed and hi != tried:
+            tried = hi
+            attempt = solve_fold(kern, with_lambda(params, hi),
+                                 cache[hi].solution.values, opts)
+            lam = attempt.lam
+            if not attempt.converged:
+                notes.append("from hi=%g: %s" % (hi, attempt.note))
+            elif lam_low is not None and lam < lam_low:
+                notes.append("from hi=%g: lambda*_h=%g lies below lambda_low"
+                             % (hi, lam))
+            elif not (lo < lam - quarter and lam + quarter < hi):
+                notes.append("from hi=%g: lambda*_h=%g -+ width/4 leaves "
+                             "(%g, %g)" % (hi, lam, lo, hi))
+            else:
+                placed = True
+                queue = [lam + quarter, lam - quarter]
+            if attempt.converged:
+                fold = attempt
+        # a placed predicate outside the bracket can decide nothing
+        queue = [lam for lam in queue if lo < lam < hi]
+        mid = queue.pop(0) if queue else 0.5 * (lo + hi)
         if nontrivial_at(mid):
             hi = mid
         else:
             lo = mid
     estimate = 0.5 * (lo + hi)
 
-    warm, live, fold = cache[hi].solution.values, hi, None
+    warm, live, fold_bracket = cache[hi].solution.values, hi, None
     for k in range(8):
         lam = hi - (hi - lo) * 2.0 ** k
         if lam <= 0.0:
@@ -307,27 +355,36 @@ def estimate_lambda_star(kern, params, bracket, opts=None, seed=0, threads=1):
         if descended.get(lam) is warm:
             # the predicate at lam ran this descent already, and it did
             # not end nontrivial, or hi would lie at or below lam
-            fold = (lam, live)
+            fold_bracket = (lam, live)
             break
         rep = minimize(kern, ReactionModel.plain(with_lambda(params, lam)),
                        warm, opts)
         if not nontrivial(rep, opts.zero_tol):
-            fold = (lam, live)
+            fold_bracket = (lam, live)
             break
         warm, live = rep.solution.values, lam
     warnings = []
     if live < hi:
         warnings.append("the branch is still alive at lambda=%g, below the "
                         "bisection bracket (%g, %g)" % (live, lo, hi))
-    fold_estimate = agreement = None
-    if fold is None:
+    if fold_bracket is None:
         warnings.append("the warm-started branch did not die down to "
                         "lambda=%g" % live)
-    else:
-        fold_estimate = 0.5 * (fold[0] + fold[1])
-        agreement = abs(estimate - fold_estimate) / max(estimate, fold_estimate)
+    fold_estimate = fold_residual = fold_iterations = agreement = None
+    if fold is not None:
+        fold_estimate = fold.lam
+        fold_residual, fold_iterations = fold.residual, fold.iterations
+        agreement = abs(estimate - fold.lam) / max(estimate, fold.lam)
+        if not lo <= fold.lam <= hi:
+            warnings.append("the fold solve's lambda*_h=%g lies outside the "
+                            "bisection bracket (%g, %g)" % (fold.lam, lo, hi))
+    if tried is None:
+        notes.append("not attempted: the bracket was no wider than width")
     record = {"bisection_bracket": (lo, hi),
-              "fold_bracket": fold, "fold_estimate": fold_estimate,
+              "fold_bracket": fold_bracket, "fold_estimate": fold_estimate,
+              "fold_residual": fold_residual,
+              "fold_iterations": fold_iterations,
+              "fold_note": "; ".join(notes) or None,
               "agreement_rel": agreement, "warnings": warnings,
               "predicate_evaluations": len(cache),
               "lambda_lower_bound": lam_low,

@@ -203,6 +203,13 @@ def cmd_bifurcation(cfg, args, kernel_hook):
     print("lambda* estimate %.8g (bracket width %.3g, %d branch points)"
           % (diagram.lambda_star_estimate, diagram.bracket_width,
              len(diagram.points)))
+    mr = diagram.method_record
+    if mr["fold_estimate"] is None:
+        print("fold solve did not converge: %s" % mr["fold_note"])
+    else:
+        print("fold solve lambda*_h %.10g (residual %.3g, %d Newton steps)"
+              % (mr["fold_estimate"], mr["fold_residual"],
+                 mr["fold_iterations"]))
     for warning in diagram.method_record.get("warnings", []):
         print("warning: %s" % warning, file=sys.stderr)
     return 0

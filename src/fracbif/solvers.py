@@ -19,7 +19,10 @@ steps on the bordered eigen system (the eigen equation plus the
 normalization, solved for the eigenfunction and the eigenvalue together
 with the exact Hessian of the operator) from its first iterate, each
 accepted only if the residual falls, and gives up once no step lowers it
-or the residual has stopped moving.  find_saddle runs a mountain-pass
+or the residual has stopped moving.  solve_fold finds the turning point
+of the minimizer branch, where the Hessian turns singular, by the same
+damped Newton loop on the extended system of the minimizer, the null
+vector of its Hessian and lambda.  find_saddle runs a mountain-pass
 search on the capped energy between the zero function and a known
 minimizer: the maximal-energy point of a piecewise-linear path is pushed
 downhill, with the path redistributed at fixed arclength fractions,
@@ -50,7 +53,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (GridFunction, MeshMismatchError, ParameterError,
-                   curvature_power, mirror_fold, mirror_unfold, odd_power)
+                   curvature_power, mirror_fold, mirror_unfold, odd_power,
+                   with_lambda)
 from .kernel import (_check_values, apply_operator, operator_hessian,
                      pairwise_energy, seminorm_energy,
                      seminorm_energy_and_operator)
@@ -124,6 +128,20 @@ class EigenResult:
     residual: float
     iterations: int
     converged: bool
+
+
+@dataclass
+class FoldResult:
+    """Outcome of solve_fold: the branch's turning point lam, where the
+    Hessian at solution is singular along null_vector."""
+
+    lam: float
+    solution: GridFunction
+    null_vector: GridFunction
+    residual: float
+    iterations: int
+    converged: bool
+    note: str = None        # why it did not converge
 
 
 @dataclass
@@ -423,52 +441,185 @@ def principal_eigenpair(kern, p, opts=None):
                        converged=residual <= opts.tol * max(1.0, R))
 
 
-def _eigen_newton(kern, p, u, opts):
-    """principal_eigenpair's damped Newton iteration on a folded (or
-    full) kernel for A(w) = R mass |w|^(p-2) w, sum mass |w|^p = 1: the
-    full-space system, each equation times mass / h, stopped on the
-    full-space residual.  Returns the point reached, of unit mass, and
-    the number of Newton steps."""
+def _damped_newton(point, direction, x, opts):
+    """Damped Newton iteration on a bordered system, shared by the eigen
+    and fold solves.
 
-    def state(v):
-        # v at unit mass, its quotient, its eigen-equation residual
-        # vector and the full-space sup-norm of that vector
-        nv = float(np.sum(kern.mass * np.abs(v) ** p)) ** (1.0 / p)
+    point(x) returns the state of an iterate x, a tuple whose first
+    three entries are the admissible point that x stands for, its
+    residual and the residual target; direction(state) returns the
+    Newton direction there, and raises LinAlgError where the system is
+    singular.  Each step solves the system once.  Its first trial length
+    is t = min(1, |x| / |d|) for the direction d, so no trial is longer
+    than the iterate, and it tries up to NEWTON_HALVINGS lengths t, t/2,
+    t/4, ...; a trial is accepted only if its residual is below the
+    current one, so a trial with a non-finite residual never is.  Stops
+    at the target, when the system is singular, when no trial is
+    accepted, when the residual has fallen by less than the fraction
+    STALL_DECREASE over the last STALL_WINDOW steps, or after
+    opts.max_iter steps.  Returns the last state and the number of
+    accepted steps.
+    """
+    state = point(x)
+    iterations = 0
+    history = [state[1]]
+    while iterations < opts.max_iter and state[1] > state[2]:
+        if (iterations >= STALL_WINDOW and state[1]
+                > (1.0 - STALL_DECREASE) * history[-1 - STALL_WINDOW]):
+            break       # the residual has stopped moving
+        try:
+            d = direction(state)
+        except np.linalg.LinAlgError:
+            break
+        x = state[0]
+        nx, nd = float(np.linalg.norm(x)), float(np.linalg.norm(d))
+        t = 1.0 if nd <= nx else nx / nd
+        for _half in range(NEWTON_HALVINGS):
+            trial = point(x + t * d)
+            if trial[1] < state[1]:
+                break
+            t *= BACKTRACK
+        else:
+            break       # no trial lowers the residual
+        state = trial
+        iterations += 1
+        history.append(state[1])
+    return state, iterations
+
+
+def _eigen_newton(kern, p, u, opts):
+    """principal_eigenpair's damped Newton iteration (_damped_newton) on
+    a folded (or full) kernel for A(w) = R mass |w|^(p-2) w,
+    sum mass |w|^p = 1: the full-space system, each equation times
+    mass / h, stopped on the full-space residual.  Every trial point is
+    taken through |.| and brought to unit mass.  Returns the point
+    reached, of unit mass, and the number of Newton steps."""
+
+    def point(v):
+        # v at unit mass, its residual and target, its quotient and its
+        # eigen-equation residual vector
+        v = np.abs(v)
+        nv = float(np.sum(kern.mass * v ** p)) ** (1.0 / p)
         if nv == 0.0:
             raise SolverError("eigen iteration degenerated to zero")
         v = v / nv
         Av = apply_operator(kern, v, p)
         R = float(np.sum(Av * v))
         rvec = Av - R * kern.mass * odd_power(v, p)
-        return v, R, rvec, _residual(kern, rvec)
+        return v, _residual(kern, rvec), opts.tol * max(1.0, R), R, rvec
 
-    u, R, rvec, residual = state(u)
-    iterations = 0
-    history = [residual]
-    while iterations < opts.max_iter and residual > opts.tol * max(1.0, R):
-        if (iterations >= STALL_WINDOW and residual
-                > (1.0 - STALL_DECREASE) * history[-1 - STALL_WINDOW]):
-            break       # the residual has stopped moving
-        # u has unit mass, so the normalization row of F is zero
-        try:
-            d = np.linalg.solve(_eigen_jacobian(kern, p, u, R),
-                                -np.append(rvec, 0.0))[:-1]
-        except np.linalg.LinAlgError:
-            break
-        # no trial is longer than the iterate
-        nu, nd = float(np.linalg.norm(u)), float(np.linalg.norm(d))
-        t = 1.0 if nd <= nu else nu / nd
-        for _half in range(NEWTON_HALVINGS):
-            trial = state(np.abs(u + t * d))
-            if trial[3] < residual:
-                break
-            t *= BACKTRACK
-        else:
-            break       # no trial lowers the residual
-        u, R, rvec, residual = trial
-        iterations += 1
-        history.append(residual)
-    return u, iterations
+    def direction(state):
+        # v has unit mass, so the normalization row of F is zero
+        v, _, _, R, rvec = state
+        return np.linalg.solve(_eigen_jacobian(kern, p, v, R),
+                               -np.append(rvec, 0.0))[:-1]
+
+    state, iterations = _damped_newton(point, direction, u, opts)
+    return state[0], iterations
+
+
+def solve_fold(kern, params, u, opts=None):
+    """Turning point of the minimizer branch, from a minimizer u at
+    params.lam.
+
+    The branch turns back at lambda*_h, where the Hessian of the energy
+    becomes singular along the branch; there (w, phi, lambda) is an
+    isolated solution of the extended system (Moore and Spence, SIAM J.
+    Numer. Anal. 17, 1980)
+
+        F(w, phi, lam) = [G(w, lam);  H(w, lam) phi;  l.phi - 1] = 0,
+
+    with G = total_gradient, H = total_hessian and l the unit lowest
+    eigenvector of H at the start.  Its Jacobian is
+
+        [[H, 0, G_lam], [D_phi H, H, H_lam phi], [0, l^T, 0]],
+
+    with G_lam = -mass w+^(q-1), H_lam = -mass (q-1) diag(w+^(q-2)) and
+    D_phi H, the derivative of H along phi, from a central difference of
+    total_hessian.  Damped Newton steps (_damped_newton) start from
+    (u, l, params.lam) in the even subspace.  A trial at a lambda
+    outside (0, inf), or where A(w) = 0, has an infinite residual and is
+    never accepted.
+
+    The residual is the largest of sup |G| / sup |A(w)|,
+    (sup |H phi| / sup |phi|) / (sup |A(w)| / sup |w|), both in the
+    full-space metric, and |l.phi - 1|: relative, so that no scale of
+    the solution passes for converged, and free of the near-ties of
+    H's entries at p < 2 (H w = (p-1) A(w) - mass f'(w) w is finite
+    where they blow up).  The result is converged when that residual,
+    with G of the unfolded point measured on kern, is at most tol and
+    the point is nontrivial (sup above zero_tol); otherwise note says
+    why not.
+    """
+    opts = opts or SolverOptions()
+    _check_compat(kern, params)
+    u = _check_values(kern, getattr(u, "values", u))
+    fk = kern.fold()
+    w = mirror_fold(u)
+    m = len(w)
+    _, Q = np.linalg.eigh(total_hessian(fk, ReactionModel.plain(params), w))
+    l = Q[:, 0] * np.sign(np.sum(Q[:, 0]))
+
+    def point(x):
+        w, phi, lam = x[:m], x[m:-1], float(x[-1])
+        if not 0.0 < lam < np.inf:
+            return x, np.inf, opts.tol
+        model = ReactionModel.plain(with_lambda(params, lam))
+        A, G = _operator_and_gradient(fk, model, w)
+        scale = _residual(fk, A)
+        if not scale > 0.0:
+            return x, np.inf, opts.tol
+        H = total_hessian(fk, model, w)
+        F = np.concatenate((G, H @ phi, [float(l @ phi) - 1.0]))
+        res = max(_residual(fk, G) / scale,
+                  _residual(fk, F[m:-1]) * _sup(w) / (scale * _sup(phi)),
+                  abs(F[-1]))
+        return x, res, opts.tol, model, H, F
+
+    def direction(state):
+        x, _, _, model, H, F = state
+        w, phi = x[:m], x[m:-1]
+        q = model.params.q
+        eps = 1e-6 * max(1.0, _sup(w)) / _sup(phi)
+        wp = np.maximum(w, 0.0)
+        J = np.zeros((2 * m + 1, 2 * m + 1))
+        J[:m, :m] = J[m:-1, m:-1] = H
+        J[m:-1, :m] = (total_hessian(fk, model, w + eps * phi)
+                       - total_hessian(fk, model, w - eps * phi)) / (2.0 * eps)
+        J[:m, -1] = -fk.mass * wp ** (q - 1.0)
+        J[m:-1, -1] = -fk.mass * (q - 1.0) * np.where(
+            w > 0.0, curvature_power(wp, q - 2.0, float(np.linalg.norm(w))),
+            0.0) * phi
+        J[-1, m:-1] = l
+        return np.linalg.solve(J, -F)
+
+    state, iterations = _damped_newton(
+        point, direction, np.concatenate((w, l, [params.lam])), opts)
+    x, residual = state[0], state[1]
+    lam = float(x[-1])
+    u = mirror_unfold(x[:m], kern.n)
+    if residual < np.inf:
+        # G on the full kernel, which sees an asymmetry the folded one
+        # cannot; H phi stays in the even subspace, where the fold lives
+        A, G = _operator_and_gradient(
+            kern, ReactionModel.plain(with_lambda(params, lam)), u)
+        residual = max(residual, _residual(kern, G) / _residual(kern, A))
+    note = None
+    if not residual <= opts.tol:
+        note = ("residual %.3e after %d Newton steps, at lambda=%g"
+                % (residual, iterations, lam))
+    elif _sup(u) <= opts.zero_tol:
+        note = "ended at zero, at lambda=%g" % lam
+    return FoldResult(lam=lam, solution=GridFunction(u, kern.mesh),
+                      null_vector=GridFunction(mirror_unfold(x[m:-1], kern.n),
+                                               kern.mesh),
+                      residual=residual, iterations=iterations,
+                      converged=note is None, note=note)
+
+
+def _operator_and_gradient(kern, model, w):
+    A = apply_operator(kern, w, model.params.p)
+    return A, A - kern.mass * f_values(model, w)
 
 
 def _eigen_jacobian(kern, p, w, R):

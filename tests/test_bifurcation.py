@@ -8,7 +8,7 @@ from fracbif import (KernelMatrix, ParameterError, ReactionModel,
                      find_saddle, lambda_lower_bound, minimize,
                      minimize_multistart, principal_eigenpair,
                      scan_reaction_slack, select_solution, solve_at_lambda,
-                     validate_params, with_lambda)
+                     solve_fold, validate_params, with_lambda)
 from fracbif import bifurcation
 
 # exponent sets (p, s, q, r) with the bracket their threshold search
@@ -20,6 +20,12 @@ EXPONENT_SETS = [((3.0, 0.3, 2.5, 1.5), (5.0, 9.0)),
                  ((1.5, 0.5, 1.3, 1.1), (2.0, 30.0)),
                  ((2.5, 0.3, 2.0, 1.5), (2.0, 30.0)),
                  ((3.0, 0.2, 2.0, 1.2), (2.0, 30.0))]
+
+# the bisection bracket of each set before the fold solve placed the
+# predicates (width 0.05, seed 0)
+BISECTION_BRACKETS = [(6.4375, 6.46875), (8.0625, 8.08984), (4.98047, 5.00781),
+                      (6.86719, 6.89453), (6.375, 6.40234), (5.39062, 5.41797),
+                      (5.14453, 5.17188)]
 
 
 def exponent_problem(exps, n=32, a=-1.0, b=1.0):
@@ -52,18 +58,24 @@ def test_estimate_record_structure(coarse_estimate):
     assert lo < lam_star < hi
     assert est.bracket_width == pytest.approx(hi - lo)
     assert est.bracket_width <= 0.05
-    assert rec["predicate_evaluations"] >= 5
-    assert rec["fold_bracket"] is not None
-    assert rec["fold_estimate"] == pytest.approx(
-        0.5 * (rec["fold_bracket"][0] + rec["fold_bracket"][1]))
-    # the two operational estimates agree on this mesh
-    assert rec["agreement_rel"] <= 0.10
+    assert rec["predicate_evaluations"] >= 4
+    assert rec["fold_bracket"] == (lo, hi)
+    # lambda*_h placed the last two predicates a quarter width either side
+    assert (lo, hi) == (rec["fold_estimate"] - 0.0125,
+                        rec["fold_estimate"] + 0.0125)
+    assert rec["fold_residual"] <= 1e-9 and rec["fold_iterations"] >= 1
+    assert rec["fold_note"] is None
+    assert rec["agreement_rel"] <= 1e-15
     assert rec["warnings"] == []
 
 
 def test_estimate_bisection_bracket(coarse_estimate):
-    assert coarse_estimate.method_record["bisection_bracket"] == \
-        (6.4375, 6.46875)
+    # the fold solve from hi = 9 gives lambda*_h, and the predicates at
+    # lambda*_h + width/4 and lambda*_h - width/4 agree with it
+    rec = coarse_estimate.method_record
+    lam = rec["fold_estimate"]
+    assert lam == pytest.approx(6.4591688477, abs=1e-10)
+    assert rec["bisection_bracket"] == (lam - 0.0125, lam + 0.0125)
 
 
 def test_estimate_expands_low_bracket(coarse_problem, coarse_estimate):
@@ -94,8 +106,8 @@ def test_estimate_records_the_lower_bound(coarse_problem, coarse_estimate):
     rec = coarse_estimate.method_record
     assert rec["lambda_lower_bound"] == lambda_lower_bound(kern, params)
     assert rec["lambda_lower_bound"] < rec["bisection_bracket"][1]
-    # the lambdas 5, 6 and 6.25 of the bisection from (5, 9) lie below it
-    assert rec["certified_predicates"] == 3
+    # of the lambdas 5, 9 and lambda*_h -+ width/4 only 5 lies below it
+    assert rec["certified_predicates"] == 1
 
 
 @pytest.mark.parametrize("exps,bracket", EXPONENT_SETS)
@@ -147,7 +159,8 @@ def test_lower_bound_keeps_the_brackets_with_fewer_searches(
     assert with_bound.lambda_star_estimate == without.lambda_star_estimate
     assert off["lambda_lower_bound"] is None
     assert off["certified_predicates"] == 0
-    assert on["certified_predicates"] >= 3
+    # (5, 9): the lambda 5; (0.6, 0.9): 0.6, 0.9, 1.8 and 3.6 below 7.2
+    assert on["certified_predicates"] == {(5.0, 9.0): 1, (0.6, 0.9): 4}[bracket]
     assert searched == len(calls) - on["certified_predicates"]
 
 
@@ -208,6 +221,10 @@ def test_estimate_warns_when_the_bisection_misses_the_branch(
     lo, hi = rec["bisection_bracket"]
     assert lo >= 6.9 - 0.05
     assert rec["warnings"]
+    # the fold solve does not ask the predicate, and says so too
+    assert rec["fold_estimate"] == pytest.approx(6.4591688477, abs=1e-10)
+    assert ("the fold solve's lambda*_h=6.45917 lies outside the bisection "
+            "bracket (%g, %g)" % (lo, hi)) in rec["warnings"]
     fold = rec["fold_bracket"]
     assert fold[1] < lo
     assert fold[0] <= 6.4375 and 6.46875 <= fold[1]
@@ -216,8 +233,9 @@ def test_estimate_warns_when_the_bisection_misses_the_branch(
 def test_warm_starts_decide_the_nontrivial_predicates(coarse_problem,
                                                       monkeypatch):
     # once the bisection holds a nontrivial hi, each predicate descends
-    # from it first, so a multistart runs only where the branch is gone;
-    # the record is the one the multistart-only predicates gave
+    # from it first, so a multistart runs only where the branch is gone:
+    # at 9, where there is no hi yet, and at lambda*_h - width/4, which
+    # descends from the solution at lambda*_h + width/4
     kern, params = coarse_problem
     seeing = bifurcation.minimize_multistart
     searched = []
@@ -231,10 +249,12 @@ def test_warm_starts_decide_the_nontrivial_predicates(coarse_problem,
 
     monkeypatch.setattr(bifurcation, "minimize_multistart", logged)
     rec = estimate_lambda_star(kern, params, (5.0, 9.0), seed=0).method_record
-    assert rec["bisection_bracket"] == (6.4375, 6.46875)
-    assert rec["fold_bracket"] == (6.4375, 6.46875)
-    assert rec["predicate_evaluations"] == 9
-    assert rec["certified_predicates"] == 3
+    lam = rec["fold_estimate"]
+    assert rec["bisection_bracket"] == (lam - 0.0125, lam + 0.0125)
+    assert rec["fold_bracket"] == rec["bisection_bracket"]
+    assert rec["predicate_evaluations"] == 4
+    assert rec["certified_predicates"] == 1
+    assert searched == [(9.0, True), (lam - 0.0125, False)]
     first = next(k for k, (_, found) in enumerate(searched) if found)
     assert searched[first + 1:]
     assert not any(found for _, found in searched[first + 1:])
@@ -253,6 +273,80 @@ def test_estimate_follows_the_singular_branch_down_to_the_lower_bound():
     _, hi = rec["bisection_bracket"]
     assert rec["warnings"] == []
     assert hi - 0.05 <= rec["lambda_lower_bound"]
+
+
+@pytest.mark.parametrize("exps,bracket,bisected",
+                         [e + (b,) for e, b in zip(EXPONENT_SETS,
+                                                   BISECTION_BRACKETS)])
+def test_fold_solve_lies_inside_the_bisection_bracket(exps, bracket,
+                                                      bisected):
+    rec = estimate_lambda_star(*exponent_problem(exps), bracket,
+                               seed=0).method_record
+    assert rec["fold_residual"] <= 1e-9
+    assert bisected[0] < rec["fold_estimate"] < bisected[1]
+    lo, hi = rec["bisection_bracket"]
+    assert lo < rec["fold_estimate"] < hi
+    assert rec["warnings"] == []
+
+
+def test_fold_solve_stretches_exactly():
+    # lambda*_h on (-L, L) is L^(-sigma (q-r)/(p-r)) times the one on
+    # (-1, 1), exactly on the mesh, as every solution scales
+    exps = (3.0, 0.3, 2.5, 1.5)
+    narrow, wide = (
+        estimate_lambda_star(*exponent_problem(exps, 64, -L, L), (5.0, 9.0),
+                             seed=0).method_record["fold_estimate"]
+        for L in (1.0, 2.0))
+    assert wide == pytest.approx(2.0 ** -0.6 * narrow, rel=1e-10)
+
+
+def test_fold_solve_settles_under_mesh_refinement():
+    # lambda*_h falls towards the continuum threshold as the mesh is
+    # refined, each change less than half the one before
+    folds = []
+    for n in (32, 64, 128, 256):
+        kern, params = exponent_problem((3.0, 0.3, 2.5, 1.5), n)
+        pr = with_lambda(params, 9.0)
+        u = select_solution(minimize_multistart(
+            kern, ReactionModel.plain(pr), seed=0, stop_at_nontrivial=True))
+        fold = solve_fold(kern, pr, u.solution)
+        assert fold.converged and fold.residual <= 1e-9
+        folds.append(fold.lam)
+    steps = np.diff(folds)
+    assert np.all(steps < 0.0)
+    assert np.all(np.abs(steps[1:]) < 0.5 * np.abs(steps[:-1]))
+
+
+@pytest.mark.parametrize("bracket,searched,start", [
+    # zero only at 0.6 and 0.9: lo moves up with hi as hi doubles
+    ((0.6, 0.9), [0.6, 0.9, 1.8, 3.6, 7.2], 7.2),
+    # nontrivial at 5: hi moves down with lo, and 9 is never asked
+    ((5.0, 9.0), [5.0, 2.5], 5.0)])
+def test_estimate_expands_the_bracket_on_both_sides(monkeypatch, bracket,
+                                                    searched, start):
+    kern, params = exponent_problem((3.0, 0.3, 2.5, 1.5), 32, -2.0, 2.0)
+    asked, started = [], []
+    seeing, folding = bifurcation._find_minimizer, bifurcation.solve_fold
+
+    def logged(kern, model, *args, **kwargs):
+        asked.append(model.params.lam)
+        return seeing(kern, model, *args, **kwargs)
+
+    def logged_fold(kern, params, *args, **kwargs):
+        started.append(params.lam)
+        return folding(kern, params, *args, **kwargs)
+
+    # with no bound every predicate searches, so each one is logged
+    monkeypatch.setattr(bifurcation, "lambda_lower_bound",
+                        lambda *args, **kwargs: None)
+    monkeypatch.setattr(bifurcation, "_find_minimizer", logged)
+    monkeypatch.setattr(bifurcation, "solve_fold", logged_fold)
+    rec = estimate_lambda_star(kern, params, bracket, seed=0).method_record
+    lam = rec["fold_estimate"]
+    assert started == [start]
+    assert asked == searched + [lam + 0.0125, lam - 0.0125]
+    assert rec["bisection_bracket"] == (lam - 0.0125, lam + 0.0125)
+    assert rec["predicate_evaluations"] == len(asked)
 
 
 def test_stretching_the_domain_scales_both_solutions_exactly():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -405,6 +406,41 @@ def test_bifurcation_artifacts_and_reproducibility(tmp_path, capsys):
     a = open(os.path.join(out1, "branch.csv"), "rb").read()
     b = open(os.path.join(out2, "branch.csv"), "rb").read()
     assert a == b
+
+
+def test_bifurcation_prints_the_fold_solve(tmp_path, outdir, capsys,
+                                           monkeypatch):
+    cfg = write_config(tmp_path / "run.cfg", **{"mesh.n": 32},
+                       lambda_min=7.0, lambda_max=9.0, steps=2,
+                       bracket_lo=5.0, bracket_hi=9.0)
+    assert main(["bifurcation", "--config", cfg, "--out", outdir]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rec = json.load(open(os.path.join(outdir, "bifurcation.json")))
+    mr = rec["method_record"]
+    at = next(k for k, line in enumerate(lines)
+              if line.startswith("lambda* estimate"))
+    assert lines[at + 1] == (
+        "fold solve lambda*_h %.10g (residual %.3g, %d Newton steps)"
+        % (mr["fold_estimate"], mr["fold_residual"], mr["fold_iterations"]))
+    assert 6.45 < mr["fold_estimate"] < 6.47
+    # a fold solve that never converges leaves the bisection to itself,
+    # and the line after the estimate says why
+    fold = bifurcation_module.solve_fold
+
+    def stalled(kern, params, u, opts):
+        return fold(kern, params, u, dataclasses.replace(opts, max_iter=1))
+
+    monkeypatch.setattr(bifurcation_module, "solve_fold", stalled)
+    assert main(["bifurcation", "--config", cfg, "--out", outdir]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rec = json.load(open(os.path.join(outdir, "bifurcation.json")))
+    mr = rec["method_record"]
+    assert mr["fold_estimate"] is None and mr["fold_note"]
+    at = next(k for k, line in enumerate(lines)
+              if line.startswith("lambda* estimate"))
+    assert lines[at + 1] == "fold solve did not converge: %s" % mr["fold_note"]
+    assert mr["fold_note"].startswith("from hi=9: residual")
+    assert rec["bracket_width"] <= 0.05
 
 
 def test_bifurcation_width_flag(tmp_path, outdir, capsys):

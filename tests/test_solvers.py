@@ -9,13 +9,14 @@ from fracbif import (KernelMatrix, MeshMismatchError, MountainPassPath,
                      assemble_kernel, build_mesh, continue_branch,
                      find_saddle, minimize, minimize_multistart, mirror_fold,
                      mirror_unfold, odd_power, principal_eigenpair,
-                     select_solution, seminorm_energy, total_energy,
-                     total_gradient, total_hessian, validate_params,
-                     with_lambda)
+                     select_solution, seminorm_energy, solve_fold,
+                     total_energy, total_gradient, total_hessian,
+                     validate_params, with_lambda)
 from fracbif import solvers
 from fracbif.reaction import F_values, f_values
-from fracbif.solvers import (_batch_energy, _descend, _eigen_jacobian,
-                             _eigen_newton, default_starts)
+from fracbif.solvers import (STALL_WINDOW, _batch_energy, _damped_newton,
+                             _descend, _eigen_jacobian, _eigen_newton,
+                             default_starts)
 
 
 def make_params(p, lam=2.0):
@@ -839,3 +840,52 @@ def test_find_saddle_needs_enough_path_points(small_problem,
         opts = dataclasses.replace(SolverOptions(), path_points=3)
         find_saddle(kern, params, small_big_solution.solution.values,
                     opts=opts, seed=0)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_damped_newton_never_accepts_an_inadmissible_trial(bad):
+    # x - (-1) = 0 has its root outside the admissible x > 0, where the
+    # residual reads bad: every step stops short of x = 0, and the stall
+    # rule ends the crawl towards it
+    def point(x):
+        return x, float(abs(x[0] + 1.0)) if x[0] > 0.0 else bad, 1e-9
+
+    state, iterations = _damped_newton(point, lambda s: -(s[0] + 1.0),
+                                       np.array([1.0]), SolverOptions())
+    assert 0.0 < state[0][0] < 1e-2
+    assert STALL_WINDOW < iterations < 2 * STALL_WINDOW
+
+
+def fold_from(exps, n, lam):
+    p, s, q, r = exps
+    params = validate_params({"p": p, "s": s, "q": q, "r": r, "lambda": lam})
+    kern = assemble_kernel(build_mesh(-1.0, 1.0, n), params)
+    u = select_solution(minimize_multistart(
+        kern, ReactionModel.plain(params), seed=0, stop_at_nontrivial=True))
+    return kern, params, solve_fold(kern, params, u.solution)
+
+
+def test_solve_fold_makes_the_even_hessian_singular():
+    # at lambda*_h the folded Hessian has a zero eigenvalue, with a
+    # positive even eigenvector, and the branch lives just above it
+    kern, params, fold = fold_from((3.0, 0.3, 2.5, 1.5), 33, 9.0)
+    assert fold.converged and fold.note is None and fold.residual <= 1e-9
+    model = ReactionModel.plain(with_lambda(params, fold.lam))
+    curv = np.linalg.eigvalsh(total_hessian(
+        kern.fold(), model, mirror_fold(fold.solution.values)))
+    assert abs(curv[0]) <= 1e-12 * curv[1]
+    phi = fold.null_vector.values
+    assert np.all(phi > 0.0) and np.array_equal(phi, phi[::-1])
+    above = minimize(kern, ReactionModel.plain(
+        with_lambda(params, fold.lam + 0.01)), fold.solution.values)
+    assert above.converged and above.classification == "minimizer"
+
+
+@pytest.mark.parametrize("exps", [(2.0, 0.3, 1.7, 1.3), (1.3, 0.5, 1.2, 1.1)])
+def test_solve_fold_far_from_the_fold_fails_without_raising(exps):
+    # from lambda = 30 the Newton steps stall far above the fold; the
+    # attempt ends unconverged and says why
+    _, _, fold = fold_from(exps, 32, 30.0)
+    assert not fold.converged
+    assert fold.lam > 0.0 and fold.residual > 1e-9
+    assert fold.note.startswith("residual")
