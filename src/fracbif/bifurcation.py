@@ -239,9 +239,9 @@ def estimate_lambda_star(kern, params, bracket, opts=None, seed=0, threads=1):
     A bracket whose lo is nontrivial moves down: lo becomes hi and
     halves; one whose hi is zero only moves up: hi becomes lo and
     doubles.  Then, from each new nontrivial hi, solve_fold runs from
-    the minimizer cached there, until one attempt converges to a
-    lambda*_h with lambda_low <= lambda*_h and
-    lo < lambda*_h -+ width/4 < hi.  The next predicates are then at
+    the minimizer cached there, until one attempt converges.  If its
+    lambda*_h has lambda_low <= lambda*_h and
+    lo < lambda*_h -+ width/4 < hi, the next predicates are at
     lambda*_h + width/4 and, descending from the solution found there,
     at lambda*_h - width/4: if both agree with lambda*_h the bracket is
     (lambda*_h - width/4, lambda*_h + width/4).  Every other predicate is
@@ -252,7 +252,7 @@ def estimate_lambda_star(kern, params, bracket, opts=None, seed=0, threads=1):
     lo already ran is not run again): the fold bracket is (that lambda,
     the last one alive), so (lo, hi) if the bisection is right.  A
     branch alive at lo, or never dead (fold bracket None), warns, and so
-    does a converged lambda*_h outside (lo, hi).
+    does a converged lambda*_h outside (lo, hi) or below lambda_low.
 
     Returns a BifurcationDiagram carrying only the estimate fields and
     a method record: the bisection and fold brackets; the fold solve's
@@ -313,14 +313,15 @@ def estimate_lambda_star(kern, params, bracket, opts=None, seed=0, threads=1):
                 "no nontrivial solution up to lambda=%g; the threshold lies "
                 "above min(1, eigenvalue)=%g, raise the bracket"
                 % (hi, min(1.0, eig.value)))
-    fold = None         # the last fold solve that converged
+    fold = None         # the fold solve that converged
     notes = []          # why each attempt placed no predicates
     tried = None        # the hi of the last attempt
-    placed = False      # whether a lambda*_h placed the next predicates
     queue = []
     quarter = 0.25 * opts.width
     while hi - lo > opts.width:
-        if not placed and hi != tried:
+        # a later attempt reaches the same lambda*_h, and a bracket that
+        # only narrows cannot start to admit it
+        if fold is None and hi != tried:
             tried = hi
             attempt = solve_fold(kern, with_lambda(params, hi),
                                  cache[hi].solution.values, opts)
@@ -334,7 +335,6 @@ def estimate_lambda_star(kern, params, bracket, opts=None, seed=0, threads=1):
                 notes.append("from hi=%g: lambda*_h=%g -+ width/4 leaves "
                              "(%g, %g)" % (hi, lam, lo, hi))
             else:
-                placed = True
                 queue = [lam + quarter, lam - quarter]
             if attempt.converged:
                 fold = attempt
@@ -378,6 +378,9 @@ def estimate_lambda_star(kern, params, bracket, opts=None, seed=0, threads=1):
         if not lo <= fold.lam <= hi:
             warnings.append("the fold solve's lambda*_h=%g lies outside the "
                             "bisection bracket (%g, %g)" % (fold.lam, lo, hi))
+        if lam_low is not None and fold.lam < lam_low:
+            warnings.append("the fold solve's lambda*_h=%g lies below "
+                            "lambda_low=%g" % (fold.lam, lam_low))
     if tried is None:
         notes.append("not attempted: the bracket was no wider than width")
     record = {"bisection_bracket": (lo, hi),

@@ -167,8 +167,7 @@ def total_energy(kern, model, u):
 
 def total_gradient(kern, model, u):
     """Exact gradient of total_energy at u."""
-    A = apply_operator(kern, u, model.params.p)
-    return A - kern.mass * f_values(model, u)
+    return _operator_and_gradient(kern, model, u)[1]
 
 
 def total_hessian(kern, model, u):

@@ -20,16 +20,12 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 COMMITTED = os.path.join(ROOT, "out")
 RTOL = 1e-7
 # method_record fields that a different rounding of the energies could
-# move: the bound rests on the eigenfunction's operator, and lambda*_h,
-# with the brackets it places, on the last Newton step of the fold solve
-ROUNDED_RECORD_FIELDS = ("lambda_lower_bound", "fold_estimate",
-                         "bisection_bracket", "fold_bracket")
+# move: the bound rests on the eigenfunction's operator
+ROUNDED_RECORD_FIELDS = ("lambda_lower_bound",)
 
 
 def _skipped(key):
-    # agreement_rel is the rounding-level distance of lambda*_h from the
-    # midpoint of the bracket it placed
-    return "residual" in key or "iterations" in key or key == "agreement_rel"
+    return "residual" in key or "iterations" in key
 
 
 def _compare(new, old, where, exact=False):

@@ -230,6 +230,24 @@ def test_estimate_warns_when_the_bisection_misses_the_branch(
     assert fold[0] <= 6.4375 and 6.46875 <= fold[1]
 
 
+def test_estimate_warns_when_lambda_star_h_lies_below_the_bound(
+        coarse_problem, monkeypatch):
+    # a bound just above lambda*_h = 6.45917 certifies 6.4375 as zero
+    # only and leaves lambda*_h inside the bracket (6.4375, 6.46875), so
+    # only the bound check sees the contradiction; the one converged
+    # attempt, from hi = 9, is refused and not repeated
+    kern, params = coarse_problem
+    monkeypatch.setattr(bifurcation, "lambda_lower_bound",
+                        lambda *args, **kwargs: 6.46)
+    rec = estimate_lambda_star(kern, params, (5.0, 9.0), seed=0).method_record
+    assert rec["bisection_bracket"] == (6.4375, 6.46875)
+    assert rec["fold_estimate"] == pytest.approx(6.4591688477, abs=1e-10)
+    assert rec["fold_note"] == ("from hi=9: lambda*_h=6.45917 lies below "
+                                "lambda_low")
+    assert rec["warnings"] == ["the fold solve's lambda*_h=6.45917 lies "
+                               "below lambda_low=6.46"]
+
+
 def test_warm_starts_decide_the_nontrivial_predicates(coarse_problem,
                                                       monkeypatch):
     # once the bisection holds a nontrivial hi, each predicate descends
