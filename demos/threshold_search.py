@@ -10,11 +10,11 @@ two existence predicates a quarter width either side of it (answered
 without a search below that bound, and elsewhere by a descent from the
 minimizer at the bracket's upper end, with a multi-start only where
 that descent collapses).  Where the fold solve does not converge, or
-the predicates disagree with it, bisection finishes the bracket.  It
-checks the bracket by following the branch down from its upper end
-with warm starts (it must die at the lower end), and then walks the
-branch upward printing both solution sizes.  A small mesh keeps the
-whole run under a minute.
+the predicates disagree with it, bisection finishes the bracket.  One
+descent at the bracket's lower end, from the minimizer at its upper
+end, checks it (the branch must be gone there, or a warning is
+printed), and then the script walks the branch upward printing both
+solution sizes.  A small mesh keeps the whole run under a minute.
 """
 
 import argparse
@@ -63,8 +63,6 @@ def main():
           "%d settled by the bound)"
           % (diagram.lambda_star_estimate, diagram.bracket_width,
              rec["predicate_evaluations"], rec["certified_predicates"]))
-    if rec["fold_bracket"] is not None:
-        print("warm-start fold    [%.6f, %.6f]" % tuple(rec["fold_bracket"]))
     if rec["agreement_rel"] is not None:
         print("lambda*_h vs midpoint  %.1e apart" % rec["agreement_rel"])
     for w in rec["warnings"]:

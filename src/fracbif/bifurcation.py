@@ -14,9 +14,10 @@ first descends from it; only where that descent collapses does a
 multi-start decide.  Below a closed-form lower bound lambda_low
 (lambda_lower_bound: the principal eigenfunction and the discrete
 Picone inequality prove that zero is the only solution there) the
-predicate is answered without a search.  Warm starts then follow the
-branch down from the bracket's upper end: it must die at the lower end,
-or the searches missed it there and a warning says where it died.
+predicate is answered without a search.  One descent at the bracket's
+lower end, from the minimizer at its upper end, checks the bracket: the
+branch must be gone there, or the searches missed it and a warning says
+so.
 """
 
 from dataclasses import dataclass
@@ -135,11 +136,10 @@ def continue_branch(kern, params, lam_grid, opts=None, seed=0, threads=1,
                     with_saddles=True):
     """Trace the branch over a monotone grid, warm-starting downward.
 
-    Returns a diagram with points in ascending lambda; the method
-    record holds the grid and the fold bracket (first dead, last alive)
-    seen from above, at the grid's resolution.  Each point is
-    warm-started from the last one alive (solve_at_lambda), so the
-    branch is declared dead only where a multi-start finds it gone too.
+    Returns a diagram of the points alone, in ascending lambda.  Each
+    point is warm-started from the last one alive (solve_at_lambda), so
+    the branch is declared dead only where a multi-start finds it gone
+    too.
     """
     opts = opts or SolverOptions()
     grid = np.asarray(lam_grid, dtype=float)
@@ -152,23 +152,27 @@ def continue_branch(kern, params, lam_grid, opts=None, seed=0, threads=1,
         raise ParameterError("lambda grid must be strictly monotone")
     points = []
     warm = None
-    last_alive = None
-    fold = None
     for lam in grid:
-        pr = with_lambda(params, lam)
-        bp = solve_at_lambda(kern, pr, warm_start=warm, opts=opts, seed=seed,
-                             threads=threads, with_saddle=with_saddles)
-        if nontrivial(bp.u_big, opts.zero_tol):
-            warm = bp.u_big.solution.values
-            last_alive = float(lam)
-        else:
-            warm = None
-            if last_alive is not None and fold is None:
-                fold = (float(lam), last_alive)
+        bp = solve_at_lambda(kern, with_lambda(params, lam), warm_start=warm,
+                             opts=opts, seed=seed, threads=threads,
+                             with_saddle=with_saddles)
+        warm = (bp.u_big.solution.values
+                if nontrivial(bp.u_big, opts.zero_tol) else None)
         points.append(bp)
-    record = {"fold_bracket": fold, "grid": [float(x) for x in grid]}
-    return BifurcationDiagram(points=list(reversed(points)),
-                              method_record=record)
+    return BifurcationDiagram(points=list(reversed(points)))
+
+
+def _picone_mu(kern, phi, p):
+    """mu = min_i A(phi)_i / (mass_i phi_i^(p-1)), the constant of the
+    discrete Picone inequality for phi (see lambda_lower_bound), or None
+    for a phi with a node that is not positive.
+    """
+    # a node that is not positive (or whose power underflows) leaves a
+    # zero here
+    den = kern.mass * np.maximum(phi, 0.0) ** (p - 1.0)
+    if not np.all(den > 0.0):
+        return None
+    return float(np.min(apply_operator(kern, phi, p) / den))
 
 
 def lambda_lower_bound(kern, params, opts=None, eigenpair=None):
@@ -206,25 +210,21 @@ def lambda_lower_bound(kern, params, opts=None, eigenpair=None):
     """
     if eigenpair is None:
         eigenpair = principal_eigenpair(kern, params.p, opts)
-    phi = eigenpair.eigenfunction.values
-    p, q, r = params.p, params.q, params.r
-    # a node that is not positive (or whose power underflows) leaves a
-    # zero here
-    den = kern.mass * np.maximum(phi, 0.0) ** (p - 1.0)
     if not (np.array_equal(kern.K, kern.K.T) and np.all(kern.K >= 0.0)
-            and np.all(kern.T >= 0.0) and np.all(den > 0.0)):
+            and np.all(kern.T >= 0.0)):
         return None
-    mu = float(np.min(apply_operator(kern, phi, p) / den))
-    if not mu > 0.0:
+    mu = _picone_mu(kern, eigenpair.eigenfunction.values, params.p)
+    if mu is None or not mu > 0.0:
         return None
+    p, q, r = params.p, params.q, params.r
     lam = (p - r) / (p - q) * (mu * (p - q) / (q - r)) ** ((q - r) / (p - r))
     return (1.0 - BOUND_MARGIN) * lam
 
 
 def estimate_lambda_star(kern, params, bracket, opts=None, seed=0, threads=1):
     """Threshold estimate: the branch's turning point lambda*_h, bracketed
-    by the existence predicate, and checked by warm starts at that
-    bracket (lo, hi).
+    by the existence predicate, and checked by one descent at that
+    bracket's lower end.
 
     The principal eigenpair is solved once, for lambda_lower_bound; a
     predicate at a lambda below that bound is answered "zero only"
@@ -247,15 +247,14 @@ def estimate_lambda_star(kern, params, bracket, opts=None, seed=0, threads=1):
     (lambda*_h - width/4, lambda*_h + width/4).  Every other predicate is
     at the bracket's midpoint, until the bracket is no wider than width.
 
-    From the solution at hi, warm starts run at hi - (hi - lo) 2^k for
-    k = 0..7 while above zero, until one collapses (one the predicate at
-    lo already ran is not run again): the fold bracket is (that lambda,
-    the last one alive), so (lo, hi) if the bisection is right.  A
-    branch alive at lo, or never dead (fold bracket None), warns, and so
-    does a converged lambda*_h outside (lo, hi) or below lambda_low.
+    Then one descent runs at the final lo from the minimizer cached at
+    the final hi (natural-parameter continuation), unless the predicate
+    at lo already ran that descent.  A descent that ends nontrivial
+    means the searches missed the branch at lo, and warns; so does a
+    converged lambda*_h outside (lo, hi) or below lambda_low.
 
     Returns a BifurcationDiagram carrying only the estimate fields and
-    a method record: the bisection and fold brackets; the fold solve's
+    a method record: the bisection bracket (lo, hi); the fold solve's
     lambda*_h (fold_estimate, None when no attempt converged), its
     residual and Newton steps (fold_residual, fold_iterations), and
     the reasons of the attempts that failed or were not used
@@ -347,29 +346,15 @@ def estimate_lambda_star(kern, params, bracket, opts=None, seed=0, threads=1):
             lo = mid
     estimate = 0.5 * (lo + hi)
 
-    warm, live, fold_bracket = cache[hi].solution.values, hi, None
-    for k in range(8):
-        lam = hi - (hi - lo) * 2.0 ** k
-        if lam <= 0.0:
-            break
-        if descended.get(lam) is warm:
-            # the predicate at lam ran this descent already, and it did
-            # not end nontrivial, or hi would lie at or below lam
-            fold_bracket = (lam, live)
-            break
-        rep = minimize(kern, ReactionModel.plain(with_lambda(params, lam)),
-                       warm, opts)
-        if not nontrivial(rep, opts.zero_tol):
-            fold_bracket = (lam, live)
-            break
-        warm, live = rep.solution.values, lam
     warnings = []
-    if live < hi:
-        warnings.append("the branch is still alive at lambda=%g, below the "
-                        "bisection bracket (%g, %g)" % (live, lo, hi))
-    if fold_bracket is None:
-        warnings.append("the warm-started branch did not die down to "
-                        "lambda=%g" % live)
+    warm = cache[hi].solution.values
+    # the predicate at lo may have run this descent already, and it did
+    # not end nontrivial, or hi would lie at or below lo
+    if descended.get(lo) is not warm and nontrivial(
+            minimize(kern, ReactionModel.plain(with_lambda(params, lo)),
+                     warm, opts), opts.zero_tol):
+        warnings.append("the branch is still alive at lambda=%g, the lower "
+                        "end of the bisection bracket (%g, %g)" % (lo, lo, hi))
     fold_estimate = fold_residual = fold_iterations = agreement = None
     if fold is not None:
         fold_estimate = fold.lam
@@ -383,8 +368,7 @@ def estimate_lambda_star(kern, params, bracket, opts=None, seed=0, threads=1):
                             "lambda_low=%g" % (fold.lam, lam_low))
     if tried is None:
         notes.append("not attempted: the bracket was no wider than width")
-    record = {"bisection_bracket": (lo, hi),
-              "fold_bracket": fold_bracket, "fold_estimate": fold_estimate,
+    record = {"bisection_bracket": (lo, hi), "fold_estimate": fold_estimate,
               "fold_residual": fold_residual,
               "fold_iterations": fold_iterations,
               "fold_note": "; ".join(notes) or None,
@@ -398,19 +382,11 @@ def estimate_lambda_star(kern, params, bracket, opts=None, seed=0, threads=1):
 
 def build_diagram(kern, params, lam_grid, bracket, opts=None, seed=0,
                   threads=1, with_saddles=True):
-    """Full diagram: threshold estimate plus branch points on a grid.
-
-    The method record is the estimate's, plus the grid and the grid's
-    own fold bracket (continue_branch's fold_bracket) as grid_fold_bracket.
-    """
-    est = estimate_lambda_star(kern, params, bracket, opts=opts, seed=seed,
-                               threads=threads)
-    trace = continue_branch(kern, params, lam_grid, opts=opts, seed=seed,
-                            threads=threads, with_saddles=with_saddles)
-    record = dict(est.method_record,
-                  grid=trace.method_record["grid"],
-                  grid_fold_bracket=trace.method_record["fold_bracket"])
-    return BifurcationDiagram(points=trace.points,
-                              lambda_star_estimate=est.lambda_star_estimate,
-                              bracket_width=est.bracket_width,
-                              method_record=record)
+    """Full diagram: estimate_lambda_star's threshold estimate and method
+    record, with continue_branch's points on the grid."""
+    diagram = estimate_lambda_star(kern, params, bracket, opts=opts, seed=seed,
+                                   threads=threads)
+    diagram.points = continue_branch(kern, params, lam_grid, opts=opts,
+                                     seed=seed, threads=threads,
+                                     with_saddles=with_saddles).points
+    return diagram

@@ -87,14 +87,6 @@ def _resolve_config(args):
     bracket = getattr(args, "bracket", None)
     if bracket is not None:
         overrides["bracket_lo"], overrides["bracket_hi"] = _parse_bracket(bracket)
-    if args.threads is None and "threads" not in file_values:
-        env = os.environ.get("FRACBIF_THREADS")
-        if env:
-            try:
-                overrides["threads"] = int(env)
-            except ValueError:
-                raise ConfigError("FRACBIF_THREADS must be an integer, got %r"
-                                  % env)
     return resolve(file_values, overrides)
 
 
@@ -247,7 +239,7 @@ def build_parser():
         sp.add_argument("--out", metavar="DIR", help="output directory")
         sp.add_argument("--seed", type=int, metavar="N")
         sp.add_argument("--threads", type=int, metavar="N",
-                        help="worker threads (falls back to FRACBIF_THREADS)")
+                        help="worker threads")
         sp.add_argument("--dump-kernel", action="store_true",
                         help="also write kernel.csv and kernel_tails.csv")
 

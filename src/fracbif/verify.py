@@ -28,7 +28,7 @@ from functools import cache, partial
 import numpy as np
 
 from .core import build_mesh, validate_params, with_lambda
-from .bifurcation import lambda_lower_bound
+from .bifurcation import _picone_mu, lambda_lower_bound
 from .diagnostics import gradient_check, verify_operator_properties
 from .kernel import KernelMatrix, apply_operator, pairing, seminorm_energy
 from .reaction import (ReactionModel, scan_reaction_slack,
@@ -239,9 +239,7 @@ def run_verification(cfg, kernel_hook=None):
         if lam_low is None:
             return False, "no nonexistence certificate for this kernel"
         p, q, r = params.p, params.q, params.r
-        phi = eig.eigenfunction.values
-        mu = float(np.min(apply_operator(kern, phi, p)
-                          / (kern.mass * phi ** (p - 1.0))))
+        mu = _picone_mu(kern, eig.eigenfunction.values, p)
         slack = []
         for lam in ((1.0 - 1e-6) * lam_low, 1.001 * lam_low):
             # the scan covers the maximiser of f(t) / t^(p-1)

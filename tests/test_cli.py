@@ -109,14 +109,6 @@ def test_negative_seed_is_a_config_error(tmp_path, outdir, capsys, command):
     assert not os.path.exists(outdir)
 
 
-def test_bad_threads_env(tmp_path, outdir, capsys, monkeypatch):
-    monkeypatch.setenv("FRACBIF_THREADS", "many")
-    cfg = write_config(tmp_path / "run.cfg", **{"mesh.n": 24})
-    code = main(["eigen", "--config", cfg, "--out", outdir])
-    assert code == 1
-    assert "FRACBIF_THREADS" in capsys.readouterr().err
-
-
 def test_eigen_writes_artifacts(tmp_path, outdir, capsys):
     cfg = write_config(tmp_path / "run.cfg", p=2.0, s=0.2, q=1.8, r=1.2,
                        **{"mesh.n": 24})
@@ -358,16 +350,11 @@ def test_lambda_flag_overrides_file(tmp_path, outdir, capsys):
     assert code == 3
 
 
-def test_threads_precedence(tmp_path, capsys, monkeypatch):
-    cfg_nothreads = write_config(tmp_path / "a.cfg", **{"mesh.n": 24})
+def test_threads_precedence(tmp_path, capsys):
     cfg_threads = write_config(tmp_path / "b.cfg", threads=2,
                                **{"mesh.n": 24})
-    env_out = str(tmp_path / "env_out")
     file_out = str(tmp_path / "file_out")
     flag_out = str(tmp_path / "flag_out")
-    monkeypatch.setenv("FRACBIF_THREADS", "3")
-    assert main(["eigen", "--config", cfg_nothreads, "--out", env_out]) == 0
-    assert json.load(open(os.path.join(env_out, "eigen.json")))["threads"] == 3
     assert main(["eigen", "--config", cfg_threads, "--out", file_out]) == 0
     assert json.load(open(os.path.join(file_out, "eigen.json")))["threads"] == 2
     assert main(["eigen", "--config", cfg_threads, "--out", flag_out,

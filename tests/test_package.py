@@ -47,6 +47,19 @@ def test_readme_names_every_verify_check():
     assert named == [name for name, _, _ in results]
 
 
+def test_readme_names_every_method_record_key():
+    bullet = README.read_text().split("\n* `bifurcation`", 1)[1]
+    sentence = bullet.split("`method_record` holds", 1)[1].split(". ", 1)[0]
+    named = [name for name in re.findall(r"`([^`]+)`", sentence)
+             if name.isidentifier()]
+    params = fracbif.validate_params({"p": 3.0, "s": 0.3, "q": 2.5, "r": 1.5,
+                                      "lambda": 8.0})
+    kern = fracbif.assemble_kernel(fracbif.build_mesh(-1.0, 1.0, 32), params)
+    rec = fracbif.estimate_lambda_star(kern, params, (5.0, 9.0),
+                                       seed=0).method_record
+    assert sorted(named) == sorted(rec)
+
+
 def _unused_imports(tree):
     imported = {}
     for node in ast.walk(tree):
