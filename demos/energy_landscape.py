@@ -38,7 +38,7 @@ def main():
     print("minimizer: sup %.6f, energy %.6f" % (u.solution.sup_norm, u.energy))
 
     v, path = find_saddle(kern, params, u.solution.values, opts,
-                          seed=args.seed, return_path=True)
+                          return_path=True)
     print("saddle:    sup %.6f, energy %.6f (path point %d of %d)"
           % (v.solution.sup_norm, v.energy, path.max_index,
              len(path.points)))

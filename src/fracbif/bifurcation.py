@@ -120,7 +120,7 @@ def solve_at_lambda(kern, params, warm_start=None, opts=None, seed=0,
     if with_saddle and nontrivial(rep, opts.zero_tol):
         try:
             v = bp.v_saddle = find_saddle(kern, params, rep.solution.values,
-                                          opts, seed=seed)
+                                          opts)
         except SaddleNotFound as exc:
             bp.saddle_note = str(exc)
         else:

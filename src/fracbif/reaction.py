@@ -1,11 +1,6 @@
-"""Two-power reaction lam*t^(q-1) - t^(r-1), plain or capped by a ceiling.
+"""Two-power reaction lam*t^(q-1) - t^(r-1).
 
-The plain reaction acts on the positive part of t and vanishes for
-t <= 0.  The capped one, used by the mountain-pass search, freezes the
-q-power above a nodal ceiling value c_i,
-f(i, t) = lam*c_i^(q-1) - t^(r-1), which caps minimizers and path
-points below the ceiling while keeping the primitive well defined.
-
+The reaction acts on the positive part of t and vanishes for t <= 0.
 All evaluations are vectorized over nodes.
 """
 
@@ -13,34 +8,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ParameterError, curvature_power, mirror_fold, odd_power
+from .core import ParameterError, curvature_power
 
 
 @dataclass(frozen=True)
 class ReactionModel:
-    """The reaction bound to a parameter record, plain or capped.
-
-    ceiling is the nodal value array of the capped reaction (None for
-    the plain one).
-    """
+    """The reaction bound to a parameter record."""
 
     params: object
-    ceiling: np.ndarray = None
 
     @classmethod
     def plain(cls, params):
         return cls(params=params)
-
-    @classmethod
-    def capped(cls, params, ceiling):
-        return cls(params=params, ceiling=np.asarray(ceiling, dtype=float))
-
-    def fold(self):
-        """The model on the even subspace: the ceiling mirror-averaged
-        onto the first ceil(n/2) nodes (see KernelMatrix.fold)."""
-        if self.ceiling is None:
-            return self
-        return ReactionModel.capped(self.params, mirror_fold(self.ceiling))
 
 
 def _plain_f(params, t):
@@ -48,56 +27,31 @@ def _plain_f(params, t):
     return params.lam * tp ** (params.q - 1.0) - tp ** (params.r - 1.0)
 
 
-def _plain_F(params, t):
-    tp = np.maximum(np.asarray(t, dtype=float), 0.0)
-    return params.lam * tp ** params.q / params.q - tp ** params.r / params.r
-
-
 def f_values(model, u):
     """Reaction at every node for nodal values u."""
-    u = np.asarray(u, dtype=float)
-    pr = model.params
-    c = model.ceiling
-    if c is None:
-        return _plain_f(pr, u)
-    frozen = pr.lam * np.maximum(c, 0.0) ** (pr.q - 1.0) - odd_power(u, pr.r)
-    return np.where(u < c, _plain_f(pr, u), frozen)
-
-
-def _plain_df(params, t, scale):
-    tp = np.maximum(t, 0.0)
-    d = (params.lam * (params.q - 1.0) * curvature_power(tp, params.q - 2.0, scale)
-         - (params.r - 1.0) * curvature_power(tp, params.r - 2.0, scale))
-    return np.where(t > 0.0, d, 0.0)
+    return _plain_f(model.params, u)
 
 
 def df_values(model, u):
     """t-derivative of the reaction at every node for nodal values u.
 
-    Zero for t <= 0 in the plain reaction; above the ceiling only the
-    r-power term is left.  Negative powers are read through
-    curvature_power, so t -> 0+ with r < 2 gives a large finite value.
+    Zero for t <= 0.  Negative powers are read through curvature_power,
+    so t -> 0+ with r < 2 gives a large finite value.
     """
     u = np.asarray(u, dtype=float)
     pr = model.params
+    tp = np.maximum(u, 0.0)
     scale = float(np.linalg.norm(u))
-    if model.ceiling is None:
-        return _plain_df(pr, u, scale)
-    frozen = -(pr.r - 1.0) * curvature_power(u, pr.r - 2.0, scale)
-    return np.where(u < model.ceiling, _plain_df(pr, u, scale), frozen)
+    d = (pr.lam * (pr.q - 1.0) * curvature_power(tp, pr.q - 2.0, scale)
+         - (pr.r - 1.0) * curvature_power(tp, pr.r - 2.0, scale))
+    return np.where(u > 0.0, d, 0.0)
 
 
 def F_values(model, u):
     """Primitive of the reaction (in t, from 0) at every node."""
-    u = np.asarray(u, dtype=float)
     pr = model.params
-    c = model.ceiling
-    if c is None:
-        return _plain_F(pr, u)
-    above = (_plain_F(pr, c)
-             + pr.lam * np.maximum(c, 0.0) ** (pr.q - 1.0) * (u - c)
-             - (np.abs(u) ** pr.r - np.abs(c) ** pr.r) / pr.r)
-    return np.where(u < c, _plain_F(pr, u), above)
+    tp = np.maximum(np.asarray(u, dtype=float), 0.0)
+    return pr.lam * tp ** pr.q / pr.q - tp ** pr.r / pr.r
 
 
 def sign_threshold_delta(params):

@@ -23,9 +23,10 @@ or the residual has stopped moving.  solve_fold finds the turning point
 of the minimizer branch, where the Hessian turns singular, by the same
 damped Newton loop on the extended system of the minimizer, the null
 vector of its Hessian and lambda.  find_saddle runs a mountain-pass
-search on the capped energy between the zero function and a known
-minimizer: the maximal-energy point of a piecewise-linear path is pushed
-downhill, with the path redistributed at fixed arclength fractions,
+search between the zero function and a known minimizer u_big, on the
+energy restricted to the box 0 <= z <= u_big: the maximal-energy point
+of a piecewise-linear path is pushed downhill, each step projected onto
+the box, with the path redistributed at fixed arclength fractions,
 until progress stalls at the path resolution.  The maximal point alone
 then takes damped min-max Newton steps on the exact Hessian
 (total_hessian), and the result counts if it converges to a point of
@@ -265,16 +266,16 @@ def minimize(kern, model, u0, opts=None):
     Stops when the gradient sup-norm falls below tol * max(1, |E|) at a
     point where the Cholesky factorization succeeds, so never at a
     saddle; when backtracking finds no acceptable step (converged=False);
-    or after max_iter accepted steps.  For the plain reaction the
-    negative part of the result is removed and descent resumed, which
-    never increases the energy; exact critical points are nonnegative
-    anyway.  Descent runs in the even subspace from the mirror average
-    of u0; the report is measured on kern.
+    or after max_iter accepted steps.  The negative part of the result
+    is removed and descent resumed, which never increases the energy;
+    exact critical points are nonnegative anyway.  Descent runs in the
+    even subspace from the mirror average of u0; the report is measured
+    on kern.
     """
     opts = opts or SolverOptions()
     _check_compat(kern, model.params)
     u0 = _check_values(kern, u0)
-    w, iterations = _descend(kern.fold(), model.fold(), mirror_fold(u0), opts)
+    w, iterations = _descend(kern.fold(), model, mirror_fold(u0), opts)
     u = mirror_unfold(w, kern.n)
     cls = "zero" if _sup(u) <= opts.zero_tol else "minimizer"
     return _report(kern, model, u, iterations, opts.tol, cls)
@@ -288,7 +289,7 @@ def _descend(kern, model, u0, opts):
     # operator with u+ shows zero is the only critical point in the
     # box: descent that enters it can be finished at zero exactly.
     delta = None
-    if model.ceiling is None and model.params.lam > 0.0:
+    if model.params.lam > 0.0:
         delta = sign_threshold_delta(model.params)
     u = np.array(u0, dtype=float)
     E, g = _energy_and_gradient(kern, model, u)
@@ -339,7 +340,7 @@ def _descend(kern, model, u0, opts):
                 break       # no acceptable step left
             u, E, g = moved
             iterations += 1
-        if model.ceiling is None and float(np.min(u)) < 0.0:
+        if float(np.min(u)) < 0.0:
             u = np.maximum(u, 0.0)
             E, g = _energy_and_gradient(kern, model, u)
             continue
@@ -670,14 +671,16 @@ def _reequispace(Z, frac):
     return out
 
 
-def find_saddle(kern, params, u_big, opts=None, seed=0, return_path=False):
+def find_saddle(kern, params, u_big, opts=None, return_path=False):
     """Mountain-pass critical point between 0 and a known minimizer.
 
-    Works on the energy with the reaction capped above u_big, for which
-    both endpoints are local minimizers (probed before starting).  The
-    returned point satisfies 0 <= v <= u_big up to solver tolerance and
-    its residual is reported for the uncapped reaction, which coincides
-    with the capped one on that range.
+    u_big must pass minimize's own stopping test, or SolverError says
+    it is not a local minimizer: its gradient sup-norm on kern is at
+    most tol * max(1, |E|), and a Cholesky factorization of the folded
+    Hessian there succeeds.  The search runs on the energy restricted to
+    the box 0 <= z <= u_big: every step is projected onto the box, and
+    redistribution takes convex combinations of path points, so the
+    returned point satisfies 0 <= v <= u_big.
 
     The path descent moves the maximal point of the path and
     redistributes the path after every step.  Once progress stalls,
@@ -699,10 +702,9 @@ def find_saddle(kern, params, u_big, opts=None, seed=0, return_path=False):
     too), so u_big must be even under the mirror map to within 1e-6 of
     max(1, sup|u_big|); otherwise ParameterError.  The report carries
     that index (morse_index, the number of negative eigenvalues of the
-    folded Hessian of the capped energy at the result, which is the
-    plain one below the ceiling) and has converged=False unless it is
+    folded Hessian at the result) and has converged=False unless it is
     one.  The path returned with return_path is unfolded, with its
-    energies measured on kern for the ceiling u_big.
+    energies measured on kern.
     """
     opts = opts or SolverOptions()
     _check_compat(kern, params)
@@ -710,36 +712,40 @@ def find_saddle(kern, params, u_big, opts=None, seed=0, return_path=False):
     _require_even(u_big)
     if _sup(u_big) <= opts.zero_tol:
         raise SaddleNotFound("ceiling solution is numerically zero")
+    model = ReactionModel.plain(params)
+    fk, w_big = kern.fold(), mirror_fold(u_big)
+    E, g = _energy_and_gradient(kern, model, u_big)
+    try:
+        np.linalg.cholesky(total_hessian(fk, model, w_big))
+        minimal = _sup(g) <= opts.tol * _scale(E)
+    except np.linalg.LinAlgError:
+        minimal = False
+    if not minimal:
+        raise SolverError("path endpoint is not a local minimizer")
     P = int(opts.path_points)
-    Z, m, iterations, index = _mountain_pass(kern.fold(), params,
-                                             mirror_fold(u_big), P, opts, seed)
+    Z, m, iterations, index = _mountain_pass(fk, model, w_big, P, opts)
     v = mirror_unfold(Z[m], kern.n)
     bound_tol = 1e-6 * max(1.0, _sup(u_big))
     if float(np.min(v)) < -bound_tol or float(np.max(v - u_big)) > bound_tol:
         raise SolverError("saddle point escaped the [0, ceiling] range")
-    report = _report(kern, ReactionModel.plain(params), v, iterations,
-                     opts.tol, "saddle")
+    report = _report(kern, model, v, iterations, opts.tol, "saddle")
     # a critical point of any other Morse index is not the mountain pass
     report.morse_index = index
     report.converged = report.converged and index == 1
     if return_path:
         Z = mirror_unfold(Z, kern.n)
-        energies = _batch_energy(kern, ReactionModel.capped(params, u_big), Z)
+        energies = _batch_energy(kern, model, Z)
         return report, MountainPassPath(points=Z, energies=energies, max_index=m)
     return report
 
 
-def _mountain_pass(kern, params, u_big, P, opts, seed):
-    """find_saddle's search on a folded (or full) kernel; returns the
-    path, the index of its maximal point, the number of iterations and
-    the Morse index of the capped energy at that point."""
-    model = ReactionModel.capped(params, u_big)
-    # Zero is always a local minimizer, so only u_big is probed.  The
-    # plain primitive is <= 0 for t < delta = lam^(-1/(q-r)) (for every
-    # t at lam = 0), and the capped one equals it below the ceiling and
-    # lies under it above, so the capped energy is >= 0 = E(0) wherever
-    # max u < delta.
-    _probe_local_min(kern, model, u_big, params, seed + 1)
+def _mountain_pass(kern, model, u_big, P, opts):
+    """find_saddle's search on a folded (or full) kernel, in the box
+    0 <= z <= u_big; returns the path, the index of its maximal point,
+    the number of iterations and the Morse index at that point."""
+    # The zero endpoint needs no check: the primitive is <= 0 for
+    # 0 <= t < delta = lam^(-1/(q-r)) (for every t at lam = 0), so in
+    # the box the energy is >= 0 = E(0) wherever max z < delta.
 
     # quadratic spacing: the barrier hugs the zero endpoint once the
     # minimizer towers over the saddle, and a uniform path would bury
@@ -776,7 +782,7 @@ def _mountain_pass(kern, params, u_big, P, opts, seed):
             # from the point it left and the finish is tried again at
             # the next stall
             w, res_w, steps = _newton_polish(
-                kern, model, Z[m], opts.tol * scale,
+                kern, model, Z[m], u_big, opts.tol * scale,
                 min(SADDLE_ROUNDS, opts.max_iter - iterations))
             E_w = total_energy(kern, model, w)
             if (res_w <= opts.tol * _scale(E_w)
@@ -820,7 +826,7 @@ def _morse_index(kern, model, v):
     return int(np.sum(np.linalg.eigvalsh(total_hessian(kern, model, v)) < 0.0))
 
 
-def _newton_polish(kern, model, v, tol_scale, rounds):
+def _newton_polish(kern, model, v, top, tol_scale, rounds):
     """Damped min-max Newton steps toward a saddle of Morse index one
     (Li & Zhou, SIAM J. Sci. Comput. 23, 2001).
 
@@ -830,13 +836,12 @@ def _newton_polish(kern, model, v, tol_scale, rounds):
     which is taken negative: the Newton step where the Hessian has
     exactly one negative eigenvalue, and elsewhere a climb of the lowest
     mode and a descent of all the others.  Steps are projected onto the
-    box where the capped reaction agrees with the plain one, halved up
-    to 30 times, and kept only when the gradient sup-norm falls, so the
-    iterate cannot leave the basin it started in.  Stops once that
-    residual is at most tol_scale or after rounds steps; returns the
-    point, its residual and the number of steps taken.
+    search's box 0 <= z <= top, halved up to 30 times, and kept only
+    when the gradient sup-norm falls, so the iterate cannot leave the
+    basin it started in.  Stops once that residual is at most tol_scale
+    or after rounds steps; returns the point, its residual and the
+    number of steps taken.
     """
-    top = model.ceiling if model.ceiling is not None else np.inf
     g = total_gradient(kern, model, v)
     res = _residual(kern, g)
     steps = 0
@@ -861,15 +866,3 @@ def _newton_polish(kern, model, v, tol_scale, rounds):
             break
         steps += 1
     return v, res, steps
-
-
-def _probe_local_min(kern, model, point, params, seed, probes=6):
-    """Check a path endpoint is a local minimizer of the capped energy."""
-    rng = np.random.default_rng(seed)
-    top = max(_sup(point), sign_threshold_delta(params) if params.lam > 0 else 1.0)
-    amp = 1e-3 * top
-    E0 = total_energy(kern, model, point)
-    for _ in range(probes):
-        pert = amp * rng.standard_normal(point.shape)
-        if total_energy(kern, model, point + pert) < E0 - 1e-10 * _scale(E0):
-            raise SolverError("path endpoint is not a local minimizer")

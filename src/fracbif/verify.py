@@ -27,8 +27,9 @@ from functools import cache, partial
 
 import numpy as np
 
-from .core import build_mesh, validate_params, with_lambda
+from .core import build_mesh, with_lambda
 from .bifurcation import _picone_mu, lambda_lower_bound
+from .config import problem_params
 from .diagnostics import gradient_check, verify_operator_properties
 from .kernel import KernelMatrix, apply_operator, pairing, seminorm_energy
 from .reaction import (ReactionModel, scan_reaction_slack,
@@ -156,8 +157,7 @@ def run_verification(cfg, kernel_hook=None):
             ok, detail = False, "raised %s: %s" % (type(exc).__name__, exc)
         results.append((name, bool(ok), detail))
 
-    params = validate_params({"p": cfg.p, "s": cfg.s, "q": cfg.q, "r": cfg.r,
-                              "lambda": cfg.lam})
+    params = problem_params(cfg)
     sigma = params.sigma
     quick = SolverOptions(tol=cfg.tol, max_iter=min(cfg.max_iter, 4000))
 

@@ -29,5 +29,4 @@ def small_big_solution(small_problem):
 @pytest.fixture(scope="session")
 def small_saddle(small_problem, small_big_solution):
     kern, params = small_problem
-    return find_saddle(kern, params, small_big_solution.solution.values,
-                       seed=0)
+    return find_saddle(kern, params, small_big_solution.solution.values)

@@ -8,13 +8,7 @@ from fracbif import (F_values, ParameterError, ReactionModel, f_values,
 
 PARAMS = validate_params({"p": 3.0, "s": 0.3, "q": 2.5, "r": 1.5,
                           "lambda": 4.0})
-
-
-def make_models(n=6):
-    rng = np.random.default_rng(42)
-    ceiling = 1.0 + rng.random(n)
-    return [ReactionModel.plain(PARAMS),
-            ReactionModel.capped(PARAMS, ceiling)]
+MODEL = ReactionModel.plain(PARAMS)
 
 
 def at_node(values, model, i, t, n=6):
@@ -34,53 +28,33 @@ def test_plain_formula_positive_part():
 def test_scalar_f_matches_vectorized():
     """The reaction at node i depends only on the value at node i."""
     rng = np.random.default_rng(5)
-    for model in make_models():
-        for t in (-1.0, 0.0, 0.05, 0.3, 0.9, 1.7, 5.0):
-            for i in range(6):
-                u = rng.uniform(-2.0, 3.0, size=6)
-                u[i] = t
-                assert f_values(model, u)[i] == pytest.approx(
-                    at_node(f_values, model, i, t), rel=1e-14, abs=1e-300)
+    for t in (-1.0, 0.0, 0.05, 0.3, 0.9, 1.7, 5.0):
+        for i in range(6):
+            u = rng.uniform(-2.0, 3.0, size=6)
+            u[i] = t
+            assert f_values(MODEL, u)[i] == pytest.approx(
+                at_node(f_values, MODEL, i, t), rel=1e-14, abs=1e-300)
 
 
 def test_primitive_matches_quadrature():
     """F must be the antiderivative of f vanishing at zero, per node."""
-    for model in make_models():
-        assert at_node(F_values, model, 2, 0.0) == 0.0
-        for t in (-2.0, -0.4, 0.2, 0.8, 1.4, 3.0):
-            for i in (0, 3, 5):
-                kinks = []
-                if model.ceiling is not None:
-                    kinks.append(float(model.ceiling[i]))
-                pts = [k for k in kinks if min(0.0, t) < k < max(0.0, t)]
-                ref, err = integrate.quad(
-                    lambda x: at_node(f_values, model, i, x), 0.0, t,
-                    points=pts or None, limit=200, epsabs=1e-12)
-                assert at_node(F_values, model, i, t) == pytest.approx(
-                    ref, abs=5e-11)
+    assert at_node(F_values, MODEL, 2, 0.0) == 0.0
+    for t in (-2.0, -0.4, 0.2, 0.8, 1.4, 3.0):
+        for i in (0, 3, 5):
+            ref, err = integrate.quad(
+                lambda x: at_node(f_values, MODEL, i, x), 0.0, t,
+                limit=200, epsabs=1e-12)
+            assert at_node(F_values, MODEL, i, t) == pytest.approx(
+                ref, abs=5e-11)
 
 
 def test_primitive_vectorization():
     rng = np.random.default_rng(9)
     u = rng.uniform(-2.0, 3.0, size=6)
-    for model in make_models():
-        vals = F_values(model, u)
-        for i in range(6):
-            assert vals[i] == pytest.approx(
-                at_node(F_values, model, i, u[i]), rel=1e-13, abs=1e-300)
-
-
-def test_capped_variant_freezes_growth():
-    ceiling = np.full(4, 1.5)
-    model = ReactionModel.capped(PARAMS, ceiling)
-    c = 1.5
-    # continuous across the cap
-    assert at_node(f_values, model, 1, c - 1e-9, n=4) == pytest.approx(
-        at_node(f_values, model, 1, c + 1e-9, n=4), abs=1e-6)
-    # beyond the cap the consuming power keeps growing, so f decreases
-    ts = np.linspace(c, 4.0, 50)
-    seq = [at_node(f_values, model, 1, t, n=4) for t in ts]
-    assert all(b < a for a, b in zip(seq, seq[1:]))
+    vals = F_values(MODEL, u)
+    for i in range(6):
+        assert vals[i] == pytest.approx(
+            at_node(F_values, MODEL, i, u[i]), rel=1e-13, abs=1e-300)
 
 
 def test_sign_threshold():
@@ -106,15 +80,11 @@ def test_reaction_slack_scan_sign():
 
 
 def test_growth_envelope():
-    # |f(i, t)| <= c0 * (1 + |t|^(q-1)) with c0 = (lam + 1) * (1 +
-    # top^(q-1)), top the largest ceiling value (0 for the plain reaction)
+    # |f(i, t)| <= (lam + 1) * (1 + |t|^(q-1))
     rng = np.random.default_rng(17)
     t = rng.uniform(-50.0, 50.0, size=200)
-    for model in make_models():
-        q = model.params.q
-        top = 0.0 if model.ceiling is None else float(np.max(model.ceiling))
-        c0 = (model.params.lam + 1.0) * (1.0 + top ** (q - 1.0))
-        for i in (0, 2, 5):
-            vals = np.array([at_node(f_values, model, i, x) for x in t])
-            cap = c0 * (1.0 + np.abs(t) ** (q - 1.0))
-            assert np.all(np.abs(vals) <= cap * (1.0 + 1e-12))
+    q = PARAMS.q
+    for i in (0, 2, 5):
+        vals = np.array([at_node(f_values, MODEL, i, x) for x in t])
+        cap = (PARAMS.lam + 1.0) * (1.0 + np.abs(t) ** (q - 1.0))
+        assert np.all(np.abs(vals) <= cap * (1.0 + 1e-12))

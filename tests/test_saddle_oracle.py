@@ -99,7 +99,7 @@ def search(p, s, q, r, lam):
                                             seed=0))
     assert u.converged and u.classification == "minimizer"
     try:
-        rep = find_saddle(kern, params, u.solution.values, seed=0)
+        rep = find_saddle(kern, params, u.solution.values)
     except SaddleNotFound:
         rep = None
     return u, rep

@@ -76,16 +76,7 @@ def test_total_gradient_matches_finite_differences(p):
         assert np.max(np.abs(g - fd)) / scale < 1e-6
 
 
-def _variant(name, params, u):
-    # a ceiling 0.1 above and below alternate nodes: every node sits
-    # clear of the kink where the cap switches on
-    bound = u + np.where(np.arange(u.size) % 2 == 0, 0.1, -0.1)
-    if name == "capped":
-        return ReactionModel.capped(params, bound)
-    return ReactionModel.plain(params)
-
-
-@pytest.mark.parametrize("variant", ["plain", "capped"])
+@pytest.mark.parametrize("variant", ["plain"])
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_total_hessian_matches_gradient_differences(p, variant):
     params = make_params(p)
@@ -93,8 +84,8 @@ def test_total_hessian_matches_gradient_differences(p, variant):
     kern = assemble_kernel(build_mesh(-1.0, 1.0, n), params)
     rng = np.random.default_rng(7)
     u = 0.5 + rng.random(n)
-    u[0] = -0.3             # the plain reaction is flat for t <= 0
-    model = _variant(variant, params, u)
+    u[0] = -0.3             # the reaction is flat for t <= 0
+    model = ReactionModel.plain(params)
     H = total_hessian(kern, model, u)
     assert np.array_equal(H, H.T)
     step = 1e-6
@@ -107,7 +98,7 @@ def test_total_hessian_matches_gradient_differences(p, variant):
     assert np.max(np.abs(H - fd)) <= 1e-6 * np.max(np.abs(H))
 
 
-@pytest.mark.parametrize("variant", ["plain", "capped"])
+@pytest.mark.parametrize("variant", ["plain"])
 @pytest.mark.parametrize("n", [10, 11])
 def test_folded_total_hessian_matches_gradient_differences(n, variant):
     params = make_params(2.5)
@@ -116,14 +107,9 @@ def test_folded_total_hessian_matches_gradient_differences(n, variant):
     half = kern.fold()
     m = half.n
     w = 0.5 + rng.random(m)
-    w[0] = -0.3             # the plain reaction is flat for t <= 0
+    w[0] = -0.3             # the reaction is flat for t <= 0
     u = mirror_unfold(w, n)
-    # an even ceiling 0.1 above and below alternate nodes of the half
-    # mesh: every node sits clear of its kink
-    bound = mirror_unfold(w + np.where(np.arange(m) % 2 == 0, 0.1, -0.1), n)
-    full_model = {"plain": ReactionModel.plain(params),
-                  "capped": ReactionModel.capped(params, bound)}[variant]
-    model = full_model.fold()
+    model = ReactionModel.plain(params)
     H = total_hessian(half, model, w)
     assert np.array_equal(H, H.T)
     step = 1e-6
@@ -135,13 +121,13 @@ def test_folded_total_hessian_matches_gradient_differences(n, variant):
                     - total_gradient(half, model, w - e)) / (2.0 * step)
     assert np.max(np.abs(H - fd)) <= 1e-6 * np.max(np.abs(H))
     # and the folded gradient is the full one times mass / h
-    g = total_gradient(kern, full_model, u)
+    g = total_gradient(kern, model, u)
     assert np.allclose(total_gradient(half, model, w),
                        half.mass / kern.mesh.h * g[:m],
                        rtol=1e-12, atol=1e-12 * np.max(np.abs(g)))
 
 
-@pytest.mark.parametrize("variant", ["plain", "capped"])
+@pytest.mark.parametrize("variant", ["plain"])
 def test_total_hessian_finite_at_ties_and_zero_nodes(variant):
     # p < 2 and r < 2 put infinite powers at a tie and at a zero node
     params = validate_params({"p": 1.5, "s": 0.2, "q": 1.35, "r": 1.2,
@@ -150,10 +136,8 @@ def test_total_hessian_finite_at_ties_and_zero_nodes(variant):
     u = np.linspace(0.1, 1.2, 12)
     u[[0, 5, 11]] = 0.0
     u[7] = u[8]
-    model = (ReactionModel.capped(params, u) if variant == "capped"
-             else ReactionModel.plain(params))
     with np.errstate(all="raise"):
-        H = total_hessian(kern, model, u)
+        H = total_hessian(kern, ReactionModel.plain(params), u)
     assert np.all(np.isfinite(H))
 
 
@@ -180,7 +164,7 @@ def test_saddle_has_morse_index_one_in_the_even_subspace():
     kern = assemble_kernel(build_mesh(-1.0, 1.0, 48), params)
     plain = ReactionModel.plain(params)
     u = select_solution(minimize_multistart(kern, plain, seed=0))
-    v = find_saddle(kern, params, u.solution.values, seed=0)
+    v = find_saddle(kern, params, u.solution.values)
     assert v.converged
     h = kern.mesh.h
     # the folded Hessian in the metric of the full space, D^-1/2 H D^-1/2
@@ -205,7 +189,7 @@ def test_saddle_newton_finish_converges_at_index_one(n, lam, most):
     kern = assemble_kernel(build_mesh(-1.0, 1.0, n), params)
     plain = ReactionModel.plain(params)
     u = select_solution(minimize_multistart(kern, plain, seed=0))
-    v = find_saddle(kern, params, u.solution.values, seed=0)
+    v = find_saddle(kern, params, u.solution.values)
     curv = np.linalg.eigvalsh(total_hessian(
         kern.fold(), plain, mirror_fold(v.solution.values)))
     assert v.converged
@@ -232,7 +216,7 @@ def test_saddle_retries_the_newton_finish_after_more_descent(
             return 2 if len(calls) == 1 else morse_index(*args)
 
         monkeypatch.setattr(solvers, "_morse_index", rejects_first)
-        rep = find_saddle(kern, params, u, seed=0)
+        rep = find_saddle(kern, params, u)
         assert len(calls) == 2
         assert rep.converged and rep.morse_index == 1
         assert rep.iterations > small_saddle.iterations
@@ -242,7 +226,7 @@ def test_saddle_retries_the_newton_finish_after_more_descent(
         # one Newton step does not reach the target, so every finish
         # fails: the search must not claim a saddle
         monkeypatch.setattr(solvers, "SADDLE_ROUNDS", 1)
-        rep = find_saddle(kern, params, u, seed=0)
+        rep = find_saddle(kern, params, u)
         assert not rep.converged
 
 
@@ -257,7 +241,7 @@ def test_saddle_retried_finish_reaches_the_mountain_pass(p, s, q, r):
     kern = assemble_kernel(build_mesh(-1.0, 1.0, 32), params)
     plain = ReactionModel.plain(params)
     u = select_solution(minimize_multistart(kern, plain, seed=0))
-    v = find_saddle(kern, params, u.solution.values, seed=0)
+    v = find_saddle(kern, params, u.solution.values)
     curv = np.linalg.eigvalsh(total_hessian(
         kern.fold(), plain, mirror_fold(v.solution.values)))
     assert v.converged and v.morse_index == 1
@@ -273,7 +257,7 @@ def test_odd_mesh_path_step_follows_the_full_space_gradient():
     kern = assemble_kernel(build_mesh(-1.0, 1.0, 31), params)
     u = select_solution(minimize_multistart(kern, ReactionModel.plain(params),
                                             seed=0))
-    v = find_saddle(kern, params, u.solution.values, seed=0)
+    v = find_saddle(kern, params, u.solution.values)
     assert v.converged and v.morse_index == 1
     assert v.iterations <= 100
 
@@ -727,11 +711,11 @@ def test_find_saddle_rejects_a_ceiling_that_is_not_even(small_problem,
     u = small_big_solution.solution.values.copy()
     u[0] *= 1.1
     with pytest.raises(ParameterError, match="ceiling is not mirror-even"):
-        find_saddle(kern, params, u, seed=0)
+        find_saddle(kern, params, u)
     # an asymmetry at rounding level is folded away
     u = small_big_solution.solution.values
     noise = np.random.default_rng(5).standard_normal(kern.n)
-    out = find_saddle(kern, params, u * (1.0 + 1e-12 * noise), seed=0)
+    out = find_saddle(kern, params, u * (1.0 + 1e-12 * noise))
     v = small_saddle.solution.values
     assert float(np.max(np.abs(out.solution.values - v))) <= 1e-9
 
@@ -750,7 +734,7 @@ def test_start_and_ceiling_lengths_are_checked_on_the_full_mesh(
         if entry == "minimize":
             minimize(kern, ReactionModel.plain(params), bad)
         else:
-            find_saddle(kern, params, bad, seed=0)
+            find_saddle(kern, params, bad)
 
 
 def test_find_saddle_sits_between_zero_and_ceiling(small_problem,
@@ -773,7 +757,7 @@ def test_find_saddle_sits_between_zero_and_ceiling(small_problem,
 def test_find_saddle_returns_path(small_problem, small_big_solution):
     kern, params = small_problem
     u = small_big_solution.solution.values
-    rep, path = find_saddle(kern, params, u, seed=0, return_path=True)
+    rep, path = find_saddle(kern, params, u, return_path=True)
     assert isinstance(path, MountainPassPath)
     assert path.points.shape[1] == kern.n
     assert np.array_equal(path.points[0], np.zeros(kern.n))
@@ -781,9 +765,12 @@ def test_find_saddle_returns_path(small_problem, small_big_solution):
     assert path.energies.shape == (path.points.shape[0],)
     assert path.max_index == int(np.argmax(path.energies))
     assert np.array_equal(path.points[path.max_index], rep.solution.values)
+    # the search runs on the plain energy in the box 0 <= z <= u, so no
+    # point of the path may leave it
+    assert np.all(path.points >= 0.0) and np.all(path.points <= u)
     # the Newton finish updates only the maximal point's energy; every
     # row must still carry the energy of the point it belongs to
-    model = ReactionModel.capped(params, u)
+    model = ReactionModel.plain(params)
     assert np.array_equal(path.energies, _batch_energy(kern, model, path.points))
 
 
@@ -796,21 +783,19 @@ def test_batch_energy_is_total_energy_row_by_row(n, p):
     params = make_params(p, lam=12.5)
     full = assemble_kernel(build_mesh(-1.0, 1.0, n), params)
     rng = np.random.default_rng(n)
+    model = ReactionModel.plain(params)
     for kern in (full, full.fold()):
         Z = rng.uniform(-0.2, 1.5, (41, kern.n))
         Z[0] = 0.0
-        for model in (ReactionModel.plain(params),
-                      ReactionModel.capped(params,
-                                           rng.uniform(0.5, 1.2, kern.n))):
-            energies = _batch_energy(kern, model, Z)
-            for z, e in zip(Z, energies):
-                assert e == total_energy(kern, model, z)
+        energies = _batch_energy(kern, model, Z)
+        for z, e in zip(Z, energies):
+            assert e == total_energy(kern, model, z)
 
 
 def test_find_saddle_rejects_zero_ceiling(small_problem):
     kern, params = small_problem
     with pytest.raises(SaddleNotFound):
-        find_saddle(kern, params, np.zeros(kern.n), seed=0)
+        find_saddle(kern, params, np.zeros(kern.n))
 
 
 def test_find_saddle_never_returns_the_zero_function():
@@ -824,13 +809,23 @@ def test_find_saddle_never_returns_the_zero_function():
     u_big = select_solution(reports)
     assert u_big.converged and u_big.classification == "minimizer"
     with pytest.raises(SaddleNotFound, match="collapsed onto an endpoint"):
-        find_saddle(kern, params, u_big.solution.values, seed=0)
+        find_saddle(kern, params, u_big.solution.values)
 
 
-def test_find_saddle_rejects_nonminimizing_ceiling(small_problem):
+@pytest.mark.parametrize("ceiling", ["one", "saddle", "1.1u", "0.9u"])
+def test_find_saddle_rejects_nonminimizing_ceiling(small_problem,
+                                                   small_big_solution,
+                                                   small_saddle, ceiling):
+    # u_big must pass minimize's stopping test: a small residual and a
+    # positive definite Hessian.  The saddle fails the second part, the
+    # scaled minimizers the first
     kern, params = small_problem
+    u = small_big_solution.solution.values
+    u_big = {"one": np.full(kern.n, 1.0),
+             "saddle": small_saddle.solution.values,
+             "1.1u": 1.1 * u, "0.9u": 0.9 * u}[ceiling]
     with pytest.raises(SolverError, match="not a local minimizer"):
-        find_saddle(kern, params, np.full(kern.n, 1.0), seed=0)
+        find_saddle(kern, params, u_big)
 
 
 def test_find_saddle_needs_enough_path_points(small_problem,
@@ -839,7 +834,7 @@ def test_find_saddle_needs_enough_path_points(small_problem,
     with pytest.raises(ParameterError):
         opts = dataclasses.replace(SolverOptions(), path_points=3)
         find_saddle(kern, params, small_big_solution.solution.values,
-                    opts=opts, seed=0)
+                    opts=opts)
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])

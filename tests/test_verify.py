@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from fracbif import (KernelMatrix, build_mesh, pair_weight_quadrature,
-                     resolve, run_verification, tail_weight_quadrature)
+from fracbif import (ConfigError, KernelMatrix, build_mesh,
+                     pair_weight_quadrature, resolve, run_verification,
+                     tail_weight_quadrature)
 from fracbif import verify
 
 
@@ -89,3 +90,9 @@ def test_run_verification_fails_every_check_of_a_raising_step():
     details = {name: (ok, detail) for name, ok, detail in results}
     for name in ("kernel-oracle", "tail-oracle", "mon-i", "mon-ii", "mon-iii"):
         assert details[name] == (False, "raised RuntimeError: no kernel")
+
+
+def test_run_verification_names_a_missing_lambda():
+    cfg = resolve({"p": 3.0, "s": 0.3, "q": 2.5, "r": 1.5, "mesh_n": 48})
+    with pytest.raises(ConfigError, match="missing config key: lambda"):
+        run_verification(cfg)
