@@ -6,10 +6,11 @@ All solvers work on the total energy
 
 with mass from KernelMatrix.mass, whose exact gradient is
 apply_operator(u) - mass f(., u).  minimize takes damped Newton steps on
-the exact Hessian (total_hessian) with every curvature taken by its
-modulus, so each step descends: the Newton step where a Cholesky
-factorization shows the Hessian positive definite, and elsewhere one
-through its eigendecomposition.  Each step backtracks from the full
+the exact Hessian (total_hessian), modified where it is indefinite so
+that each step descends: the Newton step where a Cholesky factorization
+shows the Hessian positive definite, and elsewhere the Newton step of
+the Hessian scaled to a unit diagonal and shifted by a multiple of the
+identity, doubled until it factors.  Each step backtracks from the full
 length until Armijo's decrease holds; near a minimizer that decrease
 drops below the rounding of the energy (1e-13 * max(1, |E|)), and from
 there a step is accepted on its slope instead, by the approximate Wolfe
@@ -78,6 +79,13 @@ SADDLE_ROUNDS = 60      # min-max Newton steps the saddle finish may take
 ARMIJO = 1e-4           # sufficient-decrease fraction of every line search
 BACKTRACK = 0.5         # step shrink factor while backtracking
 STEP_MAX = 1e2          # cap on the step scale of the saddle's path descent
+# the shift of an indefinite scaled Hessian (Nocedal and Wright, Numerical
+# Optimization, Algorithm 3.3 and the remarks after it): its least value,
+# the factor it grows by until the Cholesky factorization succeeds, and
+# the fraction of a descent's last shift that the next search starts from
+SHIFT_START = 1e-3
+SHIFT_GROWTH = 2.0
+SHIFT_REUSE = 0.125
 
 
 @dataclass(frozen=True)
@@ -250,18 +258,21 @@ def _clip_box(w, top):
 
 
 def minimize(kern, model, u0, opts=None):
-    """Damped Newton descent on the total energy, with the Hessian's
-    curvatures taken by their modulus.
+    """Damped modified Newton descent on the total energy.
 
-    Every step builds the exact Hessian H (total_hessian) and takes
-    d = -|H|^-1 g, where |H| is H with each eigenvalue c replaced by
-    max(|c|, 1e-9 max|c|): the Newton step where a Cholesky
-    factorization shows H positive definite, and elsewhere a descent
-    direction that moves away from saddles along the negative modes
-    (saddle-free Newton, Dauphin et al., NeurIPS 2014; modified Newton,
-    Nocedal and Wright, Numerical Optimization, section 3.4).  Each
-    step backtracks from the full length until Armijo's decrease holds,
-    or, below the rounding of the energy, the approximate Wolfe test.
+    Every step builds the exact Hessian H (total_hessian).  Where a
+    Cholesky factorization shows H positive definite the step is the
+    Newton step d = -H^-1 g.  Elsewhere it is d = -S (A + tau I)^-1 S g
+    (_shifted_step): A = S H S is H scaled to a unit diagonal by
+    S = diag(|H_ii|)^(-1/2), and tau the first shift of a doubling
+    sequence at which A + tau I has a Cholesky factor, so d descends
+    (Cholesky with added multiple of the identity, Nocedal and Wright,
+    Numerical Optimization, Algorithm 3.3).  The scaling sizes the shift
+    to every node: at p < 2 the near-tie entries of H are huge, and one
+    shift sized to them would crawl by gradient steps everywhere else.
+    Each step backtracks from the full length until Armijo's decrease
+    holds, or, below the rounding of the energy, the approximate Wolfe
+    test.
 
     Stops when the gradient sup-norm falls below tol * max(1, |E|) at a
     point where the Cholesky factorization succeeds, so never at a
@@ -313,6 +324,7 @@ def _descend(kern, model, u0, opts):
         return None
 
     iterations = 0
+    shift = SHIFT_START
     for _round in range(4):
         while iterations < opts.max_iter:
             if delta is not None and float(np.max(u)) < delta:
@@ -325,9 +337,7 @@ def _descend(kern, model, u0, opts):
             try:
                 np.linalg.cholesky(H)       # succeeds iff H is positive definite
             except np.linalg.LinAlgError:
-                curv, Q = np.linalg.eigh(H)
-                curv = np.abs(curv)
-                d = -(Q @ ((Q.T @ g) / np.maximum(curv, 1e-9 * np.max(curv))))
+                d, shift = _shifted_step(H, g, shift)
             else:
                 if _residual(kern, g) <= opts.tol * _scale(E):
                     break
@@ -346,6 +356,35 @@ def _descend(kern, model, u0, opts):
             continue
         break
     return u, iterations
+
+
+def _shifted_step(H, g, shift):
+    """Descent direction -S (A + tau I)^-1 S g at an indefinite H.
+
+    A = S H S is H scaled to a unit diagonal, S = diag(|H_ii|)^(-1/2),
+    with |H_ii| floored at eps max |H_ii| so that a vanishing diagonal
+    stays finite.  tau is the first of t, 2t, 4t, ... at which the
+    Cholesky factorization of A + tau I succeeds.  t is SHIFT_START, or
+    SHIFT_START - min A_ii where a diagonal entry is negative, as no
+    smaller shift can succeed there; or SHIFT_REUSE * shift if that is
+    larger, so a descent whose Hessians stay indefinite starts each
+    search near its last shift.  Returns the direction and tau."""
+    diag = np.abs(np.diagonal(H))
+    floor = np.finfo(float).eps * float(np.max(diag))
+    S = 1.0 / np.sqrt(np.maximum(diag, floor))
+    A = H * S[:, None] * S[None, :]
+    a = np.diagonal(A).copy()
+    tau = max(SHIFT_START - min(0.0, float(np.min(a))), SHIFT_REUSE * shift)
+    # ends for a finite H: A + tau I is diagonally dominant, so positive
+    # definite, once tau exceeds the row sums of |A|
+    while True:
+        np.einsum("ii->i", A)[...] = a + tau
+        try:
+            np.linalg.cholesky(A)
+        except np.linalg.LinAlgError:
+            tau *= SHIFT_GROWTH
+        else:
+            return -S * np.linalg.solve(A, S * g), tau
 
 
 def default_starts(mesh, params, count, seed):
@@ -454,16 +493,17 @@ def _damped_newton(point, direction, x, opts):
     than the iterate, and it tries up to NEWTON_HALVINGS lengths t, t/2,
     t/4, ...; a trial is accepted only if its residual is below the
     current one, so a trial with a non-finite residual never is.  Stops
-    at the target, when the system is singular, when no trial is
-    accepted, when the residual has fallen by less than the fraction
-    STALL_DECREASE over the last STALL_WINDOW steps, or after
-    opts.max_iter steps.  Returns the last state and the number of
-    accepted steps.
+    at the target, at once when the start's residual is not finite
+    (point may then return those three entries alone), when the system
+    is singular, when no trial is accepted, when the residual has fallen
+    by less than the fraction STALL_DECREASE over the last STALL_WINDOW
+    steps, or after opts.max_iter steps.  Returns the last state and the
+    number of accepted steps.
     """
     state = point(x)
     iterations = 0
     history = [state[1]]
-    while iterations < opts.max_iter and state[1] > state[2]:
+    while iterations < opts.max_iter and state[2] < state[1] < np.inf:
         if (iterations >= STALL_WINDOW and state[1]
                 > (1.0 - STALL_DECREASE) * history[-1 - STALL_WINDOW]):
             break       # the residual has stopped moving

@@ -9,7 +9,7 @@ from fracbif import (KernelMatrix, ParameterError, ReactionModel,
                      minimize_multistart, principal_eigenpair,
                      scan_reaction_slack, select_solution, solve_at_lambda,
                      solve_fold, validate_params, with_lambda)
-from fracbif import bifurcation
+from fracbif import bifurcation, solvers
 
 # exponent sets (p, s, q, r) with the bracket their threshold search
 # starts from, on n = 32
@@ -297,12 +297,37 @@ def test_estimate_follows_the_singular_branch_down_to_the_lower_bound():
     assert hi - 0.05 <= rec["lambda_lower_bound"]
 
 
+def test_singular_search_descends_through_the_scaled_shift(monkeypatch):
+    # at p < 2 the Hessian's near-tie entries are huge: shifts of the
+    # unscaled Hessian from 1e-3 max |H| took 6070 descent steps here,
+    # and the eigendecomposition step that the scaled shift replaced
+    # took 287
+    descent, steps = solvers._descend, []
+
+    def counted(*args):
+        u, iterations = descent(*args)
+        steps.append(iterations)
+        return u, iterations
+
+    monkeypatch.setattr(solvers, "_descend", counted)
+    kern, params = exponent_problem((1.3, 0.5, 1.2, 1.1), n=64)
+    rec = estimate_lambda_star(kern, params, (2.0, 30.0),
+                               seed=0).method_record
+    assert rec["bisection_bracket"] == (6.40234375, 6.4296875)
+    assert rec["fold_estimate"] == pytest.approx(6.4234951, abs=5e-8)
+    assert sum(steps) <= 287
+
+
 @pytest.mark.parametrize("exps,bracket", [
     # the bracket sits on lambda_low = 6.744, on no evidence: a point far
     # from stationary passes the energy-relative stop test all the way
     ((1.2, 0.4, 1.15, 1.1), (6.73046875, 6.7578125)),
-    # a converged minimizer lives down to 6.56, below the bracket
-    ((1.3, 0.5, 1.25, 1.2), (7.25, 7.27734375))])
+    # the bracket's lower end lies below lambda_low = 6.4808: a
+    # multistart descent at lambda = 30 stops at sup u = 1.6e9 with a
+    # residual of 204, 9e-10 of |E|, and every warm descent below takes
+    # no step from there, at energies near +1e13 whose size passes the
+    # same energy-relative test
+    ((1.3, 0.5, 1.25, 1.2), (6.45703125, 6.484375))])
 def test_estimate_warns_where_the_singular_branch_outlives_the_bracket(
         exps, bracket):
     # the descent at the bracket's lower end is the only check that

@@ -553,16 +553,16 @@ def test_minimize_newton_finish_does_not_stop_at_the_saddle(small_problem,
             or rep.energy < E_v - 1e-6 * max(1.0, abs(E_v)))
 
 
-def test_minimize_takes_an_eigh_step_where_cholesky_fails(monkeypatch,
-                                                          small_problem):
+def test_minimize_takes_a_shifted_step_where_cholesky_fails(monkeypatch,
+                                                            small_problem):
     # only the first factorization fails: the residual test waits for a
     # successful one, so failing them all would never let the run stop
     kern, params = small_problem
     model = ReactionModel.plain(params)
     u0 = default_starts(kern.mesh, params, 10, 0)[6]
     ref = minimize(kern, model, u0)
-    cholesky, eigh = np.linalg.cholesky, np.linalg.eigh
-    calls = {"cholesky": 0, "eigh": 0}
+    cholesky, shifted = np.linalg.cholesky, solvers._shifted_step
+    calls = {"cholesky": 0, "shifted": 0}
 
     def first_fails(H):
         calls["cholesky"] += 1
@@ -570,14 +570,14 @@ def test_minimize_takes_an_eigh_step_where_cholesky_fails(monkeypatch,
             raise np.linalg.LinAlgError("Matrix is not positive definite")
         return cholesky(H)
 
-    def counted(H):
-        calls["eigh"] += 1
-        return eigh(H)
+    def counted(H, g, shift):
+        calls["shifted"] += 1
+        return shifted(H, g, shift)
 
     monkeypatch.setattr(np.linalg, "cholesky", first_fails)
-    monkeypatch.setattr(np.linalg, "eigh", counted)
+    monkeypatch.setattr(solvers, "_shifted_step", counted)
     rep = minimize(kern, model, u0)
-    assert calls["eigh"] == 1
+    assert calls["shifted"] == 1
     assert ref.converged and rep.converged
     assert rep.classification == "minimizer"
     u = ref.solution.values
@@ -585,8 +585,26 @@ def test_minimize_takes_an_eigh_step_where_cholesky_fails(monkeypatch,
     assert abs(rep.energy - ref.energy) <= 1e-12 * max(1.0, abs(ref.energy))
 
 
+def test_minimize_multistart_needs_no_eigendecomposition(monkeypatch):
+    # the demo point: the climbs from near zero pass indefinite Hessians
+    params = validate_params({"p": 3.0, "s": 0.3, "q": 2.5, "r": 1.5,
+                              "lambda": 12.5})
+    kern = assemble_kernel(build_mesh(-1.0, 1.0, 128), params)
+    model = ReactionModel.plain(params)
+    ref = select_solution(minimize_multistart(kern, model, seed=0))
+
+    def refused(H):
+        raise AssertionError("minimize called eigh")
+
+    monkeypatch.setattr(np.linalg, "eigh", refused)
+    rep = select_solution(minimize_multistart(kern, model, seed=0))
+    assert rep.converged and rep.classification == "minimizer"
+    assert rep.energy == ref.energy
+    assert np.array_equal(rep.solution.values, ref.solution.values)
+
+
 # minimize_multistart (n = 32, seed 0) with the L-BFGS descent that
-# minimize took before it became Newton on |H|: converged starts,
+# minimize took before it became a Newton descent: converged starts,
 # converged nontrivial starts, and the selected energy
 LBFGS_MULTISTARTS = [
     ((1.5, 0.5, 1.3, 1.1), 12.5, 10, 7, -4.760473761394188),
@@ -884,3 +902,16 @@ def test_solve_fold_far_from_the_fold_fails_without_raising(exps):
     assert not fold.converged
     assert fold.lam > 0.0 and fold.residual > 1e-9
     assert fold.note.startswith("residual")
+
+
+def test_solve_fold_from_zero_ends_unconverged():
+    # at w = 0 the operator vanishes, so the start's residual is
+    # infinite and no Newton direction can be formed there
+    params = validate_params({"p": 3.0, "s": 0.3, "q": 2.5, "r": 1.5,
+                              "lambda": 8.0})
+    kern = assemble_kernel(build_mesh(-1.0, 1.0, 32), params)
+    fold = solve_fold(kern, params, np.zeros(kern.n))
+    assert not fold.converged
+    assert fold.iterations == 0 and fold.lam == 8.0
+    assert fold.residual == np.inf
+    assert fold.note.startswith("residual inf after 0 Newton steps")
