@@ -28,7 +28,18 @@ search between the zero function and a known minimizer u_big, on the
 energy restricted to the box 0 <= z <= u_big: the maximal-energy point
 of a piecewise-linear path is pushed downhill, each step projected onto
 the box, with the path redistributed at fixed arclength fractions,
-until progress stalls at the path resolution.  The maximal point alone
+until progress stalls at the path resolution.  A step needs only the
+highest path point, so the search keeps an upper bound on the seminorm
+energy S of every path point and evaluates the energy only where that
+bound, less the point's reaction sum, reaches the best energy found:
+S is convex and p-homogeneous for p > 1, so S^(1/p) is convex, and S is
+bounded by its value where a point was evaluated, by t^p S(u_big) on
+the initial path t u_big, and at a redistributed point by the chord of
+S^(1/p) between the two points it is interpolated from.  Each bound is
+widened by 1e-12 of |S| + |sum mass F|, far above the rounding of S and
+of the interpolated points, so the search picks the same point, with
+the same bits of its energy, as the energies of the whole path would
+(_mountain_pass).  The maximal point alone
 then takes damped min-max Newton steps on the exact Hessian
 (total_hessian), and the result counts if it converges to a point of
 Morse index one.  Otherwise the descent resumes from where it stopped
@@ -195,8 +206,14 @@ def _energy_and_gradient(kern, model, u):
 
 def _batch_energy(kern, model, Z):
     """total_energy for every row of Z at once."""
-    S = pairwise_energy(kern, Z, model.params.p)
-    return S - np.sum(kern.mass * F_values(model, Z), axis=1)
+    return pairwise_energy(kern, Z, model.params.p) - _reaction_sums(
+        kern, model, Z)
+
+
+def _reaction_sums(kern, model, Z):
+    """sum_i mass_i F(i, z_i) for every row z of Z, with the bits
+    _batch_energy subtracts."""
+    return np.sum(kern.mass * F_values(model, Z), axis=1)
 
 
 def _sup(x):
@@ -694,6 +711,13 @@ def _reequispace(Z, frac):
     keeping it non-uniform preserves a resolution bias along the path
     across redistributions.  Only the path descent of find_saddle
     redistributes: the Newton finish moves the maximal point alone.
+
+    Returns the new path and, for its interior points, the segment
+    index k and the weight t of each: new point j is computed as
+    Z[k] + t (Z[k+1] - Z[k]), the convex combination (1-t) Z[k] +
+    t Z[k+1] up to a few units of roundoff in each component when
+    0 <= t <= 1.  _mountain_pass bounds the new points' seminorm
+    energies by the same weights.
     """
     seg = np.linalg.norm(np.diff(Z, axis=0), axis=1)
     total = float(np.sum(seg))
@@ -708,7 +732,7 @@ def _reequispace(Z, frac):
     out[0] = Z[0]
     out[-1] = Z[-1]
     out[1:-1] = Z[idx] + t[:, None] * (Z[idx + 1] - Z[idx])
-    return out
+    return out, idx, t
 
 
 def find_saddle(kern, params, u_big, opts=None, return_path=False):
@@ -732,10 +756,24 @@ def find_saddle(kern, params, u_big, opts=None, return_path=False):
     the finish is tried again at the next stall; the search gives up
     when a finish fails and the descent has not lowered its best
     residual since the finish before.  The other path points stay where
-    the descent left them, so their energies stay exact and only the
-    maximal point's energy is recomputed.  iterations counts the
-    descent steps plus the Newton steps kept.  SaddleNotFound is raised
-    when the maximal point ends no higher than both endpoints.
+    the descent left them.  iterations counts the descent steps plus the
+    Newton steps kept.  SaddleNotFound is raised when the maximal point
+    ends no higher than both endpoints.
+
+    Each step needs only the path's highest point, not every point's
+    energy.  The search bounds the seminorm energy S of each point from
+    above: by S itself where the point was evaluated, by t^p S(u_big)
+    on the initial path t u_big (S is p-homogeneous), and at a point
+    that redistribution interpolates between a and b at weight t by
+    ((1-t) S(a)^(1/p) + t S(b)^(1/p))^p, which is at most
+    (1-t) S(a) + t S(b) (S is convex for p > 1, so S^(1/p) is too; the
+    proof is in _mountain_pass).  Every bound is widened by
+    1e-12 (|S| + |sum mass F|), about 9000 units of roundoff, which
+    covers the rounding of S, of the interpolated points and of
+    the bound's own arithmetic (_widened).  Only the points whose bound,
+    less their reaction sum, reaches the best energy found are
+    evaluated, so every iteration, and so the report, is bit for bit
+    what the energies of the whole path give.
 
     The search runs in the even subspace, where the saddle has Morse
     index one (in the full space the lowest odd mode can be negative
@@ -782,7 +820,40 @@ def find_saddle(kern, params, u_big, opts=None, return_path=False):
 def _mountain_pass(kern, model, u_big, P, opts):
     """find_saddle's search on a folded (or full) kernel, in the box
     0 <= z <= u_big; returns the path, the index of its maximal point,
-    the number of iterations and the Morse index at that point."""
+    the number of iterations and the Morse index at that point.
+
+    An iteration needs only the index m of the highest interior point
+    (np.argmax's first maximum) and its energy, so the other points'
+    energies are bounded rather than computed (_highest).  top holds an
+    upper bound on the seminorm energy S of every point:
+
+      - S itself, read back from the energy E as E + sum mass F, where
+        a point was evaluated, or moved by the path step;
+      - t^p S(u_big) at t u_big on the initial path, S being
+        p-homogeneous: S(t u) = t^p S(u) for t >= 0;
+      - ((1-t) top[k]^(1/p) + t top[k+1]^(1/p))^p at a point that
+        _reequispace puts at weight t on segment k.  For p > 1 every
+        term K |z_i - z_j|^p and T |z_i|^p of S is convex, so S is
+        convex, and with p-homogeneity S^(1/p) is convex too: for a, b
+        with alpha = S(a)^(1/p), beta = S(b)^(1/p) positive, (a + b) /
+        (alpha + beta) is the convex combination of a / alpha and
+        b / beta at weights alpha / (alpha + beta) and
+        beta / (alpha + beta), where S is 1, so S <= 1 there, which
+        is S(a + b)^(1/p) <= alpha + beta (a zero alpha or beta is the
+        limit of small positive ones).  Hence, for 0 <= t <= 1,
+            S((1-t) a + t b) <= ((1-t) S(a)^(1/p) + t S(b)^(1/p))^p
+                             <= (1-t) S(a) + t S(b),
+        the last by the convexity of x^p; the first, closer bound is
+        the one kept.  A weight outside [0, 1] gives no bound, and top
+        is inf there.
+
+    Each bound is widened by _widened's margin, so that it holds for S
+    as computed, and then top - sum mass F bounds the computed E from
+    above at O(n) cost a point.  The rows _highest evaluates come from
+    _batch_energy, so m and energies[m] carry the bits that the energies
+    of the whole path give, at every exit of the loop; where max_iter
+    ends it, right after a step, the point at index m is evaluated.
+    """
     # The zero endpoint needs no check: the primitive is <= 0 for
     # 0 <= t < delta = lam^(-1/(q-r)) (for every t at lam = 0), so in
     # the box the energy is >= 0 = E(0) wherever max z < delta.
@@ -792,7 +863,15 @@ def _mountain_pass(kern, model, u_big, P, opts):
     # it inside the first segment
     frac = np.linspace(0.0, 1.0, P) ** 2
     Z = frac[:, None] * u_big[None, :]
-    energies = _batch_energy(kern, model, Z)
+    # energies are exact where known is set: at the endpoints, which
+    # never move, and at the points _highest evaluates
+    known = np.zeros(P, dtype=bool)
+    known[[0, -1]] = True
+    energies = np.zeros(P)
+    energies[known] = _batch_energy(kern, model, Z[known])
+    F = _reaction_sums(kern, model, Z)
+    p = model.params.p
+    top = _widened(frac ** p * _widened(energies[-1] + F[-1], F[-1]), F)
     end_energy = max(energies[0], energies[-1])
     step = None
     best_residual = finish_best = np.inf
@@ -801,7 +880,8 @@ def _mountain_pass(kern, model, u_big, P, opts):
     index = None
     while iterations < opts.max_iter:
         iterations += 1
-        m = 1 + int(np.argmax(energies[1:-1]))
+        m = _highest(kern, model, Z, top - F, energies, known)
+        top[known] = _widened(energies[known] + F[known], F[known])
         E_m, g = _energy_and_gradient(kern, model, Z[m])
         residual = _residual(kern, g)
         scale = _scale(E_m)
@@ -850,8 +930,19 @@ def _mountain_pass(kern, model, u_big, P, opts):
                 break
             step *= BACKTRACK
         Z[m] = trial
-        Z = _reequispace(Z, frac=frac)
-        energies = _batch_energy(kern, model, Z)
+        F_try = _reaction_sums(kern, model, trial[None])[0]
+        top[m] = _widened(E_try + F_try, F_try)
+        Z, seg, t = _reequispace(Z, frac=frac)
+        F = _reaction_sums(kern, model, Z)
+        root = top ** (1.0 / p)
+        chord = ((1.0 - t) * root[seg] + t * root[seg + 1]) ** p
+        top[1:-1] = _widened(np.where((t >= 0.0) & (t <= 1.0), chord, np.inf),
+                             F[1:-1])
+        known[1:-1] = False
+    else:
+        # max_iter ends the loop right after a step, which moved the
+        # point at index m
+        energies[m] = _batch_energy(kern, model, Z[m:m + 1])[0]
     # the zero function is critical too: a maximal point no higher than
     # the endpoints (to rounding) is no saddle, however small its residual
     if energies[m] <= end_energy + 1e-12 * scale:
@@ -859,6 +950,61 @@ def _mountain_pass(kern, model, u_big, P, opts):
     if index is None:
         index = _morse_index(kern, model, Z[m])
     return Z, m, iterations, index
+
+
+def _widened(S, F):
+    """An upper bound S on a path point's seminorm energy, widened by
+    the rounding margin 1e-12 (|S| + |F|), F the point's sum mass F.
+
+    The margin, about 9000 units of roundoff u = 2^-53 of that scale,
+    covers with room to spare each rounding that one bound of
+    _mountain_pass has to absorb:
+
+      - the computed S: its terms are nonnegative, each off by about
+        (p + 3) u, and summed pairwise within blocks of rows and in
+        order across the blocks, so S is off by a few dozen u of S;
+      - a path point that is itself rounded: t u_big, or
+        Z[k] + t (Z[k+1] - Z[k]), is off by a few u in each component
+        from the exact point, which moves S by about p times that,
+        relative;
+      - S read back as E + F from a computed E = S - F: off by about
+        2u (|E| + |F|) <= 2u (|S| + 2|F|);
+      - the bound's own arithmetic, t^p S or the chord of S^(1/p):
+        a few p u, relative.
+
+    Every new bound is widened again, so the margin of each
+    redistribution covers that redistribution's rounding.
+    """
+    return S + 1e-12 * (np.abs(S) + np.abs(F))
+
+
+def _highest(kern, model, Z, upper, energies, known):
+    """Index m of the highest interior point of the path Z, the first
+    maximum np.argmax finds among every point's exact energy, with that
+    energy in energies[m].
+
+    upper bounds every point's computed energy from above; energies
+    holds exact energies (_batch_energy's) where known is set, and the
+    rows evaluated here are added to both.  The unknown point of highest
+    bound, a bound that is not finite counting as the highest, is
+    evaluated, one at a time, while that bound is not below the best
+    exact energy: every point left out is then strictly lower than that
+    best, so the first maximum of the exact energies is the first
+    maximum of them all.
+    """
+    exact = np.where(known, energies, -np.inf)[1:-1]
+    order = np.where(known, -np.inf,
+                     np.where(np.isfinite(upper), upper, np.inf))[1:-1]
+    best = np.max(exact)
+    while True:
+        j = int(np.argmax(order))
+        if order[j] < best or known[1 + j]:
+            return 1 + int(np.argmax(exact))
+        exact[j] = energies[1 + j] = _batch_energy(
+            kern, model, Z[1 + j:2 + j])[0]
+        known[1 + j] = True
+        order[j] = -np.inf
+        best = np.max(exact)
 
 
 def _morse_index(kern, model, v):
