@@ -56,7 +56,7 @@ class BifurcationDiagram:
 
 
 def _find_minimizer(kern, model, opts, warm=None, seed=0, threads=1,
-                    stop_early=False):
+                    stop_early=False, mu=0.0):
     """Minimizer at model's lambda, warm start first.
 
     One descent from warm is kept when it ends converged and nontrivial:
@@ -66,13 +66,15 @@ def _find_minimizer(kern, model, opts, warm=None, seed=0, threads=1,
     1990).  When it collapses, or without warm, the multi-start decides
     (select_solution of its reports; stop_early ends it at the first
     nontrivial one), so a zero answer always rests on the multi-start.
+    Every descent stops at zero in the box that mu sets (minimize).
     """
     if warm is not None:
-        rep = minimize(kern, model, warm, opts)
+        rep = minimize(kern, model, warm, opts, mu=mu)
         if nontrivial(rep, opts.zero_tol):
             return rep
     reports = minimize_multistart(kern, model, opts, seed=seed,
-                                  threads=threads, stop_at_nontrivial=stop_early)
+                                  threads=threads, stop_at_nontrivial=stop_early,
+                                  mu=mu)
     return select_solution(reports, opts.zero_tol)
 
 
@@ -234,7 +236,10 @@ def estimate_lambda_star(kern, params, bracket, opts=None, seed=0, threads=1):
     nontrivial (a local minimizer: minimize stops only where the
     Hessian is positive definite).  Otherwise a multi-start stopping at
     its first nontrivial report decides, so a "zero only" answer rests
-    on the multi-start alone.
+    on the multi-start alone.  Every predicate's descent stops at zero
+    below the floor t-(lambda, mu) of every nontrivial solution, mu the
+    Picone constant behind lambda_low (solvers._zero_floor), or below
+    the sign threshold delta where there is no bound.
 
     A bracket whose lo is nontrivial moves down: lo becomes hi and
     halves; one whose hi is zero only moves up: hi becomes lo and
@@ -248,10 +253,11 @@ def estimate_lambda_star(kern, params, bracket, opts=None, seed=0, threads=1):
     at the bracket's midpoint, until the bracket is no wider than width.
 
     Then one descent runs at the final lo from the minimizer cached at
-    the final hi (natural-parameter continuation), unless the predicate
-    at lo already ran that descent.  A descent that ends nontrivial
-    means the searches missed the branch at lo, and warns; so does a
-    converged lambda*_h outside (lo, hi) or below lambda_low.
+    the final hi (natural-parameter continuation), stopping at zero only
+    below delta, unless the predicate at lo already ran that descent
+    with the floor.  A descent that ends nontrivial means the searches
+    missed the branch at lo, and warns; so does a converged lambda*_h
+    outside (lo, hi) or below lambda_low.
 
     Returns a BifurcationDiagram carrying only the estimate fields and
     a method record: the bisection bracket (lo, hi); the fold solve's
@@ -270,6 +276,12 @@ def estimate_lambda_star(kern, params, bracket, opts=None, seed=0, threads=1):
         raise ParameterError("bracket must satisfy 0 < lo < hi, got %r" % (bracket,))
     eig = principal_eigenpair(kern, params.p, opts)
     lam_low = lambda_lower_bound(kern, params, eigenpair=eig)
+    # the Picone constant behind lam_low, shrunk like it for rounding:
+    # the predicates' descents stop at zero below the floor it sets
+    mu = 0.0
+    if lam_low is not None:
+        mu = (1.0 - BOUND_MARGIN) * _picone_mu(kern, eig.eigenfunction.values,
+                                               params.p)
     cache = {}
     descended = {}      # lambda -> the warm start its predicate descended from
 
@@ -288,7 +300,7 @@ def estimate_lambda_star(kern, params, bracket, opts=None, seed=0, threads=1):
                 rep = _find_minimizer(
                     kern, ReactionModel.plain(with_lambda(params, lam)), opts,
                     descended.get(lam), seed=seed, threads=threads,
-                    stop_early=True)
+                    stop_early=True, mu=mu)
                 if nontrivial(rep, opts.zero_tol):
                     cache[lam] = rep
         return cache[lam]
@@ -348,8 +360,11 @@ def estimate_lambda_star(kern, params, bracket, opts=None, seed=0, threads=1):
 
     warnings = []
     warm = cache[hi].solution.values
-    # the predicate at lo may have run this descent already, and it did
-    # not end nontrivial, or hi would lie at or below lo
+    # the predicate at lo may have run this descent already, with the
+    # floor, and it did not end nontrivial, or hi would lie at or below
+    # lo; otherwise it runs without mu, so that it tests the searches
+    # against the certificate that mu and lam_low come from rather than
+    # rests on it
     if descended.get(lo) is not warm and nontrivial(
             minimize(kern, ReactionModel.plain(with_lambda(params, lo)),
                      warm, opts), opts.zero_tol):

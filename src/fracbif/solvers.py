@@ -15,11 +15,16 @@ length until Armijo's decrease holds; near a minimizer that decrease
 drops below the rounding of the energy (1e-13 * max(1, |E|)), and from
 there a step is accepted on its slope instead, by the approximate Wolfe
 test of Hager and Zhang, so descent runs on to the residual target
-rather than stalling on noise.  principal_eigenpair takes damped Newton
-steps on the bordered eigen system (the eigen equation plus the
-normalization, solved for the eigenfunction and the eigenvalue together
-with the exact Hessian of the operator) from its first iterate, each
-accepted only if the residual falls, and gives up once no step lowers it
+rather than stalling on noise.  Every nontrivial critical point u >= 0
+has t- <= max u <= t+, each bound a root of f(t) / t^(p-1) = c for a
+constant c of the kernel (a Picone constant, and min 2 T / mass): a
+descent that enters the box max u < t- ends at zero (_descend), and
+minimize_multistart scales its starts down to peak at most t+
+(_amplitude_ceiling).  principal_eigenpair takes damped Newton steps on
+the bordered eigen system (the eigen equation plus the normalization,
+solved for the eigenfunction and the eigenvalue together with the exact
+Hessian of the operator) from its first iterate, each accepted only if
+the residual falls, and gives up once no step lowers it
 or the residual has stopped moving.  solve_fold finds the turning point
 of the minimizer branch, where the Hessian turns singular, by the same
 damped Newton loop on the extended system of the minimizer, the null
@@ -274,7 +279,7 @@ def _clip_box(w, top):
     return np.minimum(np.maximum(w, 0.0), top)
 
 
-def minimize(kern, model, u0, opts=None):
+def minimize(kern, model, u0, opts=None, mu=0.0):
     """Damped modified Newton descent on the total energy.
 
     Every step builds the exact Hessian H (total_hessian).  Where a
@@ -296,29 +301,48 @@ def minimize(kern, model, u0, opts=None):
     saddle; when backtracking finds no acceptable step (converged=False);
     or after max_iter accepted steps.  The negative part of the result
     is removed and descent resumed, which never increases the energy;
-    exact critical points are nonnegative anyway.  Descent runs in the
-    even subspace from the mirror average of u0; the report is measured
-    on kern.
+    exact critical points are nonnegative anyway.  Descent that enters
+    the box max u < _zero_floor(params, mu), where zero is the only
+    critical point, ends at zero exactly; mu > 0, a Picone constant of
+    kern, widens that box from the sign threshold delta to the floor of
+    every nontrivial solution.  Descent runs in the even subspace from
+    the mirror average of u0; the report is measured on kern, except
+    that of an exact zero, whose energy and residual are 0 on any
+    kernel.
     """
     opts = opts or SolverOptions()
     _check_compat(kern, model.params)
     u0 = _check_values(kern, u0)
-    w, iterations = _descend(kern.fold(), model, mirror_fold(u0), opts)
+    w, iterations = _descend(kern.fold(), model, mirror_fold(u0), opts, mu)
     u = mirror_unfold(w, kern.n)
+    if not np.any(u):
+        return SolveReport(solution=GridFunction(u, kern.mesh), energy=0.0,
+                           residual=0.0, iterations=iterations,
+                           converged=True, classification="zero")
     cls = "zero" if _sup(u) <= opts.zero_tol else "minimizer"
     return _report(kern, model, u, iterations, opts.tol, cls)
 
 
-def _descend(kern, model, u0, opts):
+def _descend(kern, model, u0, opts, mu=0.0):
     """minimize's descent on a folded (or full) kernel; returns the
-    point reached and the number of accepted steps."""
-    # Inside the box max(u) < delta the reaction primitive is <= 0, so
-    # the energy is >= 0 there while energy(0) = 0, and pairing the
-    # operator with u+ shows zero is the only critical point in the
-    # box: descent that enters it can be finished at zero exactly.
+    point reached and the number of accepted steps.
+
+    Descent that enters the box max u < t- = _zero_floor(params, mu) is
+    finished at zero exactly.  For u >= 0 in the box, 0 < u_i < t- gives
+    h(u_i) < mu for h(t) = f(t) / t^(p-1), and mu sum mass u^p is at
+    most pairing(A(u), u) (the discrete Picone inequality, see
+    bifurcation.lambda_lower_bound; at mu = 0 because A(u).u = p S(u)),
+    so g.u >= sum_i mass_i u_i^p (mu - h(u_i)) > 0 for g the gradient.
+    As t u lies in the box for 0 < t <= 1, E(t u) rises with t there:
+    E(u) > 0 = E(0), zero is the only critical point in the box, and
+    the segment from u to 0 descends.  A u with negative entries has
+    E(u) >= E(u+), taking positive parts lowering every term of S.  On
+    a folded kernel w stands for its unfolding U w, with the same E and
+    g.w, so the argument is the full one.
+    """
     delta = None
     if model.params.lam > 0.0:
-        delta = sign_threshold_delta(model.params)
+        delta = _zero_floor(model.params, mu)
     u = np.array(u0, dtype=float)
     E, g = _energy_and_gradient(kern, model, u)
 
@@ -419,24 +443,104 @@ def default_starts(mesh, params, count, seed):
     return starts
 
 
-def minimize_multistart(kern, model, opts=None, seed=0, threads=1,
-                        stop_at_nontrivial=False):
-    """Run minimize from the default randomized starts; returns all reports.
+def _ratio(params, t):
+    """h(t) = f(t) / t^(p-1) = lam t^(q-p) - t^(r-p) for t > 0: it rises
+    from -inf to its maximum at _ratio_peak, then falls to 0."""
+    return params.lam * t ** (params.q - params.p) - t ** (params.r - params.p)
 
-    With stop_at_nontrivial the sweep short-circuits at the first
-    converged nontrivial solution (useful inside bisection predicates).
-    Thread count never changes the reports, only the wall time.
+
+def _ratio_peak(params):
+    """Where h peaks: t* = ((p-r) / (lam (p-q)))^(1/(q-r)), lam > 0."""
+    p, q, r = params.p, params.q, params.r
+    return ((p - r) / (params.lam * (p - q))) ** (1.0 / (q - r))
+
+
+def _bisect(inside, lo, hi):
+    """[lo, hi] narrowed until its midpoint rounds onto an end, keeping
+    inside(lo) and not inside(hi) where they hold at the start."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return lo, hi
+        if inside(mid):
+            lo = mid
+        else:
+            hi = mid
+
+
+def _zero_floor(params, mu):
+    """t-, the smaller root of h(t) = mu, rounded down: no nontrivial
+    critical point u >= 0 has max u < t- (proof in _descend).  At
+    mu <= 0 it is the sign threshold delta, the root of h = 0, itself.
+    Bisection of [delta, t*] keeps its lower end, where h < mu; where
+    mu exceeds max h, so that no nontrivial critical point exists, that
+    end nears t*."""
+    delta = sign_threshold_delta(params)
+    if not mu > 0.0:
+        return delta
+    return _bisect(lambda t: _ratio(params, t) < mu, delta,
+                   _ratio_peak(params))[0]
+
+
+def _amplitude_ceiling(kern, params):
+    """t+, above which no critical point u >= 0 of the energy on kern
+    (full or folded) peaks, or None where every critical point is zero
+    or K has a negative entry.
+
+    With c = min_i 2 T_i / mass_i: at a node i where u is largest every
+    pair term K_ij (u_i - u_j)^(p-1) of A(u)_i is >= 0, so
+    A(u)_i >= 2 T_i u_i^(p-1), and g_i = A(u)_i - mass_i f(u_i) >=
+    mass_i u_i^(p-1) (c - h(u_i)).  A critical point, g_i = 0, so has
+    h(u_i) >= c, that is max u <= t+, the larger root of h = c.  It lies in
+    [t*, (lam / c)^(1/(p-q))], as h(t) < lam t^(q-p), and bisection
+    returns the upper end of that bracket, at or above the root.  None
+    at lam = 0 or c <= 0, where the root does not exist, where
+    max h = h(t*) < c, where no nontrivial critical point exists, and
+    where the bracket's ends underflow or overflow a float.  On a
+    folded kernel T and mass are both doubled (neither at an odd mesh's
+    middle node), so c is the full kernel's.
+    """
+    c = float(np.min(2.0 * kern.T / kern.mass))
+    if not (params.lam > 0.0 and c > 0.0 and np.all(kern.K >= 0.0)):
+        return None
+    peak = _ratio_peak(params)
+    if not peak > 0.0 or _ratio(params, peak) < c:
+        return None
+    try:
+        far = (params.lam / c) ** (1.0 / (params.p - params.q))
+    except OverflowError:
+        return None
+    return _bisect(lambda t: _ratio(params, t) >= c, peak, far)[1]
+
+
+def minimize_multistart(kern, model, opts=None, seed=0, threads=1,
+                        stop_at_nontrivial=False, mu=0.0):
+    """Run minimize (with mu) from the default randomized starts;
+    returns all reports.
+
+    A start that peaks above _amplitude_ceiling, the bound of every
+    critical point's peak, is scaled down to peak there; the others are
+    default_starts' own.  With stop_at_nontrivial the sweep
+    short-circuits at the first converged nontrivial solution (useful
+    inside bisection predicates).  Thread count never changes the
+    reports, only the wall time.
     """
     opts = opts or SolverOptions()
     starts = default_starts(kern.mesh, model.params, opts.starts, seed)
+    top = _amplitude_ceiling(kern, model.params)
+    if top is not None:
+        for k, u0 in enumerate(starts):
+            peak = float(np.max(u0))
+            if peak > top:
+                starts[k] = u0 * (top / peak)
     if threads > 1 and not stop_at_nontrivial:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(lambda u0: minimize(kern, model, u0, opts),
-                                    starts))
+            reports = list(pool.map(
+                lambda u0: minimize(kern, model, u0, opts, mu), starts))
         return reports
     reports = []
     for u0 in starts:
-        rep = minimize(kern, model, u0, opts)
+        rep = minimize(kern, model, u0, opts, mu)
         reports.append(rep)
         if stop_at_nontrivial and nontrivial(rep, opts.zero_tol):
             break
