@@ -212,15 +212,21 @@ def lambda_lower_bound(kern, params, opts=None, eigenpair=None):
     """
     if eigenpair is None:
         eigenpair = principal_eigenpair(kern, params.p, opts)
+    return _lower_bound_and_mu(kern, params, eigenpair)[0]
+
+
+def _lower_bound_and_mu(kern, params, eigenpair):
+    """(lambda_low, mu): lambda_lower_bound for the eigenpair given and
+    the Picone constant mu it rests on, or (None, None)."""
     if not (np.array_equal(kern.K, kern.K.T) and np.all(kern.K >= 0.0)
             and np.all(kern.T >= 0.0)):
-        return None
+        return None, None
     mu = _picone_mu(kern, eigenpair.eigenfunction.values, params.p)
     if mu is None or not mu > 0.0:
-        return None
+        return None, None
     p, q, r = params.p, params.q, params.r
     lam = (p - r) / (p - q) * (mu * (p - q) / (q - r)) ** ((q - r) / (p - r))
-    return (1.0 - BOUND_MARGIN) * lam
+    return (1.0 - BOUND_MARGIN) * lam, mu
 
 
 def estimate_lambda_star(kern, params, bracket, opts=None, seed=0, threads=1):
@@ -275,13 +281,10 @@ def estimate_lambda_star(kern, params, bracket, opts=None, seed=0, threads=1):
     if not 0.0 < lo < hi:
         raise ParameterError("bracket must satisfy 0 < lo < hi, got %r" % (bracket,))
     eig = principal_eigenpair(kern, params.p, opts)
-    lam_low = lambda_lower_bound(kern, params, eigenpair=eig)
+    lam_low, mu = _lower_bound_and_mu(kern, params, eig)
     # the Picone constant behind lam_low, shrunk like it for rounding:
     # the predicates' descents stop at zero below the floor it sets
-    mu = 0.0
-    if lam_low is not None:
-        mu = (1.0 - BOUND_MARGIN) * _picone_mu(kern, eig.eigenfunction.values,
-                                               params.p)
+    mu = 0.0 if lam_low is None else (1.0 - BOUND_MARGIN) * mu
     cache = {}
     descended = {}      # lambda -> the warm start its predicate descended from
 

@@ -34,12 +34,11 @@ and apply_operator returns its exact gradient, the discrete operator
 
 with op the signed power.  pairing(A(u), u) = p * seminorm_energy(u)
 by p-homogeneity.  Both come from pairwise_energy, which walks K in
-dense blocks of whole rows against all n columns, for a stack of batch
-rows at once: row i of a block gives A(u)_i directly, and every pair is
-visited twice, once from each end.  A block holds at most PAIR_BUDGET
-differences (128 KiB), whatever n is, and nothing is cached on the
-kernel.  operator_hessian, the dense Jacobian of A, is the one n x n
-exception.
+dense blocks of whole rows against all n columns: row i of a block
+gives A(u)_i directly, and every pair is visited twice, once from each
+end.  A block holds at most PAIR_BUDGET differences (128 KiB), whatever
+n is, and nothing is cached on the kernel.  operator_hessian, the dense
+Jacobian of A, is the one n x n exception.
 
 The solutions the solvers look for are even under the mirror map
 x -> a + b - x, which sends node i to node n-1-i, and a critical point
@@ -66,8 +65,8 @@ import numpy as np
 
 from .core import Mesh1D, MeshMismatchError, curvature_power
 
-# entries u_i - u_j per block of the pairwise sums (batch rows x rows
-# of K x n); a single row of K longer than this is a block of its own
+# entries u_i - u_j per block of the pairwise sums (rows of K x n); a
+# single row of K longer than this is a block of its own
 PAIR_BUDGET = 1 << 14
 
 
@@ -163,65 +162,6 @@ def assemble_kernel(mesh, params):
     return KernelMatrix.from_sigma(mesh, params.p * params.s)
 
 
-def pairwise_energy(kern, U, p, gradient=False):
-    """Seminorm energy of one vector or of every row of a batch.
-
-    U has shape (n,) or (m, n).  Returns the energy (a float, or an
-    array of m), and with gradient=True also the operator A(U), shaped
-    like U.  The sums run over the blocks of rows of K that the module
-    docstring describes; a batch row meets the same blocks in the same
-    order as the vector alone, so it gets exactly the energy and the
-    operator it gets alone.
-    """
-    U = np.asarray(U, dtype=float)
-    n = kern.n
-    if U.ndim not in (1, 2) or U.shape[-1] != n:
-        raise MeshMismatchError(
-            "expected %d nodal values, got shape %r" % (n, U.shape))
-    batch = U.reshape(-1, n)
-    m = batch.shape[0]
-    rows = min(n, max(1, PAIR_BUDGET // n))
-    stack = max(1, PAIR_BUDGET // (rows * n))
-    D_buf, t_buf = np.empty((2, min(stack, m) * rows * n))
-    pair = np.zeros(m)
-    grad = np.empty_like(batch) if gradient else None
-    for b0 in range(0, m, stack):
-        b1 = min(b0 + stack, m)
-        for lo in range(0, n, rows):
-            hi = min(lo + rows, n)
-            size = (b1 - b0) * (hi - lo) * n
-            D = D_buf[:size].reshape(b1 - b0, hi - lo, n)
-            t = t_buf[:size].reshape(D.shape)
-            np.subtract(batch[b0:b1, lo:hi, None], batch[b0:b1, None, :],
-                        out=D)
-            if gradient:
-                np.abs(D, out=t)
-                np.power(t, p - 1.0, out=t)
-                np.copysign(t, D, out=t)
-                t *= kern.K[lo:hi]
-                np.sum(t, axis=2, out=grad[b0:b1, lo:hi])
-                D *= t
-                pair[b0:b1] += np.sum(D, axis=(1, 2))
-            else:
-                # |D|^(p-1) K |D|, multiplied as the operator's t D is,
-                # so that both give the same bits
-                np.abs(D, out=D)
-                np.power(D, p - 1.0, out=t)
-                t *= kern.K[lo:hi]
-                t *= D
-                pair[b0:b1] += np.sum(t, axis=(1, 2))
-    absU = np.abs(batch)
-    up1 = absU ** (p - 1.0)
-    energy = (pair + 2.0 * np.sum(kern.T * up1 * absU, axis=1)) / p
-    if gradient:
-        grad += kern.T * np.copysign(up1, batch)
-        grad *= 2.0
-    if U.ndim == 1:
-        energy = float(energy[0])
-        grad = grad[0] if gradient else None
-    return (energy, grad) if gradient else energy
-
-
 def _check_values(kern, u):
     u = np.asarray(u, dtype=float)
     if u.shape != (kern.n,):
@@ -230,19 +170,63 @@ def _check_values(kern, u):
     return u
 
 
+def pairwise_energy(kern, u, p, gradient=False):
+    """Seminorm energy of a vector u of n nodal values, with
+    gradient=True also the operator A(u).
+
+    The sums run over the blocks of rows of K that the module docstring
+    describes; any shape of u other than (n,) raises MeshMismatchError.
+    """
+    u = _check_values(kern, u)
+    n = kern.n
+    rows = min(n, max(1, PAIR_BUDGET // n))
+    D_buf, t_buf = np.empty((2, rows * n))
+    pair = 0.0
+    grad = np.empty(n) if gradient else None
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        D = D_buf[:(hi - lo) * n].reshape(hi - lo, n)
+        t = t_buf[:D.size].reshape(D.shape)
+        np.subtract(u[lo:hi, None], u[None, :], out=D)
+        if gradient:
+            np.abs(D, out=t)
+            np.power(t, p - 1.0, out=t)
+            np.copysign(t, D, out=t)
+            t *= kern.K[lo:hi]
+            np.sum(t, axis=1, out=grad[lo:hi])
+            D *= t
+            pair += np.sum(D)
+        else:
+            # |D|^(p-1) K |D|, multiplied as the operator's t D is,
+            # so that both give the same bits
+            np.abs(D, out=D)
+            np.power(D, p - 1.0, out=t)
+            t *= kern.K[lo:hi]
+            t *= D
+            pair += np.sum(t)
+    absu = np.abs(u)
+    up1 = absu ** (p - 1.0)
+    energy = float((pair + 2.0 * np.sum(kern.T * up1 * absu)) / p)
+    if gradient:
+        grad += kern.T * np.copysign(up1, u)
+        grad *= 2.0
+        return energy, grad
+    return energy
+
+
 def seminorm_energy(kern, u, p):
     """(1/p) times the discrete Gagliardo p-seminorm to the p-th power."""
-    return pairwise_energy(kern, _check_values(kern, u), p)
+    return pairwise_energy(kern, u, p)
 
 
 def apply_operator(kern, u, p):
     """Discrete fractional p-Laplacian; exact gradient of seminorm_energy."""
-    return pairwise_energy(kern, _check_values(kern, u), p, gradient=True)[1]
+    return pairwise_energy(kern, u, p, gradient=True)[1]
 
 
 def seminorm_energy_and_operator(kern, u, p):
     """Energy and its gradient together, sharing the pairwise powers."""
-    return pairwise_energy(kern, _check_values(kern, u), p, gradient=True)
+    return pairwise_energy(kern, u, p, gradient=True)
 
 
 def operator_hessian(kern, u, p, out=None):

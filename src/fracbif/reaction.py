@@ -55,10 +55,17 @@ def F_values(model, u):
 
 
 def sign_threshold_delta(params):
-    """Largest delta with f <= 0 on [0, delta]: lam^(-1/(q-r))."""
+    """Largest delta with f <= 0 on [0, delta]: lam^(-1/(q-r)).
+
+    ParameterError for a lam so small that delta overflows a float."""
     if params.lam <= 0.0:
         raise ParameterError("sign threshold needs lam > 0, got %g" % params.lam)
-    return params.lam ** (-1.0 / (params.q - params.r))
+    try:
+        return params.lam ** (-1.0 / (params.q - params.r))
+    except OverflowError:
+        raise ParameterError(
+            "lam=%g is too small: the sign threshold lam^(-1/(q-r)) "
+            "overflows a float" % params.lam) from None
 
 
 def scan_reaction_slack(params, eps, t_max=100.0, samples=100_000):

@@ -74,8 +74,7 @@ from .core import (GridFunction, MeshMismatchError, ParameterError,
                    curvature_power, mirror_fold, mirror_unfold, odd_power,
                    with_lambda)
 from .kernel import (_check_values, apply_operator, operator_hessian,
-                     pairwise_energy, seminorm_energy,
-                     seminorm_energy_and_operator)
+                     seminorm_energy, seminorm_energy_and_operator)
 from .reaction import (ReactionModel, F_values, df_values, f_values,
                        sign_threshold_delta)
 
@@ -209,15 +208,10 @@ def _energy_and_gradient(kern, model, u):
     return E, g
 
 
-def _batch_energy(kern, model, Z):
-    """total_energy for every row of Z at once."""
-    return pairwise_energy(kern, Z, model.params.p) - _reaction_sums(
-        kern, model, Z)
-
-
 def _reaction_sums(kern, model, Z):
-    """sum_i mass_i F(i, z_i) for every row z of Z, with the bits
-    _batch_energy subtracts."""
+    """sum_i mass_i F(i, z_i) for every row z of Z: the reaction sums
+    of the path points, which _mountain_pass subtracts from their
+    seminorm energy bounds."""
     return np.sum(kern.mass * F_values(model, Z), axis=1)
 
 
@@ -328,21 +322,20 @@ def _descend(kern, model, u0, opts, mu=0.0):
     point reached and the number of accepted steps.
 
     Descent that enters the box max u < t- = _zero_floor(params, mu) is
-    finished at zero exactly.  For u >= 0 in the box, 0 < u_i < t- gives
-    h(u_i) < mu for h(t) = f(t) / t^(p-1), and mu sum mass u^p is at
-    most pairing(A(u), u) (the discrete Picone inequality, see
-    bifurcation.lambda_lower_bound; at mu = 0 because A(u).u = p S(u)),
-    so g.u >= sum_i mass_i u_i^p (mu - h(u_i)) > 0 for g the gradient.
-    As t u lies in the box for 0 < t <= 1, E(t u) rises with t there:
-    E(u) > 0 = E(0), zero is the only critical point in the box, and
-    the segment from u to 0 descends.  A u with negative entries has
-    E(u) >= E(u+), taking positive parts lowering every term of S.  On
-    a folded kernel w stands for its unfolding U w, with the same E and
-    g.w, so the argument is the full one.
+    finished at zero exactly; at lam = 0 the box is all of space, so
+    descent ends at zero on its first step.  For u >= 0 in the box,
+    0 < u_i < t- gives h(u_i) < mu for h(t) = f(t) / t^(p-1), and
+    mu sum mass u^p is at most pairing(A(u), u) (the discrete Picone
+    inequality, see bifurcation.lambda_lower_bound; at mu = 0 because
+    A(u).u = p S(u)), so g.u >= sum_i mass_i u_i^p (mu - h(u_i)) > 0 for
+    g the gradient.  As t u lies in the box for 0 < t <= 1, E(t u)
+    rises with t there: E(u) > 0 = E(0), zero is the only critical
+    point in the box, and the segment from u to 0 descends.  A u with
+    negative entries has E(u) >= E(u+), taking positive parts lowering
+    every term of S.  On a folded kernel w stands for its unfolding U w,
+    with the same E and g.w, so the argument is the full one.
     """
-    delta = None
-    if model.params.lam > 0.0:
-        delta = _zero_floor(model.params, mu)
+    floor = _zero_floor(model.params, mu)
     u = np.array(u0, dtype=float)
     E, g = _energy_and_gradient(kern, model, u)
 
@@ -368,7 +361,7 @@ def _descend(kern, model, u0, opts, mu=0.0):
     shift = SHIFT_START
     for _round in range(4):
         while iterations < opts.max_iter:
-            if delta is not None and float(np.max(u)) < delta:
+            if float(np.max(u)) < floor:
                 u = np.zeros_like(u)
                 E = 0.0
                 g = np.zeros_like(g)
@@ -471,10 +464,14 @@ def _bisect(inside, lo, hi):
 def _zero_floor(params, mu):
     """t-, the smaller root of h(t) = mu, rounded down: no nontrivial
     critical point u >= 0 has max u < t- (proof in _descend).  At
-    mu <= 0 it is the sign threshold delta, the root of h = 0, itself.
-    Bisection of [delta, t*] keeps its lower end, where h < mu; where
-    mu exceeds max h, so that no nontrivial critical point exists, that
-    end nears t*."""
+    lam = 0 it is inf: h(t) = -t^(r-p) < 0 <= max(mu, 0) for every
+    t > 0, so zero is the only critical point u >= 0.  At mu <= 0 it is
+    the sign threshold delta, the root of h = 0, itself.  Bisection of
+    [delta, t*] keeps its lower end, where h < mu; where mu exceeds
+    max h, so that no nontrivial critical point exists, that end nears
+    t*."""
+    if params.lam == 0.0:
+        return np.inf
     delta = sign_threshold_delta(params)
     if not mu > 0.0:
         return delta
@@ -503,12 +500,12 @@ def _amplitude_ceiling(kern, params):
     c = float(np.min(2.0 * kern.T / kern.mass))
     if not (params.lam > 0.0 and c > 0.0 and np.all(kern.K >= 0.0)):
         return None
-    peak = _ratio_peak(params)
-    if not peak > 0.0 or _ratio(params, peak) < c:
-        return None
     try:
+        peak = _ratio_peak(params)
         far = (params.lam / c) ** (1.0 / (params.p - params.q))
     except OverflowError:
+        return None
+    if not peak > 0.0 or _ratio(params, peak) < c:
         return None
     return _bisect(lambda t: _ratio(params, t) >= c, peak, far)[1]
 
@@ -916,7 +913,7 @@ def find_saddle(kern, params, u_big, opts=None, return_path=False):
     report.converged = report.converged and index == 1
     if return_path:
         Z = mirror_unfold(Z, kern.n)
-        energies = _batch_energy(kern, model, Z)
+        energies = np.array([total_energy(kern, model, z) for z in Z])
         return report, MountainPassPath(points=Z, energies=energies, max_index=m)
     return report
 
@@ -953,10 +950,11 @@ def _mountain_pass(kern, model, u_big, P, opts):
 
     Each bound is widened by _widened's margin, so that it holds for S
     as computed, and then top - sum mass F bounds the computed E from
-    above at O(n) cost a point.  The rows _highest evaluates come from
-    _batch_energy, so m and energies[m] carry the bits that the energies
-    of the whole path give, at every exit of the loop; where max_iter
-    ends it, right after a step, the point at index m is evaluated.
+    above at O(n) cost a point.  Every energy the search keeps is
+    total_energy of one point, so m and energies[m] carry the bits that
+    the energies of the whole path give, at every exit of the loop;
+    where max_iter ends it, right after a step, the point at index m is
+    evaluated.
     """
     # The zero endpoint needs no check: the primitive is <= 0 for
     # 0 <= t < delta = lam^(-1/(q-r)) (for every t at lam = 0), so in
@@ -972,7 +970,7 @@ def _mountain_pass(kern, model, u_big, P, opts):
     known = np.zeros(P, dtype=bool)
     known[[0, -1]] = True
     energies = np.zeros(P)
-    energies[known] = _batch_energy(kern, model, Z[known])
+    energies[-1] = total_energy(kern, model, Z[-1])     # E(0) = 0
     F = _reaction_sums(kern, model, Z)
     p = model.params.p
     top = _widened(frac ** p * _widened(energies[-1] + F[-1], F[-1]), F)
@@ -1046,7 +1044,7 @@ def _mountain_pass(kern, model, u_big, P, opts):
     else:
         # max_iter ends the loop right after a step, which moved the
         # point at index m
-        energies[m] = _batch_energy(kern, model, Z[m:m + 1])[0]
+        energies[m] = total_energy(kern, model, Z[m])
     # the zero function is critical too: a maximal point no higher than
     # the endpoints (to rounding) is no saddle, however small its residual
     if energies[m] <= end_energy + 1e-12 * scale:
@@ -1088,8 +1086,8 @@ def _highest(kern, model, Z, upper, energies, known):
     energy in energies[m].
 
     upper bounds every point's computed energy from above; energies
-    holds exact energies (_batch_energy's) where known is set, and the
-    rows evaluated here are added to both.  The unknown point of highest
+    holds exact energies (total_energy's) where known is set, and the
+    points evaluated here are added to both.  The unknown point of highest
     bound, a bound that is not finite counting as the highest, is
     evaluated, one at a time, while that bound is not below the best
     exact energy: every point left out is then strictly lower than that
@@ -1104,8 +1102,7 @@ def _highest(kern, model, Z, upper, energies, known):
         j = int(np.argmax(order))
         if order[j] < best or known[1 + j]:
             return 1 + int(np.argmax(exact))
-        exact[j] = energies[1 + j] = _batch_energy(
-            kern, model, Z[1 + j:2 + j])[0]
+        exact[j] = energies[1 + j] = total_energy(kern, model, Z[1 + j])
         known[1 + j] = True
         order[j] = -np.inf
         best = np.max(exact)

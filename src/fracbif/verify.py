@@ -28,7 +28,7 @@ from functools import cache, partial
 import numpy as np
 
 from .core import build_mesh, with_lambda
-from .bifurcation import _picone_mu, lambda_lower_bound
+from .bifurcation import _lower_bound_and_mu
 from .config import problem_params
 from .diagnostics import gradient_check, verify_operator_properties
 from .kernel import KernelMatrix, apply_operator, pairing, seminorm_energy
@@ -228,18 +228,17 @@ def run_verification(cfg, kernel_hook=None):
 
     def nonexistence():
         # the closed-form lambda_low of lambda_lower_bound is where the
-        # scanned reaction first rises above mu t^(p-1), with mu measured
-        # here from the eigenfunction
+        # scanned reaction first rises above mu t^(p-1), with mu the
+        # Picone constant of the eigenfunction it rests on
         mesh = build_mesh(-1.0, 1.0, 64)
         kern = make_kernel(mesh, sigma)
         eig = principal_eigenpair(kern, params.p, quick)
         if not eig.converged:
             return False, "eigen solve did not converge"
-        lam_low = lambda_lower_bound(kern, params, eigenpair=eig)
+        lam_low, mu = _lower_bound_and_mu(kern, params, eig)
         if lam_low is None:
             return False, "no nonexistence certificate for this kernel"
         p, q, r = params.p, params.q, params.r
-        mu = _picone_mu(kern, eig.eigenfunction.values, p)
         slack = []
         for lam in ((1.0 - 1e-6) * lam_low, 1.001 * lam_low):
             # the scan covers the maximiser of f(t) / t^(p-1)

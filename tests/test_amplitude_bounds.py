@@ -97,9 +97,10 @@ def test_ceiling_is_none_where_no_bound_holds():
                               params) is None
     no_tail = KernelMatrix(kern.K, 0.0 * kern.T, kern.sigma, kern.mesh)
     assert _amplitude_ceiling(no_tail, params) is None
-    # at r = 1.1, t* = (2 / lambda)^20 underflows to 0; at r = 1.01,
-    # (lambda / c)^20, the bracket's upper end, overflows
-    for r, lam in ((1.1, 1e30), (1.01, 1e17)):
+    # at r = 1.1, t* = (2 / lambda)^20 underflows to 0 at lambda = 1e30
+    # and overflows at 5e-16; at r = 1.01, (lambda / c)^20, the
+    # bracket's upper end, overflows
+    for r, lam in ((1.1, 1e30), (1.1, 5e-16), (1.01, 1e17)):
         kern, params = problem((1.2, 0.4, 1.15, r), lam, 32)
         assert _amplitude_ceiling(kern, params) is None
 
@@ -142,6 +143,21 @@ def test_floor_at_zero_mu_is_the_sign_threshold(exps, lam):
     # the smaller root of h = 0 is delta
     assert abs(_ratio(params, delta)) <= 1e-12 * delta ** (params.r
                                                            - params.p)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("exps", [DEMO, (1.3, 0.5, 1.2, 1.1)])
+def test_multistart_at_lambda_zero_ends_at_zero_at_once(exps):
+    # at lambda = 0, h(t) = -t^(r-p) < 0 <= mu for every t > 0: the
+    # floor is inf, and every start ends at zero in one step, before a
+    # shifted step could divide by the zero Hessian at u = 0
+    kern, params = problem(exps, 0.0, 32)
+    for mu in (0.0, 1.0):
+        assert _zero_floor(params, mu) == math.inf
+    for rep in minimize_multistart(kern, ReactionModel.plain(params), seed=0):
+        assert not np.any(rep.solution.values)
+        assert rep.iterations == 1
+        assert rep.converged and rep.classification == "zero"
 
 
 def test_floor_below_the_lower_bound_stays_under_the_peak():

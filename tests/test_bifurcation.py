@@ -147,8 +147,8 @@ def test_lower_bound_keeps_the_brackets_with_fewer_searches(
     monkeypatch.setattr(bifurcation, "minimize_multistart", counted)
     with_bound = estimate_lambda_star(kern, params, bracket, seed=0)
     searched = len(calls)
-    monkeypatch.setattr(bifurcation, "lambda_lower_bound",
-                        lambda *args, **kwargs: None)
+    monkeypatch.setattr(bifurcation, "_lower_bound_and_mu",
+                        lambda *args, **kwargs: (None, None))
     calls.clear()
     without = estimate_lambda_star(kern, params, bracket, seed=0)
     on, off = with_bound.method_record, without.method_record
@@ -234,8 +234,9 @@ def test_estimate_warns_when_lambda_star_h_lies_below_the_bound(
     # only the bound check sees the contradiction; the one converged
     # attempt, from hi = 9, is refused and not repeated
     kern, params = coarse_problem
-    monkeypatch.setattr(bifurcation, "lambda_lower_bound",
-                        lambda *args, **kwargs: 6.46)
+    certificate = bifurcation._lower_bound_and_mu
+    monkeypatch.setattr(bifurcation, "_lower_bound_and_mu",
+                        lambda *args: (6.46, certificate(*args)[1]))
     rec = estimate_lambda_star(kern, params, (5.0, 9.0), seed=0).method_record
     assert rec["bisection_bracket"] == (6.4375, 6.46875)
     assert rec["fold_estimate"] == pytest.approx(6.4591688477, abs=1e-10)
@@ -406,8 +407,8 @@ def test_estimate_expands_the_bracket_on_both_sides(monkeypatch, bracket,
         return folding(kern, params, *args, **kwargs)
 
     # with no bound every predicate searches, so each one is logged
-    monkeypatch.setattr(bifurcation, "lambda_lower_bound",
-                        lambda *args, **kwargs: None)
+    monkeypatch.setattr(bifurcation, "_lower_bound_and_mu",
+                        lambda *args, **kwargs: (None, None))
     monkeypatch.setattr(bifurcation, "_find_minimizer", logged)
     monkeypatch.setattr(bifurcation, "solve_fold", logged_fold)
     rec = estimate_lambda_star(kern, params, bracket, seed=0).method_record

@@ -343,6 +343,28 @@ def test_bifurcation_notes_an_unconverged_saddle(tmp_path, outdir, capsys):
     assert row["converged"] == "0"
 
 
+def test_lambda_whose_sign_threshold_overflows_is_a_config_error(
+        tmp_path, outdir, capsys):
+    # lam^(-1/(q-r)) = 1e400 is no float: the starts cannot be scaled
+    cfg = write_config(tmp_path / "run.cfg", p=1.2, s=0.4, q=1.15, r=1.1,
+                       **{"lambda": 1e-20, "mesh.n": 16})
+    code = main(["solve", "--config", cfg, "--out", outdir])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "lam=1e-20" in err and "overflows" in err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_solve_at_lambda_zero_exits_three(tmp_path, outdir, capsys):
+    # zero is the only solution at lambda = 0, and every descent ends
+    # there at once, without dividing by the zero Hessian of u = 0
+    cfg = write_config(tmp_path / "run.cfg", **{"mesh.n": 32})
+    code = main(["solve", "--config", cfg, "--out", outdir, "--lambda", "0"])
+    assert code == 3
+    assert "no nontrivial solution" in capsys.readouterr().out
+
+
 def test_lambda_flag_overrides_file(tmp_path, outdir, capsys):
     cfg = write_config(tmp_path / "run.cfg", **{"lambda": 8.0, "mesh.n": 32})
     code = main(["solve", "--config", cfg, "--out", outdir,

@@ -265,14 +265,12 @@ def test_pairwise_energy_matches_dense_double_sum(p, n, toeplitz):
     U[1, :n // 2] = U[1, -1]           # a long run of ties
     U[2, :] = 0.0
     U[2, n // 3] = -0.75
-    energies, grads = pairwise_energy(kern, U, p, gradient=True)
-    assert np.array_equal(energies, pairwise_energy(kern, U, p))
-    for u, e, g in zip(U, energies, grads):
+    for u in U:
+        e, g = pairwise_energy(kern, u, p, gradient=True)
+        # the energy alone gets the fused energy's bits
+        assert pairwise_energy(kern, u, p) == e
         ref = dense_energy_oracle(kern.K, kern.T, u, p)
         assert e == pytest.approx(ref, rel=1e-13, abs=1e-300)
-        e1, g1 = pairwise_energy(kern, u, p, gradient=True)
-        # a batch row is evaluated exactly as the single vector
-        assert e1 == e and np.array_equal(g1, g)
         op = dense_operator_oracle(kern.K, kern.T, u, p)
         scale = max(1.0, float(np.max(np.abs(op))))
         assert np.max(np.abs(g - op)) <= 1e-12 * scale
@@ -289,22 +287,16 @@ def test_pairwise_energy_matches_dense_double_sum(p, n, toeplitz):
 @pytest.mark.parametrize("n", [64, 127, 129, 1030])
 @pytest.mark.parametrize("p", [1.3, 3.0])
 def test_pairwise_energy_blocks_cover_every_pair(p, n):
-    # at n = 129 and 1030 the last block of rows of K is partial, at
-    # n = 64 a block stacks four batch rows (so 41 rows end on a partial
-    # stack) and at n = 127 one block holds all of K; a batch of 1, 3 or
-    # 41 rows is evaluated exactly as its rows are alone, and the rows
-    # agree with the dense double sum
+    # at n = 129 and 1030 the last block of rows of K is partial (127 +
+    # 2 rows, 68 x 15 + 10), and at n = 64 and 127 one block holds all
+    # of K; every vector agrees with the dense double sum, and its
+    # energy alone gets the fused energy's bits
     rng = np.random.default_rng(n)
     kern = oracle_kernel(n, rng, toeplitz=False)
-    U = np.vstack([oracle_values(n, rng) for _ in range(41)])
-    alone = [pairwise_energy(kern, u, p, gradient=True) for u in U]
-    for rows in (1, 3, 41):
-        energies, grads = pairwise_energy(kern, U[:rows], p, gradient=True)
-        assert np.array_equal(energies, pairwise_energy(kern, U[:rows], p))
-        for k in range(rows):
-            assert energies[k] == alone[k][0]
-            assert np.array_equal(grads[k], alone[k][1])
-    for u, (e, g) in zip(U[::20], alone[::20]):
+    for _ in range(3):
+        u = oracle_values(n, rng)
+        e, g = pairwise_energy(kern, u, p, gradient=True)
+        assert pairwise_energy(kern, u, p) == e
         ref = dense_energy_oracle(kern.K, kern.T, u, p)
         assert e == pytest.approx(ref, rel=1e-13, abs=1e-300)
         op = dense_operator_oracle(kern.K, kern.T, u, p)
@@ -313,23 +305,23 @@ def test_pairwise_energy_blocks_cover_every_pair(p, n):
 
 
 def test_pairwise_energy_rejects_wrong_shapes():
+    # one vector of n values only: a stack of them, (2, n), is no batch
     kern = KernelMatrix.from_sigma(build_mesh(-1.0, 1.0, 6), 0.5)
-    for bad in (np.zeros(5), np.zeros((2, 5)), np.zeros((2, 2, 6))):
-        with pytest.raises(MeshMismatchError):
-            pairwise_energy(kern, bad, 2.0)
-    with pytest.raises(MeshMismatchError):
-        seminorm_energy(kern, np.zeros((2, 6)), 2.0)
+    for bad in (np.zeros(5), np.zeros((2, 5)), np.zeros((2, 6)),
+                np.zeros((2, 2, 6)), np.zeros((1, 6)), np.float64(0.0)):
+        for sums in (pairwise_energy, seminorm_energy, apply_operator,
+                     seminorm_energy_and_operator):
+            with pytest.raises(MeshMismatchError):
+                sums(kern, bad, 2.0)
 
 
 def test_operator_working_set_is_bounded():
-    # the dense form allocated several n x n arrays (8 MB each at this
-    # n), and the energy of a batch of 41 rows several 41 x n x n ones
+    # the dense form allocated several n x n arrays (8 MB each at this n)
     n = 1024
     kern = KernelMatrix.from_sigma(build_mesh(-1.0, 1.0, n), 0.9)
     u = np.cos(0.5 * np.pi * kern.mesh.nodes)
-    U = np.outer(np.linspace(0.0, 2.0, 41), u)
     for evaluate in (lambda: apply_operator(kern, u, 2.5),
-                     lambda: pairwise_energy(kern, U, 2.5)):
+                     lambda: seminorm_energy(kern, u, 2.5)):
         tracemalloc.start()
         try:
             evaluate()

@@ -68,6 +68,11 @@ def test_sign_threshold():
                                 "lambda": 0.0})
     with pytest.raises(ParameterError):
         sign_threshold_delta(zero_lam)
+    # lam^(-1/(q-r)) = 1e400 overflows a float
+    tiny = validate_params({"p": 1.2, "s": 0.4, "q": 1.15, "r": 1.1,
+                            "lambda": 1e-20})
+    with pytest.raises(ParameterError, match="overflows"):
+        sign_threshold_delta(tiny)
 
 
 def test_reaction_slack_scan_sign():

@@ -14,9 +14,8 @@ from fracbif import (KernelMatrix, MeshMismatchError, MountainPassPath,
                      validate_params, with_lambda)
 from fracbif import solvers
 from fracbif.reaction import F_values, f_values
-from fracbif.solvers import (STALL_WINDOW, _batch_energy, _damped_newton,
-                             _descend, _eigen_jacobian, _eigen_newton,
-                             default_starts)
+from fracbif.solvers import (STALL_WINDOW, _damped_newton, _descend,
+                             _eigen_jacobian, _eigen_newton, default_starts)
 
 
 def make_params(p, lam=2.0):
@@ -789,25 +788,8 @@ def test_find_saddle_returns_path(small_problem, small_big_solution):
     # the Newton finish updates only the maximal point's energy; every
     # row must still carry the energy of the point it belongs to
     model = ReactionModel.plain(params)
-    assert np.array_equal(path.energies, _batch_energy(kern, model, path.points))
-
-
-@pytest.mark.parametrize("p", [3.0, 1.3])
-@pytest.mark.parametrize("n", [31, 32, 129])
-def test_batch_energy_is_total_energy_row_by_row(n, p):
-    # _mountain_pass puts total_energy of a finished point among the
-    # path's batch energies and compares it with the endpoints' batch
-    # energies, so a row must get exactly the energy it gets alone
-    params = make_params(p, lam=12.5)
-    full = assemble_kernel(build_mesh(-1.0, 1.0, n), params)
-    rng = np.random.default_rng(n)
-    model = ReactionModel.plain(params)
-    for kern in (full, full.fold()):
-        Z = rng.uniform(-0.2, 1.5, (41, kern.n))
-        Z[0] = 0.0
-        energies = _batch_energy(kern, model, Z)
-        for z, e in zip(Z, energies):
-            assert e == total_energy(kern, model, z)
+    assert np.array_equal(path.energies,
+                          [total_energy(kern, model, z) for z in path.points])
 
 
 def test_find_saddle_rejects_zero_ceiling(small_problem):
