@@ -100,7 +100,7 @@ def _point_diagnostics(params, bp):
 
 
 def solve_at_lambda(kern, params, warm_start=None, opts=None, seed=0,
-                    threads=1, with_saddle=True):
+                    threads=1):
     """Minimizer plus its saddle companion.
 
     The minimizer is the descent from warm_start when that ends
@@ -119,7 +119,7 @@ def solve_at_lambda(kern, params, warm_start=None, opts=None, seed=0,
     rep = _find_minimizer(kern, ReactionModel.plain(params), opts, warm_start,
                           seed=seed, threads=threads)
     bp = BranchPoint(lam=params.lam, u_big=rep)
-    if with_saddle and nontrivial(rep, opts.zero_tol):
+    if nontrivial(rep, opts.zero_tol):
         try:
             v = bp.v_saddle = find_saddle(kern, params, rep.solution.values,
                                           opts)
@@ -134,8 +134,7 @@ def solve_at_lambda(kern, params, warm_start=None, opts=None, seed=0,
     return bp
 
 
-def continue_branch(kern, params, lam_grid, opts=None, seed=0, threads=1,
-                    with_saddles=True):
+def continue_branch(kern, params, lam_grid, opts=None, seed=0, threads=1):
     """Trace the branch over a monotone grid, warm-starting downward.
 
     Returns a diagram of the points alone, in ascending lambda.  Each
@@ -156,8 +155,7 @@ def continue_branch(kern, params, lam_grid, opts=None, seed=0, threads=1,
     warm = None
     for lam in grid:
         bp = solve_at_lambda(kern, with_lambda(params, lam), warm_start=warm,
-                             opts=opts, seed=seed, threads=threads,
-                             with_saddle=with_saddles)
+                             opts=opts, seed=seed, threads=threads)
         warm = (bp.u_big.solution.values
                 if nontrivial(bp.u_big, opts.zero_tol) else None)
         points.append(bp)
@@ -399,12 +397,11 @@ def estimate_lambda_star(kern, params, bracket, opts=None, seed=0, threads=1):
 
 
 def build_diagram(kern, params, lam_grid, bracket, opts=None, seed=0,
-                  threads=1, with_saddles=True):
+                  threads=1):
     """Full diagram: estimate_lambda_star's threshold estimate and method
     record, with continue_branch's points on the grid."""
     diagram = estimate_lambda_star(kern, params, bracket, opts=opts, seed=seed,
                                    threads=threads)
     diagram.points = continue_branch(kern, params, lam_grid, opts=opts,
-                                     seed=seed, threads=threads,
-                                     with_saddles=with_saddles).points
+                                     seed=seed, threads=threads).points
     return diagram

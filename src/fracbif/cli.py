@@ -131,7 +131,7 @@ def cmd_solve(cfg, args, kernel_hook):
     rec = _record(cfg, "solve")
 
     bp = solve_at_lambda(kern, params, opts=opts, seed=cfg.seed,
-                         threads=cfg.threads, with_saddle=True)
+                         threads=cfg.threads)
     rec["diagnostics"] = bp.diagnostics
     saddle = bp.v_saddle if bp.saddle_note is None else None
     if bp.saddle_note:

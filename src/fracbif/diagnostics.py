@@ -15,6 +15,10 @@ from .core import ParameterError, odd_power
 from .kernel import PAIR_BUDGET, apply_operator, pairing, seminorm_energy
 from .solvers import total_energy, total_gradient
 
+MON_EXPONENTS = (1.0, 1.7, 2.4)  # the t of the mon-iii probes, cycled
+MON_TOL = 1e-12                  # slack of the mon-i and mon-iii checks
+FD_STEP = 1e-6                   # central-difference step of gradient_check
+
 
 def hopf_ratio(u, s):
     """min_i u_i / dist_i^s; positive iff u sits above a multiple of d^s."""
@@ -60,15 +64,15 @@ def check_ordering(u, v, s=None):
     return margin, weighted
 
 
-def verify_operator_properties(kern, p, trials=200, seed=0,
-                               exponents=(1.0, 1.7, 2.4), tol=1e-12):
+def verify_operator_properties(kern, p, trials=200, seed=0):
     """Monotonicity/positivity trials for the discrete operator.
 
-    For seeded random pairs (u, v) this checks, with slack `tol`:
+    For seeded random pairs (u, v) this checks, with slack MON_TOL:
 
     * pairing(A(u), u+) >= p * energy(u+), same with -u^- and u^-;
     * pairing(A(u) - A(v), (u - v)+) > 0 whenever (u - v)+ is nonzero;
-    * pairing(A(u) - A(v), odd_power(u - v, t + 1)) >= 0 for t >= 1.
+    * pairing(A(u) - A(v), odd_power(u - v, t + 1)) >= 0 for t >= 1,
+      t cycling through MON_EXPONENTS.
 
     Returns a dict of worst margins and an overall pass flag; with no
     trial there is nothing to pass, so trials < 1 raises ParameterError.
@@ -95,27 +99,27 @@ def verify_operator_properties(kern, p, trials=200, seed=0,
         if np.max(w) > 0.0:
             worst["mon-ii"] = min(worst["mon-ii"], pairing(Au - Av, w))
 
-        t = exponents[k % len(exponents)]
+        t = MON_EXPONENTS[k % len(MON_EXPONENTS)]
         probe = odd_power(u - v, t + 1.0)
         worst["mon-iii"] = min(worst["mon-iii"], pairing(Au - Av, probe))
-    checks = {"mon-i": worst["mon-i"] >= -tol,
+    checks = {"mon-i": worst["mon-i"] >= -MON_TOL,
               "mon-ii": worst["mon-ii"] > 1e-14,
-              "mon-iii": worst["mon-iii"] >= -tol}
+              "mon-iii": worst["mon-iii"] >= -MON_TOL}
     return {"worst": worst, "checks": checks,
             "passed": all(checks.values()),
             "failures": sorted(k for k, ok in checks.items() if not ok)}
 
 
-def gradient_check(kern, model, u, step=1e-6):
+def gradient_check(kern, model, u):
     """Max relative sup-error of the analytic gradient against central
-    differences of the total energy."""
+    differences, of step FD_STEP, of the total energy."""
     u = np.asarray(getattr(u, "values", u), dtype=float)
     g = total_gradient(kern, model, u)
     fd = np.empty_like(g)
     for i in range(len(u)):
         bump = np.zeros_like(u)
-        bump[i] = step
+        bump[i] = FD_STEP
         fd[i] = (total_energy(kern, model, u + bump)
-                 - total_energy(kern, model, u - bump)) / (2.0 * step)
+                 - total_energy(kern, model, u - bump)) / (2.0 * FD_STEP)
     denom = max(float(np.max(np.abs(g))), 1e-300)
     return float(np.max(np.abs(fd - g))) / denom

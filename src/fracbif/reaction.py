@@ -10,6 +10,8 @@ import numpy as np
 
 from .core import ParameterError, curvature_power
 
+SLACK_SAMPLES = 100_000     # grid points of scan_reaction_slack
+
 
 @dataclass(frozen=True)
 class ReactionModel:
@@ -68,8 +70,8 @@ def sign_threshold_delta(params):
             "overflows a float" % params.lam) from None
 
 
-def scan_reaction_slack(params, eps, t_max=100.0, samples=100_000):
+def scan_reaction_slack(params, eps, t_max=100.0):
     """max over a dense t-grid of f(t) - eps*t^(p-1); <= 0 certifies the bound."""
-    t = np.linspace(0.0, float(t_max), int(samples))
+    t = np.linspace(0.0, float(t_max), SLACK_SAMPLES)
     slack = _plain_f(params, t) - eps * t ** (params.p - 1.0)
     return float(np.max(slack))

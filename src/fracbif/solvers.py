@@ -20,16 +20,17 @@ has t- <= max u <= t+, each bound a root of f(t) / t^(p-1) = c for a
 constant c of the kernel (a Picone constant, and min 2 T / mass): a
 descent that enters the box max u < t- ends at zero (_descend), and
 minimize_multistart scales its starts down to peak at most t+
-(_amplitude_ceiling).  principal_eigenpair takes damped Newton steps on
-the bordered eigen system (the eigen equation plus the normalization,
-solved for the eigenfunction and the eigenvalue together with the exact
-Hessian of the operator) from its first iterate, each accepted only if
-the residual falls, and gives up once no step lowers it
-or the residual has stopped moving.  solve_fold finds the turning point
-of the minimizer branch, where the Hessian turns singular, by the same
-damped Newton loop on the extended system of the minimizer, the null
-vector of its Hessian and lambda.  find_saddle runs a mountain-pass
-search between the zero function and a known minimizer u_big, on the
+(_amplitude_ceiling), to zero where zero is the only critical point.
+principal_eigenpair takes damped Newton steps on the bordered eigen
+system (the eigen equation plus the normalization, solved for the
+eigenfunction and the eigenvalue together with the exact Hessian of the
+operator) from its first iterate, each accepted only if the residual
+falls, and gives up once no step lowers it or the residual has stopped
+moving.  solve_fold finds the turning point of the minimizer branch,
+where the Hessian turns singular, by the same damped Newton loop on the
+extended system of the minimizer, the null vector of its Hessian and
+lambda.  find_saddle runs a mountain-pass search between the zero
+function and a known minimizer u_big, on the
 energy restricted to the box 0 <= z <= u_big: the maximal-energy point
 of a piecewise-linear path is pushed downhill, each step projected onto
 the box, with the path redistributed at fixed arclength fractions,
@@ -44,13 +45,12 @@ S^(1/p) between the two points it is interpolated from.  Each bound is
 widened by 1e-12 of |S| + |sum mass F|, far above the rounding of S and
 of the interpolated points, so the search picks the same point, with
 the same bits of its energy, as the energies of the whole path would
-(_mountain_pass).  The maximal point alone
-then takes damped min-max Newton steps on the exact Hessian
-(total_hessian), and the result counts if it converges to a point of
-Morse index one.  Otherwise the descent resumes from where it stopped
-and the finish is tried again at its next stall.  The rest of the path
-stays where the descent left it.  The saddle search reads curvature from
-that Hessian alone.
+(_mountain_pass).  The maximal point alone then takes min-max Newton
+steps on the exact Hessian (total_hessian), the search's only source of
+curvature, by the damped Newton loop of the eigen and fold solves, and
+the result counts if it converges to a point of Morse index one.
+Otherwise the descent resumes from where it stopped, and the finish is
+tried again at its next stall; the rest of the path stays put.
 
 The solutions sought are even under the mirror map of the interval, so
 every solver works in the even subspace: it folds the kernel
@@ -87,9 +87,10 @@ class SaddleNotFound(SolverError):
     """Raised when the mountain-pass path crosses no barrier."""
 
 
-NEWTON_HALVINGS = 8     # step lengths t, t/2, ... an eigen Newton step may try
-STALL_WINDOW = 20       # eigen Newton steps over which the residual must fall
-STALL_DECREASE = 5e-3   # by this fraction, or the eigen iteration gives up
+NEWTON_HALVINGS = 8     # step lengths an eigen or fold Newton step may try
+SADDLE_HALVINGS = 30    # step lengths a min-max Newton step may try
+STALL_WINDOW = 20       # Newton steps over which the residual must fall
+STALL_DECREASE = 5e-3   # by this fraction, or the Newton iteration gives up
 SADDLE_ROUNDS = 60      # min-max Newton steps the saddle finish may take
 ARMIJO = 1e-4           # sufficient-decrease fraction of every line search
 BACKTRACK = 0.5         # step shrink factor while backtracking
@@ -428,6 +429,9 @@ def default_starts(mesh, params, count, seed):
     rng = np.random.default_rng(seed)
     base = (mesh.dist / np.max(mesh.dist)) ** params.s
     scale = sign_threshold_delta(params) if params.lam > 0.0 else 1.0
+    if not scale * 10.0 ** 2.5 * 1.2 < np.inf:     # 1.2: the largest jitter
+        raise ParameterError("lam=%g is too small: the largest start, 10^2.5 "
+                             "lam^(-1/(q-r)), overflows a float" % params.lam)
     amps = scale * np.logspace(-0.5, 2.5, count)
     starts = []
     for amp in amps:
@@ -481,8 +485,8 @@ def _zero_floor(params, mu):
 
 def _amplitude_ceiling(kern, params):
     """t+, above which no critical point u >= 0 of the energy on kern
-    (full or folded) peaks, or None where every critical point is zero
-    or K has a negative entry.
+    (full or folded) peaks: 0.0 where zero is the only one, and None
+    where no bound is known.
 
     With c = min_i 2 T_i / mass_i: at a node i where u is largest every
     pair term K_ij (u_i - u_j)^(p-1) of A(u)_i is >= 0, so
@@ -490,19 +494,24 @@ def _amplitude_ceiling(kern, params):
     mass_i u_i^(p-1) (c - h(u_i)).  A critical point, g_i = 0, so has
     h(u_i) >= c, that is max u <= t+, the larger root of h = c.  It lies in
     [t*, (lam / c)^(1/(p-q))], as h(t) < lam t^(q-p), and bisection
-    returns the upper end of that bracket, at or above the root.  None
-    at lam = 0 or c <= 0, where the root does not exist, where
-    max h = h(t*) < c, where no nontrivial critical point exists, and
-    where the bracket's ends underflow or overflow a float.  On a
+    returns the upper end of that bracket, at or above the root.  0.0
+    where max h = h(t*) = (q-r)/(p-q) (lam (p-q)/(p-r))^((p-r)/(q-r)),
+    compared in logs so that no lam overflows it, is below c.  None at
+    lam = 0, where K has a negative entry or c <= 0, and where the
+    bracket's ends underflow or overflow a float.  On a
     folded kernel T and mass are both doubled (neither at an odd mesh's
     middle node), so c is the full kernel's.
     """
     c = float(np.min(2.0 * kern.T / kern.mass))
     if not (params.lam > 0.0 and c > 0.0 and np.all(kern.K >= 0.0)):
         return None
+    p, q, r = params.p, params.q, params.r
+    if (np.log((q - r) / (p - q)) + (p - r) / (q - r) * (
+            np.log(params.lam) + np.log((p - q) / (p - r)))) < np.log(c):
+        return 0.0      # max h < c: zero is the only critical point
     try:
         peak = _ratio_peak(params)
-        far = (params.lam / c) ** (1.0 / (params.p - params.q))
+        far = (params.lam / c) ** (1.0 / (p - q))
     except OverflowError:
         return None
     if not peak > 0.0 or _ratio(params, peak) < c:
@@ -571,20 +580,19 @@ def principal_eigenpair(kern, p, opts=None):
     eigenfunction with sum mass |u|^p = 1, and the sup-norm of the
     eigen-equation residual.
 
-    Each step solves the system once.  Its first trial length is
-    t = min(1, |u| / |d|) for the Newton direction d, so no trial is
-    longer than the iterate, and it tries up to NEWTON_HALVINGS lengths
-    t, t/2, t/4, ...; a trial is accepted only if the residual falls.
-    iterations counts the accepted steps.  Gives up, with
-    converged=False, when the system is singular, when no trial is
-    accepted, or when the residual has fallen by less than the fraction
-    STALL_DECREASE over the last STALL_WINDOW steps (for p near 1 the
-    linear model misses the kink of the operator near the flat top of
-    the eigenfunction, and the residual can stop short of tol, or crawl
-    towards a plateau above it).  The iteration runs in the even subspace
-    from (d / max d)^(sigma/p), d the distance to the boundary; the value
-    and the residual of the result are measured on kern, after the folded
-    kernel is released.
+    Each step (_damped_newton) solves the system once, caps the Newton
+    step at the iterate's length (_capped) and tries up to
+    NEWTON_HALVINGS lengths 1, 1/2, 1/4, ... of that; a trial is
+    accepted only if the residual falls, and iterations counts the
+    accepted steps.  Gives up, with converged=False, when the system is
+    singular, when no trial is accepted, or when the residual has fallen
+    by less than the fraction STALL_DECREASE over the last STALL_WINDOW
+    steps (for p near 1 the linear model misses the kink of the operator
+    near the flat top of the eigenfunction, and the residual can stop
+    short of tol, or crawl towards a plateau above it).  The iteration
+    runs in the even subspace from (d / max d)^(sigma/p), d the distance
+    to the boundary; the value and the residual of the result are
+    measured on kern, after the folded kernel is released.
     """
     opts = opts or SolverOptions()
     u = (kern.mesh.dist / np.max(kern.mesh.dist)) ** (kern.sigma / p)
@@ -598,30 +606,29 @@ def principal_eigenpair(kern, p, opts=None):
                        converged=residual <= opts.tol * max(1.0, R))
 
 
-def _damped_newton(point, direction, x, opts):
-    """Damped Newton iteration on a bordered system, shared by the eigen
-    and fold solves.
+def _damped_newton(point, direction, x, max_iter, trials):
+    """Damped Newton iteration, shared by the eigen, fold and saddle
+    solves.
 
     point(x) returns the state of an iterate x, a tuple whose first
     three entries are the admissible point that x stands for, its
     residual and the residual target; direction(state) returns the
-    Newton direction there, and raises LinAlgError where the system is
-    singular.  Each step solves the system once.  Its first trial length
-    is t = min(1, |x| / |d|) for the direction d, so no trial is longer
-    than the iterate, and it tries up to NEWTON_HALVINGS lengths t, t/2,
-    t/4, ...; a trial is accepted only if its residual is below the
-    current one, so a trial with a non-finite residual never is.  Stops
-    at the target, at once when the start's residual is not finite
-    (point may then return those three entries alone), when the system
-    is singular, when no trial is accepted, when the residual has fallen
-    by less than the fraction STALL_DECREASE over the last STALL_WINDOW
-    steps, or after opts.max_iter steps.  Returns the last state and the
-    number of accepted steps.
+    Newton direction d there, and raises LinAlgError where the system is
+    singular.  Each step solves the system once and tries up to trials
+    lengths 1, 1/2, 1/4, ... of d, the full step first (a cap on its
+    length is the caller's, in d: _capped); a trial is accepted only if
+    its residual is below the current one, so a trial with a non-finite
+    residual never is.  Stops at the target, at once when the start's
+    residual is not finite (point may then return those three entries
+    alone), when the system is singular, when no trial is accepted, when
+    the residual has fallen by less than the fraction STALL_DECREASE
+    over the last STALL_WINDOW steps, or after max_iter steps.  Returns
+    the last state and the number of accepted steps.
     """
     state = point(x)
     iterations = 0
     history = [state[1]]
-    while iterations < opts.max_iter and state[2] < state[1] < np.inf:
+    while iterations < max_iter and state[2] < state[1] < np.inf:
         if (iterations >= STALL_WINDOW and state[1]
                 > (1.0 - STALL_DECREASE) * history[-1 - STALL_WINDOW]):
             break       # the residual has stopped moving
@@ -630,9 +637,8 @@ def _damped_newton(point, direction, x, opts):
         except np.linalg.LinAlgError:
             break
         x = state[0]
-        nx, nd = float(np.linalg.norm(x)), float(np.linalg.norm(d))
-        t = 1.0 if nd <= nx else nx / nd
-        for _half in range(NEWTON_HALVINGS):
+        t = 1.0
+        for _half in range(trials):
             trial = point(x + t * d)
             if trial[1] < state[1]:
                 break
@@ -643,6 +649,12 @@ def _damped_newton(point, direction, x, opts):
         iterations += 1
         history.append(state[1])
     return state, iterations
+
+
+def _capped(d, x):
+    """d scaled down, where it is longer, to the length of x."""
+    nx, nd = float(np.linalg.norm(x)), float(np.linalg.norm(d))
+    return d if nd <= nx else d * (nx / nd)
 
 
 def _eigen_newton(kern, p, u, opts):
@@ -669,10 +681,11 @@ def _eigen_newton(kern, p, u, opts):
     def direction(state):
         # v has unit mass, so the normalization row of F is zero
         v, _, _, R, rvec = state
-        return np.linalg.solve(_eigen_jacobian(kern, p, v, R),
-                               -np.append(rvec, 0.0))[:-1]
+        return _capped(np.linalg.solve(_eigen_jacobian(kern, p, v, R),
+                                       -np.append(rvec, 0.0))[:-1], v)
 
-    state, iterations = _damped_newton(point, direction, u, opts)
+    state, iterations = _damped_newton(point, direction, u, opts.max_iter,
+                                       NEWTON_HALVINGS)
     return state[0], iterations
 
 
@@ -749,10 +762,11 @@ def solve_fold(kern, params, u, opts=None):
             w > 0.0, curvature_power(wp, q - 2.0, float(np.linalg.norm(w))),
             0.0) * phi
         J[-1, m:-1] = l
-        return np.linalg.solve(J, -F)
+        return _capped(np.linalg.solve(J, -F), x)
 
     state, iterations = _damped_newton(
-        point, direction, np.concatenate((w, l, [params.lam])), opts)
+        point, direction, np.concatenate((w, l, [params.lam])),
+        opts.max_iter, NEWTON_HALVINGS)
     x, residual = state[0], state[1]
     lam = float(x[-1])
     u = mirror_unfold(x[:m], kern.n)
@@ -1114,42 +1128,34 @@ def _morse_index(kern, model, v):
 
 
 def _newton_polish(kern, model, v, top, tol_scale, rounds):
-    """Damped min-max Newton steps toward a saddle of Morse index one
-    (Li & Zhou, SIAM J. Sci. Comput. 23, 2001).
+    """Min-max Newton steps toward a saddle of Morse index one (Li &
+    Zhou, SIAM J. Sci. Comput. 23, 2001), by _damped_newton.
 
-    Each step inverts the exact Hessian (total_hessian) through its
+    Each direction inverts the exact Hessian (total_hessian) through its
     eigendecomposition, with curvatures below 1e-9 of the largest
     dropped and every curvature taken by its modulus except the lowest,
     which is taken negative: the Newton step where the Hessian has
     exactly one negative eigenvalue, and elsewhere a climb of the lowest
-    mode and a descent of all the others.  Steps are projected onto the
-    search's box 0 <= z <= top, halved up to 30 times, and kept only
-    when the gradient sup-norm falls, so the iterate cannot leave the
-    basin it started in.  Stops once that residual is at most tol_scale
-    or after rounds steps; returns the point, its residual and the
-    number of steps taken.
+    mode and a descent of all the others.  Points are projected onto
+    the box 0 <= z <= top.  A step tries up to SADDLE_HALVINGS lengths,
+    the full one first and uncapped (fewer lengths, or the eigen solve's
+    cap, lose saddles the search finds otherwise), and is kept only when
+    the gradient sup-norm falls.  Stops at tol_scale or after rounds
+    steps; returns the point, its residual and the number of steps.
     """
-    g = total_gradient(kern, model, v)
-    res = _residual(kern, g)
-    steps = 0
-    while steps < rounds and res > tol_scale:
-        curv, Q = np.linalg.eigh(total_hessian(kern, model, v))
-        floor = 1e-9 * float(np.max(np.abs(curv)))
-        keep = np.abs(curv) > floor
+
+    def point(z):
+        z = _clip_box(z, top)
+        g = total_gradient(kern, model, z)
+        return z, _residual(kern, g), tol_scale, g
+
+    def direction(state):
+        z, _, _, g = state
+        curv, Q = np.linalg.eigh(total_hessian(kern, model, z))
+        keep = np.abs(curv) > 1e-9 * float(np.max(np.abs(curv)))
         curv = np.abs(curv)
         curv[0] = -curv[0]
-        coef = Q.T @ g
-        d = -(Q[:, keep] @ (coef[keep] / curv[keep]))
-        t = 1.0
-        for _half in range(30):
-            w = _clip_box(v + t * d, top)
-            gw = total_gradient(kern, model, w)
-            rw = _residual(kern, gw)
-            if rw < res:
-                v, g, res = w, gw, rw
-                break
-            t *= 0.5
-        else:
-            break
-        steps += 1
-    return v, res, steps
+        return -(Q[:, keep] @ ((Q.T @ g)[keep] / curv[keep]))
+
+    state, steps = _damped_newton(point, direction, v, rounds, SADDLE_HALVINGS)
+    return state[0], state[1], steps

@@ -34,7 +34,7 @@ from .diagnostics import gradient_check, verify_operator_properties
 from .kernel import KernelMatrix, apply_operator, pairing, seminorm_energy
 from .reaction import (ReactionModel, scan_reaction_slack,
                        sign_threshold_delta, f_values)
-from .solvers import SolverOptions, principal_eigenpair
+from .solvers import SolverOptions, _ratio_peak, principal_eigenpair
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _DECAY = 45.0          # e^-45 ~ 3e-20: relative truncation of exp tails
@@ -238,13 +238,12 @@ def run_verification(cfg, kernel_hook=None):
         lam_low, mu = _lower_bound_and_mu(kern, params, eig)
         if lam_low is None:
             return False, "no nonexistence certificate for this kernel"
-        p, q, r = params.p, params.q, params.r
         slack = []
         for lam in ((1.0 - 1e-6) * lam_low, 1.001 * lam_low):
             # the scan covers the maximiser of f(t) / t^(p-1)
-            t_star = ((p - r) / (lam * (p - q))) ** (1.0 / (q - r))
-            slack.append(scan_reaction_slack(with_lambda(params, lam), mu,
-                                             t_max=3.0 * t_star))
+            at = with_lambda(params, lam)
+            slack.append(scan_reaction_slack(at, mu,
+                                             t_max=3.0 * _ratio_peak(at)))
         return slack[0] <= 0.0 < slack[1], (
             "max f - mu t^(p-1) over scan = %.2e below lambda_low = %.6g, "
             "%.2e above (mu = %.6g)" % (slack[0], lam_low, slack[1], mu))

@@ -107,8 +107,7 @@ def test_02_energy_gradient_matches_finite_differences():
 def test_03_operator_monotonicity_properties(problem200):
     with criterion("03 operator monotonicity on 200 seeded pairs"):
         kern, params = problem200
-        out = verify_operator_properties(kern, params.p, trials=200, seed=0,
-                                         tol=1e-12)
+        out = verify_operator_properties(kern, params.p, trials=200, seed=0)
         assert out["passed"], out["failures"]
         assert out["worst"]["mon-i"] >= -1e-12
         assert out["worst"]["mon-ii"] > 1e-14

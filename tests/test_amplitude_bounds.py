@@ -89,20 +89,23 @@ def test_ceiling_is_none_where_no_bound_holds():
     kern, params = problem(DEMO, 12.5, 32)
     assert _amplitude_ceiling(kern, with_lambda(params, 0.0)) is None
     # max h = 17.0 at lambda = 12.5 scales like lambda^1.5, below
-    # c = 4.45 at lambda = 0.5: no nontrivial critical point there
-    assert _amplitude_ceiling(kern, with_lambda(params, 0.5)) is None
+    # c = 4.45 at lambda = 0.5: zero is the only critical point there
+    assert _amplitude_ceiling(kern, with_lambda(params, 0.5)) == 0.0
     K = kern.K.copy()
     K[0, 1] = K[1, 0] = -K[0, 1]        # a negative pair weight
     assert _amplitude_ceiling(KernelMatrix(K, kern.T, kern.sigma, kern.mesh),
                               params) is None
     no_tail = KernelMatrix(kern.K, 0.0 * kern.T, kern.sigma, kern.mesh)
     assert _amplitude_ceiling(no_tail, params) is None
-    # at r = 1.1, t* = (2 / lambda)^20 underflows to 0 at lambda = 1e30
-    # and overflows at 5e-16; at r = 1.01, (lambda / c)^20, the
-    # bracket's upper end, overflows
-    for r, lam in ((1.1, 1e30), (1.1, 5e-16), (1.01, 1e17)):
+    # at r = 1.1, t* = (2 / lambda)^20 underflows to 0 at lambda = 1e30;
+    # at r = 1.01, (lambda / c)^20, the bracket's upper end, overflows
+    for r, lam in ((1.1, 1e30), (1.01, 1e17)):
         kern, params = problem((1.2, 0.4, 1.15, r), lam, 32)
         assert _amplitude_ceiling(kern, params) is None
+    # t* overflows at 5e-16, but max h = h(t*), taken in logs, is far
+    # below c there: zero is the only critical point
+    kern, params = problem((1.2, 0.4, 1.15, 1.1), 5e-16, 32)
+    assert _amplitude_ceiling(kern, params) == 0.0
 
 
 @pytest.mark.parametrize("exps,lam", LEMMA_SETS)

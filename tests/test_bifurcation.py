@@ -483,8 +483,7 @@ def test_solve_at_lambda_supercritical(small_problem, small_big_solution):
 def test_solve_at_lambda_warm_start(small_problem, small_big_solution):
     kern, params = small_problem
     u = small_big_solution.solution.values
-    bp = solve_at_lambda(kern, params, warm_start=u, with_saddle=False,
-                         seed=0)
+    bp = solve_at_lambda(kern, params, warm_start=u, seed=0)
     assert float(np.max(np.abs(bp.u_big.solution.values - u))) <= 1e-9
     assert bp.u_big.iterations <= small_big_solution.iterations
 
@@ -494,16 +493,14 @@ def test_solve_at_lambda_searches_where_the_warm_start_collapses(
     # a warm start from zero ends at zero; the multistart then finds the
     # minimizer a cold solve finds
     kern, params = small_problem
-    bp = solve_at_lambda(kern, params, warm_start=np.zeros(kern.n),
-                         with_saddle=False, seed=0)
+    bp = solve_at_lambda(kern, params, warm_start=np.zeros(kern.n), seed=0)
     assert bp.u_big.energy == small_big_solution.energy
 
 
 def test_continue_branch_finds_fold(coarse_problem):
     kern, params = coarse_problem
     grid = np.linspace(4.0, 9.0, 6)
-    diagram = continue_branch(kern, params, grid, seed=0,
-                              with_saddles=False)
+    diagram = continue_branch(kern, params, grid, seed=0)
     lams = [bp.lam for bp in diagram.points]
     assert lams == sorted(lams)
     sups = np.array([bp.diagnostics["sup_u"] for bp in diagram.points])
@@ -530,15 +527,13 @@ def test_build_diagram_merges_estimate_and_branch(coarse_problem,
                                                   coarse_estimate):
     kern, params = coarse_problem
     grid = np.linspace(7.5, 9.0, 3)
-    d1 = build_diagram(kern, params, grid, (5.0, 9.0), seed=0,
-                       with_saddles=False)
+    d1 = build_diagram(kern, params, grid, (5.0, 9.0), seed=0)
     assert d1.lambda_star_estimate == coarse_estimate.lambda_star_estimate
     assert len(d1.points) == 3
     # the estimate's record as it is, with nothing of the grid's
     assert d1.method_record == coarse_estimate.method_record
     assert all(bp.diagnostics["sup_u"] > 0 for bp in d1.points)
-    d2 = build_diagram(kern, params, grid, (5.0, 9.0), seed=0,
-                       with_saddles=False)
+    d2 = build_diagram(kern, params, grid, (5.0, 9.0), seed=0)
     assert d2.lambda_star_estimate == d1.lambda_star_estimate
     assert [b.u_big.energy for b in d2.points] == \
         [b.u_big.energy for b in d1.points]

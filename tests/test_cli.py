@@ -356,6 +356,33 @@ def test_lambda_whose_sign_threshold_overflows_is_a_config_error(
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_lambda_whose_largest_start_overflows_is_a_config_error(
+        tmp_path, outdir, capsys):
+    # delta = lam^(-1/(q-r)) = 1e306 is a float, but 10^2.5 delta is not
+    cfg = write_config(tmp_path / "run.cfg", p=1.2, s=0.4, q=1.15, r=1.1,
+                       **{"lambda": 5e-16, "mesh.n": 16})
+    code = main(["solve", "--config", cfg, "--out", outdir])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "lam=5e-16" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("lam", [1e-15, 1e-10, 0.01])
+def test_solve_far_below_lambda_low_exits_three(tmp_path, outdir, capsys,
+                                                lam):
+    # max f(t) / t^(p-1) lies below the ceiling's constant c there, so
+    # every start is scaled to zero and no start is mistaken for a
+    # solution (sup u = 1.46e40 at lam = 0.01 without that)
+    cfg = write_config(tmp_path / "run.cfg", p=1.2, s=0.4, q=1.15, r=1.1,
+                       **{"lambda": lam, "mesh.n": 16})
+    code = main(["solve", "--config", cfg, "--out", outdir])
+    assert code == 3
+    assert "no nontrivial solution" in capsys.readouterr().out
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_solve_at_lambda_zero_exits_three(tmp_path, outdir, capsys):
     # zero is the only solution at lambda = 0, and every descent ends
     # there at once, without dividing by the zero Hessian of u = 0

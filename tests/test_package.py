@@ -2,6 +2,8 @@
 
 import ast
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,6 +11,7 @@ import pytest
 import fracbif
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 MODULES = sorted(p for p in Path(fracbif.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
 
@@ -36,6 +39,23 @@ def test_readme_python_api_names_exist():
     assert len(names) >= 20
     missing = [name for name in names if not _resolve(name)]
     assert not missing, "README names that fracbif lacks: %s" % missing
+
+
+def test_bench_wraps_every_layer_but_the_known_gaps():
+    # bench/layers.py times a layer by wrapping the function it names and
+    # reads 0 for a name the package lacks, so a renamed function would
+    # silently zero its layer; install patches the package, hence the
+    # subprocess.  The gaps are the harness's stale names.
+    code = ("import sys; sys.path[:0] = [%r, %r]\n"
+            "import layers\n"
+            "trace = layers.LayerTrace()\n"
+            "layers.install(trace)\n"
+            "print(' '.join(sorted(trace.absent)))"
+            % (str(BENCH), str(Path(fracbif.__file__).parents[1])))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert set(out.split()) == {"reaction", "solvers.climb",
+                                "solvers.path_batch"}
 
 
 def test_readme_names_every_verify_check():

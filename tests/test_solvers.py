@@ -14,8 +14,10 @@ from fracbif import (KernelMatrix, MeshMismatchError, MountainPassPath,
                      validate_params, with_lambda)
 from fracbif import solvers
 from fracbif.reaction import F_values, f_values
-from fracbif.solvers import (STALL_WINDOW, _damped_newton, _descend,
-                             _eigen_jacobian, _eigen_newton, default_starts)
+from fracbif.solvers import (NEWTON_HALVINGS, SADDLE_HALVINGS,
+                             SADDLE_ROUNDS, STALL_WINDOW, _capped,
+                             _damped_newton, _descend, _eigen_jacobian,
+                             _eigen_newton, default_starts)
 
 
 def make_params(p, lam=2.0):
@@ -520,8 +522,7 @@ def test_warm_start_converges_below_the_armijo_resolution():
                               "lambda": 8.0})
     kern = assemble_kernel(build_mesh(-1.0, 1.0, 32), params)
     grid = np.linspace(1.6, 0.4, 14) * 6.453125
-    trace = continue_branch(kern, params, grid[:3], seed=0,
-                            with_saddles=False)
+    trace = continue_branch(kern, params, grid[:3], seed=0)
     point = trace.points[0]
     assert point.lam == pytest.approx(9.1337, abs=1e-4)
     start = point.u_big
@@ -845,10 +846,34 @@ def test_damped_newton_never_accepts_an_inadmissible_trial(bad):
     def point(x):
         return x, float(abs(x[0] + 1.0)) if x[0] > 0.0 else bad, 1e-9
 
-    state, iterations = _damped_newton(point, lambda s: -(s[0] + 1.0),
-                                       np.array([1.0]), SolverOptions())
+    state, iterations = _damped_newton(
+        point, lambda s: _capped(-(s[0] + 1.0), s[0]), np.array([1.0]),
+        SolverOptions().max_iter, NEWTON_HALVINGS)
     assert 0.0 < state[0][0] < 1e-2
     assert STALL_WINDOW < iterations < 2 * STALL_WINDOW
+
+
+def test_saddle_finish_runs_on_the_shared_newton_loop(
+        monkeypatch, small_problem, small_big_solution, small_saddle):
+    # the min-max finish is _damped_newton with the saddle's trial count
+    # and budget, and its steps are not capped at the iterate's length
+    kern, params = small_problem
+    loops, capped = [], []
+    damped_newton = solvers._damped_newton
+
+    def recorded(point, direction, x, max_iter, trials):
+        loops.append((max_iter, trials))
+        return damped_newton(point, direction, x, max_iter, trials)
+
+    monkeypatch.setattr(solvers, "_damped_newton", recorded)
+    monkeypatch.setattr(solvers, "_capped",
+                        lambda d, x: capped.append(d) or d)
+    rep = find_saddle(kern, params, small_big_solution.solution.values)
+    assert loops and all(trials == SADDLE_HALVINGS
+                         and 0 < max_iter <= SADDLE_ROUNDS
+                         for max_iter, trials in loops)
+    assert not capped
+    assert np.array_equal(rep.solution.values, small_saddle.solution.values)
 
 
 def fold_from(exps, n, lam):
