@@ -20,8 +20,10 @@ def main():
     ap.add_argument("--n", type=int, default=16, help="mesh cells")
     args = ap.parse_args()
 
+    # the full n x n kernel: its rows run over every cell, not only the
+    # first half that the solvers' even kernel keeps
     mesh = build_mesh(-1.0, 1.0, args.n)
-    kern = KernelMatrix.from_sigma(mesh, args.sigma)
+    kern = KernelMatrix.full_from_sigma(mesh, args.sigma)
 
     print("kernel order sigma = %.3f on (-1, 1) with %d cells (h = %.4f)"
           % (args.sigma, args.n, mesh.h))
@@ -45,7 +47,8 @@ def main():
           % (mesh.dist[mid], kern.T[mid]))
     print()
 
-    wide = KernelMatrix.from_sigma(build_mesh(-2.0, 2.0, args.n), args.sigma)
+    wide = KernelMatrix.full_from_sigma(build_mesh(-2.0, 2.0, args.n),
+                                        args.sigma)
     factor = wide.K[0, 1] / kern.K[0, 1]
     print("stretching the domain by 2 scales every weight by "
           "2^(1-sigma) = %.6f (measured %.6f)"

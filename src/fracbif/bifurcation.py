@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ParameterError, with_lambda
+from .core import ParameterError, mirror_fold, with_lambda
 from .diagnostics import check_ordering, hopf_ratio
 from .kernel import apply_operator
 from .reaction import ReactionModel
@@ -165,7 +165,8 @@ def continue_branch(kern, params, lam_grid, opts=None, seed=0, threads=1):
 def _picone_mu(kern, phi, p):
     """mu = min_i A(phi)_i / (mass_i phi_i^(p-1)), the constant of the
     discrete Picone inequality for phi (see lambda_lower_bound), or None
-    for a phi with a node that is not positive.
+    for a phi with a node that is not positive.  phi has one value per
+    node of kern: on the even kernel, the first m of an even function.
     """
     # a node that is not positive (or whose power underflows) leaves a
     # zero here
@@ -180,11 +181,12 @@ def lambda_lower_bound(kern, params, opts=None, eigenpair=None):
     solution on kern, or None where no certificate is possible.
 
     Let phi > 0 be principal_eigenpair's eigenfunction on kern (or that
-    of the eigenpair given) and mu = min_i A(phi)_i / (mass_i
-    phi_i^(p-1)), with mass the node measure of KernelMatrix.mass.
-    For a symmetric kernel with K, T >= 0 the discrete Picone
-    inequality (Brasco and Franzina, Kodai Math. J. 37, 2014) gives,
-    for every u >= 0,
+    of the eigenpair given), folded onto the nodes of the even kernel,
+    and mu = min_i A(phi)_i / (mass_i phi_i^(p-1)), with mass the node
+    measure of KernelMatrix.mass.  For a kernel with K, T >= 0 (K is
+    symmetric by construction) the discrete Picone inequality (Brasco
+    and Franzina, Kodai Math. J. 37, 2014) gives, for every u >= 0 on
+    the nodes of kern,
 
         sum_i A(phi)_i u_i^p / phi_i^(p-1) <= pairing(A(u), u),
 
@@ -200,13 +202,18 @@ def lambda_lower_bound(kern, params, opts=None, eigenpair=None):
 
         lam >= lambda_low = (p-r)/(p-q) (mu (p-q)/(q-r))^((q-r)/(p-r)).
 
+    On the even kernel, the one the solvers take, the solutions are the
+    even ones, whose energy and operator the even kernel carries in full
+    (the identities in kernel): below lambda_low no nontrivial even
+    solution exists, so none that any solver looks for.
+
     This holds for any positive phi, converged or not, for p above and
     below 2; the nearer phi is to the eigenfunction, the nearer mu is
     to the eigenvalue and lambda_low to the threshold.  The value
     returned is shrunk by the relative margin BOUND_MARGIN, which covers
-    the rounding of mu.  None is returned for a kernel that is not
-    symmetric with K, T >= 0, for a phi with a node that is not
-    positive, and for mu <= 0.
+    the rounding of mu.  None is returned for a kernel without
+    K, T >= 0, for a phi with a node that is not positive, and for
+    mu <= 0.
     """
     if eigenpair is None:
         eigenpair = principal_eigenpair(kern, params.p, opts)
@@ -216,10 +223,10 @@ def lambda_lower_bound(kern, params, opts=None, eigenpair=None):
 def _lower_bound_and_mu(kern, params, eigenpair):
     """(lambda_low, mu): lambda_lower_bound for the eigenpair given and
     the Picone constant mu it rests on, or (None, None)."""
-    if not (np.array_equal(kern.K, kern.K.T) and np.all(kern.K >= 0.0)
-            and np.all(kern.T >= 0.0)):
+    if not (np.all(kern.K >= 0.0) and np.all(kern.T >= 0.0)):
         return None, None
-    mu = _picone_mu(kern, eigenpair.eigenfunction.values, params.p)
+    mu = _picone_mu(kern, mirror_fold(eigenpair.eigenfunction.values),
+                    params.p)
     if mu is None or not mu > 0.0:
         return None, None
     p, q, r = params.p, params.q, params.r

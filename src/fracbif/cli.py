@@ -8,8 +8,9 @@ flag overrides, flags win):
 * bifurcation  branch trace, threshold estimate, CSV/SVG/JSON artifacts
 * verify       self-contained numerical check suite
 
-Exit codes: 0 success, 1 config error, 2 solver failure, 3 only the
-zero solution exists, 4 verification failure.
+Exit codes: 0 success, 1 config error (a kernel that a hook broke
+included), 2 solver failure, 3 only the zero solution exists, 4
+verification failure.
 """
 
 import argparse
@@ -24,7 +25,7 @@ from .config import (ConfigError, config_hash, parse_config_file,
                      problem_params, require, resolve)
 from .core import MeshError, ParameterError, build_mesh
 from .diagnostics import boundary_ratios
-from .kernel import KernelMatrix
+from .kernel import KernelError, KernelMatrix
 from .output import (write_branch_csv, write_diagram_svg, write_eigen_csv,
                      write_kernel_csv, write_run_record, write_solution_csv)
 from .solvers import (SolverError, SolverOptions, nontrivial,
@@ -35,6 +36,12 @@ from .verify import run_verification
 def _make_kernel(mesh, sigma, hook):
     kern = KernelMatrix.from_sigma(mesh, sigma)
     return hook(kern) if hook is not None else kern
+
+
+def _dump_kernel(out, mesh, sigma, hook, meta):
+    """kernel.csv and kernel_tails.csv: the full n x n K and n tails."""
+    kern = KernelMatrix.full_from_sigma(mesh, sigma)
+    write_kernel_csv(out, hook(kern) if hook is not None else kern, meta)
 
 
 def _solver_options(cfg):
@@ -111,7 +118,7 @@ def cmd_eigen(cfg, args, kernel_hook):
     write_eigen_csv(os.path.join(out, "eigen.csv"), mesh,
                     eig.eigenfunction.values, meta)
     if args.dump_kernel:
-        write_kernel_csv(out, kern, meta)
+        _dump_kernel(out, mesh, kern.sigma, kernel_hook, meta)
     rec = _record(cfg, "eigen")
     rec.update(value=eig.value, residual=eig.residual,
                iterations=eig.iterations)
@@ -138,7 +145,7 @@ def cmd_solve(cfg, args, kernel_hook):
         rec["saddle_note"] = bp.saddle_note
 
     if args.dump_kernel:
-        write_kernel_csv(out, kern, meta)
+        _dump_kernel(out, mesh, kern.sigma, kernel_hook, meta)
     u = bp.u_big.solution.values
     if not nontrivial(bp.u_big, opts.zero_tol):
         write_solution_csv(os.path.join(out, "solution.csv"), mesh, params.s,
@@ -161,6 +168,8 @@ def cmd_solve(cfg, args, kernel_hook):
     if v is not None:
         line += "; saddle sup norm %.6g, energy %.6g" % (
             saddle.solution.sup_norm, saddle.energy)
+    else:
+        line += "; no saddle: %s" % bp.saddle_note
     print(line)
     return 0
 
@@ -182,7 +191,7 @@ def cmd_bifurcation(cfg, args, kernel_hook):
     write_branch_csv(os.path.join(out, "branch.csv"), diagram, meta)
     write_diagram_svg(os.path.join(out, "diagram.svg"), diagram, meta)
     if args.dump_kernel:
-        write_kernel_csv(out, kern, meta)
+        _dump_kernel(out, mesh, kern.sigma, kernel_hook, meta)
     rec = _record(cfg, "bifurcation")
     rec.update(lambda_star_estimate=diagram.lambda_star_estimate,
                bracket_width=diagram.bracket_width,
@@ -276,8 +285,12 @@ def main(argv=None, kernel_hook=None):
     """Run one subcommand; returns its exit code.
 
     kernel_hook, when given, receives every kernel the command assembles
-    and returns the one to use, so the checks can be pointed at a
-    deliberately corrupted kernel.
+    (the even kernel the solvers take, and the full one of --dump-kernel
+    and of verify's kernel and operator checks) and returns the one to
+    use, so the checks can be pointed at a deliberately corrupted
+    kernel.  A kernel it cannot build (KernelError: weights not square
+    or not symmetric, tails or mass of the wrong length) ends the run as
+    a config error.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -287,7 +300,7 @@ def main(argv=None, kernel_hook=None):
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 1
-    except (ParameterError, MeshError) as exc:
+    except (ParameterError, MeshError, KernelError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 1
     except SolverError as exc:

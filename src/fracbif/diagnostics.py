@@ -80,7 +80,7 @@ def verify_operator_properties(kern, p, trials=200, seed=0):
     if not trials >= 1:
         raise ParameterError("trials must be at least 1, got %r" % trials)
     rng = np.random.default_rng(seed)
-    n = kern.n
+    n = len(kern.T)
     worst = {"mon-i": np.inf, "mon-ii": np.inf, "mon-iii": np.inf}
     for k in range(trials):
         scale = 10.0 ** rng.uniform(-1.0, 1.0)

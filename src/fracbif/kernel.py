@@ -22,8 +22,8 @@ offsets and copied along the diagonals.  The diagonal vanishes: a
 function constant on a cell has no self-interaction.  Adjacent cells
 are fine because 1 + sigma < 2 keeps the pair integral convergent.
 
-The energy carried by a vector u of nodal values is, summed over all
-ordered pairs of the symmetric K,
+The energy carried by a vector u of nodal values, one for each node of
+the kernel, is, summed over all ordered pairs of the symmetric K,
 
     seminorm_energy(u) = (1/p) * [ sum_{i,j} K[i][j] |u_i-u_j|^p
                                    + 2 sum_i T[i] |u_i|^p ],
@@ -34,29 +34,39 @@ and apply_operator returns its exact gradient, the discrete operator
 
 with op the signed power.  pairing(A(u), u) = p * seminorm_energy(u)
 by p-homogeneity.  Both come from pairwise_energy, which walks K in
-dense blocks of whole rows against all n columns: row i of a block
+dense blocks of whole rows against all its columns: row i of a block
 gives A(u)_i directly, and every pair is visited twice, once from each
 end.  A block holds at most PAIR_BUDGET differences (128 KiB), whatever
-n is, and nothing is cached on the kernel.  operator_hessian, the dense
-Jacobian of A, is the one n x n exception.
+the size of K, and nothing is cached on the kernel.  operator_hessian,
+the dense Jacobian of A, is the one exception of the size of K.
 
 The solutions the solvers look for are even under the mirror map
 x -> a + b - x, which sends node i to node n-1-i, and a critical point
 of the energy restricted to even vectors is a critical point of the
-full energy (symmetric criticality, Palais 1979).  KernelMatrix.fold
-returns the kernel of that restriction on the first m = ceil(n/2)
-nodes: K'[i][j] = 2 (K[i][j] + K[i][n-1-j]) and T' = 2 T[:m], so that
-for the even unfolding U w of a half-mesh vector w
+full energy (symmetric criticality, Palais 1979).  KernelMatrix.from_sigma
+assembles the kernel of that restriction on the first m = ceil(n/2)
+nodes and nothing else: on the uniform mesh K[i][j] = k[|i-j|], so
+
+    K'[i][j] = 2 (K[i][j] + K[i][n-1-j]) = 2 (k[|i-j|] + k[n-1-i-j]),
+
+Toeplitz plus Hankel, with a zero diagonal, and T' = 2 T[:m].  For the
+even unfolding U w of a half-mesh vector w
 
     seminorm_energy(K', w) = seminorm_energy(K, U w),
     apply_operator(K', w) = (mass / h) apply_operator(K, U w)[:m],
 
-and every pairwise sum covers a quarter of the pairs.
+so the full-space energy, operator and residual of an even point come
+from the even kernel, whose pairwise sums cover a quarter of the pairs
+and whose m x m weights a quarter of the memory.  The middle node of an
+odd mesh is its own mirror: its pairs are not summed with their
+mirrors, and its tail and its mass are not doubled.
+KernelMatrix.full_from_sigma assembles the n x n kernel of the full
+space, for the checks that need vectors that are not even.
+
 KernelMatrix.mass, the measure of the full mesh that a node stands for,
-is h on an assembled kernel and 2h on a folded one.  The middle node of
-an odd mesh is its own mirror: its pairs are not summed with their
-mirrors, and its tail and its mass are not doubled.  The solvers weigh
-every reaction sum by mass, so a folded problem carries the full energy.
+is h on a full kernel and 2h on an even one (h at an odd mesh's middle
+node).  The solvers weigh every reaction sum by mass, so the even
+problem carries the full energy.
 """
 
 from dataclasses import dataclass
@@ -71,16 +81,66 @@ PAIR_BUDGET = 1 << 14
 
 
 class KernelError(ValueError):
-    """Raised for inadmissible kernel orders or non-uniform meshes."""
+    """Raised for inadmissible kernel orders, non-uniform meshes, and
+    weights of the wrong shape or without symmetry."""
+
+
+def _copies(n):
+    """How many nodes of an n-node mesh each even-subspace node stands
+    for: 2, and 1 at the middle node of an odd mesh."""
+    copies = np.full((n + 1) // 2, 2.0)
+    if n % 2:
+        copies[-1] = 1.0
+    return copies
+
+
+def _weights(mesh, sigma):
+    """sigma as a float, the first row k of the full K (K[i][j] =
+    k[|i-j|]) and the n tails T; KernelError for a sigma outside (0, 1)
+    or a mesh that is not uniform."""
+    sigma = float(sigma)
+    if not 0.0 < sigma < 1.0 - 1e-12:
+        raise KernelError(
+            "kernel order sigma must lie in (0, 1), got sigma=%g" % sigma)
+    edges = mesh.cell_edges
+    widths = np.diff(edges)
+    if not np.allclose(widths, widths[0], rtol=1e-12, atol=0.0):
+        raise KernelError("kernel assembly needs a uniform mesh")
+
+    def Q(t):
+        # second antiderivative of t^(-(1+sigma)), zero at 0
+        t = np.maximum(t, 0.0)
+        return t ** (1.0 - sigma) / (sigma * (1.0 - sigma))
+
+    n = mesh.n
+    # cells 0 and d: Q(t_d) - Q(t_{d-1}) - Q(t_{d+1}) + Q(t_d)
+    q = Q(edges - edges[0])
+    k = np.zeros(n)
+    k[1:] = 2.0 * q[1:n] - q[:n - 1] - q[2:]
+    lo = edges[:-1]
+    hi = edges[1:]
+    T = (Q(mesh.b - lo) - Q(mesh.b - hi)) + (Q(hi - mesh.a) - Q(lo - mesh.a))
+    return sigma, k, T
+
+
+def _toeplitz(k, size):
+    """K[i][j] = k[|i - j|] on size x size nodes, as a read-only view:
+    row i is a window of k mirrored about 0."""
+    mirrored = np.concatenate((k[size - 1:0:-1], k[:size]))
+    return np.lib.stride_tricks.sliding_window_view(mirrored, size)[::-1]
 
 
 @dataclass(frozen=True)
 class KernelMatrix:
     """Pairwise weights K (symmetric, zero diagonal), tails T, order sigma.
 
-    mass is the measure of the full mesh that each node stands for: the
-    cell width h at every node (the default), or on a folded kernel 2h,
-    and h at the middle node of an odd mesh.
+    The kernel of the even subspace (from_sigma) holds m = ceil(n/2)
+    nodes of the n-node mesh, the full kernel (full_from_sigma) all n;
+    mesh is the full mesh either way, so results unfold to n nodes.
+    mass is the measure of the full mesh that each node stands for: by
+    default h on a full kernel, and on an even one 2h, with h at the
+    middle node of an odd mesh.  K must be square and symmetric, with T
+    and mass of its size, n or m; KernelError otherwise.
     """
 
     K: np.ndarray
@@ -90,71 +150,61 @@ class KernelMatrix:
     mass: np.ndarray = None
 
     def __post_init__(self):
+        n = self.mesh.n
+        size = np.shape(self.T)
+        if size not in ((n,), ((n + 1) // 2,)):
+            raise KernelError(
+                "tails T of shape %r: need n=%d entries (full kernel) or "
+                "ceil(n/2)=%d (even kernel)" % (size, n, (n + 1) // 2))
+        if np.shape(self.K) != size * 2:
+            raise KernelError("weights K of shape %r with %d tails"
+                              % (np.shape(self.K), size[0]))
+        if not np.array_equal(self.K, self.K.T):
+            raise KernelError("weights K are not symmetric")
         if self.mass is None:
-            object.__setattr__(self, "mass", np.full(len(self.T), self.mesh.h))
+            mass = self.mesh.h * (_copies(n) if self.even else np.ones(n))
+            object.__setattr__(self, "mass", mass)
+        elif np.shape(self.mass) != size:
+            raise KernelError("mass of shape %r with %d tails"
+                              % (np.shape(self.mass), size[0]))
 
     @property
     def n(self):
+        """Nodes of the full mesh."""
         return self.mesh.n
 
-    def fold(self):
-        """Kernel of the even subspace on the first m = ceil(n/2) nodes.
-
-        K'[i][j] = 2 (K[i][j] + K[i][n-1-j]) with a zero diagonal,
-        T' = 2 T[:m] and mass 2h, so that the energy of a half-mesh
-        vector is the full energy of its even unfolding; for odd n the
-        middle node's pairs are not summed with their mirrors, and its
-        tail and mass are not doubled.  The mesh is the first m cells
-        of this one.  A new kernel on every call: nothing is cached on
-        this one.  A folded kernel (mass[0] != h) does not fold again.
-        """
-        if self.mass[0] != self.mesh.h:
-            raise KernelError("kernel is already folded")
-        n = self.n
-        m = (n + 1) // 2
-        K = self.K[:m, :m] + self.K[:m, ::-1][:, :m]
-        copies = np.full(m, 2.0)
-        if n % 2:
-            K[:, -1] = K[-1, :] = self.K[:m, m - 1]
-            copies[-1] = 1.0
-        np.fill_diagonal(K, 0.0)
-        K *= 2.0
-        mesh = self.mesh
-        half = Mesh1D(a=mesh.a, b=float(mesh.cell_edges[m]), n=m,
-                      cell_edges=mesh.cell_edges[:m + 1], nodes=mesh.nodes[:m],
-                      h=mesh.h, dist=mesh.dist[:m])
-        return KernelMatrix(K=K, T=copies * self.T[:m], sigma=self.sigma,
-                            mesh=half, mass=copies * self.mass[:m])
+    @property
+    def even(self):
+        """Whether this is the kernel of the even subspace."""
+        return len(self.T) < self.mesh.n
 
     @classmethod
     def from_sigma(cls, mesh, sigma):
-        """Assemble the weights for kernel |x-y|^(-(1+sigma)) on mesh."""
-        sigma = float(sigma)
-        if not 0.0 < sigma < 1.0 - 1e-12:
-            raise KernelError(
-                "kernel order sigma must lie in (0, 1), got sigma=%g" % sigma)
-        edges = mesh.cell_edges
-        widths = np.diff(edges)
-        if not np.allclose(widths, widths[0], rtol=1e-12, atol=0.0):
-            raise KernelError("kernel assembly needs a uniform mesh")
+        """Kernel |x-y|^(-(1+sigma)) of the even subspace on mesh.
 
-        def Q(t):
-            # second antiderivative of t^(-(1+sigma)), zero at 0
-            t = np.maximum(t, 0.0)
-            return t ** (1.0 - sigma) / (sigma * (1.0 - sigma))
-
+        K'[i][j] = 2 (k[|i-j|] + k[n-1-i-j]) with a zero diagonal, for
+        k the first row of the full K; for odd n the middle node's pairs
+        are not summed with their mirrors.  T' = 2 T[:m] and mass 2h,
+        neither doubled at an odd mesh's middle node.  Only the m x m
+        result is allocated: both terms are windows of k.
+        """
+        sigma, k, T = _weights(mesh, sigma)
         n = mesh.n
-        # cells 0 and d: Q(t_d) - Q(t_{d-1}) - Q(t_{d+1}) + Q(t_d)
-        q = Q(edges - edges[0])
-        k = np.zeros(n)
-        k[1:] = 2.0 * q[1:n] - q[:n - 1] - q[2:]
-        # row i of K is k[|i - j|]: a window of the mirrored first row
-        mirrored = np.concatenate((k[:0:-1], k))
-        K = np.lib.stride_tricks.sliding_window_view(mirrored, n)[::-1].copy()
-        lo = edges[:-1]
-        hi = edges[1:]
-        T = (Q(mesh.b - lo) - Q(mesh.b - hi)) + (Q(hi - mesh.a) - Q(lo - mesh.a))
-        return cls(K=K, T=T, sigma=sigma, mesh=mesh)
+        m = (n + 1) // 2
+        # k[n-1-i-j] = k reversed at i + j: a Hankel window
+        K = _toeplitz(k, m) + np.lib.stride_tricks.sliding_window_view(
+            k[::-1], m)[:m]
+        if n % 2:
+            K[:, -1] = K[-1, :] = k[m - 1::-1]
+        np.fill_diagonal(K, 0.0)
+        K *= 2.0
+        return cls(K=K, T=_copies(n) * T[:m], sigma=sigma, mesh=mesh)
+
+    @classmethod
+    def full_from_sigma(cls, mesh, sigma):
+        """Kernel |x-y|^(-(1+sigma)) of the full space on mesh, n x n."""
+        sigma, k, T = _weights(mesh, sigma)
+        return cls(K=_toeplitz(k, mesh.n).copy(), T=T, sigma=sigma, mesh=mesh)
 
 
 def assemble_kernel(mesh, params):
@@ -162,23 +212,24 @@ def assemble_kernel(mesh, params):
     return KernelMatrix.from_sigma(mesh, params.p * params.s)
 
 
-def _check_values(kern, u):
+def _check_values(u, n):
     u = np.asarray(u, dtype=float)
-    if u.shape != (kern.n,):
+    if u.shape != (n,):
         raise MeshMismatchError(
-            "expected %d nodal values, got shape %r" % (kern.n, u.shape))
+            "expected %d nodal values, got shape %r" % (n, u.shape))
     return u
 
 
 def pairwise_energy(kern, u, p, gradient=False):
-    """Seminorm energy of a vector u of n nodal values, with
-    gradient=True also the operator A(u).
+    """Seminorm energy of a vector u of nodal values, one for each node
+    of kern (m on an even kernel, n on a full one), with gradient=True
+    also the operator A(u).
 
     The sums run over the blocks of rows of K that the module docstring
-    describes; any shape of u other than (n,) raises MeshMismatchError.
+    describes; any other shape of u raises MeshMismatchError.
     """
-    u = _check_values(kern, u)
-    n = kern.n
+    n = len(kern.T)
+    u = _check_values(u, n)
     rows = min(n, max(1, PAIR_BUDGET // n))
     D_buf, t_buf = np.empty((2, rows * n))
     pair = 0.0
@@ -239,7 +290,7 @@ def operator_hessian(kern, u, p, out=None):
     n x n array, out when given (for instance the leading block of a
     bordered matrix), else a new one.
     """
-    u = _check_values(kern, u)
+    u = _check_values(u, len(kern.T))
     scale = float(np.linalg.norm(u))
     H = np.subtract.outer(u, u, out=out)
     curvature_power(H, p - 2.0, scale, out=H)

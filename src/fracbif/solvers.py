@@ -53,16 +53,16 @@ Otherwise the descent resumes from where it stopped, and the finish is
 tried again at its next stall; the rest of the path stays put.
 
 The solutions sought are even under the mirror map of the interval, so
-every solver works in the even subspace: it folds the kernel
-(KernelMatrix.fold), the reaction model and its start onto the first
-ceil(n/2) nodes on entry, solves there, and unfolds the result.  On
-the folded kernel the energy of a point is the energy of its unfolding
-and the gradient is the full one times mass / h, so the stopping tests
-read the full-space residual sup |g h / mass| (mass is h on a full
-kernel, so the loops are right on either).  Every report carries the
-energy and residual of the unfolded point measured on the full kernel,
-computed after the folded kernel is released: a kernel that is not
-mirror symmetric cannot pass for converged.
+every solver works in the even subspace: it takes the even kernel of
+KernelMatrix.from_sigma as it is, folds its start onto the first
+m = ceil(n/2) nodes (mirror_fold), solves there, and unfolds the result
+to the n nodes of the mesh.  On the even kernel the energy of a point is
+the energy of its unfolding and the gradient is the full one times
+mass / h (the identities in kernel), so the stopping tests read the
+full-space residual sup |g h / mass|, and every report carries the
+full-space energy and residual of the unfolded point, read off the last
+pass over the even kernel.  A full kernel (KernelMatrix.full_from_sigma)
+is rejected with KernelError.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -73,8 +73,9 @@ import numpy as np
 from .core import (GridFunction, MeshMismatchError, ParameterError,
                    curvature_power, mirror_fold, mirror_unfold, odd_power,
                    with_lambda)
-from .kernel import (_check_values, apply_operator, operator_hessian,
-                     seminorm_energy, seminorm_energy_and_operator)
+from .kernel import (KernelError, _check_values, apply_operator,
+                     operator_hessian, seminorm_energy,
+                     seminorm_energy_and_operator)
 from .reaction import (ReactionModel, F_values, df_values, f_values,
                        sign_threshold_delta)
 
@@ -176,7 +177,14 @@ class MountainPassPath:
     max_index: int
 
 
+def _check_even(kern):
+    if not kern.even:
+        raise KernelError("the solvers take the even-subspace kernel "
+                          "(KernelMatrix.from_sigma), not a full one")
+
+
 def _check_compat(kern, params):
+    _check_even(kern)
     sigma = params.p * params.s
     if abs(kern.sigma - sigma) > 1e-9 * max(1.0, sigma):
         raise MeshMismatchError(
@@ -221,7 +229,8 @@ def _sup(x):
 
 
 def _residual(kern, g):
-    """Sup-norm of the full-space gradient that a folded gradient g stands for."""
+    """Sup-norm of the full-space gradient that a gradient g on kern
+    stands for."""
     return _sup(g * (kern.mesh.h / kern.mass))
 
 
@@ -233,7 +242,7 @@ def _scale(E):
 def _require_even(u):
     """Reject a ceiling that is not even under the mirror map.
 
-    The ceiling enters the folded problem as its mirror average, which
+    The ceiling enters the even problem as its mirror average, which
     is the problem posed only if the ceiling is even: to within 1e-6 of
     max(1, sup|u|), the slack the range check already allows, as
     folding moves it by at most half of that.
@@ -245,12 +254,13 @@ def _require_even(u):
             "the solvers work in the even subspace" % gap)
 
 
-def _report(kern, model, u, iterations, tol, classification):
-    """SolveReport for a full-space point u, with its energy and residual
-    measured on the full kernel."""
-    E, g = _energy_and_gradient(kern, model, u)
-    residual = _sup(g)
-    return SolveReport(solution=GridFunction(u, kern.mesh), energy=float(E),
+def _report(kern, w, E, g, iterations, tol, classification):
+    """SolveReport for the unfolding of an even-subspace point w with
+    energy E and gradient g on kern: the full-space energy and residual
+    of that unfolding."""
+    residual = _residual(kern, g)
+    return SolveReport(solution=GridFunction(mirror_unfold(w, kern.n),
+                                             kern.mesh), energy=float(E),
                        residual=residual, iterations=iterations,
                        converged=residual <= tol * _scale(E),
                        classification=classification)
@@ -301,26 +311,21 @@ def minimize(kern, model, u0, opts=None, mu=0.0):
     critical point, ends at zero exactly; mu > 0, a Picone constant of
     kern, widens that box from the sign threshold delta to the floor of
     every nontrivial solution.  Descent runs in the even subspace from
-    the mirror average of u0; the report is measured on kern, except
-    that of an exact zero, whose energy and residual are 0 on any
-    kernel.
+    the mirror average of u0, and the report carries the full-space
+    energy and residual of the descent's last point.
     """
     opts = opts or SolverOptions()
     _check_compat(kern, model.params)
-    u0 = _check_values(kern, u0)
-    w, iterations = _descend(kern.fold(), model, mirror_fold(u0), opts, mu)
-    u = mirror_unfold(w, kern.n)
-    if not np.any(u):
-        return SolveReport(solution=GridFunction(u, kern.mesh), energy=0.0,
-                           residual=0.0, iterations=iterations,
-                           converged=True, classification="zero")
-    cls = "zero" if _sup(u) <= opts.zero_tol else "minimizer"
-    return _report(kern, model, u, iterations, opts.tol, cls)
+    u0 = _check_values(u0, kern.n)
+    w, E, g, iterations = _descend(kern, model, mirror_fold(u0), opts, mu)
+    cls = "zero" if _sup(w) <= opts.zero_tol else "minimizer"
+    return _report(kern, w, E, g, iterations, opts.tol, cls)
 
 
 def _descend(kern, model, u0, opts, mu=0.0):
-    """minimize's descent on a folded (or full) kernel; returns the
-    point reached and the number of accepted steps.
+    """minimize's descent on an even (or full) kernel; returns the
+    point reached, its energy and gradient, and the number of accepted
+    steps.
 
     Descent that enters the box max u < t- = _zero_floor(params, mu) is
     finished at zero exactly; at lam = 0 the box is all of space, so
@@ -333,7 +338,7 @@ def _descend(kern, model, u0, opts, mu=0.0):
     rises with t there: E(u) > 0 = E(0), zero is the only critical
     point in the box, and the segment from u to 0 descends.  A u with
     negative entries has E(u) >= E(u+), taking positive parts lowering
-    every term of S.  On a folded kernel w stands for its unfolding U w,
+    every term of S.  On an even kernel w stands for its unfolding U w,
     with the same E and g.w, so the argument is the full one.
     """
     floor = _zero_floor(model.params, mu)
@@ -390,7 +395,7 @@ def _descend(kern, model, u0, opts, mu=0.0):
             E, g = _energy_and_gradient(kern, model, u)
             continue
         break
-    return u, iterations
+    return u, E, g, iterations
 
 
 def _shifted_step(H, g, shift):
@@ -485,7 +490,7 @@ def _zero_floor(params, mu):
 
 def _amplitude_ceiling(kern, params):
     """t+, above which no critical point u >= 0 of the energy on kern
-    (full or folded) peaks: 0.0 where zero is the only one, and None
+    (full or even) peaks: 0.0 where zero is the only one, and None
     where no bound is known.
 
     With c = min_i 2 T_i / mass_i: at a node i where u is largest every
@@ -498,9 +503,9 @@ def _amplitude_ceiling(kern, params):
     where max h = h(t*) = (q-r)/(p-q) (lam (p-q)/(p-r))^((p-r)/(q-r)),
     compared in logs so that no lam overflows it, is below c.  None at
     lam = 0, where K has a negative entry or c <= 0, and where the
-    bracket's ends underflow or overflow a float.  On a
-    folded kernel T and mass are both doubled (neither at an odd mesh's
-    middle node), so c is the full kernel's.
+    bracket's ends underflow or overflow a float.  On an
+    even kernel T and mass are both doubled (neither at an odd mesh's
+    middle node), so c is the full kernel's over the first m nodes.
     """
     c = float(np.min(2.0 * kern.T / kern.mass))
     if not (params.lam > 0.0 and c > 0.0 and np.all(kern.K >= 0.0)):
@@ -591,19 +596,19 @@ def principal_eigenpair(kern, p, opts=None):
     near the flat top of the eigenfunction, and the residual can stop
     short of tol, or crawl towards a plateau above it).  The iteration
     runs in the even subspace from (d / max d)^(sigma/p), d the distance
-    to the boundary; the value and the residual of the result are
-    measured on kern, after the folded kernel is released.
+    to the boundary; the value and the full-space residual of the result
+    are those of the last Newton state.
     """
     opts = opts or SolverOptions()
+    _check_even(kern)
     u = (kern.mesh.dist / np.max(kern.mesh.dist)) ** (kern.sigma / p)
-    w, iterations = _eigen_newton(kern.fold(), p, mirror_fold(u), opts)
-    u = mirror_unfold(w, kern.n)
-    Au = apply_operator(kern, u, p)
-    R = float(np.dot(Au, u))
-    residual = _sup(Au - R * kern.mass * odd_power(u, p))
-    return EigenResult(value=R, eigenfunction=GridFunction(u, kern.mesh),
+    state, iterations = _eigen_newton(kern, p, mirror_fold(u), opts)
+    w, residual, target, R = state[:4]
+    return EigenResult(value=R,
+                       eigenfunction=GridFunction(mirror_unfold(w, kern.n),
+                                                  kern.mesh),
                        residual=residual, iterations=iterations,
-                       converged=residual <= opts.tol * max(1.0, R))
+                       converged=residual <= target)
 
 
 def _damped_newton(point, direction, x, max_iter, trials):
@@ -659,11 +664,12 @@ def _capped(d, x):
 
 def _eigen_newton(kern, p, u, opts):
     """principal_eigenpair's damped Newton iteration (_damped_newton) on
-    a folded (or full) kernel for A(w) = R mass |w|^(p-2) w,
+    an even (or full) kernel for A(w) = R mass |w|^(p-2) w,
     sum mass |w|^p = 1: the full-space system, each equation times
     mass / h, stopped on the full-space residual.  Every trial point is
-    taken through |.| and brought to unit mass.  Returns the point
-    reached, of unit mass, and the number of Newton steps."""
+    taken through |.| and brought to unit mass.  Returns the last state,
+    (w, residual, target, R, residual vector) with w of unit mass, and
+    the number of Newton steps."""
 
     def point(v):
         # v at unit mass, its residual and target, its quotient and its
@@ -678,15 +684,18 @@ def _eigen_newton(kern, p, u, opts):
         rvec = Av - R * kern.mass * odd_power(v, p)
         return v, _residual(kern, rvec), opts.tol * max(1.0, R), R, rvec
 
+    # one bordered matrix for all steps: a new (m+1) x (m+1) array each
+    # step is allocated from fresh pages, and page-faulted all over again
+    B = np.empty((len(u) + 1, len(u) + 1))
+
     def direction(state):
         # v has unit mass, so the normalization row of F is zero
         v, _, _, R, rvec = state
-        return _capped(np.linalg.solve(_eigen_jacobian(kern, p, v, R),
+        return _capped(np.linalg.solve(_eigen_jacobian(kern, p, v, R, B),
                                        -np.append(rvec, 0.0))[:-1], v)
 
-    state, iterations = _damped_newton(point, direction, u, opts.max_iter,
-                                       NEWTON_HALVINGS)
-    return state[0], iterations
+    return _damped_newton(point, direction, u, opts.max_iter,
+                          NEWTON_HALVINGS)
 
 
 def solve_fold(kern, params, u, opts=None):
@@ -717,18 +726,16 @@ def solve_fold(kern, params, u, opts=None):
     full-space metric, and |l.phi - 1|: relative, so that no scale of
     the solution passes for converged, and free of the near-ties of
     H's entries at p < 2 (H w = (p-1) A(w) - mass f'(w) w is finite
-    where they blow up).  The result is converged when that residual,
-    with G of the unfolded point measured on kern, is at most tol and
-    the point is nontrivial (sup above zero_tol); otherwise note says
-    why not.
+    where they blow up).  The result is converged when that residual at
+    the last Newton state is at most tol and the point is nontrivial
+    (sup above zero_tol); otherwise note says why not.
     """
     opts = opts or SolverOptions()
     _check_compat(kern, params)
-    u = _check_values(kern, getattr(u, "values", u))
-    fk = kern.fold()
+    u = _check_values(getattr(u, "values", u), kern.n)
     w = mirror_fold(u)
     m = len(w)
-    _, Q = np.linalg.eigh(total_hessian(fk, ReactionModel.plain(params), w))
+    _, Q = np.linalg.eigh(total_hessian(kern, ReactionModel.plain(params), w))
     l = Q[:, 0] * np.sign(np.sum(Q[:, 0]))
 
     def point(x):
@@ -736,16 +743,19 @@ def solve_fold(kern, params, u, opts=None):
         if not 0.0 < lam < np.inf:
             return x, np.inf, opts.tol
         model = ReactionModel.plain(with_lambda(params, lam))
-        A, G = _operator_and_gradient(fk, model, w)
-        scale = _residual(fk, A)
+        A, G = _operator_and_gradient(kern, model, w)
+        scale = _residual(kern, A)
         if not scale > 0.0:
             return x, np.inf, opts.tol
-        H = total_hessian(fk, model, w)
+        H = total_hessian(kern, model, w)
         F = np.concatenate((G, H @ phi, [float(l @ phi) - 1.0]))
-        res = max(_residual(fk, G) / scale,
-                  _residual(fk, F[m:-1]) * _sup(w) / (scale * _sup(phi)),
+        res = max(_residual(kern, G) / scale,
+                  _residual(kern, F[m:-1]) * _sup(w) / (scale * _sup(phi)),
                   abs(F[-1]))
         return x, res, opts.tol, model, H, F
+
+    # every step writes the same blocks; the others stay zero
+    J = np.zeros((2 * m + 1, 2 * m + 1))
 
     def direction(state):
         x, _, _, model, H, F = state
@@ -753,12 +763,12 @@ def solve_fold(kern, params, u, opts=None):
         q = model.params.q
         eps = 1e-6 * max(1.0, _sup(w)) / _sup(phi)
         wp = np.maximum(w, 0.0)
-        J = np.zeros((2 * m + 1, 2 * m + 1))
         J[:m, :m] = J[m:-1, m:-1] = H
-        J[m:-1, :m] = (total_hessian(fk, model, w + eps * phi)
-                       - total_hessian(fk, model, w - eps * phi)) / (2.0 * eps)
-        J[:m, -1] = -fk.mass * wp ** (q - 1.0)
-        J[m:-1, -1] = -fk.mass * (q - 1.0) * np.where(
+        J[m:-1, :m] = (total_hessian(kern, model, w + eps * phi)
+                       - total_hessian(kern, model, w - eps * phi)
+                       ) / (2.0 * eps)
+        J[:m, -1] = -kern.mass * wp ** (q - 1.0)
+        J[m:-1, -1] = -kern.mass * (q - 1.0) * np.where(
             w > 0.0, curvature_power(wp, q - 2.0, float(np.linalg.norm(w))),
             0.0) * phi
         J[-1, m:-1] = l
@@ -769,20 +779,15 @@ def solve_fold(kern, params, u, opts=None):
         opts.max_iter, NEWTON_HALVINGS)
     x, residual = state[0], state[1]
     lam = float(x[-1])
-    u = mirror_unfold(x[:m], kern.n)
-    if residual < np.inf:
-        # G on the full kernel, which sees an asymmetry the folded one
-        # cannot; H phi stays in the even subspace, where the fold lives
-        A, G = _operator_and_gradient(
-            kern, ReactionModel.plain(with_lambda(params, lam)), u)
-        residual = max(residual, _residual(kern, G) / _residual(kern, A))
     note = None
     if not residual <= opts.tol:
         note = ("residual %.3e after %d Newton steps, at lambda=%g"
                 % (residual, iterations, lam))
-    elif _sup(u) <= opts.zero_tol:
+    elif _sup(x[:m]) <= opts.zero_tol:
         note = "ended at zero, at lambda=%g" % lam
-    return FoldResult(lam=lam, solution=GridFunction(u, kern.mesh),
+    return FoldResult(lam=lam,
+                      solution=GridFunction(mirror_unfold(x[:m], kern.n),
+                                            kern.mesh),
                       null_vector=GridFunction(mirror_unfold(x[m:-1], kern.n),
                                                kern.mesh),
                       residual=residual, iterations=iterations,
@@ -794,10 +799,11 @@ def _operator_and_gradient(kern, model, w):
     return A, A - kern.mass * f_values(model, w)
 
 
-def _eigen_jacobian(kern, p, w, R):
-    """Jacobian of the bordered eigen system at (w, R) on kern.
+def _eigen_jacobian(kern, p, w, R, out=None):
+    """Jacobian of the bordered eigen system at (w, R) on kern, built in
+    out when given, else in a new (m+1) x (m+1) array.
 
-    The system, for unknowns w (folded or full) and R, is
+    The system, for unknowns w (even or full) and R, is
         F(w, R) = [A(w) - R mass phi_p(w);  sum mass |w|^p - 1]
     with phi_p the signed power |w|^(p-1) sign(w).  Its (m+1) x (m+1)
     Jacobian has the block operator_hessian - R (p-1) diag(mass
@@ -808,7 +814,7 @@ def _eigen_jacobian(kern, p, w, R):
     w to p sum mass |w|^p = p.
     """
     m = len(w)
-    B = np.empty((m + 1, m + 1))
+    B = np.empty((m + 1, m + 1)) if out is None else out
     J = operator_hessian(kern, w, p, out=B[:m, :m])
     np.einsum("ii->i", J)[...] -= R * (p - 1.0) * kern.mass * curvature_power(
         w, p - 2.0, float(np.linalg.norm(w)))
@@ -854,12 +860,12 @@ def find_saddle(kern, params, u_big, opts=None, return_path=False):
     """Mountain-pass critical point between 0 and a known minimizer.
 
     u_big must pass minimize's own stopping test, or SolverError says
-    it is not a local minimizer: its gradient sup-norm on kern is at
-    most tol * max(1, |E|), and a Cholesky factorization of the folded
-    Hessian there succeeds.  The search runs on the energy restricted to
-    the box 0 <= z <= u_big: every step is projected onto the box, and
-    redistribution takes convex combinations of path points, so the
-    returned point satisfies 0 <= v <= u_big.
+    it is not a local minimizer: its full-space gradient sup-norm is at
+    most tol * max(1, |E|), and a Cholesky factorization of the
+    even-subspace Hessian there succeeds.  The search runs on the energy
+    restricted to the box 0 <= z <= u_big: every step is projected onto
+    the box, and redistribution takes convex combinations of path
+    points, so the returned point satisfies 0 <= v <= u_big.
 
     The path descent moves the maximal point of the path and
     redistributes the path after every step.  Once progress stalls,
@@ -895,45 +901,46 @@ def find_saddle(kern, params, u_big, opts=None, return_path=False):
     too), so u_big must be even under the mirror map to within 1e-6 of
     max(1, sup|u_big|); otherwise ParameterError.  The report carries
     that index (morse_index, the number of negative eigenvalues of the
-    folded Hessian at the result) and has converged=False unless it is
-    one.  The path returned with return_path is unfolded, with its
-    energies measured on kern.
+    even-subspace Hessian at the result) and has converged=False unless
+    it is one.  The path returned with return_path is unfolded, with the
+    full-space energies of its points.
     """
     opts = opts or SolverOptions()
     _check_compat(kern, params)
-    u_big = _check_values(kern, getattr(u_big, "values", u_big))
+    u_big = _check_values(getattr(u_big, "values", u_big), kern.n)
     _require_even(u_big)
     if _sup(u_big) <= opts.zero_tol:
         raise SaddleNotFound("ceiling solution is numerically zero")
     model = ReactionModel.plain(params)
-    fk, w_big = kern.fold(), mirror_fold(u_big)
-    E, g = _energy_and_gradient(kern, model, u_big)
+    w_big = mirror_fold(u_big)
+    E, g = _energy_and_gradient(kern, model, w_big)
     try:
-        np.linalg.cholesky(total_hessian(fk, model, w_big))
-        minimal = _sup(g) <= opts.tol * _scale(E)
+        np.linalg.cholesky(total_hessian(kern, model, w_big))
+        minimal = _residual(kern, g) <= opts.tol * _scale(E)
     except np.linalg.LinAlgError:
         minimal = False
     if not minimal:
         raise SolverError("path endpoint is not a local minimizer")
     P = int(opts.path_points)
-    Z, m, iterations, index = _mountain_pass(fk, model, w_big, P, opts)
+    Z, m, iterations, index = _mountain_pass(kern, model, w_big, P, opts)
     v = mirror_unfold(Z[m], kern.n)
     bound_tol = 1e-6 * max(1.0, _sup(u_big))
     if float(np.min(v)) < -bound_tol or float(np.max(v - u_big)) > bound_tol:
         raise SolverError("saddle point escaped the [0, ceiling] range")
-    report = _report(kern, model, v, iterations, opts.tol, "saddle")
+    E, g = _energy_and_gradient(kern, model, Z[m])
+    report = _report(kern, Z[m], E, g, iterations, opts.tol, "saddle")
     # a critical point of any other Morse index is not the mountain pass
     report.morse_index = index
     report.converged = report.converged and index == 1
     if return_path:
-        Z = mirror_unfold(Z, kern.n)
         energies = np.array([total_energy(kern, model, z) for z in Z])
-        return report, MountainPassPath(points=Z, energies=energies, max_index=m)
+        return report, MountainPassPath(points=mirror_unfold(Z, kern.n),
+                                        energies=energies, max_index=m)
     return report
 
 
 def _mountain_pass(kern, model, u_big, P, opts):
-    """find_saddle's search on a folded (or full) kernel, in the box
+    """find_saddle's search on an even (or full) kernel, in the box
     0 <= z <= u_big; returns the path, the index of its maximal point,
     the number of iterations and the Morse index at that point.
 

@@ -65,7 +65,7 @@ def test_01_kernel_matches_quadrature_oracle():
         for sigma in (0.3, 0.5, 0.8):
             for n in (2, 3, 5):
                 mesh = build_mesh(-1.0, 1.0, n)
-                kern = KernelMatrix.from_sigma(mesh, sigma)
+                kern = KernelMatrix.full_from_sigma(mesh, sigma)
                 edges = mesh.cell_edges
                 for i in range(n):
                     for j in range(i + 1, n):
@@ -76,7 +76,7 @@ def test_01_kernel_matches_quadrature_oracle():
                     ref_t = tail_weight_quadrature(
                         (edges[i], edges[i + 1]), (mesh.a, mesh.b), sigma)
                     assert abs(kern.T[i] - ref_t) <= 1e-8 * ref_t
-        cells = KernelMatrix.from_sigma(build_mesh(0.0, 2.0, 2), 0.5)
+        cells = KernelMatrix.full_from_sigma(build_mesh(0.0, 2.0, 2), 0.5)
         assert abs(cells.K[0, 1] - (8.0 - 4.0 * np.sqrt(2.0))) <= 1e-12
 
 
@@ -88,20 +88,23 @@ def test_02_energy_gradient_matches_finite_differences():
                     {"p": p, "s": sigma / p, "q": 1.0 + 0.75 * (p - 1.0),
                      "r": 1.0 + 0.25 * (p - 1.0), "lambda": 2.0})
                 mesh = build_mesh(-1.0, 1.0, 40)
-                kern = assemble_kernel(mesh, params)
                 model = ReactionModel.plain(params)
                 rng = np.random.default_rng(0)
-                for _ in range(20):
-                    u = 0.3 + rng.random(40)
-                    g = total_gradient(kern, model, u)
-                    fd = np.empty(40)
-                    for i in range(40):
-                        e = np.zeros(40)
-                        e[i] = 1e-6
-                        fd[i] = (total_energy(kern, model, u + e)
-                                 - total_energy(kern, model, u - e)) / 2e-6
-                    scale = max(1.0, float(np.max(np.abs(g))))
-                    assert float(np.max(np.abs(g - fd))) / scale < 1e-6
+                # the full kernel, and the even one the solvers take
+                for kern in (KernelMatrix.full_from_sigma(mesh, sigma),
+                             assemble_kernel(mesh, params)):
+                    size = len(kern.T)
+                    for _ in range(20):
+                        u = 0.3 + rng.random(size)
+                        g = total_gradient(kern, model, u)
+                        fd = np.empty(size)
+                        for i in range(size):
+                            e = np.zeros(size)
+                            e[i] = 1e-6
+                            fd[i] = (total_energy(kern, model, u + e)
+                                     - total_energy(kern, model, u - e)) / 2e-6
+                        scale = max(1.0, float(np.max(np.abs(g))))
+                        assert float(np.max(np.abs(g - fd))) / scale < 1e-6
 
 
 def test_03_operator_monotonicity_properties(problem200):
@@ -117,9 +120,10 @@ def test_03_operator_monotonicity_properties(problem200):
 def test_04_principal_eigenvalue_matches_dense():
     with criterion("04 iterative eigenvalue vs dense decomposition"):
         mesh = build_mesh(-1.0, 1.0, 200)
-        kern = KernelMatrix.from_sigma(mesh, 0.4)
-        res = principal_eigenpair(kern, 2.0)
+        res = principal_eigenpair(KernelMatrix.from_sigma(mesh, 0.4), 2.0)
         assert res.converged
+        # the dense operator of the full space, odd modes included
+        kern = KernelMatrix.full_from_sigma(mesh, 0.4)
         matrix = 2.0 * (np.diag(kern.K.sum(axis=1) + kern.T) - kern.K)
         dense = float(np.linalg.eigvalsh(matrix / mesh.h)[0])
         assert abs(res.value - dense) <= 1e-8 * dense

@@ -42,15 +42,15 @@ def certified_mu(kern, params):
     """The mu estimate_lambda_star passes: the Picone constant of the
     principal eigenfunction, shrunk like lambda_low."""
     phi = principal_eigenpair(kern, params.p).eigenfunction.values
-    return (1.0 - BOUND_MARGIN) * _picone_mu(kern, phi, params.p)
+    return (1.0 - BOUND_MARGIN) * _picone_mu(kern, mirror_fold(phi), params.p)
 
 
 def kernels(exps, lam):
-    """Full and folded kernels on an odd and an even mesh."""
+    """Full and even kernels on an odd and an even mesh."""
     for n in (31, 32):
         kern, params = problem(exps, lam, n)
+        yield KernelMatrix.full_from_sigma(kern.mesh, kern.sigma), params
         yield kern, params
-        yield kern.fold(), params
 
 
 @pytest.mark.parametrize("exps,lam", LEMMA_SETS)
@@ -62,7 +62,7 @@ def test_no_critical_point_peaks_above_the_ceiling(exps, lam):
         model = ReactionModel.plain(params)
         top = _amplitude_ceiling(kern, params)
         j = int(np.argmin(2.0 * kern.T / kern.mass))
-        m = kern.n
+        m = len(kern.T)
         for factor in (1.0 + 1e-6, 1.01, 2.0, 10.0):
             t = factor * top
             rough = t * rng.random(m)
@@ -79,10 +79,13 @@ def test_no_critical_point_peaks_above_the_ceiling(exps, lam):
 
 
 def test_ceiling_is_the_same_on_a_folded_kernel():
+    # c = min 2 T / mass of the even kernel is the full kernel's over the
+    # first half of the nodes, which holds its minimum on these meshes
     for n in (31, 32):
         kern, params = problem(DEMO, 12.5, n)
-        assert (_amplitude_ceiling(kern.fold(), params)
-                == _amplitude_ceiling(kern, params))
+        full = KernelMatrix.full_from_sigma(kern.mesh, kern.sigma)
+        assert (_amplitude_ceiling(kern, params)
+                == _amplitude_ceiling(full, params))
 
 
 def test_ceiling_is_none_where_no_bound_holds():
@@ -115,14 +118,15 @@ def test_no_nontrivial_critical_point_peaks_below_the_floor(exps, lam):
     rng = np.random.default_rng(1)
     p = exps[0]
     for n in (31, 32):
-        full, params = problem(exps, lam, n)
-        phi = principal_eigenpair(full, p).eigenfunction.values
+        even, params = problem(exps, lam, n)
+        full = KernelMatrix.full_from_sigma(even.mesh, even.sigma)
+        phi = principal_eigenpair(even, p).eigenfunction.values
         phi = phi / np.max(phi)
         mu = _picone_mu(full, phi, p)
         model = ReactionModel.plain(params)
         bottom = _zero_floor(params, mu)
-        for kern, shape in ((full, phi), (full.fold(), mirror_fold(phi))):
-            m = kern.n
+        for kern, shape in ((full, phi), (even, mirror_fold(phi))):
+            m = len(kern.T)
             for factor in (1.0 - 1e-6, 0.5, 1e-3):
                 t = factor * bottom
                 sparse = t * np.where(rng.random(m) < 0.5, 0.0,
@@ -232,15 +236,17 @@ def test_converged_reports_lie_between_the_floor_and_the_ceiling(exps):
 
 
 def test_zero_report_skips_the_full_kernel_pass(monkeypatch):
-    # A(0) = f(0) = 0 on any kernel, so the exact zero's report is
-    # _report's without computing it
+    # A(0) = f(0) = 0, so the exact zero's report is _report's at energy
+    # 0 and gradient 0; like every report it reads the energy and
+    # gradient of the descent's last pass, and evaluates nothing after it
     kern, params = problem(DEMO, 0.5, 32)
     model = ReactionModel.plain(params)
+    m = len(kern.T)
     u0 = default_starts(kern.mesh, params, 10, 0)[5]
     opts = SolverOptions()
     rep = minimize(kern, model, u0, opts)
-    ref = solvers._report(kern, model, np.zeros(kern.n), rep.iterations,
-                          opts.tol, "zero")
+    ref = solvers._report(kern, np.zeros(m), 0.0, np.zeros(m),
+                          rep.iterations, opts.tol, "zero")
     for field in ("energy", "residual", "iterations", "converged",
                   "classification", "morse_index"):
         assert getattr(rep, field) == getattr(ref, field)
@@ -248,11 +254,29 @@ def test_zero_report_skips_the_full_kernel_pass(monkeypatch):
     assert np.array_equal(rep.solution.values, ref.solution.values)
     assert rep.solution.mesh == ref.solution.mesh
 
-    def refused(*args, **kwargs):
-        raise AssertionError("the zero report computed the full kernel pass")
+    descend, evaluate = solvers._descend, solvers._energy_and_gradient
+    passes = []
 
-    monkeypatch.setattr(solvers, "_report", refused)
-    assert minimize(kern, model, u0, opts).classification == "zero"
+    def descended(*args, **kwargs):
+        passes.clear()
+        out = descend(*args, **kwargs)
+        passes.append(None)     # the descent's end
+        return out
+
+    def counted(*args):
+        passes.append(args)
+        return evaluate(*args)
+
+    monkeypatch.setattr(solvers, "_descend", descended)
+    monkeypatch.setattr(solvers, "_energy_and_gradient", counted)
+    rep = minimize(kern, ReactionModel.plain(with_lambda(params, 12.5)), u0,
+                   opts)
+    assert rep.converged and rep.classification == "minimizer"
+    assert passes[-1] is None
+    w = passes[-2][2]
+    E, g = evaluate(*passes[-2])
+    assert rep.energy == E and rep.residual == solvers._residual(kern, g)
+    assert np.array_equal(rep.solution.values, np.concatenate((w, w[::-1])))
 
 
 def test_floor_shortens_the_zero_only_predicate():

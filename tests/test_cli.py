@@ -155,22 +155,36 @@ def test_kernel_hook_scales_eigenvalue(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("n", [24, 25])
-def test_eigen_fails_on_a_kernel_without_mirror_symmetry(tmp_path, outdir,
-                                                         capsys, n):
-    # the solver works on the folded kernel, which cannot see the broken
-    # pair; the full-space residual of the unfolded result must
+def test_eigen_rejects_a_hook_that_breaks_the_even_kernel(tmp_path, outdir,
+                                                          capsys, n):
+    # the hook receives the even kernel, K' of ceil(n/2) nodes; weights
+    # it leaves without symmetry, or tails and masses of the wrong
+    # length, end the run as a config error, before any solve or output
     cfg = write_config(tmp_path / "run.cfg", **{"mesh.n": n})
 
     def lopsided(kern):
         K = kern.K.copy()
-        K[0, 1] = K[1, 0] = 1.5 * K[0, 1]
+        K[0, 1] = 1.5 * K[0, 1]
         return KernelMatrix(K=K, T=kern.T, sigma=kern.sigma, mesh=kern.mesh)
 
-    code = main(["eigen", "--config", cfg, "--out", outdir],
-                kernel_hook=lopsided)
-    assert code == 2
-    assert "did not converge" in capsys.readouterr().err
-    assert not os.path.exists(os.path.join(outdir, "eigen.json"))
+    def full_tails(kern):
+        return KernelMatrix(K=kern.K, T=np.resize(kern.T, n),
+                            sigma=kern.sigma, mesh=kern.mesh)
+
+    def short_mass(kern):
+        return KernelMatrix(K=kern.K, T=kern.T, sigma=kern.sigma,
+                            mesh=kern.mesh, mass=kern.mass[1:])
+
+    for hook, message in ((lopsided, "not symmetric"),
+                          (full_tails, "weights K of shape"),
+                          (short_mass, "mass of shape")):
+        code = main(["eigen", "--config", cfg, "--out", outdir],
+                    kernel_hook=hook)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "config error" in err and message in err
+        assert "Traceback" not in err
+        assert not os.path.exists(os.path.join(outdir, "eigen.json"))
 
 
 def test_verify_passes_on_clean_kernel(tmp_path, outdir, capsys):
@@ -273,7 +287,11 @@ def test_solve_notes_a_saddle_search_that_ends_at_zero(tmp_path, outdir,
     cfg = write_config(tmp_path / "run.cfg", p=1.8, s=0.4, q=1.6, r=1.2,
                        **{"lambda": 40.0, "mesh.n": 32})
     assert main(["solve", "--config", cfg, "--out", outdir]) == 0
-    assert "saddle sup norm" not in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "saddle sup norm" not in out
+    assert out.startswith("solution sup norm")
+    assert ("; no saddle: mountain-pass path collapsed onto an endpoint\n"
+            in out)
     rec = json.load(open(os.path.join(outdir, "solution.json")))
     assert rec["saddle_note"] == "mountain-pass path collapsed onto an endpoint"
     assert rec["outcome"] == "one solution"

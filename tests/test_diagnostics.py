@@ -86,7 +86,7 @@ def test_check_ordering_margins():
 @pytest.mark.parametrize("p", [1.5, 2.0, 2.7])
 def test_operator_properties_hold(p):
     mesh = build_mesh(-1.0, 1.0, 16)
-    kern = KernelMatrix.from_sigma(mesh, 0.55)
+    kern = KernelMatrix.full_from_sigma(mesh, 0.55)
     out = verify_operator_properties(kern, p, trials=60, seed=1)
     assert out["passed"]
     assert out["failures"] == []
@@ -95,14 +95,14 @@ def test_operator_properties_hold(p):
 
 @pytest.mark.parametrize("trials", [0, -3])
 def test_operator_properties_need_a_trial(trials):
-    kern = KernelMatrix.from_sigma(build_mesh(-1.0, 1.0, 16), 0.55)
+    kern = KernelMatrix.full_from_sigma(build_mesh(-1.0, 1.0, 16), 0.55)
     with pytest.raises(ParameterError, match="trials"):
         verify_operator_properties(kern, 2.0, trials=trials)
 
 
 def test_operator_properties_catch_broken_kernel():
     mesh = build_mesh(-1.0, 1.0, 16)
-    kern = KernelMatrix.from_sigma(mesh, 0.55)
+    kern = KernelMatrix.full_from_sigma(mesh, 0.55)
     bad = KernelMatrix(K=-kern.K, T=kern.T, sigma=kern.sigma, mesh=mesh)
     out = verify_operator_properties(bad, 2.0, trials=60, seed=1)
     assert not out["passed"]
@@ -115,7 +115,8 @@ def test_gradient_check_small_for_all_variants():
     from fracbif import validate_params, assemble_kernel
     params = validate_params({"p": 2.2, "s": 0.35, "q": 1.9, "r": 1.4,
                               "lambda": 3.0})
-    kern = assemble_kernel(params_mesh, params)
     rng = np.random.default_rng(2)
-    u = 0.4 + 0.1 * rng.random(12)
-    assert gradient_check(kern, ReactionModel.plain(params), u) < 1e-7
+    for kern in (assemble_kernel(params_mesh, params),
+                 KernelMatrix.full_from_sigma(params_mesh, params.sigma)):
+        u = 0.4 + 0.1 * rng.random(len(kern.T))
+        assert gradient_check(kern, ReactionModel.plain(params), u) < 1e-7

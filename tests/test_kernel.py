@@ -58,7 +58,7 @@ def tail_weight_oracle(cell, domain, sigma):
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_kernel_entries_match_quadrature(sigma, n):
     mesh = build_mesh(-1.0, 1.0, n)
-    kern = KernelMatrix.from_sigma(mesh, sigma)
+    kern = KernelMatrix.full_from_sigma(mesh, sigma)
     edges = mesh.cell_edges
     for i in range(n):
         for j in range(n):
@@ -77,21 +77,21 @@ def test_kernel_entries_match_quadrature(sigma, n):
 def test_adjacent_unit_cells_closed_form():
     # cells (0,1) and (1,2) at sigma = 1/2 integrate to 8 - 4*sqrt(2)
     mesh = build_mesh(0.0, 2.0, 2)
-    kern = KernelMatrix.from_sigma(mesh, 0.5)
+    kern = KernelMatrix.full_from_sigma(mesh, 0.5)
     assert kern.K[0, 1] == pytest.approx(8.0 - 4.0 * np.sqrt(2.0), abs=1e-12)
 
 
 def test_unit_cell_tail_closed_form():
     # cell (0,1) inside (-1,1) at sigma = 1/2: both-sided tail is 4*sqrt(2)
     mesh = build_mesh(-1.0, 1.0, 2)
-    kern = KernelMatrix.from_sigma(mesh, 0.5)
+    kern = KernelMatrix.full_from_sigma(mesh, 0.5)
     assert kern.T[1] == pytest.approx(4.0 * np.sqrt(2.0), abs=1e-12)
     assert kern.T[0] == kern.T[1]
 
 
 def test_kernel_structure():
     mesh = build_mesh(-1.0, 1.0, 12)
-    kern = KernelMatrix.from_sigma(mesh, 0.6)
+    kern = KernelMatrix.full_from_sigma(mesh, 0.6)
     assert np.array_equal(kern.K, kern.K.T)
     assert np.all(np.diag(kern.K) == 0.0)
     off = kern.K[~np.eye(12, dtype=bool)]
@@ -106,8 +106,8 @@ def test_kernel_structure():
 def test_kernel_scaling_with_mesh_width():
     # |x-y|^(-1-sigma) dx dy scales like length^(1-sigma)
     sigma = 0.45
-    k1 = KernelMatrix.from_sigma(build_mesh(0.0, 1.0, 6), sigma)
-    k2 = KernelMatrix.from_sigma(build_mesh(0.0, 2.0, 6), sigma)
+    k1 = KernelMatrix.full_from_sigma(build_mesh(0.0, 1.0, 6), sigma)
+    k2 = KernelMatrix.full_from_sigma(build_mesh(0.0, 2.0, 6), sigma)
     factor = 2.0 ** (1.0 - sigma)
     assert np.allclose(k2.K, factor * k1.K, rtol=1e-12)
     assert np.allclose(k2.T, factor * k1.T, rtol=1e-12)
@@ -115,16 +115,17 @@ def test_kernel_scaling_with_mesh_width():
 
 def test_from_sigma_rejects_bad_input():
     mesh = build_mesh(0.0, 1.0, 4)
-    with pytest.raises(KernelError):
-        KernelMatrix.from_sigma(mesh, 0.0)
-    with pytest.raises(KernelError):
-        KernelMatrix.from_sigma(mesh, 1.0)
     edges = np.array([0.0, 0.1, 0.5, 0.8, 1.0])
     nodes = 0.5 * (edges[:-1] + edges[1:])
     dist = np.minimum(nodes - 0.0, 1.0 - nodes)
     uneven = Mesh1D(0.0, 1.0, 4, edges, nodes, 0.25, dist)
-    with pytest.raises(KernelError):
-        KernelMatrix.from_sigma(uneven, 0.5)
+    for assemble in (KernelMatrix.from_sigma, KernelMatrix.full_from_sigma):
+        with pytest.raises(KernelError):
+            assemble(mesh, 0.0)
+        with pytest.raises(KernelError):
+            assemble(mesh, 1.0)
+        with pytest.raises(KernelError):
+            assemble(uneven, 0.5)
 
 
 def test_assemble_kernel_uses_product_order():
@@ -132,7 +133,7 @@ def test_assemble_kernel_uses_product_order():
     mesh = build_mesh(-1.0, 1.0, 5)
     kern = assemble_kernel(mesh, params)
     direct = KernelMatrix.from_sigma(mesh, params.p * params.s)
-    assert np.array_equal(kern.K, direct.K)
+    assert kern.even and np.array_equal(kern.K, direct.K)
     assert kern.sigma == pytest.approx(0.9)
 
 
@@ -141,7 +142,7 @@ def test_energy_operator_euler_identity(p):
     # the p-homogeneous form satisfies <A(u), u> = p * E(u)
     rng = np.random.default_rng(11)
     mesh = build_mesh(-1.0, 1.0, 20)
-    kern = KernelMatrix.from_sigma(mesh, min(0.6, 0.95 / p))
+    kern = KernelMatrix.full_from_sigma(mesh, min(0.6, 0.95 / p))
     for _ in range(5):
         u = rng.standard_normal(20)
         lhs = pairing(apply_operator(kern, u, p), u)
@@ -153,7 +154,7 @@ def test_energy_operator_euler_identity(p):
 def test_operator_is_energy_gradient(p):
     rng = np.random.default_rng(7)
     mesh = build_mesh(-1.0, 1.0, 10)
-    kern = KernelMatrix.from_sigma(mesh, 0.5)
+    kern = KernelMatrix.full_from_sigma(mesh, 0.5)
     u = rng.standard_normal(10)
     grad = apply_operator(kern, u, p)
     step = 1e-6
@@ -169,7 +170,7 @@ def test_operator_is_energy_gradient(p):
 def test_energy_and_operator_share_values():
     rng = np.random.default_rng(5)
     mesh = build_mesh(-1.0, 1.0, 15)
-    kern = KernelMatrix.from_sigma(mesh, 0.7)
+    kern = KernelMatrix.full_from_sigma(mesh, 0.7)
     u = rng.standard_normal(15)
     e, a = seminorm_energy_and_operator(kern, u, 2.4)
     assert e == pytest.approx(seminorm_energy(kern, u, 2.4), rel=1e-14)
@@ -188,7 +189,7 @@ def test_energy_converges_under_refinement():
 
     def energy_at(n):
         mesh = build_mesh(-1.0, 1.0, n)
-        kern = KernelMatrix.from_sigma(mesh, sigma)
+        kern = KernelMatrix.full_from_sigma(mesh, sigma)
         u = np.cos(0.5 * np.pi * mesh.nodes)
         return seminorm_energy(kern, u, 2.0)
 
@@ -218,7 +219,7 @@ def oracle_kernel(n, rng, toeplitz):
                       1.0, np.array([0.5]))
         return KernelMatrix(K=np.zeros((1, 1)), T=np.array([3.0]),
                             sigma=0.5, mesh=mesh)
-    kern = KernelMatrix.from_sigma(build_mesh(-1.0, 1.0, n), 0.6)
+    kern = KernelMatrix.full_from_sigma(build_mesh(-1.0, 1.0, n), 0.6)
     if toeplitz:
         return kern
     K = rng.random((n, n))
@@ -306,7 +307,10 @@ def test_pairwise_energy_blocks_cover_every_pair(p, n):
 
 def test_pairwise_energy_rejects_wrong_shapes():
     # one vector of n values only: a stack of them, (2, n), is no batch
-    kern = KernelMatrix.from_sigma(build_mesh(-1.0, 1.0, 6), 0.5)
+    kern = KernelMatrix.full_from_sigma(build_mesh(-1.0, 1.0, 6), 0.5)
+    even = KernelMatrix.from_sigma(kern.mesh, 0.5)
+    with pytest.raises(MeshMismatchError, match="expected 3 nodal values"):
+        seminorm_energy(even, np.zeros(6), 2.0)
     for bad in (np.zeros(5), np.zeros((2, 5)), np.zeros((2, 6)),
                 np.zeros((2, 2, 6)), np.zeros((1, 6)), np.float64(0.0)):
         for sums in (pairwise_energy, seminorm_energy, apply_operator,
@@ -318,7 +322,7 @@ def test_pairwise_energy_rejects_wrong_shapes():
 def test_operator_working_set_is_bounded():
     # the dense form allocated several n x n arrays (8 MB each at this n)
     n = 1024
-    kern = KernelMatrix.from_sigma(build_mesh(-1.0, 1.0, n), 0.9)
+    kern = KernelMatrix.full_from_sigma(build_mesh(-1.0, 1.0, n), 0.9)
     u = np.cos(0.5 * np.pi * kern.mesh.nodes)
     for evaluate in (lambda: apply_operator(kern, u, 2.5),
                      lambda: seminorm_energy(kern, u, 2.5)):
@@ -331,12 +335,28 @@ def test_operator_working_set_is_bounded():
         assert peak < 2 * 2 ** 20
 
 
+def test_even_assembly_never_builds_the_full_kernel():
+    # the even kernel is m x m, m = 1024, 8 MiB; the full n x n kernel
+    # the solvers once folded is 32 MiB, more than the whole budget
+    n = 2048
+    m = (n + 1) // 2
+    mesh = build_mesh(-1.0, 1.0, n)
+    tracemalloc.start()
+    try:
+        kern = KernelMatrix.from_sigma(mesh, 0.9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kern.K.shape == (m, m)
+    assert peak <= 3 * m * m * 8
+
+
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_operator_hessian_is_built_in_one_array(p):
     # the formula with its temporaries spelled out, as it was written
     # before the in-place build (3 n x n arrays at its peak)
     n = 512
-    kern = KernelMatrix.from_sigma(build_mesh(-1.0, 1.0, n), 0.45)
+    kern = KernelMatrix.full_from_sigma(build_mesh(-1.0, 1.0, n), 0.45)
     u = np.random.default_rng(7).random(n)
     u[3] = u[7]         # a tie and a zero node: floored powers for p < 2
     u[10] = 0.0
@@ -362,24 +382,54 @@ def test_operator_hessian_is_built_in_one_array(p):
     assert not B[n].any() and not B[:, n].any()
 
 
-@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
-@pytest.mark.parametrize("n", [2, 3, 7, 33, 128, 1024])
-def test_fold_energy_and_operator_identities(n, p):
-    kern = KernelMatrix.from_sigma(build_mesh(-1.0, 1.0, n), 0.45)
-    half = kern.fold()
+FOLD_SIZES = [2, 3, 7, 33, 128, 1024]
+
+
+def folded(full):
+    """The even-subspace kernel of a full one, computed from its entries:
+    K'[i][j] = 2 (K[i][j] + K[i][n-1-j]) with a zero diagonal, T' = 2 T[:m]
+    and mass 2h, the middle node of an odd mesh counted once."""
+    n = full.n
     m = (n + 1) // 2
-    h = kern.mesh.h
-    assert half.n == m and half.mesh.h == h
-    assert np.array_equal(half.K, half.K.T)
-    assert np.all(np.diag(half.K) == 0.0)
+    K = full.K[:m, :m] + full.K[:m, ::-1][:, :m]
     copies = np.full(m, 2.0)
     if n % 2:
+        K[:, -1] = K[-1, :] = full.K[:m, m - 1]
         copies[-1] = 1.0
-    assert np.array_equal(half.mass, copies * h)
-    assert np.array_equal(half.T, copies * kern.T[:m])
-    # the half mesh stands for the whole interval
-    assert abs(half.mass.sum() - kern.mass.sum()) <= 1e-15
-    assert kern.mass.sum() == pytest.approx(2.0, abs=1e-15)
+    np.fill_diagonal(K, 0.0)
+    K *= 2.0
+    return K, copies * full.T[:m], copies * full.mass[:m]
+
+
+@pytest.mark.parametrize("n", FOLD_SIZES)
+def test_even_kernel_is_the_fold_of_the_full_one(n):
+    # bit for bit, so that every solver repeats the iterates it took when
+    # it folded the full kernel itself
+    for a, b, sigma in ((-1.0, 1.0, 0.45), (-2.0, 2.0, 0.9), (0.0, 3.0, 0.1)):
+        mesh = build_mesh(a, b, n)
+        full = KernelMatrix.full_from_sigma(mesh, sigma)
+        even = KernelMatrix.from_sigma(mesh, sigma)
+        K, T, mass = folded(full)
+        assert np.array_equal(even.K, K)
+        assert np.array_equal(even.T, T)
+        assert np.array_equal(even.mass, mass)
+        assert even.even and not full.even
+        assert even.n == full.n == n and even.mesh == mesh
+        # the half mesh stands for the whole interval
+        assert abs(even.mass.sum() - full.mass.sum()) <= 1e-15 * (b - a)
+        assert full.mass.sum() == pytest.approx(b - a, abs=1e-15)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("n", FOLD_SIZES)
+def test_fold_energy_and_operator_identities(n, p):
+    # E'(w) = E(U w) and A'(w) = (mass / h) A(U w)[:m] between the two
+    # assemblies, U the even unfolding
+    mesh = build_mesh(-1.0, 1.0, n)
+    kern = KernelMatrix.full_from_sigma(mesh, 0.45)
+    half = KernelMatrix.from_sigma(mesh, 0.45)
+    m = (n + 1) // 2
+    h = mesh.h
     params = validate_params({"p": p, "s": 0.45 / p,
                               "q": 1.0 + 0.75 * (p - 1.0),
                               "r": 1.0 + 0.25 * (p - 1.0), "lambda": 2.0})
@@ -395,22 +445,37 @@ def test_fold_energy_and_operator_identities(n, p):
         assert abs(E - e) <= 1e-13 * abs(E)
         assert (np.max(np.abs(half.mass / h * A[:m] - a))
                 <= 1e-13 * np.max(np.abs(A)))
-        # the folded problem carries the full energy, reaction included
+        # the even problem carries the full energy, reaction included
         E = total_energy(kern, model, u)
         e = total_energy(half, model, w)
         assert abs(E - e) <= 1e-13 * abs(E)
 
 
-def test_fold_leaves_the_full_kernel_alone():
-    kern = KernelMatrix.from_sigma(build_mesh(-1.0, 1.0, 9), 0.45)
-    K = kern.K.copy()
-    half = kern.fold()
-    assert np.array_equal(kern.K, K)
-    assert np.array_equal(kern.mass, np.full(9, kern.mesh.h))
-    seminorm_energy(kern, np.ones(9), 2.5)
-    # nothing is cached on a kernel: it holds its fields and no more
-    assert [f.name for f in dataclasses.fields(kern)] == [
-        "K", "T", "sigma", "mesh", "mass"]
-    assert set(vars(kern)) == {f.name for f in dataclasses.fields(kern)}
-    with pytest.raises(KernelError, match="already folded"):
-        half.fold()
+@pytest.mark.parametrize("n", [9, 10])
+def test_kernel_matrix_checks_its_weights(n):
+    # a kernel built by hand from an even kernel's K and T gets the even
+    # masses; weights of the wrong shape or without symmetry are refused
+    even = KernelMatrix.from_sigma(build_mesh(-1.0, 1.0, n), 0.45)
+    full = KernelMatrix.full_from_sigma(even.mesh, 0.45)
+    for kern in (even, full):
+        again = KernelMatrix(K=kern.K, T=kern.T, sigma=kern.sigma,
+                             mesh=kern.mesh)
+        assert np.array_equal(again.mass, kern.mass)
+        assert again.even == kern.even
+        # nothing is cached on a kernel: it holds its fields and no more
+        assert [f.name for f in dataclasses.fields(kern)] == [
+            "K", "T", "sigma", "mesh", "mass"]
+        assert set(vars(kern)) == {f.name for f in dataclasses.fields(kern)}
+    lopsided = even.K.copy()
+    lopsided[0, 1] *= 1.5
+    for fields, message in ((dict(K=lopsided), "not symmetric"),
+                            (dict(K=even.K[:, :-1]), "weights K of shape"),
+                            (dict(K=full.K), "weights K of shape"),
+                            (dict(T=even.T[:-1]), "tails T of shape"),
+                            (dict(mass=even.mass[:-1]), "mass of shape"),
+                            (dict(T=full.T), "weights K of shape")):
+        args = dict(K=even.K, T=even.T, sigma=even.sigma, mesh=even.mesh,
+                    mass=even.mass)
+        args.update(fields)
+        with pytest.raises(KernelError, match=message):
+            KernelMatrix(**args)

@@ -12,6 +12,7 @@ import fracbif
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
 MODULES = sorted(p for p in Path(fracbif.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
 
@@ -56,6 +57,33 @@ def test_bench_wraps_every_layer_but_the_known_gaps():
                          text=True, check=True).stdout
     assert set(out.split()) == {"reaction", "solvers.climb",
                                 "solvers.path_batch"}
+
+
+def _attribute_sites(paths, attr):
+    """(file, top-level function) of every use of the attribute attr."""
+    sites = set()
+    for path in paths:
+        for top in ast.parse(path.read_text(), str(path)).body:
+            if any(isinstance(node, ast.Attribute) and node.attr == attr
+                   for node in ast.walk(top)):
+                sites.add((path.name, getattr(top, "name", None)))
+    return sites
+
+
+def test_solvers_take_the_even_kernel_and_nothing_folds_it():
+    # the even kernel is assembled directly; the full n x n one only
+    # where a check needs vectors that are not even: verify's kernel and
+    # operator checks, the --dump-kernel writer and the demos that print
+    # rows of K
+    package = sorted(Path(fracbif.__file__).parent.glob("*.py"))
+    assert not hasattr(fracbif.KernelMatrix, "fold")
+    assert _attribute_sites(package, "fold") == set()
+    sites = _attribute_sites(package + sorted(DEMOS.glob("*.py")),
+                             "full_from_sigma")
+    assert sites == {("verify.py", "run_verification"),
+                     ("cli.py", "_dump_kernel"),
+                     ("kernel_profile.py", "main"),
+                     ("principal_eigenvalue.py", "dense_reference")}
 
 
 def test_readme_names_every_verify_check():

@@ -7,9 +7,10 @@ import functools
 import numpy as np
 import pytest
 
-from fracbif import (ReactionModel, SaddleNotFound, SolverOptions,
-                     assemble_kernel, build_mesh, find_saddle, mirror_fold,
-                     minimize_multistart, select_solution, validate_params)
+from fracbif import (KernelMatrix, ReactionModel, SaddleNotFound,
+                     SolverOptions, assemble_kernel, build_mesh, find_saddle,
+                     mirror_fold, minimize_multistart, select_solution,
+                     validate_params)
 from fracbif import solvers
 from fracbif.kernel import pairwise_energy
 
@@ -88,7 +89,7 @@ def test_run_out_search_evaluates_the_moved_point(monkeypatch):
     # at the max_iter exit the path has just been redistributed, and the
     # collapse test reads the energy of the new point at the old index m
     kern, params, u = problem(*DEMO, 12.5, 128)
-    fk, model = kern.fold(), ReactionModel.plain(params)
+    fk, model = kern, ReactionModel.plain(params)
     energy = solvers.total_energy
     last = []
 
@@ -141,13 +142,13 @@ def test_seminorm_energy_bounds_hold_to_the_margin(p, folded):
     # as computed and within _widened's margin (here with F = 0)
     params = validate_params({"p": p, "s": 0.3 / p, "q": 1.0 + 0.75 * (p - 1.0),
                               "r": 1.0 + 0.25 * (p - 1.0), "lambda": 2.0})
-    kern = assemble_kernel(build_mesh(-1.0, 1.0, 33), params)
-    if folded:
-        kern = kern.fold()
+    mesh = build_mesh(-1.0, 1.0, 33)
+    kern = (assemble_kernel(mesh, params) if folded
+            else KernelMatrix.full_from_sigma(mesh, params.sigma))
     rng = np.random.default_rng(int(10 * p) + folded)
     count = 200
-    A = rng.uniform(0.0, 2.0, (count, kern.n))
-    B = rng.uniform(0.0, 2.0, (count, kern.n))
+    A = rng.uniform(0.0, 2.0, (count, len(kern.T)))
+    B = rng.uniform(0.0, 2.0, (count, len(kern.T)))
     for X in (A, B):
         X[rng.uniform(size=X.shape) < 0.2] = 0.0       # zeros
         X[:, 3:7] = X[:, 3:4]                           # ties
@@ -173,7 +174,7 @@ def test_highest_keeps_the_first_of_tied_maxima():
     # bound is not finite, is evaluated first, and row 2, whose bound
     # is its energy exactly, must still be evaluated and win the tie
     kern, params, u = problem(*DEMO, 12.5, 128)
-    fk, model = kern.fold(), ReactionModel.plain(params)
+    fk, model = kern, ReactionModel.plain(params)
     w = mirror_fold(u)
     frac = np.linspace(0.0, 1.0, 41) ** 2
     k = int(np.argmax(path_energies(fk, model, frac[:, None] * w)))

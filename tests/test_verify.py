@@ -13,7 +13,7 @@ def test_quadrature_oracle_agrees_with_closed_form(sigma):
     are two independent evaluations of the same integrals; agreement
     across the sigma range validates both."""
     mesh = build_mesh(-1.3, 0.9, 7)
-    kern = KernelMatrix.from_sigma(mesh, sigma)
+    kern = KernelMatrix.full_from_sigma(mesh, sigma)
     edges = mesh.cell_edges
     for i, j in ((0, 1), (0, 6), (2, 3), (1, 5)):
         ref = pair_weight_quadrature((edges[i], edges[i + 1]),
@@ -72,10 +72,11 @@ def test_run_verification_runs_shared_evidence_once(monkeypatch):
     passed, _ = run_verification(cfg, kernel_hook=counted("assembled",
                                                           lambda k: k))
     assert passed
-    # two kernels for the oracles, one each for gradient, eigen-oracle-p2
-    # and nonexistence-scan, and one n = 32 kernel that euler-identity
-    # and the mon-* trials share
-    assert calls == {"kernel": 1, "operator": 1, "assembled": 6}
+    # two kernels for the oracles, one each for gradient and
+    # nonexistence-scan, two (the even one and the full one) for
+    # eigen-oracle-p2, and one n = 32 kernel that euler-identity and the
+    # mon-* trials share
+    assert calls == {"kernel": 1, "operator": 1, "assembled": 7}
 
 
 def test_run_verification_fails_every_check_of_a_raising_step():
