@@ -248,9 +248,11 @@ def estimate_lambda_star(kern, params, bracket, opts=None, seed=0, threads=1):
     Hessian is positive definite).  Otherwise a multi-start stopping at
     its first nontrivial report decides, so a "zero only" answer rests
     on the multi-start alone.  Every predicate's descent stops at zero
-    below the floor t-(lambda, mu) of every nontrivial solution, mu the
-    Picone constant behind lambda_low (solvers._zero_floor), or below
-    the sign threshold delta where there is no bound.
+    once the energy rises along the whole segment from zero to it
+    (solvers._rises_from_zero), a test that mu, the Picone constant
+    behind lambda_low, widens to hold every point below the floor
+    t-(lambda, mu) of every nontrivial solution; with no bound mu = 0,
+    and the test holds below the sign threshold delta.
 
     A bracket whose lo is nontrivial moves down: lo becomes hi and
     halves; one whose hi is zero only moves up: hi becomes lo and
@@ -264,9 +266,9 @@ def estimate_lambda_star(kern, params, bracket, opts=None, seed=0, threads=1):
     at the bracket's midpoint, until the bracket is no wider than width.
 
     Then one descent runs at the final lo from the minimizer cached at
-    the final hi (natural-parameter continuation), stopping at zero only
-    below delta, unless the predicate at lo already ran that descent
-    with the floor.  A descent that ends nontrivial means the searches
+    the final hi (natural-parameter continuation), with mu = 0 in its
+    test for zero, unless the predicate at lo already ran that descent
+    with mu.  A descent that ends nontrivial means the searches
     missed the branch at lo, and warns; so does a converged lambda*_h
     outside (lo, hi) or below lambda_low.
 
@@ -288,7 +290,7 @@ def estimate_lambda_star(kern, params, bracket, opts=None, seed=0, threads=1):
     eig = principal_eigenpair(kern, params.p, opts)
     lam_low, mu = _lower_bound_and_mu(kern, params, eig)
     # the Picone constant behind lam_low, shrunk like it for rounding:
-    # the predicates' descents stop at zero below the floor it sets
+    # it widens the test that stops the predicates' descents at zero
     mu = 0.0 if lam_low is None else (1.0 - BOUND_MARGIN) * mu
     cache = {}
     descended = {}      # lambda -> the warm start its predicate descended from
@@ -368,8 +370,8 @@ def estimate_lambda_star(kern, params, bracket, opts=None, seed=0, threads=1):
 
     warnings = []
     warm = cache[hi].solution.values
-    # the predicate at lo may have run this descent already, with the
-    # floor, and it did not end nontrivial, or hi would lie at or below
+    # the predicate at lo may have run this descent already, with mu,
+    # and it did not end nontrivial, or hi would lie at or below
     # lo; otherwise it runs without mu, so that it tests the searches
     # against the certificate that mu and lam_low come from rather than
     # rests on it

@@ -150,6 +150,22 @@ class KernelMatrix:
     mass: np.ndarray = None
 
     def __post_init__(self):
+        self._check_fields(symmetric=False)
+
+    @classmethod
+    def _assembled(cls, K, T, sigma, mesh):
+        """The kernel of weights K that are symmetric by construction:
+        __post_init__'s checks less the O(size^2) one of symmetry."""
+        kern = cls.__new__(cls)
+        for name, value in (("K", K), ("T", T), ("sigma", sigma),
+                            ("mesh", mesh), ("mass", None)):
+            object.__setattr__(kern, name, value)
+        kern._check_fields(symmetric=True)
+        return kern
+
+    def _check_fields(self, symmetric):
+        """Check the shapes, and the symmetry of K unless it is known,
+        and fill in the default mass."""
         n = self.mesh.n
         size = np.shape(self.T)
         if size not in ((n,), ((n + 1) // 2,)):
@@ -159,7 +175,7 @@ class KernelMatrix:
         if np.shape(self.K) != size * 2:
             raise KernelError("weights K of shape %r with %d tails"
                               % (np.shape(self.K), size[0]))
-        if not np.array_equal(self.K, self.K.T):
+        if not (symmetric or np.array_equal(self.K, self.K.T)):
             raise KernelError("weights K are not symmetric")
         if self.mass is None:
             mass = self.mesh.h * (_copies(n) if self.even else np.ones(n))
@@ -198,13 +214,13 @@ class KernelMatrix:
             K[:, -1] = K[-1, :] = k[m - 1::-1]
         np.fill_diagonal(K, 0.0)
         K *= 2.0
-        return cls(K=K, T=_copies(n) * T[:m], sigma=sigma, mesh=mesh)
+        return cls._assembled(K, _copies(n) * T[:m], sigma, mesh)
 
     @classmethod
     def full_from_sigma(cls, mesh, sigma):
         """Kernel |x-y|^(-(1+sigma)) of the full space on mesh, n x n."""
         sigma, k, T = _weights(mesh, sigma)
-        return cls(K=_toeplitz(k, mesh.n).copy(), T=T, sigma=sigma, mesh=mesh)
+        return cls._assembled(_toeplitz(k, mesh.n).copy(), T, sigma, mesh)
 
 
 def assemble_kernel(mesh, params):

@@ -15,12 +15,15 @@ length until Armijo's decrease holds; near a minimizer that decrease
 drops below the rounding of the energy (1e-13 * max(1, |E|)), and from
 there a step is accepted on its slope instead, by the approximate Wolfe
 test of Hager and Zhang, so descent runs on to the residual target
-rather than stalling on noise.  Every nontrivial critical point u >= 0
-has t- <= max u <= t+, each bound a root of f(t) / t^(p-1) = c for a
-constant c of the kernel (a Picone constant, and min 2 T / mass): a
-descent that enters the box max u < t- ends at zero (_descend), and
-minimize_multistart scales its starts down to peak at most t+
-(_amplitude_ceiling), to zero where zero is the only critical point.
+rather than stalling on noise.  Along a ray the energy is the fibering
+map E(t u) = S(u) t^p - (lam/q) A t^q + (1/r) B t^r, A and B sums of
+mass u+^q and u+^r: a descent that reaches a u from which it rises on
+the whole segment to 0 ends at zero (_rises_from_zero, with a Picone
+constant of the kernel bounding S from below).  Every nontrivial
+critical point u >= 0 has max u <= t+, the larger root of
+f(t) / t^(p-1) = min 2 T / mass, and minimize_multistart scales its
+starts down to peak at most t+ (_amplitude_ceiling), to zero where zero
+is the only critical point.
 principal_eigenpair takes damped Newton steps on the bordered eigen
 system (the eigen equation plus the normalization, solved for the
 eigenfunction and the eigenvalue together with the exact Hessian of the
@@ -306,12 +309,13 @@ def minimize(kern, model, u0, opts=None, mu=0.0):
     saddle; when backtracking finds no acceptable step (converged=False);
     or after max_iter accepted steps.  The negative part of the result
     is removed and descent resumed, which never increases the energy;
-    exact critical points are nonnegative anyway.  Descent that enters
-    the box max u < _zero_floor(params, mu), where zero is the only
-    critical point, ends at zero exactly; mu > 0, a Picone constant of
-    kern, widens that box from the sign threshold delta to the floor of
-    every nontrivial solution.  Descent runs in the even subspace from
-    the mirror average of u0, and the report carries the full-space
+    exact critical points are nonnegative anyway.  Descent that reaches
+    a point u from which the energy rises along the whole segment to 0,
+    by the fibering bound of _rises_from_zero, ends at zero exactly:
+    no other critical point lies in that set.  mu > 0, a Picone constant
+    of kern, widens the set; it then holds every u >= 0 below the floor
+    t- of every nontrivial solution.  Descent runs in the even subspace
+    from the mirror average of u0, and the report carries the full-space
     energy and residual of the descent's last point.
     """
     opts = opts or SolverOptions()
@@ -327,21 +331,13 @@ def _descend(kern, model, u0, opts, mu=0.0):
     point reached, its energy and gradient, and the number of accepted
     steps.
 
-    Descent that enters the box max u < t- = _zero_floor(params, mu) is
-    finished at zero exactly; at lam = 0 the box is all of space, so
-    descent ends at zero on its first step.  For u >= 0 in the box,
-    0 < u_i < t- gives h(u_i) < mu for h(t) = f(t) / t^(p-1), and
-    mu sum mass u^p is at most pairing(A(u), u) (the discrete Picone
-    inequality, see bifurcation.lambda_lower_bound; at mu = 0 because
-    A(u).u = p S(u)), so g.u >= sum_i mass_i u_i^p (mu - h(u_i)) > 0 for
-    g the gradient.  As t u lies in the box for 0 < t <= 1, E(t u)
-    rises with t there: E(u) > 0 = E(0), zero is the only critical
-    point in the box, and the segment from u to 0 descends.  A u with
-    negative entries has E(u) >= E(u+), taking positive parts lowering
-    every term of S.  On an even kernel w stands for its unfolding U w,
-    with the same E and g.w, so the argument is the full one.
+    Descent that reaches a point where _rises_from_zero holds is
+    finished at zero exactly: the energy rises along the whole segment
+    from 0 to that point, so zero is the only critical point there and
+    the jump to it descends.  The test is skipped where E is below
+    minus its rounding, as it can hold only where E > 0; at lam = 0 it
+    holds everywhere, so descent ends at zero on its first step.
     """
-    floor = _zero_floor(model.params, mu)
     u = np.array(u0, dtype=float)
     E, g = _energy_and_gradient(kern, model, u)
 
@@ -367,7 +363,8 @@ def _descend(kern, model, u0, opts, mu=0.0):
     shift = SHIFT_START
     for _round in range(4):
         while iterations < opts.max_iter:
-            if float(np.max(u)) < floor:
+            if (not E < -_rounding(E)
+                    and _rises_from_zero(kern, model.params, u, mu)):
                 u = np.zeros_like(u)
                 E = 0.0
                 g = np.zeros_like(g)
@@ -470,22 +467,44 @@ def _bisect(inside, lo, hi):
             hi = mid
 
 
-def _zero_floor(params, mu):
-    """t-, the smaller root of h(t) = mu, rounded down: no nontrivial
-    critical point u >= 0 has max u < t- (proof in _descend).  At
-    lam = 0 it is inf: h(t) = -t^(r-p) < 0 <= max(mu, 0) for every
-    t > 0, so zero is the only critical point u >= 0.  At mu <= 0 it is
-    the sign threshold delta, the root of h = 0, itself.  Bisection of
-    [delta, t*] keeps its lower end, where h < mu; where mu exceeds
-    max h, so that no nontrivial critical point exists, that end nears
-    t*."""
-    if params.lam == 0.0:
-        return np.inf
-    delta = sign_threshold_delta(params)
-    if not mu > 0.0:
-        return delta
-    return _bisect(lambda t: _ratio(params, t) < mu, delta,
-                   _ratio_peak(params))[0]
+def _rises_from_zero(kern, params, u, mu):
+    """Whether the energy on kern (full or even) rises along the whole
+    segment from 0 to u, by the fibering map of Drabek and Pohozaev
+    (Proc. Roy. Soc. Edinburgh 127A, 1997): no critical point other
+    than zero lies in the star-shaped set where this holds.
+
+    With W, A, B the sums of mass u+^p, u+^q, u+^r, the energy along
+    the ray is E(t u) = S(u) t^p - (lam/q) A t^q + (1/r) B t^r.  Taking
+    positive parts lowers every term of S, and mu, a Picone constant of
+    kern (bifurcation.lambda_lower_bound; 0 where there is none), gives
+    p S(u+) = pairing(A(u+), u+) >= mu W, so
+
+        dE(t u)/dt = p S(u) t^(p-1) - lam A t^(q-1) + B t^(r-1)
+                   >= t^(r-1) psi(t),
+        psi(t) = mu W t^(p-r) - lam A t^(q-r) + B.
+
+    psi > 0 on (0, 1] thus makes E rise on the segment, and E(u) > 0.
+    At a critical point v, psi_v(1) <= g(v).v = 0.  As
+    psi(t) = t^(p-r) sum mass u+^p (mu - h(t u+)), h = _ratio, the set
+    contains the box max u < t-, the smaller root of h = mu.  psi falls
+    and then rises: its least value on (0, 1] is at
+    t0 = ((q-r) lam A / ((p-r) mu W))^(1/(p-q)) when that is below 1,
+    where psi(t0) = B - (p-q)/(p-r) lam A t0^(q-r), and at 1 otherwise.
+    It holds where lam A = 0: at lam = 0 psi >= B > 0, and where u+ = 0
+    E(t u) = t^p S(u) does not fall, and a critical point v <= 0 has
+    p S(v) = g(v).v = 0, so v = 0 for positive tails T.
+    """
+    p, q, r = params.p, params.q, params.r
+    up = np.maximum(u, 0.0)
+    lam_A = params.lam * float(np.sum(kern.mass * up ** q))
+    if lam_A == 0.0:
+        return True
+    B = float(np.sum(kern.mass * up ** r))
+    mu_W = max(mu, 0.0) * float(np.sum(kern.mass * up ** p))
+    ratio = (q - r) * lam_A / ((p - r) * mu_W) if mu_W > 0.0 else np.inf
+    if ratio >= 1.0:
+        return mu_W - lam_A + B > 0.0
+    return B - (p - q) / (p - r) * lam_A * ratio ** ((q - r) / (p - q)) > 0.0
 
 
 def _amplitude_ceiling(kern, params):

@@ -1,8 +1,12 @@
-"""Every nonnegative nontrivial critical point u has
-t-(lambda, mu) <= max u <= t+(lambda): the multistart caps its starts at
-the ceiling t+, and the threshold predicates' descents stop at zero
-below the Picone floor t-.  The lemmas are checked on vectors built
-around the bounds, without a descent; the mechanisms on the solver."""
+"""Every nonnegative nontrivial critical point u has max u <= t+(lambda):
+the multistart caps its starts at that ceiling.  Along every ray the
+energy is the fibering map S t^p - (lambda/q) A t^q + (1/r) B t^r, and
+a descent stops at zero where it rises on the whole segment from 0
+(solvers._rises_from_zero); with the Picone constant mu that set holds
+every u >= 0 below the floor t-(lambda, mu), the smaller root of
+h = mu, which floor() computes here as the oracle.  The lemmas are
+checked on vectors built around the bounds, without a descent; the
+mechanisms on the solver."""
 
 import math
 
@@ -11,14 +15,15 @@ import pytest
 
 from fracbif import (KernelMatrix, ReactionModel, SolverOptions,
                      assemble_kernel, build_mesh, estimate_lambda_star,
-                     minimize, minimize_multistart, mirror_fold,
+                     find_saddle, minimize, minimize_multistart, mirror_fold,
                      principal_eigenpair, select_solution,
-                     sign_threshold_delta, total_gradient, validate_params,
-                     with_lambda)
+                     sign_threshold_delta, total_energy, total_gradient,
+                     validate_params, with_lambda)
 from fracbif import bifurcation, solvers
 from fracbif.bifurcation import BOUND_MARGIN, _picone_mu
+from fracbif.kernel import seminorm_energy
 from fracbif.solvers import (_amplitude_ceiling, _ratio, _ratio_peak,
-                             _zero_floor, default_starts)
+                             _rises_from_zero, default_starts)
 
 DEMO = (3.0, 0.3, 2.5, 1.5)
 # one exponent set for each p of the lemma tests, at a lambda where the
@@ -43,6 +48,24 @@ def certified_mu(kern, params):
     principal eigenfunction, shrunk like lambda_low."""
     phi = principal_eigenpair(kern, params.p).eigenfunction.values
     return (1.0 - BOUND_MARGIN) * _picone_mu(kern, mirror_fold(phi), params.p)
+
+
+def floor(params, mu):
+    """t-, the smaller root of h(t) = _ratio(params, t) = mu, rounded
+    down by bisection of [delta, t*], where h rises from 0 to max h: the
+    sign threshold delta itself at mu <= 0, and near t* where mu exceeds
+    max h."""
+    lo = sign_threshold_delta(params)
+    if not mu > 0.0:
+        return lo
+    hi = _ratio_peak(params)
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if _ratio(params, mid) < mu:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def kernels(exps, lam):
@@ -113,8 +136,9 @@ def test_ceiling_is_none_where_no_bound_holds():
 
 @pytest.mark.parametrize("exps,lam", LEMMA_SETS)
 def test_no_nontrivial_critical_point_peaks_below_the_floor(exps, lam):
-    # g.u > 0 for every u >= 0 with 0 < max u < t-: the Picone bound is
-    # nearly sharp along the eigenfunction phi
+    # g.u > 0 for every u >= 0 with 0 < max u < t-, and the energy rises
+    # on the segment from 0 to u by the fibering test: the Picone bound
+    # is nearly sharp along the eigenfunction phi
     rng = np.random.default_rng(1)
     p = exps[0]
     for n in (31, 32):
@@ -124,7 +148,7 @@ def test_no_nontrivial_critical_point_peaks_below_the_floor(exps, lam):
         phi = phi / np.max(phi)
         mu = _picone_mu(full, phi, p)
         model = ReactionModel.plain(params)
-        bottom = _zero_floor(params, mu)
+        bottom = floor(params, mu)
         for kern, shape in ((full, phi), (even, mirror_fold(phi))):
             m = len(kern.T)
             for factor in (1.0 - 1e-6, 0.5, 1e-3):
@@ -135,6 +159,7 @@ def test_no_nontrivial_critical_point_peaks_below_the_floor(exps, lam):
                 for u in (t * shape, t * np.sqrt(shape), np.full(m, t),
                           t * rng.random(m), sparse):
                     assert float(total_gradient(kern, model, u) @ u) > 0.0
+                    assert _rises_from_zero(kern, params, u, mu)
         assert sign_threshold_delta(params) < bottom < _ratio_peak(params)
         # rounded down: the root lies between bottom and the float above
         assert (_ratio(params, bottom) < mu
@@ -142,11 +167,39 @@ def test_no_nontrivial_critical_point_peaks_below_the_floor(exps, lam):
 
 
 @pytest.mark.parametrize("exps,lam", LEMMA_SETS)
+def test_energy_along_a_ray_is_the_fibering_map(exps, lam):
+    # E(t u) = S(u) t^p - (lambda/q) A t^q + (1/r) B t^r, with A and B the
+    # sums of mass u+^q and u+^r, also where u has negative entries
+    rng = np.random.default_rng(2)
+    p, q, r = exps[0], exps[2], exps[3]
+    for kern, params in kernels(exps, lam):
+        model = ReactionModel.plain(params)
+        m = len(kern.T)
+        u = _ratio_peak(params) * (2.0 * rng.random(m) - 0.5)
+        up = np.maximum(u, 0.0)
+        A = float(np.sum(kern.mass * up ** q))
+        B = float(np.sum(kern.mass * up ** r))
+        S = seminorm_energy(kern, u, p)
+        for t in (0.3, 1.0, 2.0):
+            terms = (S * t ** p, -lam / q * A * t ** q, B / r * t ** r)
+            assert total_energy(kern, model, t * u) == pytest.approx(
+                sum(terms), rel=0.0, abs=1e-13 * sum(map(abs, terms)))
+
+
+@pytest.mark.parametrize("exps,lam", LEMMA_SETS)
 def test_floor_at_zero_mu_is_the_sign_threshold(exps, lam):
+    # without a Picone constant the fibering test is psi(1) = B - lambda A
+    # > 0, which on a flat u holds exactly below delta, the floor at mu = 0
     _, params = problem(exps, lam, 32)
     delta = sign_threshold_delta(params)
     for mu in (0.0, -0.0, -1.0):
-        assert _zero_floor(params, mu) == delta
+        assert floor(params, mu) == delta
+        for kern, _ in kernels(exps, lam):
+            flat = np.ones(len(kern.T))
+            assert _rises_from_zero(kern, params, (1.0 - 1e-6) * delta * flat,
+                                    mu)
+            assert not _rises_from_zero(kern, params,
+                                        (1.0 + 1e-6) * delta * flat, mu)
     # the smaller root of h = 0 is delta
     assert abs(_ratio(params, delta)) <= 1e-12 * delta ** (params.r
                                                            - params.p)
@@ -155,12 +208,16 @@ def test_floor_at_zero_mu_is_the_sign_threshold(exps, lam):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("exps", [DEMO, (1.3, 0.5, 1.2, 1.1)])
 def test_multistart_at_lambda_zero_ends_at_zero_at_once(exps):
-    # at lambda = 0, h(t) = -t^(r-p) < 0 <= mu for every t > 0: the
-    # floor is inf, and every start ends at zero in one step, before a
-    # shifted step could divide by the zero Hessian at u = 0
+    # at lambda = 0 the energy along every ray is S t^p + B t^r / r, which
+    # rises: the fibering test holds everywhere, and every start ends at
+    # zero in one step, before a shifted step could divide by the zero
+    # Hessian at u = 0
     kern, params = problem(exps, 0.0, 32)
+    rng = np.random.default_rng(3)
     for mu in (0.0, 1.0):
-        assert _zero_floor(params, mu) == math.inf
+        for scale in (1e-6, 1.0, 1e6):
+            u = scale * rng.random(len(kern.T))
+            assert _rises_from_zero(kern, params, u, mu)
     for rep in minimize_multistart(kern, ReactionModel.plain(params), seed=0):
         assert not np.any(rep.solution.values)
         assert rep.iterations == 1
@@ -169,15 +226,22 @@ def test_multistart_at_lambda_zero_ends_at_zero_at_once(exps):
 
 def test_floor_below_the_lower_bound_stays_under_the_peak():
     # where mu exceeds max h no nontrivial critical point exists; the
-    # floor then nears t*, and below it h is still < mu
+    # floor then nears t*, and below it h is still < mu.  psi(t) is
+    # t^(p-r) sum mass u^p (mu - h(t u)) > 0 there for every u >= 0 that
+    # is not zero, so the fibering test holds at every amplitude
     kern, params = problem(DEMO, 12.5, 32)
     low = bifurcation.lambda_lower_bound(kern, params)
     below = with_lambda(params, 0.9 * low)
     mu = certified_mu(kern, params)
-    bottom = _zero_floor(below, mu)
+    bottom = floor(below, mu)
     assert bottom <= _ratio_peak(below)
     assert bottom == pytest.approx(_ratio_peak(below), rel=1e-12)
     assert _ratio(below, bottom) < mu
+    rng = np.random.default_rng(4)
+    for kern, _ in kernels(DEMO, 12.5):
+        for scale in np.logspace(-6.0, 6.0, 13):
+            u = scale * bottom * rng.random(len(kern.T))
+            assert _rises_from_zero(kern, below, u, mu)
 
 
 def test_capped_starts_peak_at_the_ceiling(monkeypatch):
@@ -223,16 +287,25 @@ def test_demo_minimizer_lies_under_the_ceiling():
 
 @pytest.mark.parametrize("exps", EXPONENT_SETS)
 def test_converged_reports_lie_between_the_floor_and_the_ceiling(exps):
+    # and the fibering test, which no critical point but zero passes,
+    # fails at each of them, and at the demo's mountain-pass saddle
     n = 128 if exps == DEMO else 32
     kern, params = problem(exps, 12.5, n)
     mu = certified_mu(kern, params)
-    bottom, top = _zero_floor(params, mu), _amplitude_ceiling(kern, params)
+    bottom, top = floor(params, mu), _amplitude_ceiling(kern, params)
     reports = minimize_multistart(kern, ReactionModel.plain(params), seed=0)
     found = [rep for rep in reports
              if rep.converged and rep.classification != "zero"]
     assert found
     for rep in found:
         assert bottom <= rep.solution.sup_norm <= top
+        assert not _rises_from_zero(kern, params,
+                                    mirror_fold(rep.solution.values), mu)
+    if exps == DEMO:
+        v = find_saddle(kern, params, select_solution(reports).solution)
+        assert v.converged and v.morse_index == 1
+        assert not _rises_from_zero(kern, params,
+                                    mirror_fold(v.solution.values), mu)
 
 
 def test_zero_report_skips_the_full_kernel_pass(monkeypatch):
@@ -281,18 +354,58 @@ def test_zero_report_skips_the_full_kernel_pass(monkeypatch):
 
 def test_floor_shortens_the_zero_only_predicate():
     # the multistart at lambda*_h - width/4 of the n = 32 demo ends at
-    # zero from every start, with or without the floor
+    # zero from every start, with or without mu; mu more than doubles
+    # the floor, and the fibering test it widens ends the descents in
+    # 34 steps, against 63 without it
     kern, params = problem(DEMO, 6.4466688477, 32)
     model = ReactionModel.plain(params)
     mu = certified_mu(kern, params)
-    assert _zero_floor(params, mu) > 2.0 * sign_threshold_delta(params)
+    assert floor(params, mu) > 2.0 * sign_threshold_delta(params)
     plain = minimize_multistart(kern, model, seed=0)
     floored = minimize_multistart(kern, model, seed=0, mu=mu)
     for reports in (plain, floored):
         assert all(rep.converged and rep.classification == "zero"
                    for rep in reports)
-    assert sum(rep.iterations for rep in floored) < sum(
+    assert sum(rep.iterations for rep in floored) <= 34 < sum(
         rep.iterations for rep in plain)
+
+
+def test_certified_mu_ends_the_crawl_at_zero():
+    # singular row 3 at lambda = 12.5: from the fifth start the descent
+    # crawls towards zero through indefinite Hessians, 859 steps without
+    # mu; with it the fibering test ends it within a few steps
+    kern, params = problem((1.2, 0.4, 1.15, 1.1), 12.5, 32)
+    top = _amplitude_ceiling(kern, params)
+    u0 = default_starts(kern.mesh, params, 10, 0)[4]
+    u0 = u0 * min(1.0, top / float(np.max(u0)))    # the multistart's cap
+    rep = minimize(kern, ReactionModel.plain(params), u0,
+                   mu=certified_mu(kern, params))
+    assert rep.converged and rep.classification == "zero"
+    assert not np.any(rep.solution.values)
+    assert rep.iterations <= 20
+
+
+def test_threshold_search_descent_steps(monkeypatch):
+    # a cost guard, counted rather than timed: the threshold searches of
+    # the demo at n = 128 on (-1, 1) and (-2, 2) take 106 descent steps
+    # in all, where stopping only below the floor t- took 162
+    descend, steps = solvers._descend, []
+
+    def counted(*args, **kwargs):
+        out = descend(*args, **kwargs)
+        steps.append(out[3])
+        return out
+
+    monkeypatch.setattr(solvers, "_descend", counted)
+    _, params = problem(DEMO, 12.5, 128)
+    for a, b in ((-1.0, 1.0), (-2.0, 2.0)):
+        kern = assemble_kernel(build_mesh(a, b, 128), params)
+        rec = estimate_lambda_star(kern, params, (5.0, 9.0),
+                                   SolverOptions(width=0.05),
+                                   seed=0).method_record
+        assert not rec["warnings"]
+    assert len(steps) == 32
+    assert sum(steps) <= 106
 
 
 def test_bracket_check_descends_without_the_floor(monkeypatch):

@@ -451,6 +451,20 @@ def test_fold_energy_and_operator_identities(n, p):
         assert abs(E - e) <= 1e-13 * abs(E)
 
 
+@pytest.mark.parametrize("n", [2, 3, 9, 10, 127, 128])
+@pytest.mark.parametrize("sigma", [0.1, 0.45, 0.9])
+def test_assemblies_are_symmetric_by_construction(n, sigma):
+    # the two assemblies skip the symmetry check that a kernel built by
+    # hand gets, so their weights must be symmetric to the bit
+    mesh = build_mesh(-1.0, 1.0, n)
+    for kern in (KernelMatrix.from_sigma(mesh, sigma),
+                 KernelMatrix.full_from_sigma(mesh, sigma)):
+        assert np.array_equal(kern.K, kern.K.T)
+        again = KernelMatrix(K=kern.K, T=kern.T, sigma=kern.sigma,
+                             mesh=kern.mesh)
+        assert np.array_equal(again.mass, kern.mass)
+
+
 @pytest.mark.parametrize("n", [9, 10])
 def test_kernel_matrix_checks_its_weights(n):
     # a kernel built by hand from an even kernel's K and T gets the even
