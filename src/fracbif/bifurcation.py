@@ -29,8 +29,9 @@ from .diagnostics import check_ordering, hopf_ratio
 from .kernel import apply_operator
 from .reaction import ReactionModel
 from .solvers import (SaddleNotFound, SolverError, SolverOptions,
-                      find_saddle, minimize, minimize_multistart, nontrivial,
-                      principal_eigenpair, select_solution, solve_fold)
+                      _lambda_at_peak, find_saddle, minimize,
+                      minimize_multistart, nontrivial, principal_eigenpair,
+                      select_solution, solve_fold)
 
 
 BOUND_MARGIN = 1e-10     # relative shrink of lambda_low, for the rounding of mu
@@ -198,7 +199,8 @@ def lambda_lower_bound(kern, params, opts=None, eigenpair=None):
                = (q-r)/(p-q) (lam (p-q)/(p-r))^((p-r)/(q-r)),
 
     the maximum taken at t* = ((p-r) / (lam (p-q)))^(1/(q-r)).  A
-    nontrivial solution therefore needs G(lam) >= mu, that is
+    nontrivial solution therefore needs G(lam) >= mu, that is, with
+    G^-1 = solvers._lambda_at_peak,
 
         lam >= lambda_low = (p-r)/(p-q) (mu (p-q)/(q-r))^((q-r)/(p-r)).
 
@@ -229,9 +231,7 @@ def _lower_bound_and_mu(kern, params, eigenpair):
                     params.p)
     if mu is None or not mu > 0.0:
         return None, None
-    p, q, r = params.p, params.q, params.r
-    lam = (p - r) / (p - q) * (mu * (p - q) / (q - r)) ** ((q - r) / (p - r))
-    return (1.0 - BOUND_MARGIN) * lam, mu
+    return (1.0 - BOUND_MARGIN) * _lambda_at_peak(params, mu), mu
 
 
 def estimate_lambda_star(kern, params, bracket, opts=None, seed=0, threads=1):

@@ -297,10 +297,7 @@ def main(argv=None, kernel_hook=None):
     try:
         cfg = _resolve_config(args)
         return args.func(cfg, args, kernel_hook)
-    except ConfigError as exc:
-        print("config error: %s" % exc, file=sys.stderr)
-        return 1
-    except (ParameterError, MeshError, KernelError) as exc:
+    except (ConfigError, ParameterError, MeshError, KernelError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 1
     except SolverError as exc:

@@ -9,7 +9,7 @@ values together with its mesh.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,9 +81,9 @@ class ProblemParams:
     """Admissible exponent/parameter record.
 
     p, s, q, r are the exponents (1 < r < q < p, 0 < s < 1, p*s < 1 so
-    the critical exponent p/(1 - p*s) is finite), lam >= 0 is the
-    reaction strength and pstar the critical exponent, computed on
-    construction.  Use validate_params to build one from a raw mapping.
+    the critical exponent p/(1 - p*s) is finite) and lam >= 0 is the
+    reaction strength.  Use validate_params to build one from a raw
+    mapping.
     """
 
     p: float
@@ -91,7 +91,6 @@ class ProblemParams:
     q: float
     r: float
     lam: float
-    pstar: float = field(default=None)
 
     def __post_init__(self):
         for name in ("p", "s", "q", "r", "lam"):
@@ -106,11 +105,9 @@ class ProblemParams:
                 % (self.r, self.q, self.p))
         if self.lam < 0.0:
             raise ParameterError("lam must be nonnegative, got %g" % self.lam)
-        sigma = self.p * self.s
-        if sigma >= 1.0:
+        if self.sigma >= 1.0:
             raise ParameterError(
-                "need p*s < 1 for the interval model, got p*s=%g" % sigma)
-        object.__setattr__(self, "pstar", self.p / (1.0 - sigma))
+                "need p*s < 1 for the interval model, got p*s=%g" % self.sigma)
 
     @property
     def sigma(self):

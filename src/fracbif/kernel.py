@@ -33,12 +33,14 @@ and apply_operator returns its exact gradient, the discrete operator
     A(u)_i = 2 * sum_{j!=i} K[i][j] op(u_i-u_j, p) + 2 T[i] op(u_i, p)
 
 with op the signed power.  pairing(A(u), u) = p * seminorm_energy(u)
-by p-homogeneity.  Both come from pairwise_energy, which walks K in
-dense blocks of whole rows against all its columns: row i of a block
-gives A(u)_i directly, and every pair is visited twice, once from each
-end.  A block holds at most PAIR_BUDGET differences (128 KiB), whatever
-the size of K, and nothing is cached on the kernel.  operator_hessian,
-the dense Jacobian of A, is the one exception of the size of K.
+by p-homogeneity.  Both come from one loop, pairwise_energy, which
+returns them together: it walks K in dense blocks of whole rows against
+all its columns, every pair is visited twice, once from each end, and
+each term K[i][j] op(u_i-u_j, p) is summed along its row, for A(u)_i,
+and times u_i-u_j, for the energy.  A block holds at most PAIR_BUDGET
+differences (128 KiB), whatever the size of K, and nothing is cached on
+the kernel.  operator_hessian, the dense Jacobian of A, is the one
+exception of the size of K.
 
 The solutions the solvers look for are even under the mirror map
 x -> a + b - x, which sends node i to node n-1-i, and a critical point
@@ -236,64 +238,54 @@ def _check_values(u, n):
     return u
 
 
-def pairwise_energy(kern, u, p, gradient=False):
-    """Seminorm energy of a vector u of nodal values, one for each node
-    of kern (m on an even kernel, n on a full one), with gradient=True
-    also the operator A(u).
+def pairwise_energy(kern, u, p):
+    """Seminorm energy and operator A(u) of a vector u of nodal values,
+    one for each node of kern (m on an even kernel, n on a full one).
 
     The sums run over the blocks of rows of K that the module docstring
-    describes; any other shape of u raises MeshMismatchError.
+    describes, each power taken once for both; any other shape of u
+    raises MeshMismatchError.
     """
     n = len(kern.T)
     u = _check_values(u, n)
     rows = min(n, max(1, PAIR_BUDGET // n))
     D_buf, t_buf = np.empty((2, rows * n))
     pair = 0.0
-    grad = np.empty(n) if gradient else None
+    grad = np.empty(n)
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
         D = D_buf[:(hi - lo) * n].reshape(hi - lo, n)
         t = t_buf[:D.size].reshape(D.shape)
         np.subtract(u[lo:hi, None], u[None, :], out=D)
-        if gradient:
-            np.abs(D, out=t)
-            np.power(t, p - 1.0, out=t)
-            np.copysign(t, D, out=t)
-            t *= kern.K[lo:hi]
-            np.sum(t, axis=1, out=grad[lo:hi])
-            D *= t
-            pair += np.sum(D)
-        else:
-            # |D|^(p-1) K |D|, multiplied as the operator's t D is,
-            # so that both give the same bits
-            np.abs(D, out=D)
-            np.power(D, p - 1.0, out=t)
-            t *= kern.K[lo:hi]
-            t *= D
-            pair += np.sum(t)
+        np.abs(D, out=t)
+        np.power(t, p - 1.0, out=t)
+        np.copysign(t, D, out=t)
+        t *= kern.K[lo:hi]
+        np.sum(t, axis=1, out=grad[lo:hi])
+        D *= t
+        pair += np.sum(D)
     absu = np.abs(u)
     up1 = absu ** (p - 1.0)
     energy = float((pair + 2.0 * np.sum(kern.T * up1 * absu)) / p)
-    if gradient:
-        grad += kern.T * np.copysign(up1, u)
-        grad *= 2.0
-        return energy, grad
-    return energy
+    grad += kern.T * np.copysign(up1, u)
+    grad *= 2.0
+    return energy, grad
 
 
 def seminorm_energy(kern, u, p):
     """(1/p) times the discrete Gagliardo p-seminorm to the p-th power."""
-    return pairwise_energy(kern, u, p)
+    return pairwise_energy(kern, u, p)[0]
 
 
 def apply_operator(kern, u, p):
     """Discrete fractional p-Laplacian; exact gradient of seminorm_energy."""
-    return pairwise_energy(kern, u, p, gradient=True)[1]
+    return pairwise_energy(kern, u, p)[1]
 
 
 def seminorm_energy_and_operator(kern, u, p):
-    """Energy and its gradient together, sharing the pairwise powers."""
-    return pairwise_energy(kern, u, p, gradient=True)
+    """Energy and its gradient together: pairwise_energy under the name
+    that the benchmark's layer trace wraps."""
+    return pairwise_energy(kern, u, p)
 
 
 def operator_hessian(kern, u, p, out=None):

@@ -101,10 +101,7 @@ def write_run_record(path, record):
 
 
 def _ticks(lo, hi, count=5):
-    if hi <= lo:
-        hi = lo + 1.0
-    raw = np.linspace(lo, hi, count)
-    return [float(t) for t in raw]
+    return [float(t) for t in np.linspace(lo, hi, count)]
 
 
 def write_diagram_svg(path, diagram, meta):

@@ -203,7 +203,7 @@ def total_energy(kern, model, u):
 
 def total_gradient(kern, model, u):
     """Exact gradient of total_energy at u."""
-    return _operator_and_gradient(kern, model, u)[1]
+    return _energy_and_gradient(kern, model, u)[1]
 
 
 def total_hessian(kern, model, u):
@@ -454,6 +454,14 @@ def _ratio_peak(params):
     return ((p - r) / (params.lam * (p - q))) ** (1.0 / (q - r))
 
 
+def _lambda_at_peak(params, mu):
+    """G^-1(mu) = (p-r)/(p-q) (mu (p-q)/(q-r))^((q-r)/(p-r)), mu >= 0,
+    the lam at which the peak G(lam) = h(t*) of h is mu; G rises with
+    lam, so h < mu everywhere below it.  lam of params is not read."""
+    p, q, r = params.p, params.q, params.r
+    return (p - r) / (p - q) * (mu * (p - q) / (q - r)) ** ((q - r) / (p - r))
+
+
 def _bisect(inside, lo, hi):
     """[lo, hi] narrowed until its midpoint rounds onto an end, keeping
     inside(lo) and not inside(hi) where they hold at the start."""
@@ -519,8 +527,9 @@ def _amplitude_ceiling(kern, params):
     h(u_i) >= c, that is max u <= t+, the larger root of h = c.  It lies in
     [t*, (lam / c)^(1/(p-q))], as h(t) < lam t^(q-p), and bisection
     returns the upper end of that bracket, at or above the root.  0.0
-    where max h = h(t*) = (q-r)/(p-q) (lam (p-q)/(p-r))^((p-r)/(q-r)),
-    compared in logs so that no lam overflows it, is below c.  None at
+    where max h < c, lam < _lambda_at_peak(params, c): c is the Picone
+    constant of the constant vector (A(1) = 2 T), and this is the law of
+    bifurcation.lambda_lower_bound.  None at
     lam = 0, where K has a negative entry or c <= 0, and where the
     bracket's ends underflow or overflow a float.  On an
     even kernel T and mass are both doubled (neither at an odd mesh's
@@ -529,13 +538,11 @@ def _amplitude_ceiling(kern, params):
     c = float(np.min(2.0 * kern.T / kern.mass))
     if not (params.lam > 0.0 and c > 0.0 and np.all(kern.K >= 0.0)):
         return None
-    p, q, r = params.p, params.q, params.r
-    if (np.log((q - r) / (p - q)) + (p - r) / (q - r) * (
-            np.log(params.lam) + np.log((p - q) / (p - r)))) < np.log(c):
+    if params.lam < _lambda_at_peak(params, c):
         return 0.0      # max h < c: zero is the only critical point
     try:
         peak = _ratio_peak(params)
-        far = (params.lam / c) ** (1.0 / (p - q))
+        far = (params.lam / c) ** (1.0 / (params.p - params.q))
     except OverflowError:
         return None
     if not peak > 0.0 or _ratio(params, peak) < c:
@@ -762,7 +769,8 @@ def solve_fold(kern, params, u, opts=None):
         if not 0.0 < lam < np.inf:
             return x, np.inf, opts.tol
         model = ReactionModel.plain(with_lambda(params, lam))
-        A, G = _operator_and_gradient(kern, model, w)
+        A = apply_operator(kern, w, model.params.p)
+        G = A - kern.mass * f_values(model, w)
         scale = _residual(kern, A)
         if not scale > 0.0:
             return x, np.inf, opts.tol
@@ -811,11 +819,6 @@ def solve_fold(kern, params, u, opts=None):
                                                kern.mesh),
                       residual=residual, iterations=iterations,
                       converged=note is None, note=note)
-
-
-def _operator_and_gradient(kern, model, w):
-    A = apply_operator(kern, w, model.params.p)
-    return A, A - kern.mass * f_values(model, w)
 
 
 def _eigen_jacobian(kern, p, w, R, out=None):
@@ -964,8 +967,9 @@ def _mountain_pass(kern, model, u_big, P, opts):
     the number of iterations and the Morse index at that point.
 
     An iteration needs only the index m of the highest interior point
-    (np.argmax's first maximum) and its energy, so the other points'
-    energies are bounded rather than computed (_highest).  top holds an
+    (np.argmax's first maximum) and its energy and gradient, which
+    _highest's evaluation of that point gives, so the other points'
+    energies are bounded rather than computed.  top holds an
     upper bound on the seminorm energy S of every point:
 
       - S itself, read back from the energy E as E + sum mass F, where
@@ -990,11 +994,11 @@ def _mountain_pass(kern, model, u_big, P, opts):
 
     Each bound is widened by _widened's margin, so that it holds for S
     as computed, and then top - sum mass F bounds the computed E from
-    above at O(n) cost a point.  Every energy the search keeps is
-    total_energy of one point, so m and energies[m] carry the bits that
-    the energies of the whole path give, at every exit of the loop;
-    where max_iter ends it, right after a step, the point at index m is
-    evaluated.
+    above at O(n) cost a point.  Every energy the search keeps has the
+    bits total_energy gives its point, so m and energies[m] carry the
+    bits that the energies of the whole path give, at every exit of the
+    loop; where max_iter ends it, right after a step, the point at index
+    m is evaluated.
     """
     # The zero endpoint needs no check: the primitive is <= 0 for
     # 0 <= t < delta = lam^(-1/(q-r)) (for every t at lam = 0), so in
@@ -1010,6 +1014,7 @@ def _mountain_pass(kern, model, u_big, P, opts):
     known = np.zeros(P, dtype=bool)
     known[[0, -1]] = True
     energies = np.zeros(P)
+    gradients = np.empty_like(Z)
     energies[-1] = total_energy(kern, model, Z[-1])     # E(0) = 0
     F = _reaction_sums(kern, model, Z)
     p = model.params.p
@@ -1022,9 +1027,9 @@ def _mountain_pass(kern, model, u_big, P, opts):
     index = None
     while iterations < opts.max_iter:
         iterations += 1
-        m = _highest(kern, model, Z, top - F, energies, known)
+        m = _highest(kern, model, Z, top - F, energies, known, gradients)
         top[known] = _widened(energies[known] + F[known], F[known])
-        E_m, g = _energy_and_gradient(kern, model, Z[m])
+        E_m, g = float(energies[m]), gradients[m]
         residual = _residual(kern, g)
         scale = _scale(E_m)
         if residual <= opts.tol * scale:
@@ -1120,19 +1125,20 @@ def _widened(S, F):
     return S + 1e-12 * (np.abs(S) + np.abs(F))
 
 
-def _highest(kern, model, Z, upper, energies, known):
+def _highest(kern, model, Z, upper, energies, known, gradients):
     """Index m of the highest interior point of the path Z, the first
     maximum np.argmax finds among every point's exact energy, with that
-    energy in energies[m].
+    energy in energies[m] and its gradient in gradients[m].
 
     upper bounds every point's computed energy from above; energies
-    holds exact energies (total_energy's) where known is set, and the
-    points evaluated here are added to both.  The unknown point of highest
-    bound, a bound that is not finite counting as the highest, is
-    evaluated, one at a time, while that bound is not below the best
-    exact energy: every point left out is then strictly lower than that
-    best, so the first maximum of the exact energies is the first
-    maximum of them all.
+    holds exact energies (total_energy's bits) where known is set, and
+    gradients the exact gradients of the interior points among them.
+    The points evaluated here, by _energy_and_gradient, are added to all
+    three.  The unknown point of highest bound, a bound that is not
+    finite counting as the highest, is evaluated, one at a time, while
+    that bound is not below the best exact energy: every point left out
+    is then strictly lower than that best, so the first maximum of the
+    exact energies is the first maximum of them all.
     """
     exact = np.where(known, energies, -np.inf)[1:-1]
     order = np.where(known, -np.inf,
@@ -1142,7 +1148,8 @@ def _highest(kern, model, Z, upper, energies, known):
         j = int(np.argmax(order))
         if order[j] < best or known[1 + j]:
             return 1 + int(np.argmax(exact))
-        exact[j] = energies[1 + j] = total_energy(kern, model, Z[1 + j])
+        E, gradients[1 + j] = _energy_and_gradient(kern, model, Z[1 + j])
+        exact[j] = energies[1 + j] = E
         known[1 + j] = True
         order[j] = -np.inf
         best = np.max(exact)

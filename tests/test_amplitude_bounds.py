@@ -22,8 +22,8 @@ from fracbif import (KernelMatrix, ReactionModel, SolverOptions,
 from fracbif import bifurcation, solvers
 from fracbif.bifurcation import BOUND_MARGIN, _picone_mu
 from fracbif.kernel import seminorm_energy
-from fracbif.solvers import (_amplitude_ceiling, _ratio, _ratio_peak,
-                             _rises_from_zero, default_starts)
+from fracbif.solvers import (_amplitude_ceiling, _lambda_at_peak, _ratio,
+                             _ratio_peak, _rises_from_zero, default_starts)
 
 DEMO = (3.0, 0.3, 2.5, 1.5)
 # one exponent set for each p of the lemma tests, at a lambda where the
@@ -111,6 +111,26 @@ def test_ceiling_is_the_same_on_a_folded_kernel():
                 == _amplitude_ceiling(full, params))
 
 
+@pytest.mark.parametrize("exps", EXPONENT_SETS)
+def test_ceiling_vanishes_below_the_picone_law_of_the_constant(exps):
+    # c = min 2 T / mass is the Picone constant of the constant vector,
+    # as A(1) = 2 T, so the ceiling is 0.0 below G^-1(c), the same law
+    # that turns the eigenfunction's Picone constant into lambda_low
+    for n in (31, 32):
+        kern, params = problem(exps, 12.5, n)
+        for k in (kern, KernelMatrix.full_from_sigma(kern.mesh, kern.sigma)):
+            c = float(np.min(2.0 * k.T / k.mass))
+            assert _picone_mu(k, np.ones(len(k.T)), params.p) == c
+            at = _lambda_at_peak(params, c)
+            below = with_lambda(params, (1.0 - 1e-9) * at)
+            above = with_lambda(params, (1.0 + 1e-9) * at)
+            assert _amplitude_ceiling(k, below) == 0.0
+            assert _amplitude_ceiling(k, above) > 0.0
+    eig = principal_eigenpair(kern, params.p)
+    low, mu = bifurcation._lower_bound_and_mu(kern, params, eig)
+    assert low == (1.0 - BOUND_MARGIN) * _lambda_at_peak(params, mu)
+
+
 def test_ceiling_is_none_where_no_bound_holds():
     kern, params = problem(DEMO, 12.5, 32)
     assert _amplitude_ceiling(kern, with_lambda(params, 0.0)) is None
@@ -128,8 +148,8 @@ def test_ceiling_is_none_where_no_bound_holds():
     for r, lam in ((1.1, 1e30), (1.01, 1e17)):
         kern, params = problem((1.2, 0.4, 1.15, r), lam, 32)
         assert _amplitude_ceiling(kern, params) is None
-    # t* overflows at 5e-16, but max h = h(t*), taken in logs, is far
-    # below c there: zero is the only critical point
+    # t* overflows at 5e-16, but lambda is far below G^-1(c), where
+    # max h = c: zero is the only critical point
     kern, params = problem((1.2, 0.4, 1.15, 1.1), 5e-16, 32)
     assert _amplitude_ceiling(kern, params) == 0.0
 

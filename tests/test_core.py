@@ -32,7 +32,6 @@ def test_validate_params_happy_path():
     pr = validate_params({"p": 3.0, "s": 0.3, "q": 2.5, "r": 1.5, "lambda": 4.0})
     assert pr.lam == 4.0
     assert pr.sigma == pytest.approx(0.9)
-    assert pr.pstar == pytest.approx(3.0 / (1.0 - 0.9))
 
 
 def test_validate_params_lambda_alias():

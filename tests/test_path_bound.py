@@ -3,6 +3,7 @@ bound reaches the best energy found, and must pick the point, and the
 bits of its energy, that the energies of the whole path give."""
 
 import functools
+import inspect
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from fracbif import (KernelMatrix, ReactionModel, SaddleNotFound,
                      SolverOptions, assemble_kernel, build_mesh, find_saddle,
                      mirror_fold, minimize_multistart, select_solution,
                      validate_params)
-from fracbif import solvers
+from fracbif import kernel, solvers
 from fracbif.kernel import pairwise_energy
 
 DEMO = (3.0, 0.3, 2.5, 1.5)
@@ -43,9 +44,11 @@ def path_energies(kern, model, Z):
     return np.array([solvers.total_energy(kern, model, z) for z in Z])
 
 
-def dense_highest(kern, model, Z, upper, energies, known):
-    # every point's energy, as the search computed it before the bound
-    energies[:] = path_energies(kern, model, Z)
+def dense_highest(kern, model, Z, upper, energies, known, gradients):
+    # every point's energy, as the search computed it before the bound,
+    # and gradient
+    for k, z in enumerate(Z):
+        energies[k], gradients[k] = solvers._energy_and_gradient(kern, model, z)
     known[:] = True
     return 1 + int(np.argmax(energies[1:-1]))
 
@@ -66,13 +69,16 @@ def test_lazy_maximum_is_the_whole_path_maximum(monkeypatch, point, n, opts,
     highest = solvers._highest
     calls = []
 
-    def checked(kern, model, Z, upper, energies, known):
+    def checked(kern, model, Z, upper, energies, known, gradients):
         dense = path_energies(kern, model, Z)
         unknown = ~known
         assert np.all(upper[unknown] >= dense[unknown])
-        m = highest(kern, model, Z, upper, energies, known)
+        m = highest(kern, model, Z, upper, energies, known, gradients)
         assert energies[known].tobytes() == dense[known].tobytes()
         assert m == 1 + int(np.argmax(dense[1:-1]))
+        # the search steps from the gradient of the evaluation that found m
+        assert (gradients[m].tobytes()
+                == solvers.total_gradient(kern, model, Z[m]).tobytes())
         calls.append(m)
         return m
 
@@ -110,9 +116,10 @@ def test_run_out_search_evaluates_the_moved_point(monkeypatch):
 
 def test_saddle_search_evaluates_a_tenth_of_the_path(monkeypatch):
     # the whole path took (path_points - 2) rows an iteration; at the
-    # demo point _highest evaluates 40 of them in 38 iterations
+    # demo point _highest evaluates 40 of them in 38 iterations, each by
+    # one pass that gives its energy and gradient
     kern, params, u = problem(*DEMO, 12.5, 128)
-    energy, highest = solvers.total_energy, solvers._highest
+    energy, highest = solvers._energy_and_gradient, solvers._highest
     searching, rows = [], []
 
     def counted(*args):
@@ -126,12 +133,33 @@ def test_saddle_search_evaluates_a_tenth_of_the_path(monkeypatch):
         finally:
             searching.pop()
 
-    monkeypatch.setattr(solvers, "total_energy", counted)
+    monkeypatch.setattr(solvers, "_energy_and_gradient", counted)
     monkeypatch.setattr(solvers, "_highest", search)
     rep = find_saddle(kern, params, u)
     assert rep.converged
     whole = (SolverOptions().path_points - 2) * rep.iterations
     assert 0 < len(rows) <= whole / 10
+    assert (len(rows), rep.iterations) == (40, 38)
+
+
+def test_saddle_search_takes_one_pairwise_pass_a_point(monkeypatch):
+    # pairwise_energy always returns the energy and the operator, and
+    # the search reads E and g of its highest point from the pass that
+    # found it: 101 passes at the demo point, where a second, fused pass
+    # after an energy-only one took 136
+    assert list(inspect.signature(kernel.pairwise_energy).parameters) == [
+        "kern", "u", "p"]
+    kern, params, u = problem(*DEMO, 12.5, 128)
+    passes, calls = kernel.pairwise_energy, []
+
+    def counted(*args):
+        calls.append(1)
+        return passes(*args)
+
+    monkeypatch.setattr(kernel, "pairwise_energy", counted)
+    rep = find_saddle(kern, params, u)
+    assert rep.converged
+    assert len(calls) <= 101
 
 
 @pytest.mark.parametrize("p", [1.3, 1.8, 3.0, 5.0])
@@ -157,7 +185,7 @@ def test_seminorm_energy_bounds_hold_to_the_margin(p, folded):
     t = rng.uniform(0.0, 1.0, count)
     t[:4] = [0.0, 1.0, 1e-9, 1.0 - 1e-9]
     Z = A + t[:, None] * (B - A)                        # as _reequispace
-    Sa, Sb, Sz = (np.array([pairwise_energy(kern, x, p) for x in X])
+    Sa, Sb, Sz = (np.array([pairwise_energy(kern, x, p)[0] for x in X])
                   for X in (A, B, Z))
     gauge = ((1.0 - t) * Sa ** (1.0 / p) + t * Sb ** (1.0 / p)) ** p
     chord = (1.0 - t) * Sa + t * Sb
@@ -165,7 +193,7 @@ def test_seminorm_energy_bounds_hold_to_the_margin(p, folded):
     assert np.all(Sz <= solvers._widened(gauge, zero))
     assert np.all(gauge <= solvers._widened(chord, zero))
     tp = t ** p * Sa
-    St = np.array([pairwise_energy(kern, ta, p) for ta in t[:, None] * A])
+    St = np.array([pairwise_energy(kern, ta, p)[0] for ta in t[:, None] * A])
     assert np.all(np.abs(St - tp) <= solvers._widened(tp, zero) - tp)
 
 
@@ -186,6 +214,9 @@ def test_highest_keeps_the_first_of_tied_maxima():
     known = np.zeros(len(Z), dtype=bool)
     known[[0, -1]] = True
     energies = np.where(known, dense, 0.0)
-    assert solvers._highest(fk, model, Z, upper, energies, known) == 2
+    gradients = np.zeros_like(Z)
+    assert solvers._highest(fk, model, Z, upper, energies, known,
+                            gradients) == 2
     assert energies[2] == dense[2]
+    assert np.array_equal(gradients[2], solvers.total_gradient(fk, model, Z[2]))
     assert not known[[1, 3, 5]].any()

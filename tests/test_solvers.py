@@ -521,6 +521,27 @@ def test_minimize_descends_from_any_start():
     assert rep.converged
 
 
+@pytest.mark.parametrize("max_iter", [1, 2])
+def test_minimize_clears_the_negative_part_it_steps_into(max_iter):
+    # from 3 with three nodes at each end at -2, the first step leaves
+    # min u = -0.876 at E = 278.0; the reaction vanishes for t <= 0, so
+    # the descent clips that part off and resumes, and the report, even
+    # one cut short by max_iter, is nonnegative (E = 216.9 at one step)
+    params = validate_params({"p": 3.0, "s": 0.3, "q": 2.5, "r": 1.5,
+                              "lambda": 12.5})
+    mesh = build_mesh(-1.0, 1.0, 32)
+    kern = assemble_kernel(mesh, params)
+    model = ReactionModel.plain(params)
+    u0 = np.full(32, 3.0)
+    u0[:3] = u0[-3:] = -2.0
+    rep = minimize(kern, model, u0, SolverOptions(max_iter=max_iter))
+    assert rep.iterations == max_iter
+    assert np.min(rep.solution.values) >= 0.0
+    full = KernelMatrix.full_from_sigma(mesh, params.sigma)
+    assert rep.energy == pytest.approx(
+        total_energy(full, model, rep.solution.values), rel=1e-12)
+
+
 def test_warm_start_converges_below_the_armijo_resolution():
     # the continuation grid of the n = 32 threshold search: warm-starting
     # lambda = 7.9423 from the lambda = 9.1337 branch point reaches the
