@@ -1,18 +1,21 @@
-"""Walk the energy along a path from zero to the large solution.
+"""Walk the energy along the rays from zero through both solutions.
 
-The small solution is a mountain pass: every path from the zero
-solution to the energy minimizer has to climb over an energy barrier,
-and the lowest crossing point is itself a solution.  This script
-solves for the minimizer, asks the saddle finder to keep its final
-path, and prints the energy profile along it so the barrier is
-visible as numbers.
+Along the ray of a nonnegative profile w the energy E(t w) rises from
+E(0) = 0 and, where the reaction wins, peaks and falls to a trough
+before it rises again.  The small solution v is the mountain pass: the
+least of those peaks over all rays, so E(t v) peaks exactly at t = 1.
+The large solution u, the energy minimizer, is the trough of its own
+ray, at t = 1.  This script solves for both and prints E(t u) and
+E(t v) for t in [0, 1.5], so the barrier and the well show as numbers.
 """
 
 import argparse
 
+import numpy as np
+
 from fracbif import (KernelMatrix, ReactionModel, SolverOptions, build_mesh,
-                     find_saddle, minimize_multistart, select_solution,
-                     validate_params)
+                     find_saddle, minimize_multistart, mirror_fold,
+                     select_solution, total_energy, validate_params)
 
 
 def main():
@@ -35,35 +38,31 @@ def main():
         print("zero is the only minimizer at lambda = %.3f; raise --lam"
               % args.lam)
         return
-    print("minimizer: sup %.6f, energy %.6f" % (u.solution.sup_norm, u.energy))
-
-    v, path = find_saddle(kern, params, u.solution.values, opts,
-                          return_path=True)
-    print("saddle:    sup %.6f, energy %.6f (path point %d of %d)"
-          % (v.solution.sup_norm, v.energy, path.max_index,
-             len(path.points)))
+    v = find_saddle(kern, params, u.solution.values, opts)
+    print("minimizer u: sup %.6f, energy % .6e" % (u.solution.sup_norm,
+                                                   u.energy))
+    print("saddle v:    sup %.6f, energy % .6e" % (v.solution.sup_norm,
+                                                   v.energy))
     print()
 
-    energies = list(path.energies)
-    top = max(energies)
-    width = 48
-    print("the climb out of zero (bars scaled to the barrier height):")
-    k = 0
-    while k < len(energies) and energies[k] > -0.5 * top:
-        bar = "#" * int(round(width * max(energies[k], 0.0) / top))
-        marker = "  <-- barrier" if k == path.max_index else ""
-        print("  %3d  % .6f  %s%s" % (k, energies[k], bar, marker))
-        k += 1
+    # on the even kernel the energy of a folded point is the energy of
+    # the full-mesh profile
+    ts = np.arange(31) / 20.0
+    Eu = [total_energy(kern, model, t * mirror_fold(u.solution.values))
+          for t in ts]
+    Ev = [total_energy(kern, model, t * mirror_fold(v.solution.values))
+          for t in ts]
+    top = max(Ev)
+    width = 32
+    print("   t     E(t u)         E(t v)")
+    for t, a, b in zip(ts, Eu, Ev):
+        bar = "#" * int(round(width * max(b, 0.0) / top))
+        marker = "  <-- v peaks, u bottoms out" if t == 1.0 else ""
+        print("  %4.2f  % .6e  % .6e  %s%s" % (t, a, b, bar, marker))
     print()
-    print("past the barrier the energy drops far below zero on the way")
-    print("down to the minimizer:")
-    for j in range(k, len(energies), 4):
-        print("  %3d  % .6f" % (j, energies[j]))
-    print("  %3d  % .6f  (minimizer)" % (len(energies) - 1, energies[-1]))
-    print()
-    print("the barrier height %.6f is the mountain-pass level; the saddle"
+    print("the peak %.6e of E(t v) is the mountain-pass level: the rays"
           % top)
-    print("solver refines that crossing point until the gradient vanishes.")
+    print("near v peak higher.")
 
 
 if __name__ == "__main__":

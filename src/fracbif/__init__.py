@@ -18,11 +18,11 @@ from .kernel import (KernelError, KernelMatrix, apply_operator,
                      seminorm_energy_and_operator)
 from .reaction import (F_values, ReactionModel, df_values, f_values,
                        scan_reaction_slack, sign_threshold_delta)
-from .solvers import (EigenResult, FoldResult, MountainPassPath,
-                      SaddleNotFound, SolveReport, SolverError, SolverOptions,
-                      find_saddle, minimize, minimize_multistart,
-                      principal_eigenpair, select_solution, solve_fold,
-                      total_energy, total_gradient, total_hessian)
+from .solvers import (EigenResult, FoldResult, SaddleNotFound, SolveReport,
+                      SolverError, SolverOptions, find_saddle, minimize,
+                      minimize_multistart, principal_eigenpair,
+                      select_solution, solve_fold, total_energy,
+                      total_gradient, total_hessian)
 from .diagnostics import (boundary_ratios, check_ordering, gradient_check,
                           hopf_ratio, verify_operator_properties)
 from .bifurcation import (BifurcationDiagram, BranchPoint, build_diagram,

@@ -32,28 +32,14 @@ falls, and gives up once no step lowers it or the residual has stopped
 moving.  solve_fold finds the turning point of the minimizer branch,
 where the Hessian turns singular, by the same damped Newton loop on the
 extended system of the minimizer, the null vector of its Hessian and
-lambda.  find_saddle runs a mountain-pass search between the zero
-function and a known minimizer u_big, on the
-energy restricted to the box 0 <= z <= u_big: the maximal-energy point
-of a piecewise-linear path is pushed downhill, each step projected onto
-the box, with the path redistributed at fixed arclength fractions,
-until progress stalls at the path resolution.  A step needs only the
-highest path point, so the search keeps an upper bound on the seminorm
-energy S of every path point and evaluates the energy only where that
-bound, less the point's reaction sum, reaches the best energy found:
-S is convex and p-homogeneous for p > 1, so S^(1/p) is convex, and S is
-bounded by its value where a point was evaluated, by t^p S(u_big) on
-the initial path t u_big, and at a redistributed point by the chord of
-S^(1/p) between the two points it is interpolated from.  Each bound is
-widened by 1e-12 of |S| + |sum mass F|, far above the rounding of S and
-of the interpolated points, so the search picks the same point, with
-the same bits of its energy, as the energies of the whole path would
-(_mountain_pass).  The maximal point alone then takes min-max Newton
-steps on the exact Hessian (total_hessian), the search's only source of
-curvature, by the damped Newton loop of the eigen and fold solves, and
-the result counts if it converges to a point of Morse index one.
-Otherwise the descent resumes from where it stopped, and the finish is
-tried again at its next stall; the rest of the path stays put.
+lambda.  find_saddle finds the mountain-pass point below a minimizer
+u_big as the least energy peak along the rays from zero (Li and Zhou,
+SIAM J. Sci. Comput. 23, 2001): a ray peaks at the first root of the
+fibering map's slope, and Newton steps on the Hessian restricted to the
+tangent of the peaks descend over them from the peak of u_big's ray.
+The min-max Newton finish, on the damped Newton loop of the eigen and
+fold solves, takes over near the saddle, and the result counts if it
+converges to a point of Morse index one.
 
 The solutions sought are even under the mirror map of the interval, so
 every solver works in the even subspace: it takes the even kernel of
@@ -88,7 +74,7 @@ class SolverError(RuntimeError):
 
 
 class SaddleNotFound(SolverError):
-    """Raised when the mountain-pass path crosses no barrier."""
+    """Raised when the energy has no peak along the ray of the minimizer."""
 
 
 NEWTON_HALVINGS = 8     # step lengths an eigen or fold Newton step may try
@@ -96,9 +82,9 @@ SADDLE_HALVINGS = 30    # step lengths a min-max Newton step may try
 STALL_WINDOW = 20       # Newton steps over which the residual must fall
 STALL_DECREASE = 5e-3   # by this fraction, or the Newton iteration gives up
 SADDLE_ROUNDS = 60      # min-max Newton steps the saddle finish may take
+HANDOFF = 1e-6          # residual / sup |A| where the saddle finish takes over
 ARMIJO = 1e-4           # sufficient-decrease fraction of every line search
 BACKTRACK = 0.5         # step shrink factor while backtracking
-STEP_MAX = 1e2          # cap on the step scale of the saddle's path descent
 # the shift of an indefinite scaled Hessian (Nocedal and Wright, Numerical
 # Optimization, Algorithm 3.3 and the remarks after it): its least value,
 # the factor it grows by until the Cholesky factorization succeeds, and
@@ -111,7 +97,8 @@ SHIFT_REUSE = 0.125
 @dataclass(frozen=True)
 class SolverOptions:
     """Knobs shared by the descent-based solvers; a value out of range
-    raises ParameterError."""
+    raises ParameterError.  No solver reads path_points or damping;
+    they are checked, as the configuration and the benchmark pass them."""
 
     tol: float = 1e-9
     max_iter: int = 50_000
@@ -122,10 +109,9 @@ class SolverOptions:
     width: float = 0.05
 
     def __post_init__(self):
-        # a zero or negative tolerance or width is never met, a path descent
-        # with zero or negative damping never moves, so the loops that
-        # read them run on to their caps or forever; with no start there
-        # is no report to select, and with no step nothing converges
+        # a zero or negative tolerance or width is never met, so the loops
+        # that read them run on to their caps or forever; with no start
+        # there is no report to select, and with no step nothing converges
         for name in ("tol", "width", "damping"):
             if not getattr(self, name) > 0.0:
                 raise ParameterError("%s must be positive, got %r"
@@ -173,13 +159,6 @@ class FoldResult:
     note: str = None        # why it did not converge
 
 
-@dataclass
-class MountainPassPath:
-    points: np.ndarray      # (P, n) path in state space, endpoints fixed
-    energies: np.ndarray    # (P,)
-    max_index: int
-
-
 def _check_even(kern):
     if not kern.even:
         raise KernelError("the solvers take the even-subspace kernel "
@@ -214,17 +193,15 @@ def total_hessian(kern, model, u):
 
 
 def _energy_and_gradient(kern, model, u):
-    S, A = seminorm_energy_and_operator(kern, u, model.params.p)
+    return _total(kern, model, u,
+                  *seminorm_energy_and_operator(kern, u, model.params.p))
+
+
+def _total(kern, model, u, S, A):
+    """Total energy and gradient at u from its seminorm energy S and
+    operator A."""
     E = S - float(np.sum(kern.mass * F_values(model, u)))
-    g = A - kern.mass * f_values(model, u)
-    return E, g
-
-
-def _reaction_sums(kern, model, Z):
-    """sum_i mass_i F(i, z_i) for every row z of Z: the reaction sums
-    of the path points, which _mountain_pass subtracts from their
-    seminorm energy bounds."""
-    return np.sum(kern.mass * F_values(model, Z), axis=1)
+    return E, A - kern.mass * f_values(model, u)
 
 
 def _sup(x):
@@ -341,23 +318,9 @@ def _descend(kern, model, u0, opts, mu=0.0):
     u = np.array(u0, dtype=float)
     E, g = _energy_and_gradient(kern, model, u)
 
-    def search(d, gd):
-        # backtrack from u + d until Armijo's decrease holds or, below
-        # the rounding of E, the approximate Wolfe test; returns the
-        # accepted point with its energy and gradient, or None
-        t = 1.0
-        while t > 1e-20:
-            u_new = u + t * d
-            E_new, g_new = _energy_and_gradient(kern, model, u_new)
-            decrease = -ARMIJO * t * gd
-            if decrease > _rounding(E):
-                accepted = E_new <= E - decrease
-            else:
-                accepted = _slope_accepts(E, E_new, float(g_new @ d), gd)
-            if accepted:
-                return u_new, E_new, g_new
-            t *= BACKTRACK
-        return None
+    def trial(t):
+        u_new = u + t * d
+        return (u_new, *_energy_and_gradient(kern, model, u_new))
 
     iterations = 0
     shift = SHIFT_START
@@ -370,19 +333,11 @@ def _descend(kern, model, u0, opts, mu=0.0):
                 g = np.zeros_like(g)
                 iterations += 1
                 break
-            H = total_hessian(kern, model, u)
-            try:
-                np.linalg.cholesky(H)       # succeeds iff H is positive definite
-            except np.linalg.LinAlgError:
-                d, shift = _shifted_step(H, g, shift)
-            else:
-                if _residual(kern, g) <= opts.tol * _scale(E):
-                    break
-                # numpy has no triangular solve: one general solve of H
-                # costs less than two through the Cholesky factor
-                d = -np.linalg.solve(H, g)
-            gd = float(g @ d)
-            moved = search(d, gd) if gd < 0.0 else None
+            d, shift, definite = _newton_direction(
+                total_hessian(kern, model, u), g, shift)
+            if definite and _residual(kern, g) <= opts.tol * _scale(E):
+                break
+            moved = _backtrack(trial, E, g, d)
             if moved is None:
                 break       # no acceptable step left
             u, E, g = moved
@@ -393,6 +348,44 @@ def _descend(kern, model, u0, opts, mu=0.0):
             continue
         break
     return u, E, g, iterations
+
+
+def _backtrack(trial, E, g, d):
+    """Backtracking from a point of energy E and gradient g along d:
+    trial(t), a tuple ending with the energy and gradient of the step
+    of length t (None where that step has no point), for t = 1, 1/2,
+    ... > 1e-20 until Armijo's decrease holds or, below the rounding of
+    E, the approximate Wolfe test.  None where g.d >= 0 or no length
+    is accepted."""
+    gd = float(g @ d)
+    t = 1.0
+    while gd < 0.0 and t > 1e-20:
+        new = trial(t)
+        if new is not None:
+            E_new, g_new = new[-2], new[-1]
+            decrease = -ARMIJO * t * gd
+            if decrease > _rounding(E):
+                accepted = E_new <= E - decrease
+            else:
+                accepted = _slope_accepts(E, E_new, float(g_new @ d), gd)
+            if accepted:
+                return new
+        t *= BACKTRACK
+    return None
+
+
+def _newton_direction(H, g, shift):
+    """Descent direction at a symmetric H and gradient g: the Newton
+    step -H^-1 g where a Cholesky factorization shows H positive
+    definite, else _shifted_step's, with shift its last shift.  Returns
+    the direction, the shift, and whether H is positive definite."""
+    try:
+        np.linalg.cholesky(H)       # succeeds iff H is positive definite
+    except np.linalg.LinAlgError:
+        return (*_shifted_step(H, g, shift), False)
+    # numpy has no triangular solve: one general solve of H costs less
+    # than two through the Cholesky factor
+    return -np.linalg.solve(H, g), shift, True
 
 
 def _shifted_step(H, g, shift):
@@ -494,13 +487,11 @@ def _rises_from_zero(kern, params, u, mu):
     psi > 0 on (0, 1] thus makes E rise on the segment, and E(u) > 0.
     At a critical point v, psi_v(1) <= g(v).v = 0.  As
     psi(t) = t^(p-r) sum mass u+^p (mu - h(t u+)), h = _ratio, the set
-    contains the box max u < t-, the smaller root of h = mu.  psi falls
-    and then rises: its least value on (0, 1] is at
-    t0 = ((q-r) lam A / ((p-r) mu W))^(1/(p-q)) when that is below 1,
-    where psi(t0) = B - (p-q)/(p-r) lam A t0^(q-r), and at 1 otherwise.
-    It holds where lam A = 0: at lam = 0 psi >= B > 0, and where u+ = 0
-    E(t u) = t^p S(u) does not fall, and a critical point v <= 0 has
-    p S(v) = g(v).v = 0, so v = 0 for positive tails T.
+    contains the box max u < t-, the smaller root of h = mu.  The least
+    value of psi on (0, 1] is _psi_least's.  It holds where lam A = 0:
+    at lam = 0 psi >= B > 0, and where u+ = 0 E(t u) = t^p S(u) does
+    not fall, and a critical point v <= 0 has p S(v) = g(v).v = 0, so
+    v = 0 for positive tails T.
     """
     p, q, r = params.p, params.q, params.r
     up = np.maximum(u, 0.0)
@@ -509,10 +500,31 @@ def _rises_from_zero(kern, params, u, mu):
         return True
     B = float(np.sum(kern.mass * up ** r))
     mu_W = max(mu, 0.0) * float(np.sum(kern.mass * up ** p))
-    ratio = (q - r) * lam_A / ((p - r) * mu_W) if mu_W > 0.0 else np.inf
-    if ratio >= 1.0:
-        return mu_W - lam_A + B > 0.0
-    return B - (p - q) / (p - r) * lam_A * ratio ** ((q - r) / (p - q)) > 0.0
+    return _psi_least(params, mu_W, lam_A, B, 1.0)[1] > 0.0
+
+
+def _psi(params, a, lam_A, B, t):
+    """psi(t) = a t^(p-r) - lam_A t^(q-r) + B: with a = p S(w), lam_A =
+    lam sum mass w+^q and B = sum mass w+^r, t^(r-1) psi(t) is the slope
+    dE(t w)/dt of the fibering map, and with a = mu W a bound of it from
+    below (_rises_from_zero)."""
+    p, q, r = params.p, params.q, params.r
+    return a * t ** (p - r) - lam_A * t ** (q - r) + B
+
+
+def _psi_least(params, a, lam_A, B, cap=np.inf):
+    """Where on (0, cap] psi (_psi) is least, and its value there, for
+    a, B >= 0 and lam_A > 0: psi falls from B and, where a > 0, rises
+    past t0 = ((q-r) lam_A / ((p-r) a))^(1/(p-q)), where
+    psi(t0) = B - (p-q)/(p-r) lam_A t0^(q-r).  A power too large for a
+    float raises OverflowError."""
+    p, q, r = params.p, params.q, params.r
+    # t0^(p-q)
+    ratio = (q - r) * lam_A / ((p - r) * a) if a > 0.0 else np.inf
+    if ratio >= cap ** (p - q):
+        return cap, _psi(params, a, lam_A, B, cap)
+    return (ratio ** (1.0 / (p - q)),
+            B - (p - q) / (p - r) * lam_A * ratio ** ((q - r) / (p - q)))
 
 
 def _amplitude_ceiling(kern, params):
@@ -637,26 +649,26 @@ def principal_eigenpair(kern, p, opts=None):
                        converged=residual <= target)
 
 
-def _damped_newton(point, direction, x, max_iter, trials):
+def _damped_newton(point, direction, state, max_iter, trials):
     """Damped Newton iteration, shared by the eigen, fold and saddle
     solves.
 
     point(x) returns the state of an iterate x, a tuple whose first
     three entries are the admissible point that x stands for, its
-    residual and the residual target; direction(state) returns the
-    Newton direction d there, and raises LinAlgError where the system is
-    singular.  Each step solves the system once and tries up to trials
-    lengths 1, 1/2, 1/4, ... of d, the full step first (a cap on its
-    length is the caller's, in d: _capped); a trial is accepted only if
-    its residual is below the current one, so a trial with a non-finite
-    residual never is.  Stops at the target, at once when the start's
-    residual is not finite (point may then return those three entries
-    alone), when the system is singular, when no trial is accepted, when
-    the residual has fallen by less than the fraction STALL_DECREASE
-    over the last STALL_WINDOW steps, or after max_iter steps.  Returns
-    the last state and the number of accepted steps.
+    residual and the residual target; state is the start's.
+    direction(state) returns the Newton direction d there, and raises
+    LinAlgError where the system is singular.  Each step solves the
+    system once and tries up to trials lengths 1, 1/2, 1/4, ... of d,
+    the full step first (a cap on its length is the caller's, in d:
+    _capped); a trial is accepted only if its residual is below the
+    current one, so a trial with a non-finite residual never is.  Stops
+    at the target, at once when the start's residual is not finite
+    (point may then return those three entries alone), when the system
+    is singular, when no trial is accepted, when the residual has fallen
+    by less than the fraction STALL_DECREASE over the last STALL_WINDOW
+    steps, or after max_iter steps.  Returns the last state and the
+    number of accepted steps.
     """
-    state = point(x)
     iterations = 0
     history = [state[1]]
     while iterations < max_iter and state[2] < state[1] < np.inf:
@@ -720,7 +732,7 @@ def _eigen_newton(kern, p, u, opts):
         return _capped(np.linalg.solve(_eigen_jacobian(kern, p, v, R, B),
                                        -np.append(rvec, 0.0))[:-1], v)
 
-    return _damped_newton(point, direction, u, opts.max_iter,
+    return _damped_newton(point, direction, point(u), opts.max_iter,
                           NEWTON_HALVINGS)
 
 
@@ -802,7 +814,7 @@ def solve_fold(kern, params, u, opts=None):
         return _capped(np.linalg.solve(J, -F), x)
 
     state, iterations = _damped_newton(
-        point, direction, np.concatenate((w, l, [params.lam])),
+        point, direction, point(np.concatenate((w, l, [params.lam]))),
         opts.max_iter, NEWTON_HALVINGS)
     x, residual = state[0], state[1]
     lam = float(x[-1])
@@ -847,85 +859,33 @@ def _eigen_jacobian(kern, p, w, R, out=None):
     return B
 
 
-def _reequispace(Z, frac):
-    """Redistribute path points at fixed arclength fractions.
-
-    frac gives the target cumulative-arclength fraction of every point;
-    keeping it non-uniform preserves a resolution bias along the path
-    across redistributions.  Only the path descent of find_saddle
-    redistributes: the Newton finish moves the maximal point alone.
-
-    Returns the new path and, for its interior points, the segment
-    index k and the weight t of each: new point j is computed as
-    Z[k] + t (Z[k+1] - Z[k]), the convex combination (1-t) Z[k] +
-    t Z[k+1] up to a few units of roundoff in each component when
-    0 <= t <= 1.  _mountain_pass bounds the new points' seminorm
-    energies by the same weights.
-    """
-    seg = np.linalg.norm(np.diff(Z, axis=0), axis=1)
-    total = float(np.sum(seg))
-    if total <= 0.0:
-        raise SaddleNotFound("mountain-pass path has zero length")
-    cum = np.concatenate([[0.0], np.cumsum(seg)])
-    targets = total * frac
-    idx = np.clip(np.searchsorted(cum, targets[1:-1], side="right") - 1,
-                  0, len(seg) - 1)
-    t = (targets[1:-1] - cum[idx]) / np.where(seg[idx] > 0.0, seg[idx], 1.0)
-    out = np.empty_like(Z)
-    out[0] = Z[0]
-    out[-1] = Z[-1]
-    out[1:-1] = Z[idx] + t[:, None] * (Z[idx + 1] - Z[idx])
-    return out, idx, t
-
-
-def find_saddle(kern, params, u_big, opts=None, return_path=False):
+def find_saddle(kern, params, u_big, opts=None):
     """Mountain-pass critical point between 0 and a known minimizer.
 
     u_big must pass minimize's own stopping test, or SolverError says
     it is not a local minimizer: its full-space gradient sup-norm is at
     most tol * max(1, |E|), and a Cholesky factorization of the
-    even-subspace Hessian there succeeds.  The search runs on the energy
-    restricted to the box 0 <= z <= u_big: every step is projected onto
-    the box, and redistribution takes convex combinations of path
-    points, so the returned point satisfies 0 <= v <= u_big.
+    even-subspace Hessian there succeeds.
 
-    The path descent moves the maximal point of the path and
-    redistributes the path after every step.  Once progress stalls,
-    that point alone takes up to SADDLE_ROUNDS min-max Newton steps
-    (_newton_polish; Li & Zhou, SIAM J. Sci. Comput. 23, 2001), which
-    are kept if they reach the residual target at a point where the
-    Hessian has exactly one negative eigenvalue.  Otherwise the point
-    goes back to where the descent left it, the descent resumes, and
-    the finish is tried again at the next stall; the search gives up
-    when a finish fails and the descent has not lowered its best
-    residual since the finish before.  The other path points stay where
-    the descent left them.  iterations counts the descent steps plus the
-    Newton steps kept.  SaddleNotFound is raised when the maximal point
-    ends no higher than both endpoints.
-
-    Each step needs only the path's highest point, not every point's
-    energy.  The search bounds the seminorm energy S of each point from
-    above: by S itself where the point was evaluated, by t^p S(u_big)
-    on the initial path t u_big (S is p-homogeneous), and at a point
-    that redistribution interpolates between a and b at weight t by
-    ((1-t) S(a)^(1/p) + t S(b)^(1/p))^p, which is at most
-    (1-t) S(a) + t S(b) (S is convex for p > 1, so S^(1/p) is too; the
-    proof is in _mountain_pass).  Every bound is widened by
-    1e-12 (|S| + |sum mass F|), about 9000 units of roundoff, which
-    covers the rounding of S, of the interpolated points and of
-    the bound's own arithmetic (_widened).  Only the points whose bound,
-    less their reaction sum, reaches the best energy found are
-    evaluated, so every iteration, and so the report, is bit for bit
-    what the energies of the whole path give.
+    The mountain-pass point is the least energy peak along the rays from
+    zero (the local minimax method of Li & Zhou, SIAM J. Sci. Comput.
+    23, 2001).  The search descends over the ray peaks (_ray_peak,
+    _peak_descent) from the peak of u_big's ray, below u_big, and the
+    min-max Newton finish (_newton_polish) takes up to SADDLE_ROUNDS
+    steps from where it stops, projected onto the box 0 <= z <= u_big,
+    so the result lies in [0, u_big]; iterations counts the steps of
+    both.  SaddleNotFound is raised where u_big's ray has no peak.
 
     The search runs in the even subspace, where the saddle has Morse
     index one (in the full space the lowest odd mode can be negative
     too), so u_big must be even under the mirror map to within 1e-6 of
     max(1, sup|u_big|); otherwise ParameterError.  The report carries
     that index (morse_index, the number of negative eigenvalues of the
-    even-subspace Hessian at the result) and has converged=False unless
-    it is one.  The path returned with return_path is unfolded, with the
-    full-space energies of its points.
+    even-subspace Hessian at the result) and has converged=True only
+    where it is one, the result is positive at every node, and its
+    residual is at most tol * min(max(1, |E|), sup |A(v)|), as the
+    absolute test alone passes any point of small enough A.  Its energy
+    and residual are the finish's last state's.
     """
     opts = opts or SolverOptions()
     _check_compat(kern, params)
@@ -935,224 +895,104 @@ def find_saddle(kern, params, u_big, opts=None, return_path=False):
         raise SaddleNotFound("ceiling solution is numerically zero")
     model = ReactionModel.plain(params)
     w_big = mirror_fold(u_big)
-    E, g = _energy_and_gradient(kern, model, w_big)
+    S, A = seminorm_energy_and_operator(kern, w_big, params.p)
+    E, g = _total(kern, model, w_big, S, A)
     try:
         np.linalg.cholesky(total_hessian(kern, model, w_big))
         minimal = _residual(kern, g) <= opts.tol * _scale(E)
     except np.linalg.LinAlgError:
         minimal = False
     if not minimal:
-        raise SolverError("path endpoint is not a local minimizer")
-    P = int(opts.path_points)
-    Z, m, iterations, index = _mountain_pass(kern, model, w_big, P, opts)
-    v = mirror_unfold(Z[m], kern.n)
-    bound_tol = 1e-6 * max(1.0, _sup(u_big))
-    if float(np.min(v)) < -bound_tol or float(np.max(v - u_big)) > bound_tol:
-        raise SolverError("saddle point escaped the [0, ceiling] range")
-    E, g = _energy_and_gradient(kern, model, Z[m])
-    report = _report(kern, Z[m], E, g, iterations, opts.tol, "saddle")
-    # a critical point of any other Morse index is not the mountain pass
-    report.morse_index = index
-    report.converged = report.converged and index == 1
-    if return_path:
-        energies = np.array([total_energy(kern, model, z) for z in Z])
-        return report, MountainPassPath(points=mirror_unfold(Z, kern.n),
-                                        energies=energies, max_index=m)
+        raise SolverError("ceiling solution is not a local minimizer")
+    peak = _ray_peak(kern, model, w_big, S, A)
+    if peak is None:
+        raise SaddleNotFound("the energy has no peak along the ray of the "
+                             "minimizer")
+    peak, iterations = _peak_descent(kern, model, peak, opts)
+    (z, residual, target, E, g), steps = _newton_polish(
+        kern, model, peak, w_big, opts.tol,
+        min(SADDLE_ROUNDS, opts.max_iter - iterations))
+    report = _report(kern, z, E, g, iterations + steps, opts.tol, "saddle")
+    # a critical point of any other Morse index is not the mountain
+    # pass, and none has a zero node: there A(z) < 0 = mass f(0)
+    report.morse_index = _morse_index(kern, model, z)
+    report.converged = (residual <= target and report.morse_index == 1
+                        and bool(np.all(z > 0.0)))
     return report
 
 
-def _mountain_pass(kern, model, u_big, P, opts):
-    """find_saddle's search on an even (or full) kernel, in the box
-    0 <= z <= u_big; returns the path, the index of its maximal point,
-    the number of iterations and the Morse index at that point.
+def _ray_peak(kern, model, w, S, Aw):
+    """(z, A(z), E(z), g(z)) at the energy's peak z = t1 w along the
+    ray of w >= 0, from the seminorm energy S and operator Aw at w, or
+    None where the ray has no peak.
 
-    An iteration needs only the index m of the highest interior point
-    (np.argmax's first maximum) and its energy and gradient, which
-    _highest's evaluation of that point gives, so the other points'
-    energies are bounded rather than computed.  top holds an
-    upper bound on the seminorm energy S of every point:
-
-      - S itself, read back from the energy E as E + sum mass F, where
-        a point was evaluated, or moved by the path step;
-      - t^p S(u_big) at t u_big on the initial path, S being
-        p-homogeneous: S(t u) = t^p S(u) for t >= 0;
-      - ((1-t) top[k]^(1/p) + t top[k+1]^(1/p))^p at a point that
-        _reequispace puts at weight t on segment k.  For p > 1 every
-        term K |z_i - z_j|^p and T |z_i|^p of S is convex, so S is
-        convex, and with p-homogeneity S^(1/p) is convex too: for a, b
-        with alpha = S(a)^(1/p), beta = S(b)^(1/p) positive, (a + b) /
-        (alpha + beta) is the convex combination of a / alpha and
-        b / beta at weights alpha / (alpha + beta) and
-        beta / (alpha + beta), where S is 1, so S <= 1 there, which
-        is S(a + b)^(1/p) <= alpha + beta (a zero alpha or beta is the
-        limit of small positive ones).  Hence, for 0 <= t <= 1,
-            S((1-t) a + t b) <= ((1-t) S(a)^(1/p) + t S(b)^(1/p))^p
-                             <= (1-t) S(a) + t S(b),
-        the last by the convexity of x^p; the first, closer bound is
-        the one kept.  A weight outside [0, 1] gives no bound, and top
-        is inf there.
-
-    Each bound is widened by _widened's margin, so that it holds for S
-    as computed, and then top - sum mass F bounds the computed E from
-    above at O(n) cost a point.  Every energy the search keeps has the
-    bits total_energy gives its point, so m and energies[m] carry the
-    bits that the energies of the whole path give, at every exit of the
-    loop; where max_iter ends it, right after a step, the point at index
-    m is evaluated.
+    dE(t w)/dt = t^(r-1) psi(t), psi of _psi with a = p S, so E peaks
+    on the ray exactly where psi(t0) < 0 (_psi_least), at the root t1
+    of psi in (0, t0), bisected to adjacent floats.  S is
+    p-homogeneous, so E and g at z need no pass over the pairs there.
     """
-    # The zero endpoint needs no check: the primitive is <= 0 for
-    # 0 <= t < delta = lam^(-1/(q-r)) (for every t at lam = 0), so in
-    # the box the energy is >= 0 = E(0) wherever max z < delta.
+    params = model.params
+    p = params.p
+    a = p * S
+    lam_A = params.lam * float(np.sum(kern.mass * w ** params.q))
+    B = float(np.sum(kern.mass * w ** params.r))
+    try:
+        t0, least = _psi_least(params, a, lam_A, B)
+    except OverflowError:
+        return None
+    if not least < 0.0:
+        return None
+    t1 = _bisect(lambda t: _psi(params, a, lam_A, B, t) > 0.0, 0.0, t0)[0]
+    z = t1 * w
+    Az = t1 ** (p - 1.0) * Aw
+    return (z, Az, *_total(kern, model, z, t1 ** p * S, Az))
 
-    # quadratic spacing: the barrier hugs the zero endpoint once the
-    # minimizer towers over the saddle, and a uniform path would bury
-    # it inside the first segment
-    frac = np.linspace(0.0, 1.0, P) ** 2
-    Z = frac[:, None] * u_big[None, :]
-    # energies are exact where known is set: at the endpoints, which
-    # never move, and at the points _highest evaluates
-    known = np.zeros(P, dtype=bool)
-    known[[0, -1]] = True
-    energies = np.zeros(P)
-    gradients = np.empty_like(Z)
-    energies[-1] = total_energy(kern, model, Z[-1])     # E(0) = 0
-    F = _reaction_sums(kern, model, Z)
+
+def _peak_descent(kern, model, peak, opts):
+    """find_saddle's descent over the ray peaks, from peak = (z, A(z),
+    E, g) of _ray_peak; returns the last peak and the number of steps.
+
+    A step is d = -H_T^-1 g (_shifted_step's where H_T is indefinite)
+    for H = total_hessian(z) restricted to the tangent of the peaks,
+    H_T = P H P + c e e^T = H - e (H e)^T - (H e) e^T + (e^T H e + c) e e^T,
+    e = z / |z|, P = I - e e^T, c the mean of |diag H|: rank-one
+    updates, cheaper than P H P.  g.z = 0 at a peak, so d is tangent.
+    The trial of length s is the peak of the ray of max(z + s d, 0),
+    accepted by _backtrack.  Stops at a residual of HANDOFF sup |A(z)|,
+    when no trial is accepted, when the residual has fallen by less than
+    STALL_DECREASE over STALL_WINDOW steps, or after max_iter steps.
+    """
     p = model.params.p
-    top = _widened(frac ** p * _widened(energies[-1] + F[-1], F[-1]), F)
-    end_energy = max(energies[0], energies[-1])
-    step = None
-    best_residual = finish_best = np.inf
-    stall = 0
-    iterations = 0
-    index = None
-    while iterations < opts.max_iter:
-        iterations += 1
-        m = _highest(kern, model, Z, top - F, energies, known, gradients)
-        top[known] = _widened(energies[known] + F[known], F[known])
-        E_m, g = float(energies[m]), gradients[m]
-        residual = _residual(kern, g)
-        scale = _scale(E_m)
-        if residual <= opts.tol * scale:
+    z, Az, E, g = peak
+    shift = SHIFT_START
+    history = [_residual(kern, g)]
+
+    def trial(s):
+        w = np.maximum(z + s * d, 0.0)
+        return _ray_peak(kern, model, w,
+                         *seminorm_energy_and_operator(kern, w, p))
+
+    while len(history) <= opts.max_iter:
+        residual = history[-1]
+        if residual <= HANDOFF * _residual(kern, Az):
             break
-        if residual < 0.95 * best_residual:
-            best_residual = residual
-            stall = 0
-        else:
-            stall += 1
-        # descend while the best residual keeps improving; finish once
-        # it stalls at the path resolution, avoiding moments when the
-        # residual spikes from a redistribution
-        if (stall >= 15 and residual <= 2.0 * best_residual) or stall > 80:
-            stall = 0
-            # the min-max Newton finish counts only if it converges to a
-            # point of Morse index one; otherwise the descent resumes
-            # from the point it left and the finish is tried again at
-            # the next stall
-            w, res_w, steps = _newton_polish(
-                kern, model, Z[m], u_big, opts.tol * scale,
-                min(SADDLE_ROUNDS, opts.max_iter - iterations))
-            E_w = total_energy(kern, model, w)
-            if (res_w <= opts.tol * _scale(E_w)
-                    and _morse_index(kern, model, w) == 1):
-                Z[m] = w
-                energies[m] = E_w
-                iterations += steps
-                index = 1
-                break
-            if best_residual == finish_best:
-                break       # no descent progress since the last finish
-            finish_best = best_residual
-        if step is None:
-            step = 1.0 / max(1.0, residual)
-        step = min(step * 2.0, STEP_MAX)
-        gf = g * (kern.mesh.h / kern.mass)     # the full-space gradient
-        gg = float(g @ gf)
-        # projected step: boundary nodes overshoot below zero
-        # otherwise, and redistribution then smears the violation
-        # along the whole path
-        while step > 1e-20:
-            trial = _clip_box(Z[m] - opts.damping * step * gf, u_big)
-            E_try = total_energy(kern, model, trial)
-            if E_try <= E_m - ARMIJO * opts.damping * step * gg:
-                break
-            step *= BACKTRACK
-        Z[m] = trial
-        F_try = _reaction_sums(kern, model, trial[None])[0]
-        top[m] = _widened(E_try + F_try, F_try)
-        Z, seg, t = _reequispace(Z, frac=frac)
-        F = _reaction_sums(kern, model, Z)
-        root = top ** (1.0 / p)
-        chord = ((1.0 - t) * root[seg] + t * root[seg + 1]) ** p
-        top[1:-1] = _widened(np.where((t >= 0.0) & (t <= 1.0), chord, np.inf),
-                             F[1:-1])
-        known[1:-1] = False
-    else:
-        # max_iter ends the loop right after a step, which moved the
-        # point at index m
-        energies[m] = total_energy(kern, model, Z[m])
-    # the zero function is critical too: a maximal point no higher than
-    # the endpoints (to rounding) is no saddle, however small its residual
-    if energies[m] <= end_energy + 1e-12 * scale:
-        raise SaddleNotFound("mountain-pass path collapsed onto an endpoint")
-    if index is None:
-        index = _morse_index(kern, model, Z[m])
-    return Z, m, iterations, index
-
-
-def _widened(S, F):
-    """An upper bound S on a path point's seminorm energy, widened by
-    the rounding margin 1e-12 (|S| + |F|), F the point's sum mass F.
-
-    The margin, about 9000 units of roundoff u = 2^-53 of that scale,
-    covers with room to spare each rounding that one bound of
-    _mountain_pass has to absorb:
-
-      - the computed S: its terms are nonnegative, each off by about
-        (p + 3) u, and summed pairwise within blocks of rows and in
-        order across the blocks, so S is off by a few dozen u of S;
-      - a path point that is itself rounded: t u_big, or
-        Z[k] + t (Z[k+1] - Z[k]), is off by a few u in each component
-        from the exact point, which moves S by about p times that,
-        relative;
-      - S read back as E + F from a computed E = S - F: off by about
-        2u (|E| + |F|) <= 2u (|S| + 2|F|);
-      - the bound's own arithmetic, t^p S or the chord of S^(1/p):
-        a few p u, relative.
-
-    Every new bound is widened again, so the margin of each
-    redistribution covers that redistribution's rounding.
-    """
-    return S + 1e-12 * (np.abs(S) + np.abs(F))
-
-
-def _highest(kern, model, Z, upper, energies, known, gradients):
-    """Index m of the highest interior point of the path Z, the first
-    maximum np.argmax finds among every point's exact energy, with that
-    energy in energies[m] and its gradient in gradients[m].
-
-    upper bounds every point's computed energy from above; energies
-    holds exact energies (total_energy's bits) where known is set, and
-    gradients the exact gradients of the interior points among them.
-    The points evaluated here, by _energy_and_gradient, are added to all
-    three.  The unknown point of highest bound, a bound that is not
-    finite counting as the highest, is evaluated, one at a time, while
-    that bound is not below the best exact energy: every point left out
-    is then strictly lower than that best, so the first maximum of the
-    exact energies is the first maximum of them all.
-    """
-    exact = np.where(known, energies, -np.inf)[1:-1]
-    order = np.where(known, -np.inf,
-                     np.where(np.isfinite(upper), upper, np.inf))[1:-1]
-    best = np.max(exact)
-    while True:
-        j = int(np.argmax(order))
-        if order[j] < best or known[1 + j]:
-            return 1 + int(np.argmax(exact))
-        E, gradients[1 + j] = _energy_and_gradient(kern, model, Z[1 + j])
-        exact[j] = energies[1 + j] = E
-        known[1 + j] = True
-        order[j] = -np.inf
-        best = np.max(exact)
+        if (len(history) > STALL_WINDOW and residual
+                > (1.0 - STALL_DECREASE) * history[-1 - STALL_WINDOW]):
+            break       # the residual has stopped moving
+        H = total_hessian(kern, model, z)
+        c = float(np.mean(np.abs(np.diagonal(H))))
+        e = z / np.linalg.norm(z)
+        He = H @ e
+        b = He - 0.5 * (float(e @ He) + c) * e
+        H -= np.outer(e, b)
+        H -= np.outer(b, e)
+        d, shift, _ = _newton_direction(H, g, shift)
+        moved = _backtrack(trial, E, g, d)
+        if moved is None:
+            break       # no acceptable step left
+        z, Az, E, g = moved
+        history.append(_residual(kern, g))
+    return (z, Az, E, g), len(history) - 1
 
 
 def _morse_index(kern, model, v):
@@ -1160,35 +1000,43 @@ def _morse_index(kern, model, v):
     return int(np.sum(np.linalg.eigvalsh(total_hessian(kern, model, v)) < 0.0))
 
 
-def _newton_polish(kern, model, v, top, tol_scale, rounds):
+def _newton_polish(kern, model, peak, top, tol, rounds):
     """Min-max Newton steps toward a saddle of Morse index one (Li &
-    Zhou, SIAM J. Sci. Comput. 23, 2001), by _damped_newton.
+    Zhou, SIAM J. Sci. Comput. 23, 2001), by _damped_newton, from
+    peak = (v, A(v), E, g) with v >= 0, or from its projection where v
+    leaves the box below.
 
     Each direction inverts the exact Hessian (total_hessian) through its
     eigendecomposition, with curvatures below 1e-9 of the largest
     dropped and every curvature taken by its modulus except the lowest,
     which is taken negative: the Newton step where the Hessian has
     exactly one negative eigenvalue, and elsewhere a climb of the lowest
-    mode and a descent of all the others.  Points are projected onto
-    the box 0 <= z <= top.  A step tries up to SADDLE_HALVINGS lengths,
-    the full one first and uncapped (fewer lengths, or the eigen solve's
-    cap, lose saddles the search finds otherwise), and is kept only when
-    the gradient sup-norm falls.  Stops at tol_scale or after rounds
-    steps; returns the point, its residual and the number of steps.
+    mode and a descent of all the others.  Trial points are projected
+    onto the box 0 <= z <= top.  A step tries up to SADDLE_HALVINGS
+    lengths, the full one first and uncapped, and is kept only when the
+    gradient sup-norm falls.  The target at a point z is
+    tol * min(max(1, |E|), sup |A(z)|).  Stops there or after rounds
+    steps; returns the last state, (z, residual, target, E, g), and the
+    number of steps.
     """
+
+    def state_of(z, A, E, g):
+        target = tol * min(_scale(E), _residual(kern, A))
+        return z, _residual(kern, g), target, E, g
 
     def point(z):
         z = _clip_box(z, top)
-        g = total_gradient(kern, model, z)
-        return z, _residual(kern, g), tol_scale, g
+        S, A = seminorm_energy_and_operator(kern, z, model.params.p)
+        return state_of(z, A, *_total(kern, model, z, S, A))
 
     def direction(state):
-        z, _, _, g = state
+        z, g = state[0], state[4]
         curv, Q = np.linalg.eigh(total_hessian(kern, model, z))
         keep = np.abs(curv) > 1e-9 * float(np.max(np.abs(curv)))
         curv = np.abs(curv)
         curv[0] = -curv[0]
         return -(Q[:, keep] @ ((Q.T @ g)[keep] / curv[keep]))
 
-    state, steps = _damped_newton(point, direction, v, rounds, SADDLE_HALVINGS)
-    return state[0], state[1], steps
+    v = peak[0]
+    start = point(v) if float(np.max(v - top)) > 0.0 else state_of(*peak)
+    return _damped_newton(point, direction, start, rounds, SADDLE_HALVINGS)

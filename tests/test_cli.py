@@ -281,48 +281,11 @@ def test_solve_keeps_minimizer_when_saddle_not_found(tmp_path, outdir,
     assert rec["diagnostics"]["morse_v"] is None
 
 
-def test_solve_notes_a_saddle_search_that_ends_at_zero(tmp_path, outdir,
-                                                        capsys):
-    # unpatched: the search collapses onto the zero endpoint at this point
-    cfg = write_config(tmp_path / "run.cfg", p=1.8, s=0.4, q=1.6, r=1.2,
-                       **{"lambda": 40.0, "mesh.n": 32})
-    assert main(["solve", "--config", cfg, "--out", outdir]) == 0
-    out = capsys.readouterr().out
-    assert "saddle sup norm" not in out
-    assert out.startswith("solution sup norm")
-    assert ("; no saddle: mountain-pass path collapsed onto an endpoint\n"
-            in out)
-    rec = json.load(open(os.path.join(outdir, "solution.json")))
-    assert rec["saddle_note"] == "mountain-pass path collapsed onto an endpoint"
-    assert rec["outcome"] == "one solution"
-
-
-def test_bifurcation_keeps_a_point_whose_saddle_search_ends_at_zero(
-        tmp_path, outdir, capsys):
-    # the point of the test above, as the top of a branch grid
-    cfg = write_config(tmp_path / "run.cfg", p=1.8, s=0.4, q=1.6, r=1.2,
-                       lambda_min=40.0, lambda_max=40.5, steps=2,
-                       bracket_lo=2.0, bracket_hi=20.0, **{"mesh.n": 32})
-    assert main(["bifurcation", "--config", cfg, "--out", outdir]) == 0
-    rows = open(os.path.join(outdir, "branch.csv")).read().splitlines()
-    header = rows[1].split(",")
-    row = dict(zip(header, rows[2].split(",")))
-    assert float(row["lambda"]) == 40.0
-    assert float(row["sup_u"]) > 0.0
-    assert np.isnan(float(row["sup_v"]))
-    assert row["converged"] == "0"
-    rec = json.load(open(os.path.join(outdir, "bifurcation.json")))
-    point = rec["points"][0]
-    assert point["saddle_note"] == ("mountain-pass path collapsed onto "
-                                    "an endpoint")
-    assert point["converged"] is False
-
-
 def test_solve_claims_two_solutions_only_for_a_converged_saddle(
         tmp_path, outdir, capsys):
-    # at this point the saddle search ends at a critical point of
-    # even-subspace Morse index 11, not at the mountain pass
-    cfg = write_config(tmp_path / "run.cfg", p=6.0, s=0.1, q=5.0, r=4.0,
+    # at this point the saddle search stops short of the residual
+    # target, at even-subspace Morse index 1
+    cfg = write_config(tmp_path / "run.cfg", p=1.5, s=0.5, q=1.3, r=1.1,
                        **{"lambda": 12.5, "mesh.n": 32})
     assert main(["solve", "--config", cfg, "--out", outdir]) == 0
     assert "saddle sup norm" not in capsys.readouterr().out
@@ -330,10 +293,11 @@ def test_solve_claims_two_solutions_only_for_a_converged_saddle(
     diag = rec["diagnostics"]
     assert rec["outcome"] == "one solution"
     assert diag["converged"] is False
-    assert diag["morse_v"] == 11
+    assert diag["morse_v"] == 1
     assert diag["sup_v"] > 0.0 and diag["iterations_v"] > 0
+    assert diag["residual_v"] > 1e-9
     assert rec["saddle_note"] == (
-        "saddle search did not converge (Morse index 11, residual %.3e)"
+        "saddle search did not converge (Morse index 1, residual %.3e)"
         % diag["residual_v"])
     rows = open(os.path.join(outdir, "solution.csv")).read().splitlines()
     v = [float(line.split(",")[2]) for line in rows[2:]]
@@ -343,7 +307,7 @@ def test_solve_claims_two_solutions_only_for_a_converged_saddle(
 def test_bifurcation_notes_an_unconverged_saddle(tmp_path, outdir, capsys):
     # the point of the test above as a grid point: the same note as
     # solve gives, with the saddle's diagnostics kept
-    cfg = write_config(tmp_path / "run.cfg", p=6.0, s=0.1, q=5.0, r=4.0,
+    cfg = write_config(tmp_path / "run.cfg", p=1.5, s=0.5, q=1.3, r=1.1,
                        lambda_min=12.5, lambda_max=13.0, steps=2,
                        bracket_lo=2.0, bracket_hi=20.0, **{"mesh.n": 32})
     assert main(["bifurcation", "--config", cfg, "--out", outdir]) == 0
@@ -351,9 +315,10 @@ def test_bifurcation_notes_an_unconverged_saddle(tmp_path, outdir, capsys):
         "points"][0]
     assert point["lambda"] == 12.5
     assert point["converged"] is False
-    assert point["morse_v"] == 11
+    assert point["morse_v"] == 1
+    assert point["residual_v"] > 1e-9
     assert point["saddle_note"] == (
-        "saddle search did not converge (Morse index 11, residual %.3e)"
+        "saddle search did not converge (Morse index 1, residual %.3e)"
         % point["residual_v"])
     rows = open(os.path.join(outdir, "branch.csv")).read().splitlines()
     row = dict(zip(rows[1].split(","), rows[2].split(",")))

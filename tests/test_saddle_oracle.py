@@ -61,32 +61,34 @@ SWEEP = {
     (3.0, 0.3, 2.5, 1.5, 12.5): "converged",
     (3.0, 0.3, 2.5, 1.5, 40.0): "converged",
     (1.8, 0.4, 1.6, 1.2, 12.5): "converged",
-    (1.8, 0.4, 1.6, 1.2, 40.0): "SaddleNotFound",
+    (1.8, 0.4, 1.6, 1.2, 40.0): "unconverged",
     (2.0, 0.3, 1.7, 1.3, 12.5): "converged",
-    (2.0, 0.3, 1.7, 1.3, 40.0): "SaddleNotFound",
+    (2.0, 0.3, 1.7, 1.3, 40.0): "converged",
     (4.0, 0.2, 3.0, 2.0, 12.5): "converged",
     (4.0, 0.2, 3.0, 2.0, 40.0): "converged",
     (4.0, 0.2, 2.0, 1.5, 12.5): "converged",
-    (4.0, 0.2, 2.0, 1.5, 40.0): "SaddleNotFound",
-    (6.0, 0.1, 5.0, 4.0, 12.5): "unconverged",
-    (6.0, 0.1, 5.0, 4.0, 40.0): "unconverged",
-    (1.5, 0.5, 1.3, 1.1, 12.5): "SaddleNotFound",
-    (1.5, 0.5, 1.3, 1.1, 40.0): "SaddleNotFound",
+    (4.0, 0.2, 2.0, 1.5, 40.0): "unconverged",
+    (6.0, 0.1, 5.0, 4.0, 12.5): "converged",
+    (6.0, 0.1, 5.0, 4.0, 40.0): "converged",
+    (1.5, 0.5, 1.3, 1.1, 12.5): "unconverged",
+    (1.5, 0.5, 1.3, 1.1, 40.0): "unconverged",
     (2.5, 0.3, 2.0, 1.5, 12.5): "converged",
     (2.5, 0.3, 2.0, 1.5, 40.0): "converged",
-    (3.0, 0.2, 2.0, 1.2, 12.5): "unconverged",
+    (3.0, 0.2, 2.0, 1.2, 12.5): "converged",
     (3.0, 0.2, 2.0, 1.2, 40.0): "unconverged",
     (5.0, 0.15, 4.0, 3.0, 12.5): "converged",
     (5.0, 0.15, 4.0, 3.0, 40.0): "converged",
 }
 
 # (p, s, q, r, lambda): p < 2, p >= 4, near and far above lambda*; at
-# n = 32 each of these converges but (6, 0.1, 5, 4; 12.5), where the
-# search stops at a critical point of Morse index 11
+# n = 32 each of these converges.  (6, 0.1, 5, 4; 12.5), where the path
+# search stopped at Morse index 11, and the last three joined when the
+# ray-peak search gained them
 POINTS = [(3.0, 0.3, 2.5, 1.5, 12.5), (1.8, 0.4, 1.6, 1.2, 12.5),
           (2.0, 0.3, 1.7, 1.3, 12.5), (4.0, 0.2, 3.0, 2.0, 12.5),
           (4.0, 0.2, 3.0, 2.0, 40.0), (6.0, 0.1, 5.0, 4.0, 12.5),
-          (5.0, 0.15, 4.0, 3.0, 12.5)]
+          (5.0, 0.15, 4.0, 3.0, 12.5), (2.0, 0.3, 1.7, 1.3, 40.0),
+          (6.0, 0.1, 5.0, 4.0, 40.0), (3.0, 0.2, 2.0, 1.2, 12.5)]
 
 
 @functools.lru_cache(maxsize=None)

@@ -3,8 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from fracbif import (KernelMatrix, MeshMismatchError, MountainPassPath,
-                     ParameterError, ReactionModel, SaddleNotFound,
+from fracbif import (KernelMatrix, MeshMismatchError, ParameterError,
+                     ReactionModel, SaddleNotFound,
                      SolverError, SolverOptions, apply_operator,
                      assemble_kernel, build_mesh, continue_branch,
                      find_saddle, minimize, minimize_multistart, mirror_fold,
@@ -13,6 +13,7 @@ from fracbif import (KernelMatrix, MeshMismatchError, MountainPassPath,
                      total_energy, total_gradient, total_hessian,
                      validate_params, with_lambda)
 from fracbif import solvers
+from fracbif.kernel import pairwise_energy
 from fracbif.reaction import F_values, f_values
 from fracbif.solvers import (NEWTON_HALVINGS, SADDLE_HALVINGS,
                              SADDLE_ROUNDS, STALL_WINDOW, _capped,
@@ -187,7 +188,7 @@ def test_saddle_has_morse_index_one_in_the_even_subspace():
 def test_saddle_newton_finish_converges_at_index_one(n, lam, most):
     # the reflection climb took 191-206 iterations at the demo point
     # (n = 128) and 1194 at lambda = 40, n = 64; the min-max Newton
-    # finish takes over once the path descent stalls
+    # finish takes over once the ray-peak descent is close to the saddle
     params = validate_params({"p": 3.0, "s": 0.3, "q": 2.5, "r": 1.5,
                               "lambda": lam})
     kern = assemble_kernel(build_mesh(-1.0, 1.0, n), params)
@@ -202,44 +203,12 @@ def test_saddle_newton_finish_converges_at_index_one(n, lam, most):
     assert v.iterations <= most
 
 
-@pytest.mark.parametrize("failure", ["index", "rounds"])
-def test_saddle_retries_the_newton_finish_after_more_descent(
-        monkeypatch, small_problem, small_big_solution, small_saddle,
-        failure):
-    # a rejected finish sends the maximal point back to the path descent,
-    # and the finish is tried again at the descent's next stall
-    kern, params = small_problem
-    u = small_big_solution.solution.values
-    if failure == "index":
-        # the first finish converges, but its index check reads 2
-        morse_index = solvers._morse_index
-        calls = []
-
-        def rejects_first(*args):
-            calls.append(1)
-            return 2 if len(calls) == 1 else morse_index(*args)
-
-        monkeypatch.setattr(solvers, "_morse_index", rejects_first)
-        rep = find_saddle(kern, params, u)
-        assert len(calls) == 2
-        assert rep.converged and rep.morse_index == 1
-        assert rep.iterations > small_saddle.iterations
-        assert np.max(np.abs(rep.solution.values
-                             - small_saddle.solution.values)) <= 1e-9
-    else:
-        # one Newton step does not reach the target, so every finish
-        # fails: the search must not claim a saddle
-        monkeypatch.setattr(solvers, "SADDLE_ROUNDS", 1)
-        rep = find_saddle(kern, params, u)
-        assert not rep.converged
-
-
 @pytest.mark.parametrize("p,s,q,r", [(4.0, 0.2, 3.0, 2.0),
                                      (5.0, 0.15, 4.0, 3.0)])
 def test_saddle_retried_finish_reaches_the_mountain_pass(p, s, q, r):
-    # at lambda = 12.5, n = 32 the first finish is rejected (it stops at
-    # Morse index 0 and 6); the finish retried after more path descent
-    # converges at index one
+    # at lambda = 12.5, n = 32 the first finish of the path search, now
+    # deleted, stopped at Morse index 0 and 6, and only a finish retried
+    # after more path descent converged at index one
     params = validate_params({"p": p, "s": s, "q": q, "r": r,
                               "lambda": 12.5})
     kern = assemble_kernel(build_mesh(-1.0, 1.0, 32), params)
@@ -252,10 +221,91 @@ def test_saddle_retried_finish_reaches_the_mountain_pass(p, s, q, r):
     assert curv[0] < 0.0 < curv[1]
 
 
+@pytest.mark.parametrize("p,s,q,r", [(3.0, 0.3, 2.5, 1.5),
+                                     (1.8, 0.4, 1.6, 1.2),
+                                     (6.0, 0.1, 5.0, 4.0),
+                                     (1.5, 0.5, 1.3, 1.1)])
+@pytest.mark.parametrize("n", [31, 32])
+def test_ray_peak_is_the_energy_maximum_along_the_ray(p, s, q, r, n):
+    # along the ray of w the energy peaks at t1 w, where g.w = 0, and
+    # falls from there to the trough of the slope psi at t0; a ray has a
+    # peak exactly where psi(t0) = B - k (lam A)^((p-r)/(p-q)) < 0, so
+    # above one lam_c.  Random w >= 0 with zeros and ties, at lambdas on
+    # both sides of lam_c, two of them within 1e-6 of it
+    kern = assemble_kernel(build_mesh(-1.0, 1.0, n), validate_params(
+        {"p": p, "s": s, "q": q, "r": r, "lambda": 1.0}))
+    rng = np.random.default_rng(n)
+    m = len(kern.T)
+    for _draw in range(5):
+        w = rng.uniform(0.0, 2.0, m)
+        w[rng.uniform(size=m) < 0.25] = 0.0
+        w[2:5] = w[2]
+        w[0] = 1.0
+        S, Aw = pairwise_energy(kern, w, p)
+        A = float(np.sum(kern.mass * w ** q))
+        B = float(np.sum(kern.mass * w ** r))
+        k = (p - q) / (p - r) * ((q - r) / ((p - r) * p * S)) ** (
+            (q - r) / (p - q))
+        lam_c = (B / k) ** ((p - q) / (p - r)) / A
+        for lam in lam_c * np.array([1.0 - 1e-6, 1.0 + 1e-6]):
+            model = ReactionModel.plain(validate_params(
+                {"p": p, "s": s, "q": q, "r": r, "lambda": lam}))
+            peak = solvers._ray_peak(kern, model, w, S, Aw)
+            assert (peak is None) == (lam < lam_c)
+        for lam in lam_c * np.array([0.3, 0.9, 1.1, 3.0]):
+            model = ReactionModel.plain(validate_params(
+                {"p": p, "s": s, "q": q, "r": r, "lambda": lam}))
+            t0 = ((q - r) * lam * A / ((p - r) * p * S)) ** (1.0 / (p - q))
+            peak = solvers._ray_peak(kern, model, w, S, Aw)
+            ray = np.linspace(0.0, 1.0, 41)[1:]
+            if lam < lam_c:
+                # psi >= 0: the energy never falls along the ray
+                assert peak is None
+                E = [total_energy(kern, model, t * 3.0 * t0 * w) for t in ray]
+                assert np.all(np.diff(E) >= -1e-12 * np.max(np.abs(E)))
+                continue
+            z, Az, E1, g1 = peak
+            t1 = z[0]
+            assert 0.0 < t1 < t0
+            assert np.array_equal(z, t1 * w)
+            # the energy and gradient from homogeneity are those at z
+            g = total_gradient(kern, model, z)
+            assert E1 == pytest.approx(total_energy(kern, model, z),
+                                       rel=1e-12, abs=1e-300)
+            assert np.max(np.abs(g1 - g)) <= 1e-12 * np.max(np.abs(Az))
+            terms = (p * S * t1 ** (p - 1.0) + lam * A * t1 ** (q - 1.0)
+                     + B * t1 ** (r - 1.0))
+            assert abs(float(g @ w)) <= 1e-12 * terms
+            below = [total_energy(kern, model, t * t1 * w) for t in ray[:-1]]
+            above = [total_energy(kern, model, (t1 + t * (t0 - t1)) * w)
+                     for t in ray]
+            assert max(below) < E1 and max(above) < E1
+
+
+def test_saddle_converges_on_a_fine_mesh():
+    # the path search ended at Morse index 5 here, with sup v 0.156; the
+    # minimizer comes from one descent from the n = 128 one, repeated
+    # cell by cell
+    params = validate_params({"p": 3.0, "s": 0.3, "q": 2.5, "r": 1.5,
+                              "lambda": 12.5})
+    plain = ReactionModel.plain(params)
+    coarse = select_solution(minimize_multistart(
+        assemble_kernel(build_mesh(-1.0, 1.0, 128), params), plain, seed=0))
+    kern = assemble_kernel(build_mesh(-1.0, 1.0, 1024), params)
+    u = minimize(kern, plain, np.repeat(coarse.solution.values, 8))
+    assert u.converged
+    v = find_saddle(kern, params, u.solution.values)
+    assert v.converged and v.morse_index == 1
+    assert np.all(v.solution.values > 0.0)
+    assert np.all(v.solution.values < u.solution.values)
+    assert abs(v.solution.sup_norm - 0.1910) < 1e-3
+
+
 def test_odd_mesh_path_step_follows_the_full_space_gradient():
-    # the path step moves the middle node of an odd mesh by its
-    # full-space gradient g h / mass; a step of half that there leaves
-    # this search at Morse index 2 after 184 iterations (residual 1.8e-3)
+    # the middle node of an odd mesh has half the mass of the others; a
+    # path step that moved it by half its full-space gradient g h / mass
+    # left this search at Morse index 2 after 184 iterations (residual
+    # 1.8e-3)
     params = validate_params({"p": 4.0, "s": 0.2, "q": 3.0, "r": 2.0,
                               "lambda": 12.5})
     kern = assemble_kernel(build_mesh(-1.0, 1.0, 31), params)
@@ -800,27 +850,6 @@ def test_find_saddle_sits_between_zero_and_ceiling(small_problem,
     assert small_saddle.energy > 0.0
 
 
-def test_find_saddle_returns_path(small_problem, small_big_solution):
-    kern, params = small_problem
-    u = small_big_solution.solution.values
-    rep, path = find_saddle(kern, params, u, return_path=True)
-    assert isinstance(path, MountainPassPath)
-    assert path.points.shape[1] == kern.n
-    assert np.array_equal(path.points[0], np.zeros(kern.n))
-    assert np.allclose(path.points[-1], u)
-    assert path.energies.shape == (path.points.shape[0],)
-    assert path.max_index == int(np.argmax(path.energies))
-    assert np.array_equal(path.points[path.max_index], rep.solution.values)
-    # the search runs on the plain energy in the box 0 <= z <= u, so no
-    # point of the path may leave it
-    assert np.all(path.points >= 0.0) and np.all(path.points <= u)
-    # the Newton finish updates only the maximal point's energy; every
-    # row must still carry the energy of the point it belongs to
-    model = ReactionModel.plain(params)
-    assert np.array_equal(path.energies, [total_energy(kern, model, w)
-                                          for w in mirror_fold(path.points)])
-
-
 def test_find_saddle_rejects_zero_ceiling(small_problem):
     kern, params = small_problem
     with pytest.raises(SaddleNotFound):
@@ -828,17 +857,19 @@ def test_find_saddle_rejects_zero_ceiling(small_problem):
 
 
 def test_find_saddle_never_returns_the_zero_function():
-    # here the Newton finish lands exactly on v = 0, where the residual
-    # vanishes; it is rejected (Morse index 0), and the search ends with
-    # the path's maximal point no higher than its endpoints
+    # here a search that reaches no saddle ends on a ray peak, above the
+    # zero function: it reports that point, unconverged, where the
+    # mountain-pass path search once collapsed onto v = 0
     params = validate_params({"p": 1.8, "s": 0.4, "q": 1.6, "r": 1.2,
                               "lambda": 40.0})
     kern = assemble_kernel(build_mesh(-1.0, 1.0, 32), params)
     reports = minimize_multistart(kern, ReactionModel.plain(params), seed=0)
     u_big = select_solution(reports)
     assert u_big.converged and u_big.classification == "minimizer"
-    with pytest.raises(SaddleNotFound, match="collapsed onto an endpoint"):
-        find_saddle(kern, params, u_big.solution.values)
+    rep = find_saddle(kern, params, u_big.solution.values)
+    assert rep.solution.sup_norm > 0.0
+    assert rep.energy > 0.0
+    assert not rep.converged
 
 
 @pytest.mark.parametrize("ceiling", ["one", "saddle", "1.1u", "0.9u"])
@@ -875,7 +906,7 @@ def test_damped_newton_never_accepts_an_inadmissible_trial(bad):
         return x, float(abs(x[0] + 1.0)) if x[0] > 0.0 else bad, 1e-9
 
     state, iterations = _damped_newton(
-        point, lambda s: _capped(-(s[0] + 1.0), s[0]), np.array([1.0]),
+        point, lambda s: _capped(-(s[0] + 1.0), s[0]), point(np.array([1.0])),
         SolverOptions().max_iter, NEWTON_HALVINGS)
     assert 0.0 < state[0][0] < 1e-2
     assert STALL_WINDOW < iterations < 2 * STALL_WINDOW
