@@ -10,8 +10,9 @@ minimizer exists" then brackets it, a quarter of the requested width
 either side; where the fold solve fails, or the predicates disagree
 with it, bisection on the same predicate narrows the bracket to the
 width.  Once the bracket's upper end holds a minimizer, each predicate
-first descends from it; only where that descent collapses does a
-multi-start decide.  Below a closed-form lower bound lambda_low
+first descends from it, the one placed past the fold from the fold
+solve's point; only where that descent collapses does a multi-start
+decide.  Below a closed-form lower bound lambda_low
 (lambda_lower_bound: the principal eigenfunction and the discrete
 Picone inequality prove that zero is the only solution there) the
 predicate is answered without a search.  One descent at the bracket's
@@ -260,8 +261,9 @@ def estimate_lambda_star(kern, params, bracket, opts=None, seed=0, threads=1):
     the minimizer cached there, until one attempt converges.  If its
     lambda*_h has lambda_low <= lambda*_h and
     lo < lambda*_h -+ width/4 < hi, the next predicates are at
-    lambda*_h + width/4 and, descending from the solution found there,
-    at lambda*_h - width/4: if both agree with lambda*_h the bracket is
+    lambda*_h + width/4, descending from the fold solve's point, and,
+    descending from the solution found there, at lambda*_h - width/4:
+    if both agree with lambda*_h the bracket is
     (lambda*_h - width/4, lambda*_h + width/4).  Every other predicate is
     at the bracket's midpoint, until the bracket is no wider than width.
 
@@ -306,7 +308,7 @@ def estimate_lambda_star(kern, params, bracket, opts=None, seed=0, threads=1):
                 # no warm start until hi is known to be nontrivial
                 top = cache.get(hi)
                 if top is not None:
-                    descended[lam] = top.solution.values
+                    descended.setdefault(lam, top.solution.values)
                 rep = _find_minimizer(
                     kern, ReactionModel.plain(with_lambda(params, lam)), opts,
                     descended.get(lam), seed=seed, threads=threads,
@@ -357,6 +359,8 @@ def estimate_lambda_star(kern, params, bracket, opts=None, seed=0, threads=1):
                              "(%g, %g)" % (hi, lam, lo, hi))
             else:
                 queue = [lam + quarter, lam - quarter]
+                # past the fold the branch lies next to the fold point
+                descended[lam + quarter] = attempt.solution.values
             if attempt.converged:
                 fold = attempt
         # a placed predicate outside the bracket can decide nothing

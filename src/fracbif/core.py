@@ -193,9 +193,9 @@ class GridFunction:
             raise MeshMismatchError(
                 "grid function has %d values for a mesh with %d cells"
                 % (self.values.size, self.mesh.n))
-        if not np.all(np.isfinite(self.values)):
+        if not np.isfinite(self.values).all():
             raise ValueError("grid function values must be finite")
 
     @property
     def sup_norm(self):
-        return float(np.max(np.abs(self.values)))
+        return float(np.abs(self.values).max())

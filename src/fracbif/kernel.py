@@ -261,12 +261,12 @@ def pairwise_energy(kern, u, p):
         np.power(t, p - 1.0, out=t)
         np.copysign(t, D, out=t)
         t *= kern.K[lo:hi]
-        np.sum(t, axis=1, out=grad[lo:hi])
+        t.sum(axis=1, out=grad[lo:hi])
         D *= t
-        pair += np.sum(D)
+        pair += D.sum()
     absu = np.abs(u)
     up1 = absu ** (p - 1.0)
-    energy = float((pair + 2.0 * np.sum(kern.T * up1 * absu)) / p)
+    energy = float((pair + 2.0 * (kern.T * up1 * absu).sum()) / p)
     grad += kern.T * np.copysign(up1, u)
     grad *= 2.0
     return energy, grad
@@ -303,7 +303,7 @@ def operator_hessian(kern, u, p, out=None):
     H = np.subtract.outer(u, u, out=out)
     curvature_power(H, p - 2.0, scale, out=H)
     H *= kern.K
-    diag = np.sum(H, axis=1) + kern.T * curvature_power(u, p - 2.0, scale)
+    diag = H.sum(axis=1) + kern.T * curvature_power(u, p - 2.0, scale)
     np.negative(H, out=H)
     np.einsum("ii->i", H)[...] += diag     # a view, also of a strided out
     H *= 2.0 * (p - 1.0)

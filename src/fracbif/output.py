@@ -14,10 +14,8 @@ import numpy as np
 
 
 def fmt(x):
-    x = float(x)
-    if math.isnan(x):
-        return "nan"
-    return "%.16e" % x
+    # %e writes a nan of either sign as "nan"
+    return "%.16e" % float(x)
 
 
 def _header(meta):
@@ -25,24 +23,26 @@ def _header(meta):
         meta["version"], meta["config_hash"], meta["seed"])
 
 
+def _write_columns(path, meta, names, columns):
+    """CSV of float columns of one length under the header line names,
+    every row formatted by one string, each value as fmt writes it."""
+    row = ",".join(["%.16e"] * len(columns)) + "\n"
+    with open(path, "w") as fh:
+        fh.write(_header(meta))
+        fh.write(",".join(names) + "\n")
+        fh.writelines(row % values for values in zip(*columns))
+
+
 def write_solution_csv(path, mesh, s, u, v, meta):
     """Columns x, u, v, u/d^s, v/d^s (v columns nan when v is None)."""
     d = mesh.dist ** s
     vv = v if v is not None else np.full(mesh.n, np.nan)
-    with open(path, "w") as fh:
-        fh.write(_header(meta))
-        fh.write("x,u,v,u_over_ds,v_over_ds\n")
-        for i in range(mesh.n):
-            fh.write(",".join([fmt(mesh.nodes[i]), fmt(u[i]), fmt(vv[i]),
-                               fmt(u[i] / d[i]), fmt(vv[i] / d[i])]) + "\n")
+    _write_columns(path, meta, ["x", "u", "v", "u_over_ds", "v_over_ds"],
+                   [mesh.nodes, u, vv, u / d, vv / d])
 
 
 def write_eigen_csv(path, mesh, phi, meta):
-    with open(path, "w") as fh:
-        fh.write(_header(meta))
-        fh.write("x,phi\n")
-        for i in range(mesh.n):
-            fh.write(fmt(mesh.nodes[i]) + "," + fmt(phi[i]) + "\n")
+    _write_columns(path, meta, ["x", "phi"], [mesh.nodes, phi])
 
 
 BRANCH_COLUMNS = ["lambda", "sup_u", "sup_v", "energy_u", "energy_v",

@@ -74,4 +74,4 @@ def scan_reaction_slack(params, eps, t_max=100.0):
     """max over a dense t-grid of f(t) - eps*t^(p-1); <= 0 certifies the bound."""
     t = np.linspace(0.0, float(t_max), SLACK_SAMPLES)
     slack = _plain_f(params, t) - eps * t ** (params.p - 1.0)
-    return float(np.max(slack))
+    return float(slack.max())

@@ -422,6 +422,36 @@ def test_estimate_expands_the_bracket_on_both_sides(monkeypatch, bracket,
     assert rec["predicate_evaluations"] == len(asked)
 
 
+@pytest.mark.parametrize("a,b,most", [(-1.0, 1.0, 3), (-2.0, 2.0, 4)])
+def test_predicate_past_the_fold_descends_from_the_fold_point(monkeypatch, a,
+                                                              b, most):
+    # from the minimizer at hi = 9 this descent took 9 steps on (-1, 1)
+    # and 8 on (-2, 2); the fold point lies next to the branch there
+    kern, params = exponent_problem((3.0, 0.3, 2.5, 1.5), 128, a, b)
+    descents, folds = [], []
+    descending, folding = bifurcation.minimize, bifurcation.solve_fold
+
+    def logged(kern, model, u0, *args, **kwargs):
+        rep = descending(kern, model, u0, *args, **kwargs)
+        descents.append((model.params.lam, u0, rep))
+        return rep
+
+    def logged_fold(*args, **kwargs):
+        folds.append(folding(*args, **kwargs))
+        return folds[-1]
+
+    monkeypatch.setattr(bifurcation, "minimize", logged)
+    monkeypatch.setattr(bifurcation, "solve_fold", logged_fold)
+    rec = estimate_lambda_star(kern, params, (5.0, 9.0), seed=0).method_record
+    (fold,) = folds
+    assert fold.converged and rec["fold_estimate"] == fold.lam
+    lam, u0, rep = descents[0]
+    assert lam == fold.lam + 0.0125
+    assert u0 is fold.solution.values
+    assert rep.converged and rep.iterations <= most
+    assert rec["bisection_bracket"] == (fold.lam - 0.0125, fold.lam + 0.0125)
+
+
 def test_stretching_the_domain_scales_both_solutions_exactly():
     # u_L = L^(sigma/(p-r)) u_1 at lambda_L = lambda L^(-sigma(q-r)/(p-r)),
     # exactly on the mesh; sigma = 0.9 gives the factor 2^0.6 at L = 2

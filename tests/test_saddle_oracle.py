@@ -37,7 +37,11 @@ def even_morse_index(prob, v, lam, rel=1e-6):
     e_(n-1-j)), so the matrix is D B'HB D with D = diag(v) on the first
     n/2 nodes: congruent to the even-subspace Hessian B'HB, hence of the
     same inertia (Sylvester), and the steps stay inside v > 0 however
-    small v is at the boundary.
+    small v is at the boundary.  The matrix is scaled to a unit diagonal
+    before its eigenvalues are taken, another congruence: where v spans
+    many decades the eigenvalues of D B'HB D that belong to the tails
+    lie below eigvalsh's rounding of eps times its norm, and their signs
+    would be noise.
     """
     n = v.size
     m = n // 2
@@ -51,7 +55,9 @@ def even_morse_index(prob, v, lam, rel=1e-6):
         step = np.zeros(n)
         step[j] = step[n - 1 - j] = rel * v[j]
         M[:, j] = v[:m] * (gradient(v + step) - gradient(v - step))[:m] / (2.0 * rel)
-    return int(np.sum(np.linalg.eigvalsh(0.5 * (M + M.T)) < 0.0))
+    M = 0.5 * (M + M.T)
+    scale = 1.0 / np.sqrt(np.abs(np.diagonal(M)))
+    return int(np.sum(np.linalg.eigvalsh(M * scale[:, None] * scale) < 0.0))
 
 
 # the n = 32 saddle sweep, seed 0: ten exponent sets (p < 2, p >= 4)
@@ -78,6 +84,27 @@ SWEEP = {
     (3.0, 0.2, 2.0, 1.2, 40.0): "unconverged",
     (5.0, 0.15, 4.0, 3.0, 12.5): "converged",
     (5.0, 0.15, 4.0, 3.0, 40.0): "converged",
+}
+
+# the energy of each converged saddle of SWEEP, as the search took it
+# with the tangent Hessian alone; a change of the steps moves it only by
+# the tolerance
+ENERGY = {
+    (3.0, 0.3, 2.5, 1.5, 12.5): 0.007228969535185405,
+    (3.0, 0.3, 2.5, 1.5, 40.0): 0.0003808868759880617,
+    (1.8, 0.4, 1.6, 1.2, 12.5): 0.0003446493553051047,
+    (2.0, 0.3, 1.7, 1.3, 12.5): 6.592580710794462e-05,
+    (2.0, 0.3, 1.7, 1.3, 40.0): 2.2160198858222812e-07,
+    (4.0, 0.2, 3.0, 2.0, 12.5): 0.00034097053875452755,
+    (4.0, 0.2, 3.0, 2.0, 40.0): 1.4723887765897795e-05,
+    (4.0, 0.2, 2.0, 1.5, 12.5): 1.0678718615783628e-05,
+    (6.0, 0.1, 5.0, 4.0, 12.5): 4.025773916459986e-07,
+    (6.0, 0.1, 5.0, 4.0, 40.0): 2.601176644947764e-09,
+    (2.5, 0.3, 2.0, 1.5, 12.5): 5.2423391374987e-05,
+    (2.5, 0.3, 2.0, 1.5, 40.0): 3.844133885793977e-07,
+    (3.0, 0.2, 2.0, 1.2, 12.5): 0.0012851548702724042,
+    (5.0, 0.15, 4.0, 3.0, 12.5): 1.0332002807207981e-05,
+    (5.0, 0.15, 4.0, 3.0, 40.0): 1.8006303811254592e-07,
 }
 
 # (p, s, q, r, lambda): p < 2, p >= 4, near and far above lambda*; at
@@ -126,13 +153,28 @@ def test_saddle_is_confirmed_by_the_reference_or_reported_as_failed(p, s, q,
 @pytest.mark.parametrize("p,s,q,r,lam", list(SWEEP))
 def test_saddle_sweep_outcome_matches_the_table(p, s, q, r, lam):
     # a change to the saddle search that gains or loses a saddle here
-    # must update SWEEP, and a gained saddle belongs in POINTS as well
+    # must update SWEEP, and a gained saddle belongs in POINTS and ENERGY
+    # as well
     _u, rep = search(p, s, q, r, lam)
     if rep is None:
         outcome = "SaddleNotFound"
     elif rep.converged:
         assert rep.morse_index == 1
+        assert rep.energy == pytest.approx(ENERGY[p, s, q, r, lam], rel=1e-9)
         outcome = "converged"
     else:
         outcome = "unconverged"
     assert outcome == SWEEP[p, s, q, r, lam]
+
+
+def test_oracle_counts_the_index_of_a_spike_with_tiny_tails():
+    # the search ends unconverged here, at a one-node spike whose tails
+    # span 1e-27 to 1e-16; unscaled, the oracle's matrix had eigenvalues
+    # below its rounding there and counted 7 negative ones
+    p, s, q, r, lam = 4.0, 0.2, 2.0, 1.5, 40.0
+    _u, rep = search(p, s, q, r, lam)
+    v = rep.solution.values
+    assert not rep.converged and v.min() < 1e-20 * v.max()
+    assert rep.morse_index == 1
+    prob = reference.Problem(N, -1.0, 1.0, p, s, q, r)
+    assert even_morse_index(prob, v, lam) == rep.morse_index
