@@ -39,9 +39,9 @@ fibering map's slope, and Newton steps descend over the peaks from the
 peak of u_big's ray, on the Hessian restricted to the tangent of the
 peaks and, near the saddle, on the exact Hessian of the energy of the
 peaks, its Schur complement along the ray, so that the descent's tail
-converges quadratically.  The min-max Newton finish, on the damped
-Newton loop of the eigen and fold solves, takes over near the saddle,
-and the result counts if it converges to a point of Morse index one.
+converges quadratically to the saddle's own residual target.  The
+result counts if it is a point of Morse index one strictly between 0
+and u_big.
 
 The solutions sought are even under the mirror map of the interval, so
 every solver works in the even subspace: it takes the even kernel of
@@ -80,11 +80,8 @@ class SaddleNotFound(SolverError):
 
 
 NEWTON_HALVINGS = 8     # step lengths an eigen or fold Newton step may try
-SADDLE_HALVINGS = 30    # step lengths a min-max Newton step may try
 STALL_WINDOW = 20       # Newton steps over which the residual must fall
 STALL_DECREASE = 5e-3   # by this fraction, or the Newton iteration gives up
-SADDLE_ROUNDS = 60      # min-max Newton steps the saddle finish may take
-HANDOFF = 1e-6          # residual / sup |A| where the saddle finish takes over
 ARMIJO = 1e-4           # sufficient-decrease fraction of every line search
 BACKTRACK = 0.5         # step shrink factor while backtracking
 # the shift of an indefinite scaled Hessian (Nocedal and Wright, Numerical
@@ -260,10 +257,6 @@ def _slope_accepts(E, E_new, slope, gd):
     the energy rose by no more than that rounding and the slope along d
     has not overshot."""
     return E_new <= E + _rounding(E) and slope <= -0.8 * gd
-
-
-def _clip_box(w, top):
-    return np.minimum(np.maximum(w, 0.0), top)
 
 
 def minimize(kern, model, u0, opts=None, mu=0.0):
@@ -656,18 +649,17 @@ def principal_eigenpair(kern, p, opts=None):
                        converged=residual <= target)
 
 
-def _damped_newton(point, direction, state, max_iter, trials):
-    """Damped Newton iteration, shared by the eigen, fold and saddle
-    solves.
+def _damped_newton(point, direction, state, max_iter):
+    """Damped Newton iteration, shared by the eigen and fold solves.
 
     point(x) returns the state of an iterate x, a tuple whose first
     three entries are the admissible point that x stands for, its
     residual and the residual target; state is the start's.
     direction(state) returns the Newton direction d there, and raises
     LinAlgError where the system is singular.  Each step solves the
-    system once and tries up to trials lengths 1, 1/2, 1/4, ... of d,
-    the full step first (a cap on its length is the caller's, in d:
-    _capped); a trial is accepted only if its residual is below the
+    system once and tries up to NEWTON_HALVINGS lengths 1, 1/2, 1/4,
+    ... of d, the full step first (a cap on its length is the caller's,
+    in d: _capped); a trial is accepted only if its residual is below the
     current one, so a trial with a non-finite residual never is.  Stops
     at the target, at once when the start's residual is not finite
     (point may then return those three entries alone), when the system
@@ -688,7 +680,7 @@ def _damped_newton(point, direction, state, max_iter, trials):
             break
         x = state[0]
         t = 1.0
-        for _half in range(trials):
+        for _half in range(NEWTON_HALVINGS):
             trial = point(x + t * d)
             if trial[1] < state[1]:
                 break
@@ -739,8 +731,7 @@ def _eigen_newton(kern, p, u, opts):
         return _capped(np.linalg.solve(_eigen_jacobian(kern, p, v, R, B),
                                        -np.append(rvec, 0.0))[:-1], v)
 
-    return _damped_newton(point, direction, point(u), opts.max_iter,
-                          NEWTON_HALVINGS)
+    return _damped_newton(point, direction, point(u), opts.max_iter)
 
 
 def solve_fold(kern, params, u, opts=None):
@@ -822,7 +813,7 @@ def solve_fold(kern, params, u, opts=None):
 
     state, iterations = _damped_newton(
         point, direction, point(np.concatenate((w, l, [params.lam]))),
-        opts.max_iter, NEWTON_HALVINGS)
+        opts.max_iter)
     x, residual = state[0], state[1]
     lam = float(x[-1])
     note = None
@@ -881,11 +872,9 @@ def find_saddle(kern, params, u_big, opts=None):
     The mountain-pass point is the least energy peak along the rays from
     zero (the local minimax method of Li & Zhou, SIAM J. Sci. Comput.
     23, 2001).  The search descends over the ray peaks (_ray_peak,
-    _peak_descent) from the peak of u_big's ray, below u_big, and the
-    min-max Newton finish (_newton_polish) takes up to SADDLE_ROUNDS
-    steps from where it stops, projected onto the box 0 <= z <= u_big,
-    so the result lies in [0, u_big]; iterations counts the steps of
-    both.  SaddleNotFound is raised where u_big's ray has no peak.
+    _peak_descent) from the peak of u_big's ray, below u_big, until the
+    residual meets the target below; iterations counts its steps.
+    SaddleNotFound is raised where u_big's ray has no peak.
 
     The search runs in the even subspace, where the saddle has Morse
     index one (in the full space the lowest odd mode can be negative
@@ -893,10 +882,11 @@ def find_saddle(kern, params, u_big, opts=None):
     max(1, sup|u_big|); otherwise ParameterError.  The report carries
     that index (morse_index, the number of negative eigenvalues of the
     even-subspace Hessian at the result) and has converged=True only
-    where it is one, the result is positive at every node, and its
-    residual is at most tol * min(max(1, |E|), sup |A(v)|), as the
-    absolute test alone passes any point of small enough A.  Its energy
-    and residual are the finish's last state's.
+    where it is one, the result v satisfies 0 < v < u_big at every node,
+    and its residual is at most tol * min(max(1, |E|), sup |A(v)|)
+    (_saddle_target), as the absolute test alone passes any point of
+    small enough A.  Its energy and residual are the descent's last
+    peak's.
     """
     opts = opts or SolverOptions()
     _check_compat(kern, params)
@@ -915,17 +905,24 @@ def find_saddle(kern, params, u_big, opts=None):
     if peak is None:
         raise SaddleNotFound("the energy has no peak along the ray of the "
                              "minimizer")
-    peak, iterations = _peak_descent(kern, model, peak, opts)
-    (z, residual, target, E, g), steps = _newton_polish(
-        kern, model, peak, w_big, opts.tol,
-        min(SADDLE_ROUNDS, opts.max_iter - iterations))
-    report = _report(kern, z, E, g, iterations + steps, opts.tol, "saddle")
+    (z, Az, E, g), iterations = _peak_descent(kern, model, peak, opts)
+    report = _report(kern, z, E, g, iterations, opts.tol, "saddle")
     # a critical point of any other Morse index is not the mountain
-    # pass, and none has a zero node: there A(z) < 0 = mass f(0)
+    # pass, none has a zero node (there A(z) < 0 = mass f(0)), and the
+    # one sought lies below u_big
     report.morse_index = _morse_index(kern, model, z)
-    report.converged = (residual <= target and report.morse_index == 1
-                        and bool((z > 0.0).all()))
+    report.converged = (
+        report.residual <= _saddle_target(kern, opts.tol, E, Az)
+        and report.morse_index == 1
+        and bool((z > 0.0).all() and (z < w_big).all()))
     return report
+
+
+def _saddle_target(kern, tol, E, A):
+    """tol * min(max(1, |E|), sup |A|), the residual a saddle of energy
+    E and operator A must reach: the absolute test alone passes any
+    point of small enough A."""
+    return tol * min(_scale(E), _residual(kern, A))
 
 
 def _ray_peak(kern, model, w, S, Aw):
@@ -977,10 +974,10 @@ def _peak_descent(kern, model, peak, opts):
     off-centre point of index one, and with the term of g added to k it
     ends (3, .2, 2, 1.2; 12.5) unconverged at index two.  g.z = 0 at a
     peak, so d is tangent.  The trial of length s is the peak of the ray
-    of max(z + s d, 0), accepted by _backtrack.  Stops at a residual of
-    HANDOFF sup |A(z)|, when no trial is accepted, when the residual has
-    fallen by less than STALL_DECREASE over STALL_WINDOW steps, or after
-    max_iter steps.
+    of max(z + s d, 0), accepted by _backtrack.  Stops at the residual
+    target of _saddle_target, when no trial is accepted, when the
+    residual has fallen by less than STALL_DECREASE over STALL_WINDOW
+    steps, or after max_iter steps.
     """
     p = model.params.p
     z, Az, E, g = peak
@@ -994,7 +991,7 @@ def _peak_descent(kern, model, peak, opts):
 
     while len(history) <= opts.max_iter:
         residual = history[-1]
-        if residual <= HANDOFF * _residual(kern, Az):
+        if residual <= _saddle_target(kern, opts.tol, E, Az):
             break
         if (len(history) > STALL_WINDOW and residual
                 > (1.0 - STALL_DECREASE) * history[-1 - STALL_WINDOW]):
@@ -1026,45 +1023,3 @@ def _peak_descent(kern, model, peak, opts):
 def _morse_index(kern, model, v):
     """Number of negative eigenvalues of the exact Hessian at v."""
     return int((np.linalg.eigvalsh(total_hessian(kern, model, v)) < 0.0).sum())
-
-
-def _newton_polish(kern, model, peak, top, tol, rounds):
-    """Min-max Newton steps toward a saddle of Morse index one (Li &
-    Zhou, SIAM J. Sci. Comput. 23, 2001), by _damped_newton, from
-    peak = (v, A(v), E, g) with v >= 0, or from its projection where v
-    leaves the box below.
-
-    Each direction inverts the exact Hessian (total_hessian) through its
-    eigendecomposition, with curvatures below 1e-9 of the largest
-    dropped and every curvature taken by its modulus except the lowest,
-    which is taken negative: the Newton step where the Hessian has
-    exactly one negative eigenvalue, and elsewhere a climb of the lowest
-    mode and a descent of all the others.  Trial points are projected
-    onto the box 0 <= z <= top.  A step tries up to SADDLE_HALVINGS
-    lengths, the full one first and uncapped, and is kept only when the
-    gradient sup-norm falls.  The target at a point z is
-    tol * min(max(1, |E|), sup |A(z)|).  Stops there or after rounds
-    steps; returns the last state, (z, residual, target, E, g), and the
-    number of steps.
-    """
-
-    def state_of(z, A, E, g):
-        target = tol * min(_scale(E), _residual(kern, A))
-        return z, _residual(kern, g), target, E, g
-
-    def point(z):
-        z = _clip_box(z, top)
-        S, A = seminorm_energy_and_operator(kern, z, model.params.p)
-        return state_of(z, A, *_total(kern, model, z, S, A))
-
-    def direction(state):
-        z, g = state[0], state[4]
-        curv, Q = np.linalg.eigh(total_hessian(kern, model, z))
-        keep = np.abs(curv) > 1e-9 * float(np.abs(curv).max())
-        curv = np.abs(curv)
-        curv[0] = -curv[0]
-        return -(Q[:, keep] @ ((Q.T @ g)[keep] / curv[keep]))
-
-    v = peak[0]
-    start = point(v) if float((v - top).max()) > 0.0 else state_of(*peak)
-    return _damped_newton(point, direction, start, rounds, SADDLE_HALVINGS)

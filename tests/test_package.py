@@ -56,7 +56,7 @@ def test_bench_wraps_every_layer_but_the_known_gaps():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True).stdout
     assert set(out.split()) == {"reaction", "solvers.climb",
-                                "solvers.path_batch"}
+                                "solvers.path_batch", "solvers.polish"}
 
 
 def _attribute_sites(paths, attr):
@@ -125,3 +125,31 @@ def test_module_imports_are_all_used(path):
     unused = _unused_imports(ast.parse(path.read_text(), str(path)))
     assert not unused, "%s imports names it never uses: %s" % (
         path.name, ", ".join("%s (line %d)" % (n, ln) for ln, n in unused))
+
+
+def _constants(tree):
+    """Upper-case names bound at the top level of a module."""
+    names = {}
+    for node in tree.body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign)
+                   else [])
+        for target in targets:
+            if isinstance(target, ast.Name) and target.id.isupper():
+                names[target.id] = node.lineno
+    return names
+
+
+def test_module_constants_are_all_read():
+    # a constant left behind by a deletion is read nowhere; a name that
+    # only a docstring mentions is not read
+    package = Path(fracbif.__file__).parent.glob("*.py")
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in package}
+    read = {node.id for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    unread = sorted("%s:%d %s" % (name, line, const)
+                    for name, tree in trees.items()
+                    for const, line in _constants(tree).items()
+                    if const not in read)
+    assert not unread, "constants read nowhere in the package: %s" % unread

@@ -19,7 +19,7 @@ import pytest
 
 from fracbif import (ReactionModel, SaddleNotFound, assemble_kernel,
                      build_mesh, find_saddle, minimize_multistart,
-                     select_solution, validate_params)
+                     mirror_fold, select_solution, solvers, validate_params)
 
 _SPEC = importlib.util.spec_from_file_location(
     "bench_reference", os.path.join(os.path.dirname(__file__), os.pardir,
@@ -41,8 +41,12 @@ def even_morse_index(prob, v, lam, rel=1e-6):
     before its eigenvalues are taken, another congruence: where v spans
     many decades the eigenvalues of D B'HB D that belong to the tails
     lie below eigvalsh's rounding of eps times its norm, and their signs
-    would be noise.
+    would be noise.  The steps scale with v, so v must be positive at
+    every node: otherwise ValueError.
     """
+    if not np.all(v > 0.0):
+        raise ValueError("the oracle steps in proportion to v, which has a "
+                         "node at %.3e" % v.min())
     n = v.size
     m = n // 2
 
@@ -107,15 +111,18 @@ ENERGY = {
     (5.0, 0.15, 4.0, 3.0, 40.0): 1.8006303811254592e-07,
 }
 
-# (p, s, q, r, lambda): p < 2, p >= 4, near and far above lambda*; at
-# n = 32 each of these converges.  (6, 0.1, 5, 4; 12.5), where the path
-# search stopped at Morse index 11, and the last three joined when the
-# ray-peak search gained them
+# (p, s, q, r, lambda): every converged saddle of SWEEP, p < 2, p >= 4,
+# near and far above lambda*.  (6, 0.1, 5, 4; 12.5), where the path
+# search stopped at Morse index 11, and (6, 0.1, 5, 4; 40) and
+# (3, 0.2, 2, 1.2; 12.5), which the ray-peak search gained
 POINTS = [(3.0, 0.3, 2.5, 1.5, 12.5), (1.8, 0.4, 1.6, 1.2, 12.5),
           (2.0, 0.3, 1.7, 1.3, 12.5), (4.0, 0.2, 3.0, 2.0, 12.5),
           (4.0, 0.2, 3.0, 2.0, 40.0), (6.0, 0.1, 5.0, 4.0, 12.5),
           (5.0, 0.15, 4.0, 3.0, 12.5), (2.0, 0.3, 1.7, 1.3, 40.0),
-          (6.0, 0.1, 5.0, 4.0, 40.0), (3.0, 0.2, 2.0, 1.2, 12.5)]
+          (6.0, 0.1, 5.0, 4.0, 40.0), (3.0, 0.2, 2.0, 1.2, 12.5),
+          (3.0, 0.3, 2.5, 1.5, 40.0), (4.0, 0.2, 2.0, 1.5, 12.5),
+          (2.5, 0.3, 2.0, 1.5, 12.5), (2.5, 0.3, 2.0, 1.5, 40.0),
+          (5.0, 0.15, 4.0, 3.0, 40.0)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -143,7 +150,11 @@ def test_saddle_is_confirmed_by_the_reference_or_reported_as_failed(p, s, q,
     prob = reference.Problem(N, -1.0, 1.0, p, s, q, r)
     uu, v = u.solution.values, rep.solution.values
     Eu, Ev = prob.energy(uu, lam), prob.energy(v, lam)
-    assert prob.residual(v, lam) <= 1e-9 * max(1.0, abs(Ev))
+    # relative to the saddle's own scale, as the solver's test is: the
+    # absolute bound alone passes any point of small enough A(v)
+    Av = reference.operator(prob.k, prob.T, v, p)
+    assert prob.residual(v, lam) <= 1e-9 * min(max(1.0, abs(Ev)),
+                                               float(np.abs(Av).max()))
     assert np.all(v > 0.0) and np.all(v < uu)
     assert Ev > max(0.0, Eu)
     assert even_morse_index(prob, v, lam) == 1
@@ -168,13 +179,24 @@ def test_saddle_sweep_outcome_matches_the_table(p, s, q, r, lam):
 
 
 def test_oracle_counts_the_index_of_a_spike_with_tiny_tails():
-    # the search ends unconverged here, at a one-node spike whose tails
-    # span 1e-27 to 1e-16; unscaled, the oracle's matrix had eigenvalues
-    # below its rounding there and counted 7 negative ones
+    # the search ends unconverged here, at a spike with nodes that are
+    # exactly 0; the spike checked is that point with its zero nodes
+    # replaced by even tails from 1e-27 to 1e-16.  Unscaled, the
+    # oracle's matrix had eigenvalues below its rounding at such a spike
+    # and counted 7 negative ones
     p, s, q, r, lam = 4.0, 0.2, 2.0, 1.5, 40.0
     _u, rep = search(p, s, q, r, lam)
-    v = rep.solution.values
-    assert not rep.converged and v.min() < 1e-20 * v.max()
-    assert rep.morse_index == 1
+    assert not rep.converged
+    v = rep.solution.values.copy()
+    zero = np.flatnonzero(v[:N // 2] == 0.0)
+    assert zero.size > 0
     prob = reference.Problem(N, -1.0, 1.0, p, s, q, r)
-    assert even_morse_index(prob, v, lam) == rep.morse_index
+    with pytest.raises(ValueError):
+        even_morse_index(prob, v, lam)
+    v[zero] = v[N - 1 - zero] = np.geomspace(1e-27, 1e-16, zero.size)
+    assert v.min() < 1e-20 * v.max()
+    params = validate_params({"p": p, "s": s, "q": q, "r": r, "lambda": lam})
+    kern = assemble_kernel(build_mesh(-1.0, 1.0, N), params)
+    index = solvers._morse_index(kern, ReactionModel.plain(params),
+                                 mirror_fold(v))
+    assert even_morse_index(prob, v, lam) == index == 1

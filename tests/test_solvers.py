@@ -15,10 +15,9 @@ from fracbif import (KernelMatrix, MeshMismatchError, ParameterError,
 from fracbif import solvers
 from fracbif.kernel import pairwise_energy
 from fracbif.reaction import F_values, f_values
-from fracbif.solvers import (NEWTON_HALVINGS, SADDLE_HALVINGS,
-                             SADDLE_ROUNDS, STALL_WINDOW, _capped,
-                             _damped_newton, _descend, _eigen_jacobian,
-                             _eigen_newton, default_starts)
+from fracbif.solvers import (STALL_WINDOW, _capped, _damped_newton,
+                             _descend, _eigen_jacobian, _eigen_newton,
+                             default_starts)
 
 
 def make_params(p, lam=2.0):
@@ -187,8 +186,9 @@ def test_saddle_has_morse_index_one_in_the_even_subspace():
 @pytest.mark.parametrize("n,lam,most", [(128, 12.5, 60), (64, 40.0, 200)])
 def test_saddle_newton_finish_converges_at_index_one(n, lam, most):
     # the reflection climb took 191-206 iterations at the demo point
-    # (n = 128) and 1194 at lambda = 40, n = 64; the min-max Newton
-    # finish takes over once the ray-peak descent is close to the saddle
+    # (n = 128) and 1194 at lambda = 40, n = 64; the ray-peak descent
+    # steps with the exact Hessian of the peaks near the saddle, so its
+    # Newton tail reaches the saddle's target by itself
     params = validate_params({"p": 3.0, "s": 0.3, "q": 2.5, "r": 1.5,
                               "lambda": lam})
     kern = assemble_kernel(build_mesh(-1.0, 1.0, n), params)
@@ -941,32 +941,33 @@ def test_damped_newton_never_accepts_an_inadmissible_trial(bad):
 
     state, iterations = _damped_newton(
         point, lambda s: _capped(-(s[0] + 1.0), s[0]), point(np.array([1.0])),
-        SolverOptions().max_iter, NEWTON_HALVINGS)
+        SolverOptions().max_iter)
     assert 0.0 < state[0][0] < 1e-2
     assert STALL_WINDOW < iterations < 2 * STALL_WINDOW
 
 
-def test_saddle_finish_runs_on_the_shared_newton_loop(
+def test_find_saddle_rejects_a_point_above_the_ceiling(
         monkeypatch, small_problem, small_big_solution, small_saddle):
-    # the min-max finish is _damped_newton with the saddle's trial count
-    # and budget, and its steps are not capped at the iterate's length
+    # the descent has no box: a point of index one with a small residual
+    # that rises above u_big at one node is not the mountain pass below it
     kern, params = small_problem
-    loops, capped = [], []
-    damped_newton = solvers._damped_newton
+    assert small_saddle.converged
+    w_big = mirror_fold(small_big_solution.solution.values)
+    descend = solvers._peak_descent
 
-    def recorded(point, direction, x, max_iter, trials):
-        loops.append((max_iter, trials))
-        return damped_newton(point, direction, x, max_iter, trials)
+    def above(kern, model, peak, opts):
+        (z, Az, E, g), steps = descend(kern, model, peak, opts)
+        z = z.copy()
+        z[0] = 1.01 * w_big[0]
+        return (z, Az, E, g), steps
 
-    monkeypatch.setattr(solvers, "_damped_newton", recorded)
-    monkeypatch.setattr(solvers, "_capped",
-                        lambda d, x: capped.append(d) or d)
+    monkeypatch.setattr(solvers, "_peak_descent", above)
     rep = find_saddle(kern, params, small_big_solution.solution.values)
-    assert loops and all(trials == SADDLE_HALVINGS
-                         and 0 < max_iter <= SADDLE_ROUNDS
-                         for max_iter, trials in loops)
-    assert not capped
-    assert np.array_equal(rep.solution.values, small_saddle.solution.values)
+    v = rep.solution.values
+    assert rep.morse_index == 1 and np.all(v > 0.0)
+    assert rep.residual == small_saddle.residual
+    assert v[0] > small_big_solution.solution.values[0]
+    assert not rep.converged
 
 
 def fold_from(exps, n, lam):
