@@ -288,24 +288,23 @@ def seminorm_energy_and_operator(kern, u, p):
     return pairwise_energy(kern, u, p)
 
 
-def operator_hessian(kern, u, p, out=None):
+def operator_hessian(kern, u, p):
     """Dense Jacobian of apply_operator at u, the Hessian of seminorm_energy.
 
     With W = K * |u_i - u_j|^(p-2) it is
     2(p-1) [diag(W 1 + T |u|^(p-2)) - W], read through curvature_power
     so that for p < 2 a tie or a zero node stays finite.  Unlike the
     pairwise sums it holds n x n floats: it is built in place in one
-    n x n array, out when given (for instance the leading block of a
-    bordered matrix), else a new one.
+    new n x n array.
     """
     u = _check_values(u, len(kern.T))
     scale = float(np.linalg.norm(u))
-    H = np.subtract.outer(u, u, out=out)
+    H = np.subtract.outer(u, u)
     curvature_power(H, p - 2.0, scale, out=H)
     H *= kern.K
     diag = H.sum(axis=1) + kern.T * curvature_power(u, p - 2.0, scale)
     np.negative(H, out=H)
-    np.einsum("ii->i", H)[...] += diag     # a view, also of a strided out
+    np.einsum("ii->i", H)[...] += diag     # a view of the diagonal
     H *= 2.0 * (p - 1.0)
     return H
 

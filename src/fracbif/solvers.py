@@ -11,14 +11,16 @@ that each step descends: the Newton step where a Cholesky factorization
 shows the Hessian positive definite, and elsewhere the Newton step of
 the Hessian scaled to a unit diagonal and shifted by a multiple of the
 identity, doubled until it factors.  Each step backtracks from the full
-length until Armijo's decrease holds; near a minimizer that decrease
-drops below the rounding of the energy (1e-13 * max(1, |E|)), and from
-there a step is accepted on its slope instead, by the approximate Wolfe
-test of Hager and Zhang, so descent runs on to the residual target
-rather than stalling on noise.  Along a ray the energy is the fibering
-map E(t u) = S(u) t^p - (lam/q) A t^q + (1/r) B t^r, A and B sums of
-mass u+^q and u+^r: a descent that reaches a u from which it rises on
-the whole segment to 0 ends at zero (_rises_from_zero, with a Picone
+length, with every trial point projected onto u >= 0 (projected Newton,
+Bertsekas, SIAM J. Control Optim. 20, 1982), until Armijo's decrease
+holds; near a minimizer that decrease drops below the rounding of the
+energy (1e-13 * max(1, |E|)), and from there a step is accepted on its
+slope instead, by the approximate Wolfe test of Hager and Zhang, so
+descent runs on to the residual target rather than stalling on noise.
+Along a ray the energy is the fibering map
+E(t u) = S(u) t^p - (lam/q) A t^q + (1/r) B t^r, A and B sums of mass
+u+^q and u+^r: a descent that reaches a u from which it rises on the
+whole segment to 0 ends at zero (_rises_from_zero, with a Picone
 constant of the kernel bounding S from below).  Every nontrivial
 critical point u >= 0 has max u <= t+, the larger root of
 f(t) / t^(p-1) = min 2 T / mass, and minimize_multistart scales its
@@ -274,21 +276,21 @@ def minimize(kern, model, u0, opts=None, mu=0.0):
     shift sized to them would crawl by gradient steps everywhere else.
     Each step backtracks from the full length until Armijo's decrease
     holds, or, below the rounding of the energy, the approximate Wolfe
-    test.
+    test.  Descent starts from the positive part of u0 and projects
+    every trial point onto u >= 0, where the critical points sought lie;
+    projection never raises the energy (_descend).
 
     Stops when the gradient sup-norm falls below tol * max(1, |E|) at a
     point where the Cholesky factorization succeeds, so never at a
     saddle; when backtracking finds no acceptable step (converged=False);
-    or after max_iter accepted steps.  The negative part of the result
-    is removed and descent resumed, which never increases the energy;
-    exact critical points are nonnegative anyway.  Descent that reaches
-    a point u from which the energy rises along the whole segment to 0,
-    by the fibering bound of _rises_from_zero, ends at zero exactly:
-    no other critical point lies in that set.  mu > 0, a Picone constant
-    of kern, widens the set; it then holds every u >= 0 below the floor
-    t- of every nontrivial solution.  Descent runs in the even subspace
-    from the mirror average of u0, and the report carries the full-space
-    energy and residual of the descent's last point.
+    or after max_iter accepted steps.  Descent that reaches a point u
+    from which the energy rises along the whole segment to 0, by the
+    fibering bound of _rises_from_zero, ends at zero exactly: no other
+    critical point lies in that set.  mu > 0, a Picone constant of kern,
+    widens the set; it then holds every u >= 0 below the floor t- of
+    every nontrivial solution.  Descent runs in the even subspace from
+    the mirror average of u0, and the report carries the full-space
+    energy and residual of its last point.
     """
     opts = opts or SolverOptions()
     _check_compat(kern, model.params)
@@ -299,9 +301,17 @@ def minimize(kern, model, u0, opts=None, mu=0.0):
 
 
 def _descend(kern, model, u0, opts, mu=0.0):
-    """minimize's descent on an even (or full) kernel; returns the
-    point reached, its energy and gradient, and the number of accepted
-    steps.
+    """minimize's descent on an even (or full) kernel from the positive
+    part of u0; returns the point reached, its energy and gradient, and
+    the number of accepted steps.
+
+    The step is _peak_descent's: d = -H^-1 g where H is positive
+    definite, else _shifted_step's, and the trial of length t is
+    max(u + t d, 0), projected Newton on u >= 0 (Bertsekas, SIAM J.
+    Control Optim. 20, 1982).  Projection never raises the energy
+    (|a+ - b+| <= |a - b|, T |u+|^p <= T |u|^p, F = 0 for t <= 0), so a
+    length Armijo's test accepts unprojected passes it projected.  The
+    stop test is made before the solve, so the last point costs none.
 
     Descent that reaches a point where _rises_from_zero holds is
     finished at zero exactly: the energy rises along the whole segment
@@ -310,38 +320,35 @@ def _descend(kern, model, u0, opts, mu=0.0):
     minus its rounding, as it can hold only where E > 0; at lam = 0 it
     holds everywhere, so descent ends at zero on its first step.
     """
-    u = np.array(u0, dtype=float)
+    u = np.maximum(u0, 0.0)
     E, g = _energy_and_gradient(kern, model, u)
 
     def trial(t):
-        u_new = u + t * d
+        u_new = np.maximum(u + t * d, 0.0)
         return (u_new, *_energy_and_gradient(kern, model, u_new))
 
     iterations = 0
     shift = SHIFT_START
-    for _round in range(4):
-        while iterations < opts.max_iter:
-            if (not E < -_rounding(E)
-                    and _rises_from_zero(kern, model.params, u, mu)):
-                u = np.zeros_like(u)
-                E = 0.0
-                g = np.zeros_like(g)
-                iterations += 1
-                break
-            d, shift, definite = _newton_direction(
-                total_hessian(kern, model, u), g, shift)
-            if definite and _residual(kern, g) <= opts.tol * _scale(E):
-                break
-            moved = _backtrack(trial, E, g, d)
-            if moved is None:
-                break       # no acceptable step left
-            u, E, g = moved
+    while iterations < opts.max_iter:
+        if (not E < -_rounding(E)
+                and _rises_from_zero(kern, model.params, u, mu)):
+            u = np.zeros_like(u)
+            E = 0.0
+            g = np.zeros_like(g)
             iterations += 1
-        if float(u.min()) < 0.0:
-            u = np.maximum(u, 0.0)
-            E, g = _energy_and_gradient(kern, model, u)
-            continue
-        break
+            break
+        H = total_hessian(kern, model, u)
+        if _definite(H):
+            if _residual(kern, g) <= opts.tol * _scale(E):
+                break
+            d = -np.linalg.solve(H, g)  # numpy has no triangular solve
+        else:
+            d, shift = _shifted_step(H, g, shift)
+        moved = _backtrack(trial, E, g, d)
+        if moved is None:
+            break       # no acceptable step left
+        u, E, g = moved
+        iterations += 1
     return u, E, g, iterations
 
 
@@ -377,18 +384,6 @@ def _definite(H):
     except np.linalg.LinAlgError:
         return False
     return True
-
-
-def _newton_direction(H, g, shift):
-    """Descent direction at a symmetric H and gradient g: the Newton
-    step -H^-1 g where a Cholesky factorization shows H positive
-    definite, else _shifted_step's, with shift its last shift.  Returns
-    the direction, the shift, and whether H is positive definite."""
-    if not _definite(H):
-        return (*_shifted_step(H, g, shift), False)
-    # numpy has no triangular solve: one general solve of H costs less
-    # than two through the Cholesky factor
-    return -np.linalg.solve(H, g), shift, True
 
 
 def _shifted_step(H, g, shift):
@@ -663,17 +658,14 @@ def _damped_newton(point, direction, state, max_iter):
     current one, so a trial with a non-finite residual never is.  Stops
     at the target, at once when the start's residual is not finite
     (point may then return those three entries alone), when the system
-    is singular, when no trial is accepted, when the residual has fallen
-    by less than the fraction STALL_DECREASE over the last STALL_WINDOW
-    steps, or after max_iter steps.  Returns the last state and the
-    number of accepted steps.
+    is singular, when no trial is accepted, when the residual has
+    stalled (_stalled), or after max_iter steps.  Returns the last state
+    and the number of accepted steps.
     """
     iterations = 0
     history = [state[1]]
-    while iterations < max_iter and state[2] < state[1] < np.inf:
-        if (iterations >= STALL_WINDOW and state[1]
-                > (1.0 - STALL_DECREASE) * history[-1 - STALL_WINDOW]):
-            break       # the residual has stopped moving
+    while (iterations < max_iter and state[2] < state[1] < np.inf
+           and not _stalled(history)):
         try:
             d = direction(state)
         except np.linalg.LinAlgError:
@@ -691,6 +683,15 @@ def _damped_newton(point, direction, state, max_iter):
         iterations += 1
         history.append(state[1])
     return state, iterations
+
+
+def _stalled(history):
+    """Whether the residual, history[-1] after len(history) - 1 steps,
+    has fallen by less than the fraction STALL_DECREASE over the last
+    STALL_WINDOW of them: the stall rule of _damped_newton and
+    _peak_descent."""
+    return (len(history) > STALL_WINDOW and history[-1]
+            > (1.0 - STALL_DECREASE) * history[-1 - STALL_WINDOW])
 
 
 def _capped(d, x):
@@ -976,8 +977,7 @@ def _peak_descent(kern, model, peak, opts):
     peak, so d is tangent.  The trial of length s is the peak of the ray
     of max(z + s d, 0), accepted by _backtrack.  Stops at the residual
     target of _saddle_target, when no trial is accepted, when the
-    residual has fallen by less than STALL_DECREASE over STALL_WINDOW
-    steps, or after max_iter steps.
+    residual has stalled (_stalled), or after max_iter steps.
     """
     p = model.params.p
     z, Az, E, g = peak
@@ -990,12 +990,9 @@ def _peak_descent(kern, model, peak, opts):
                          *seminorm_energy_and_operator(kern, w, p))
 
     while len(history) <= opts.max_iter:
-        residual = history[-1]
-        if residual <= _saddle_target(kern, opts.tol, E, Az):
+        if (history[-1] <= _saddle_target(kern, opts.tol, E, Az)
+                or _stalled(history)):
             break
-        if (len(history) > STALL_WINDOW and residual
-                > (1.0 - STALL_DECREASE) * history[-1 - STALL_WINDOW]):
-            break       # the residual has stopped moving
         H = total_hessian(kern, model, z)
         c = float(np.abs(np.diagonal(H)).mean())
         e = z / np.linalg.norm(z)

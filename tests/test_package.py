@@ -4,6 +4,7 @@ import ast
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -153,3 +154,40 @@ def test_module_constants_are_all_read():
                     for const, line in _constants(tree).items()
                     if const not in read)
     assert not unread, "constants read nowhere in the package: %s" % unread
+
+
+def _private_definitions(tree):
+    """Private module-level functions and private methods of a module's
+    classes: (name, node) for each def whose name starts with one
+    underscore."""
+    defs = []
+    for top in tree.body:
+        members = top.body if isinstance(top, ast.ClassDef) else [top]
+        defs += [(node.name, node) for node in members
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 and node.name.startswith("_")
+                 and not node.name.startswith("__")]
+    return defs
+
+
+def _references(node):
+    """Names that node loads, and the attributes it reads."""
+    return Counter(sub.id if isinstance(sub, ast.Name) else sub.attr
+                   for sub in ast.walk(node)
+                   if isinstance(sub, ast.Name) and isinstance(sub.ctx,
+                                                               ast.Load)
+                   or isinstance(sub, ast.Attribute))
+
+
+def test_private_functions_are_all_referenced():
+    # a helper left behind by a deletion is referenced nowhere but in its
+    # own body; a test's use does not keep it alive
+    package = Path(fracbif.__file__).parent.glob("*.py")
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in package}
+    used = sum((_references(tree) for tree in trees.values()), Counter())
+    unused = sorted("%s:%d %s" % (name, node.lineno, func)
+                    for name, tree in trees.items()
+                    for func, node in _private_definitions(tree)
+                    if used[func] == _references(node)[func])
+    assert not unused, "private functions referenced nowhere: %s" % unused

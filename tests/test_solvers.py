@@ -607,10 +607,11 @@ def test_minimize_descends_from_any_start():
 
 @pytest.mark.parametrize("max_iter", [1, 2])
 def test_minimize_clears_the_negative_part_it_steps_into(max_iter):
-    # from 3 with three nodes at each end at -2, the first step leaves
-    # min u = -0.876 at E = 278.0; the reaction vanishes for t <= 0, so
-    # the descent clips that part off and resumes, and the report, even
-    # one cut short by max_iter, is nonnegative (E = 216.9 at one step)
+    # from 3 with three nodes at each end at -2 (E = 1611.7) the descent
+    # starts from the positive part (E = 298.9), and every trial point is
+    # projected onto u >= 0, where the reaction's zero for t <= 0 makes
+    # the energy no higher; so the report, even one cut short by
+    # max_iter, is nonnegative (E = 298.43 at one step)
     params = validate_params({"p": 3.0, "s": 0.3, "q": 2.5, "r": 1.5,
                               "lambda": 12.5})
     mesh = build_mesh(-1.0, 1.0, 32)
@@ -624,6 +625,46 @@ def test_minimize_clears_the_negative_part_it_steps_into(max_iter):
     full = KernelMatrix.full_from_sigma(mesh, params.sigma)
     assert rep.energy == pytest.approx(
         total_energy(full, model, rep.solution.values), rel=1e-12)
+
+
+def test_minimize_multistart_never_evaluates_a_negative_point(monkeypatch):
+    # at this point the multistart accepted 4 steps into u < 0 and
+    # clipped them afterwards; a projected trial has no negative node
+    params = validate_params({"p": 3.0, "s": 0.3, "q": 2.5, "r": 1.5,
+                              "lambda": 40.0})
+    kern = assemble_kernel(build_mesh(-1.0, 1.0, 32), params)
+    evaluate, lowest = solvers._energy_and_gradient, []
+
+    def recorded(kern, model, u):
+        lowest.append(float(np.min(u)))
+        return evaluate(kern, model, u)
+
+    monkeypatch.setattr(solvers, "_energy_and_gradient", recorded)
+    reports = minimize_multistart(kern, ReactionModel.plain(params), seed=0)
+    assert select_solution(reports).converged
+    assert len(lowest) > len(reports) and min(lowest) >= 0.0
+
+
+def test_minimize_from_its_own_minimizer_takes_no_step(monkeypatch):
+    # the stop test comes before the solve: a converged start costs one
+    # Hessian and its Cholesky factorization, and no Newton system
+    params = validate_params({"p": 3.0, "s": 0.3, "q": 2.5, "r": 1.5,
+                              "lambda": 12.5})
+    kern = assemble_kernel(build_mesh(-1.0, 1.0, 128), params)
+    model = ReactionModel.plain(params)
+    ref = select_solution(minimize_multistart(kern, model, seed=0))
+    assert ref.converged and ref.classification == "minimizer"
+    solve, calls = np.linalg.solve, []
+
+    def counted(*args):
+        calls.append(None)
+        return solve(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    rep = minimize(kern, model, ref.solution.values)
+    assert rep.converged and rep.iterations == 0 and not calls
+    assert rep.energy == ref.energy
+    assert np.array_equal(rep.solution.values, ref.solution.values)
 
 
 def test_warm_start_converges_below_the_armijo_resolution():
