@@ -13,9 +13,9 @@ import argparse
 
 import numpy as np
 
-from fracbif import (KernelMatrix, ReactionModel, SolverOptions, build_mesh,
-                     find_saddle, minimize_multistart, mirror_fold,
-                     select_solution, total_energy, validate_params)
+from fracbif import (KernelMatrix, SolverOptions, build_mesh, find_saddle,
+                     minimize_multistart, mirror_fold, select_solution,
+                     total_energy, validate_params)
 
 
 def main():
@@ -29,10 +29,9 @@ def main():
                               "lambda": args.lam})
     mesh = build_mesh(-1.0, 1.0, args.n)
     kern = KernelMatrix.from_sigma(mesh, params.p * params.s)
-    model = ReactionModel.plain(params)
 
     opts = SolverOptions()
-    reports = minimize_multistart(kern, model, opts, seed=args.seed)
+    reports = minimize_multistart(kern, params, opts, seed=args.seed)
     u = select_solution(reports, opts.zero_tol)
     if u.solution.sup_norm == 0.0:
         print("zero is the only minimizer at lambda = %.3f; raise --lam"
@@ -48,9 +47,9 @@ def main():
     # on the even kernel the energy of a folded point is the energy of
     # the full-mesh profile
     ts = np.arange(31) / 20.0
-    Eu = [total_energy(kern, model, t * mirror_fold(u.solution.values))
+    Eu = [total_energy(kern, params, t * mirror_fold(u.solution.values))
           for t in ts]
-    Ev = [total_energy(kern, model, t * mirror_fold(v.solution.values))
+    Ev = [total_energy(kern, params, t * mirror_fold(v.solution.values))
           for t in ts]
     top = max(Ev)
     width = 32

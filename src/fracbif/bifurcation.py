@@ -28,7 +28,6 @@ import numpy as np
 from .core import ParameterError, mirror_fold, with_lambda
 from .diagnostics import check_ordering, hopf_ratio
 from .kernel import apply_operator
-from .reaction import ReactionModel
 from .solvers import (SaddleNotFound, SolverError, SolverOptions,
                       _lambda_at_peak, find_saddle, minimize,
                       minimize_multistart, nontrivial, principal_eigenpair,
@@ -57,9 +56,9 @@ class BifurcationDiagram:
     method_record: dict = None
 
 
-def _find_minimizer(kern, model, opts, warm=None, seed=0, threads=1,
+def _find_minimizer(kern, params, opts, warm=None, seed=0, threads=1,
                     stop_early=False, mu=0.0):
-    """Minimizer at model's lambda, warm start first.
+    """Minimizer at params.lam, warm start first.
 
     One descent from warm is kept when it ends converged and nontrivial:
     minimize stops only where the Hessian is positive definite, so that
@@ -71,10 +70,10 @@ def _find_minimizer(kern, model, opts, warm=None, seed=0, threads=1,
     Every descent stops at zero in the box that mu sets (minimize).
     """
     if warm is not None:
-        rep = minimize(kern, model, warm, opts, mu=mu)
+        rep = minimize(kern, params, warm, opts, mu=mu)
         if nontrivial(rep, opts.zero_tol):
             return rep
-    reports = minimize_multistart(kern, model, opts, seed=seed,
+    reports = minimize_multistart(kern, params, opts, seed=seed,
                                   threads=threads, stop_at_nontrivial=stop_early,
                                   mu=mu)
     return select_solution(reports, opts.zero_tol)
@@ -118,7 +117,7 @@ def solve_at_lambda(kern, params, warm_start=None, opts=None, seed=0,
     if warm_start is not None:
         warm_start = np.asarray(getattr(warm_start, "values", warm_start),
                                 dtype=float)
-    rep = _find_minimizer(kern, ReactionModel.plain(params), opts, warm_start,
+    rep = _find_minimizer(kern, params, opts, warm_start,
                           seed=seed, threads=threads)
     bp = BranchPoint(lam=params.lam, u_big=rep)
     if nontrivial(rep, opts.zero_tol):
@@ -310,9 +309,8 @@ def estimate_lambda_star(kern, params, bracket, opts=None, seed=0, threads=1):
                 if top is not None:
                     descended.setdefault(lam, top.solution.values)
                 rep = _find_minimizer(
-                    kern, ReactionModel.plain(with_lambda(params, lam)), opts,
-                    descended.get(lam), seed=seed, threads=threads,
-                    stop_early=True, mu=mu)
+                    kern, with_lambda(params, lam), opts, descended.get(lam),
+                    seed=seed, threads=threads, stop_early=True, mu=mu)
                 if nontrivial(rep, opts.zero_tol):
                     cache[lam] = rep
         return cache[lam]
@@ -380,8 +378,8 @@ def estimate_lambda_star(kern, params, bracket, opts=None, seed=0, threads=1):
     # against the certificate that mu and lam_low come from rather than
     # rests on it
     if descended.get(lo) is not warm and nontrivial(
-            minimize(kern, ReactionModel.plain(with_lambda(params, lo)),
-                     warm, opts), opts.zero_tol):
+            minimize(kern, with_lambda(params, lo), warm, opts),
+            opts.zero_tol):
         warnings.append("the branch is still alive at lambda=%g, the lower "
                         "end of the bisection bracket (%g, %g)" % (lo, lo, hi))
     fold_estimate = fold_residual = fold_iterations = agreement = None

@@ -110,16 +110,16 @@ def verify_operator_properties(kern, p, trials=200, seed=0):
             "failures": sorted(k for k, ok in checks.items() if not ok)}
 
 
-def gradient_check(kern, model, u):
+def gradient_check(kern, params, u):
     """Max relative sup-error of the analytic gradient against central
     differences, of step FD_STEP, of the total energy."""
     u = np.asarray(getattr(u, "values", u), dtype=float)
-    g = total_gradient(kern, model, u)
+    g = total_gradient(kern, params, u)
     fd = np.empty_like(g)
     for i in range(len(u)):
         bump = np.zeros_like(u)
         bump[i] = FD_STEP
-        fd[i] = (total_energy(kern, model, u + bump)
-                 - total_energy(kern, model, u - bump)) / (2.0 * FD_STEP)
+        fd[i] = (total_energy(kern, params, u + bump)
+                 - total_energy(kern, params, u - bump)) / (2.0 * FD_STEP)
     denom = max(float(np.max(np.abs(g))), 1e-300)
     return float(np.max(np.abs(fd - g))) / denom

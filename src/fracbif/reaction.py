@@ -4,8 +4,6 @@ The reaction acts on the positive part of t and vanishes for t <= 0.
 All evaluations are vectorized over nodes.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import ParameterError, curvature_power
@@ -13,47 +11,42 @@ from .core import ParameterError, curvature_power
 SLACK_SAMPLES = 100_000     # grid points of scan_reaction_slack
 
 
-@dataclass(frozen=True)
 class ReactionModel:
-    """The reaction bound to a parameter record."""
+    """plain(params) is params: the reaction and the solvers take the
+    ProblemParams record itself.  Only bench/run.py still calls it, and
+    ROADMAP item 4a deletes it."""
 
-    params: object
-
-    @classmethod
-    def plain(cls, params):
-        return cls(params=params)
+    @staticmethod
+    def plain(params):
+        return params
 
 
-def _plain_f(params, t):
-    tp = np.maximum(np.asarray(t, dtype=float), 0.0)
+def f_values(params, u):
+    """Reaction at every node for nodal values u."""
+    tp = np.maximum(np.asarray(u, dtype=float), 0.0)
     return params.lam * tp ** (params.q - 1.0) - tp ** (params.r - 1.0)
 
 
-def f_values(model, u):
-    """Reaction at every node for nodal values u."""
-    return _plain_f(model.params, u)
-
-
-def df_values(model, u):
+def df_values(params, u):
     """t-derivative of the reaction at every node for nodal values u.
 
     Zero for t <= 0.  Negative powers are read through curvature_power,
     so t -> 0+ with r < 2 gives a large finite value.
     """
     u = np.asarray(u, dtype=float)
-    pr = model.params
+    lam, q, r = params.lam, params.q, params.r
     tp = np.maximum(u, 0.0)
     scale = float(np.linalg.norm(u))
-    d = (pr.lam * (pr.q - 1.0) * curvature_power(tp, pr.q - 2.0, scale)
-         - (pr.r - 1.0) * curvature_power(tp, pr.r - 2.0, scale))
+    d = (lam * (q - 1.0) * curvature_power(tp, q - 2.0, scale)
+         - (r - 1.0) * curvature_power(tp, r - 2.0, scale))
     return np.where(u > 0.0, d, 0.0)
 
 
-def F_values(model, u):
+def F_values(params, u):
     """Primitive of the reaction (in t, from 0) at every node."""
-    pr = model.params
     tp = np.maximum(np.asarray(u, dtype=float), 0.0)
-    return pr.lam * tp ** pr.q / pr.q - tp ** pr.r / pr.r
+    return (params.lam * tp ** params.q / params.q
+            - tp ** params.r / params.r)
 
 
 def sign_threshold_delta(params):
@@ -73,5 +66,5 @@ def sign_threshold_delta(params):
 def scan_reaction_slack(params, eps, t_max=100.0):
     """max over a dense t-grid of f(t) - eps*t^(p-1); <= 0 certifies the bound."""
     t = np.linspace(0.0, float(t_max), SLACK_SAMPLES)
-    slack = _plain_f(params, t) - eps * t ** (params.p - 1.0)
+    slack = f_values(params, t) - eps * t ** (params.p - 1.0)
     return float(slack.max())

@@ -69,8 +69,7 @@ from .core import (GridFunction, MeshMismatchError, ParameterError,
 from .kernel import (KernelError, _check_values, apply_operator,
                      operator_hessian, seminorm_energy,
                      seminorm_energy_and_operator)
-from .reaction import (ReactionModel, F_values, df_values, f_values,
-                       sign_threshold_delta)
+from .reaction import F_values, df_values, f_values, sign_threshold_delta
 
 
 class SolverError(RuntimeError):
@@ -175,34 +174,34 @@ def _check_compat(kern, params):
             % (kern.sigma, sigma))
 
 
-def total_energy(kern, model, u):
+def total_energy(kern, params, u):
     """Seminorm energy minus the integrated reaction primitive."""
-    S = seminorm_energy(kern, u, model.params.p)
-    return S - float((kern.mass * F_values(model, u)).sum())
+    S = seminorm_energy(kern, u, params.p)
+    return S - float((kern.mass * F_values(params, u)).sum())
 
 
-def total_gradient(kern, model, u):
+def total_gradient(kern, params, u):
     """Exact gradient of total_energy at u."""
-    return _energy_and_gradient(kern, model, u)[1]
+    return _energy_and_gradient(kern, params, u)[1]
 
 
-def total_hessian(kern, model, u):
+def total_hessian(kern, params, u):
     """Exact Hessian of total_energy at u, a dense symmetric n x n matrix."""
-    H = operator_hessian(kern, u, model.params.p)
-    np.einsum("ii->i", H)[...] -= kern.mass * df_values(model, u)
+    H = operator_hessian(kern, u, params.p)
+    np.einsum("ii->i", H)[...] -= kern.mass * df_values(params, u)
     return H
 
 
-def _energy_and_gradient(kern, model, u):
-    return _total(kern, model, u,
-                  *seminorm_energy_and_operator(kern, u, model.params.p))
+def _energy_and_gradient(kern, params, u):
+    return _total(kern, params, u,
+                  *seminorm_energy_and_operator(kern, u, params.p))
 
 
-def _total(kern, model, u, S, A):
+def _total(kern, params, u, S, A):
     """Total energy and gradient at u from its seminorm energy S and
     operator A."""
-    E = S - float((kern.mass * F_values(model, u)).sum())
-    return E, A - kern.mass * f_values(model, u)
+    E = S - float((kern.mass * F_values(params, u)).sum())
+    return E, A - kern.mass * f_values(params, u)
 
 
 def _sup(x):
@@ -261,7 +260,7 @@ def _slope_accepts(E, E_new, slope, gd):
     return E_new <= E + _rounding(E) and slope <= -0.8 * gd
 
 
-def minimize(kern, model, u0, opts=None, mu=0.0):
+def minimize(kern, params, u0, opts=None, mu=0.0):
     """Damped modified Newton descent on the total energy.
 
     Every step builds the exact Hessian H (total_hessian).  Where a
@@ -293,14 +292,14 @@ def minimize(kern, model, u0, opts=None, mu=0.0):
     energy and residual of its last point.
     """
     opts = opts or SolverOptions()
-    _check_compat(kern, model.params)
+    _check_compat(kern, params)
     u0 = _check_values(u0, kern.n)
-    w, E, g, iterations = _descend(kern, model, mirror_fold(u0), opts, mu)
+    w, E, g, iterations = _descend(kern, params, mirror_fold(u0), opts, mu)
     cls = "zero" if _sup(w) <= opts.zero_tol else "minimizer"
     return _report(kern, w, E, g, iterations, opts.tol, cls)
 
 
-def _descend(kern, model, u0, opts, mu=0.0):
+def _descend(kern, params, u0, opts, mu=0.0):
     """minimize's descent on an even (or full) kernel from the positive
     part of u0; returns the point reached, its energy and gradient, and
     the number of accepted steps.
@@ -321,23 +320,23 @@ def _descend(kern, model, u0, opts, mu=0.0):
     holds everywhere, so descent ends at zero on its first step.
     """
     u = np.maximum(u0, 0.0)
-    E, g = _energy_and_gradient(kern, model, u)
+    E, g = _energy_and_gradient(kern, params, u)
 
     def trial(t):
         u_new = np.maximum(u + t * d, 0.0)
-        return (u_new, *_energy_and_gradient(kern, model, u_new))
+        return (u_new, *_energy_and_gradient(kern, params, u_new))
 
     iterations = 0
     shift = SHIFT_START
     while iterations < opts.max_iter:
         if (not E < -_rounding(E)
-                and _rises_from_zero(kern, model.params, u, mu)):
+                and _rises_from_zero(kern, params, u, mu)):
             u = np.zeros_like(u)
             E = 0.0
             g = np.zeros_like(g)
             iterations += 1
             break
-        H = total_hessian(kern, model, u)
+        H = total_hessian(kern, params, u)
         if _definite(H):
             if _residual(kern, g) <= opts.tol * _scale(E):
                 break
@@ -557,7 +556,7 @@ def _amplitude_ceiling(kern, params):
     return _bisect(lambda t: _ratio(params, t) >= c, peak, far)[1]
 
 
-def minimize_multistart(kern, model, opts=None, seed=0, threads=1,
+def minimize_multistart(kern, params, opts=None, seed=0, threads=1,
                         stop_at_nontrivial=False, mu=0.0):
     """Run minimize (with mu) from the default randomized starts;
     returns all reports.
@@ -570,8 +569,8 @@ def minimize_multistart(kern, model, opts=None, seed=0, threads=1,
     reports, only the wall time.
     """
     opts = opts or SolverOptions()
-    starts = default_starts(kern.mesh, model.params, opts.starts, seed)
-    top = _amplitude_ceiling(kern, model.params)
+    starts = default_starts(kern.mesh, params, opts.starts, seed)
+    top = _amplitude_ceiling(kern, params)
     if top is not None:
         for k, u0 in enumerate(starts):
             peak = float(u0.max())
@@ -580,11 +579,11 @@ def minimize_multistart(kern, model, opts=None, seed=0, threads=1,
     if threads > 1 and not stop_at_nontrivial:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             reports = list(pool.map(
-                lambda u0: minimize(kern, model, u0, opts, mu), starts))
+                lambda u0: minimize(kern, params, u0, opts, mu), starts))
         return reports
     reports = []
     for u0 in starts:
-        rep = minimize(kern, model, u0, opts, mu)
+        rep = minimize(kern, params, u0, opts, mu)
         reports.append(rep)
         if stop_at_nontrivial and nontrivial(rep, opts.zero_tol):
             break
@@ -772,38 +771,38 @@ def solve_fold(kern, params, u, opts=None):
     u = _check_values(getattr(u, "values", u), kern.n)
     w = mirror_fold(u)
     m = len(w)
-    _, Q = np.linalg.eigh(total_hessian(kern, ReactionModel.plain(params), w))
+    _, Q = np.linalg.eigh(total_hessian(kern, params, w))
     l = Q[:, 0] * np.sign(Q[:, 0].sum())
 
     def point(x):
         w, phi, lam = x[:m], x[m:-1], float(x[-1])
         if not 0.0 < lam < np.inf:
             return x, np.inf, opts.tol
-        model = ReactionModel.plain(with_lambda(params, lam))
-        A = apply_operator(kern, w, model.params.p)
-        G = A - kern.mass * f_values(model, w)
+        at = with_lambda(params, lam)
+        A = apply_operator(kern, w, params.p)
+        G = A - kern.mass * f_values(at, w)
         scale = _residual(kern, A)
         if not scale > 0.0:
             return x, np.inf, opts.tol
-        H = total_hessian(kern, model, w)
+        H = total_hessian(kern, at, w)
         F = np.concatenate((G, H @ phi, [float(l @ phi) - 1.0]))
         res = max(_residual(kern, G) / scale,
                   _residual(kern, F[m:-1]) * _sup(w) / (scale * _sup(phi)),
                   abs(F[-1]))
-        return x, res, opts.tol, model, H, F
+        return x, res, opts.tol, at, H, F
 
     # every step writes the same blocks; the others stay zero
     J = np.zeros((2 * m + 1, 2 * m + 1))
 
     def direction(state):
-        x, _, _, model, H, F = state
+        x, _, _, at, H, F = state
         w, phi = x[:m], x[m:-1]
-        q = model.params.q
+        q = params.q
         eps = 1e-6 * max(1.0, _sup(w)) / _sup(phi)
         wp = np.maximum(w, 0.0)
         J[:m, :m] = J[m:-1, m:-1] = H
-        J[m:-1, :m] = (total_hessian(kern, model, w + eps * phi)
-                       - total_hessian(kern, model, w - eps * phi)
+        J[m:-1, :m] = (total_hessian(kern, at, w + eps * phi)
+                       - total_hessian(kern, at, w - eps * phi)
                        ) / (2.0 * eps)
         J[:m, -1] = -kern.mass * wp ** (q - 1.0)
         J[m:-1, -1] = -kern.mass * (q - 1.0) * np.where(
@@ -832,9 +831,9 @@ def solve_fold(kern, params, u, opts=None):
                       converged=note is None, note=note)
 
 
-def _eigen_jacobian(kern, p, w, R, out=None):
+def _eigen_jacobian(kern, p, w, R, out):
     """Jacobian of the bordered eigen system at (w, R) on kern, built in
-    out when given, else in a new (m+1) x (m+1) array.
+    out, an (m+1) x (m+1) array.
 
     The system, for unknowns w (even or full) and R, is
         F(w, R) = [A(w) - R mass phi_p(w);  sum mass |w|^p - 1]
@@ -850,16 +849,15 @@ def _eigen_jacobian(kern, p, w, R, out=None):
     solve, so it adds nothing to the solve's peak memory.
     """
     m = len(w)
-    B = np.empty((m + 1, m + 1)) if out is None else out
     J = operator_hessian(kern, w, p)
     np.einsum("ii->i", J)[...] -= R * (p - 1.0) * kern.mass * curvature_power(
         w, p - 2.0, float(np.linalg.norm(w)))
-    B[:m, :m] = J
+    out[:m, :m] = J
     phi = kern.mass * odd_power(w, p)
-    B[:m, m] = -phi
-    B[m, :m] = p * phi
-    B[m, m] = 0.0
-    return B
+    out[:m, m] = -phi
+    out[m, :m] = p * phi
+    out[m, m] = 0.0
+    return out
 
 
 def find_saddle(kern, params, u_big, opts=None):
@@ -895,23 +893,22 @@ def find_saddle(kern, params, u_big, opts=None):
     _require_even(u_big)
     if _sup(u_big) <= opts.zero_tol:
         raise SaddleNotFound("ceiling solution is numerically zero")
-    model = ReactionModel.plain(params)
     w_big = mirror_fold(u_big)
     S, A = seminorm_energy_and_operator(kern, w_big, params.p)
-    E, g = _total(kern, model, w_big, S, A)
-    if not (_definite(total_hessian(kern, model, w_big))
+    E, g = _total(kern, params, w_big, S, A)
+    if not (_definite(total_hessian(kern, params, w_big))
             and _residual(kern, g) <= opts.tol * _scale(E)):
         raise SolverError("ceiling solution is not a local minimizer")
-    peak = _ray_peak(kern, model, w_big, S, A)
+    peak = _ray_peak(kern, params, w_big, S, A)
     if peak is None:
         raise SaddleNotFound("the energy has no peak along the ray of the "
                              "minimizer")
-    (z, Az, E, g), iterations = _peak_descent(kern, model, peak, opts)
+    (z, Az, E, g), iterations = _peak_descent(kern, params, peak, opts)
     report = _report(kern, z, E, g, iterations, opts.tol, "saddle")
     # a critical point of any other Morse index is not the mountain
     # pass, none has a zero node (there A(z) < 0 = mass f(0)), and the
     # one sought lies below u_big
-    report.morse_index = _morse_index(kern, model, z)
+    report.morse_index = _morse_index(kern, params, z)
     report.converged = (
         report.residual <= _saddle_target(kern, opts.tol, E, Az)
         and report.morse_index == 1
@@ -926,7 +923,7 @@ def _saddle_target(kern, tol, E, A):
     return tol * min(_scale(E), _residual(kern, A))
 
 
-def _ray_peak(kern, model, w, S, Aw):
+def _ray_peak(kern, params, w, S, Aw):
     """(z, A(z), E(z), g(z)) at the energy's peak z = t1 w along the
     ray of w >= 0, from the seminorm energy S and operator Aw at w, or
     None where the ray has no peak.
@@ -936,7 +933,6 @@ def _ray_peak(kern, model, w, S, Aw):
     of psi in (0, t0), bisected to adjacent floats.  S is
     p-homogeneous, so E and g at z need no pass over the pairs there.
     """
-    params = model.params
     p = params.p
     a = p * S
     lam_A = params.lam * float((kern.mass * w ** params.q).sum())
@@ -950,10 +946,10 @@ def _ray_peak(kern, model, w, S, Aw):
     t1 = _bisect(lambda t: _psi(params, a, lam_A, B, t) > 0.0, 0.0, t0)[0]
     z = t1 * w
     Az = t1 ** (p - 1.0) * Aw
-    return (z, Az, *_total(kern, model, z, t1 ** p * S, Az))
+    return (z, Az, *_total(kern, params, z, t1 ** p * S, Az))
 
 
-def _peak_descent(kern, model, peak, opts):
+def _peak_descent(kern, params, peak, opts):
     """find_saddle's descent over the ray peaks, from peak = (z, A(z),
     E, g) of _ray_peak; returns the last peak and the number of steps.
 
@@ -979,21 +975,21 @@ def _peak_descent(kern, model, peak, opts):
     target of _saddle_target, when no trial is accepted, when the
     residual has stalled (_stalled), or after max_iter steps.
     """
-    p = model.params.p
+    p = params.p
     z, Az, E, g = peak
     shift = SHIFT_START
     history = [_residual(kern, g)]
 
     def trial(s):
         w = np.maximum(z + s * d, 0.0)
-        return _ray_peak(kern, model, w,
+        return _ray_peak(kern, params, w,
                          *seminorm_energy_and_operator(kern, w, p))
 
     while len(history) <= opts.max_iter:
         if (history[-1] <= _saddle_target(kern, opts.tol, E, Az)
                 or _stalled(history)):
             break
-        H = total_hessian(kern, model, z)
+        H = total_hessian(kern, params, z)
         c = float(np.abs(np.diagonal(H)).mean())
         e = z / np.linalg.norm(z)
         He = H @ e
@@ -1017,6 +1013,7 @@ def _peak_descent(kern, model, peak, opts):
     return (z, Az, E, g), len(history) - 1
 
 
-def _morse_index(kern, model, v):
+def _morse_index(kern, params, v):
     """Number of negative eigenvalues of the exact Hessian at v."""
-    return int((np.linalg.eigvalsh(total_hessian(kern, model, v)) < 0.0).sum())
+    H = total_hessian(kern, params, v)
+    return int((np.linalg.eigvalsh(H) < 0.0).sum())

@@ -36,8 +36,7 @@ from .bifurcation import _lower_bound_and_mu
 from .config import problem_params
 from .diagnostics import gradient_check, verify_operator_properties
 from .kernel import KernelMatrix, apply_operator, pairing, seminorm_energy
-from .reaction import (ReactionModel, scan_reaction_slack,
-                       sign_threshold_delta, f_values)
+from .reaction import f_values, scan_reaction_slack, sign_threshold_delta
 from .solvers import SolverOptions, _ratio_peak, principal_eigenpair
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -191,12 +190,11 @@ def run_verification(cfg, kernel_hook=None):
     def gradient():
         mesh = build_mesh(-1.0, 1.0, 24)
         kern = make_kernel(mesh, sigma)
-        model = ReactionModel.plain(params)
         rng = np.random.default_rng(cfg.seed)
         worst = 0.0
         for _ in range(5):
             u = rng.standard_normal(mesh.n)
-            worst = max(worst, gradient_check(kern, model, u))
+            worst = max(worst, gradient_check(kern, params, u))
         return worst <= 1e-6, "max rel gradient err %.2e" % worst
 
     def euler_identity():
@@ -230,9 +228,8 @@ def run_verification(cfg, kernel_hook=None):
             return True, "skipped (lambda = 0)"
         delta = sign_threshold_delta(params)
         t = np.linspace(0.0, delta, 20_001)
-        model = ReactionModel.plain(params)
-        worst = float(np.max(f_values(model, t)))
-        past = float(f_values(model, np.array([2.0 * delta]))[0])
+        worst = float(np.max(f_values(params, t)))
+        past = float(f_values(params, np.array([2.0 * delta]))[0])
         return (worst <= 1e-12 and past > 0.0,
                 "max f on [0, delta] = %.2e, f(2 delta) = %.2e" % (worst, past))
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fracbif import (ReactionModel, assemble_kernel, build_mesh, find_saddle,
+from fracbif import (assemble_kernel, build_mesh, find_saddle,
                      minimize_multistart, select_solution, validate_params)
 
 # one small supercritical problem shared by the solver-facing tests;
@@ -20,7 +20,7 @@ def small_problem():
 @pytest.fixture(scope="session")
 def small_big_solution(small_problem):
     kern, params = small_problem
-    reports = minimize_multistart(kern, ReactionModel.plain(params), seed=0)
+    reports = minimize_multistart(kern, params, seed=0)
     report = select_solution(reports)
     assert report.converged and report.classification == "minimizer"
     return report

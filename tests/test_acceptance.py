@@ -14,7 +14,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from fracbif import (KernelMatrix, ReactionModel, assemble_kernel,
+from fracbif import (KernelMatrix, assemble_kernel,
                      build_mesh, estimate_lambda_star, f_values,
                      minimize_multistart, pair_weight_quadrature,
                      principal_eigenpair, sign_threshold_delta,
@@ -88,7 +88,6 @@ def test_02_energy_gradient_matches_finite_differences():
                     {"p": p, "s": sigma / p, "q": 1.0 + 0.75 * (p - 1.0),
                      "r": 1.0 + 0.25 * (p - 1.0), "lambda": 2.0})
                 mesh = build_mesh(-1.0, 1.0, 40)
-                model = ReactionModel.plain(params)
                 rng = np.random.default_rng(0)
                 # the full kernel, and the even one the solvers take
                 for kern in (KernelMatrix.full_from_sigma(mesh, sigma),
@@ -96,13 +95,14 @@ def test_02_energy_gradient_matches_finite_differences():
                     size = len(kern.T)
                     for _ in range(20):
                         u = 0.3 + rng.random(size)
-                        g = total_gradient(kern, model, u)
+                        g = total_gradient(kern, params, u)
                         fd = np.empty(size)
                         for i in range(size):
                             e = np.zeros(size)
                             e[i] = 1e-6
-                            fd[i] = (total_energy(kern, model, u + e)
-                                     - total_energy(kern, model, u - e)) / 2e-6
+                            fd[i] = (total_energy(kern, params, u + e)
+                                     - total_energy(kern, params, u - e)
+                                     ) / 2e-6
                         scale = max(1.0, float(np.max(np.abs(g))))
                         assert float(np.max(np.abs(g - fd))) / scale < 1e-6
 
@@ -137,7 +137,7 @@ def test_05_no_solution_below_the_bound(problem200):
         eig = principal_eigenpair(kern, params.p)
         lam = 0.5 * min(1.0, 0.9 * eig.value)
         reports = minimize_multistart(
-            kern, ReactionModel.plain(with_lambda(params, lam)), seed=0)
+            kern, with_lambda(params, lam), seed=0)
         assert len(reports) == 10
         for rep in reports:
             assert rep.converged
@@ -191,7 +191,7 @@ def test_10_solutions_clear_the_small_amplitude_gap(branch_solutions,
             delta = sign_threshold_delta(pr)
             assert bp.u_big.solution.sup_norm > delta
             grid = np.linspace(0.0, delta, 100_001)
-            vals = f_values(ReactionModel.plain(pr), grid)
+            vals = f_values(pr, grid)
             assert float(np.max(vals)) <= 1e-12
 
 

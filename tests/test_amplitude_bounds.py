@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from fracbif import (KernelMatrix, ReactionModel, SolverOptions,
+from fracbif import (KernelMatrix, SolverOptions,
                      assemble_kernel, build_mesh, estimate_lambda_star,
                      find_saddle, minimize, minimize_multistart, mirror_fold,
                      principal_eigenpair, select_solution,
@@ -82,7 +82,6 @@ def test_no_critical_point_peaks_above_the_ceiling(exps, lam):
     # every pair term vanishes there
     rng = np.random.default_rng(0)
     for kern, params in kernels(exps, lam):
-        model = ReactionModel.plain(params)
         top = _amplitude_ceiling(kern, params)
         j = int(np.argmin(2.0 * kern.T / kern.mass))
         m = len(kern.T)
@@ -92,7 +91,7 @@ def test_no_critical_point_peaks_above_the_ceiling(exps, lam):
             topped = t * np.minimum(1.0, 2.0 * rng.random(m))
             for u in (np.full(m, t), rough, topped):
                 u[j] = t
-                g = total_gradient(kern, model, u)
+                g = total_gradient(kern, params, u)
                 assert np.all(g[u == np.max(u)] > 0.0)
         c = 2.0 * kern.T[j] / kern.mass[j]
         assert _ratio_peak(params) <= top
@@ -167,7 +166,6 @@ def test_no_nontrivial_critical_point_peaks_below_the_floor(exps, lam):
         phi = principal_eigenpair(even, p).eigenfunction.values
         phi = phi / np.max(phi)
         mu = _picone_mu(full, phi, p)
-        model = ReactionModel.plain(params)
         bottom = floor(params, mu)
         for kern, shape in ((full, phi), (even, mirror_fold(phi))):
             m = len(kern.T)
@@ -178,7 +176,7 @@ def test_no_nontrivial_critical_point_peaks_below_the_floor(exps, lam):
                 sparse[0] = t
                 for u in (t * shape, t * np.sqrt(shape), np.full(m, t),
                           t * rng.random(m), sparse):
-                    assert float(total_gradient(kern, model, u) @ u) > 0.0
+                    assert float(total_gradient(kern, params, u) @ u) > 0.0
                     assert _rises_from_zero(kern, params, u, mu)
         assert sign_threshold_delta(params) < bottom < _ratio_peak(params)
         # rounded down: the root lies between bottom and the float above
@@ -193,7 +191,6 @@ def test_energy_along_a_ray_is_the_fibering_map(exps, lam):
     rng = np.random.default_rng(2)
     p, q, r = exps[0], exps[2], exps[3]
     for kern, params in kernels(exps, lam):
-        model = ReactionModel.plain(params)
         m = len(kern.T)
         u = _ratio_peak(params) * (2.0 * rng.random(m) - 0.5)
         up = np.maximum(u, 0.0)
@@ -202,7 +199,7 @@ def test_energy_along_a_ray_is_the_fibering_map(exps, lam):
         S = seminorm_energy(kern, u, p)
         for t in (0.3, 1.0, 2.0):
             terms = (S * t ** p, -lam / q * A * t ** q, B / r * t ** r)
-            assert total_energy(kern, model, t * u) == pytest.approx(
+            assert total_energy(kern, params, t * u) == pytest.approx(
                 sum(terms), rel=0.0, abs=1e-13 * sum(map(abs, terms)))
 
 
@@ -238,7 +235,7 @@ def test_multistart_at_lambda_zero_ends_at_zero_at_once(exps):
         for scale in (1e-6, 1.0, 1e6):
             u = scale * rng.random(len(kern.T))
             assert _rises_from_zero(kern, params, u, mu)
-    for rep in minimize_multistart(kern, ReactionModel.plain(params), seed=0):
+    for rep in minimize_multistart(kern, params, seed=0):
         assert not np.any(rep.solution.values)
         assert rep.iterations == 1
         assert rep.converged and rep.classification == "zero"
@@ -270,14 +267,14 @@ def test_capped_starts_peak_at_the_ceiling(monkeypatch):
     assert top == pytest.approx(7.7465423348, rel=1e-10)
     seen = []
 
-    def recorded(kern, model, u0, opts=None, mu=0.0):
+    def recorded(kern, params, u0, opts=None, mu=0.0):
         seen.append(u0)
         return solvers.SolveReport(solution=None, energy=0.0, residual=0.0,
                                    iterations=0, converged=True,
                                    classification="zero")
 
     monkeypatch.setattr(solvers, "minimize", recorded)
-    minimize_multistart(kern, ReactionModel.plain(params), seed=3)
+    minimize_multistart(kern, params, seed=3)
     plain = default_starts(kern.mesh, params, 10, 3)
     capped = 0
     for u0, ref in zip(seen, plain):
@@ -291,7 +288,7 @@ def test_capped_starts_peak_at_the_ceiling(monkeypatch):
     # no bound at lambda = 0: every start is default_starts' own
     seen.clear()
     zero = with_lambda(params, 0.0)
-    minimize_multistart(kern, ReactionModel.plain(zero), seed=3)
+    minimize_multistart(kern, zero, seed=3)
     for u0, ref in zip(seen, default_starts(kern.mesh, zero, 10, 3)):
         assert np.array_equal(u0, ref)
 
@@ -299,7 +296,7 @@ def test_capped_starts_peak_at_the_ceiling(monkeypatch):
 def test_demo_minimizer_lies_under_the_ceiling():
     kern, params = problem(DEMO, 12.5, 128)
     rep = select_solution(minimize_multistart(kern,
-                                              ReactionModel.plain(params)))
+                                              params))
     assert rep.converged and rep.classification == "minimizer"
     assert rep.solution.sup_norm == pytest.approx(5.03, abs=5e-3)
     assert rep.solution.sup_norm < _amplitude_ceiling(kern, params)
@@ -313,7 +310,7 @@ def test_converged_reports_lie_between_the_floor_and_the_ceiling(exps):
     kern, params = problem(exps, 12.5, n)
     mu = certified_mu(kern, params)
     bottom, top = floor(params, mu), _amplitude_ceiling(kern, params)
-    reports = minimize_multistart(kern, ReactionModel.plain(params), seed=0)
+    reports = minimize_multistart(kern, params, seed=0)
     found = [rep for rep in reports
              if rep.converged and rep.classification != "zero"]
     assert found
@@ -333,11 +330,10 @@ def test_zero_report_skips_the_full_kernel_pass(monkeypatch):
     # 0 and gradient 0; like every report it reads the energy and
     # gradient of the descent's last pass, and evaluates nothing after it
     kern, params = problem(DEMO, 0.5, 32)
-    model = ReactionModel.plain(params)
     m = len(kern.T)
     u0 = default_starts(kern.mesh, params, 10, 0)[5]
     opts = SolverOptions()
-    rep = minimize(kern, model, u0, opts)
+    rep = minimize(kern, params, u0, opts)
     ref = solvers._report(kern, np.zeros(m), 0.0, np.zeros(m),
                           rep.iterations, opts.tol, "zero")
     for field in ("energy", "residual", "iterations", "converged",
@@ -362,7 +358,7 @@ def test_zero_report_skips_the_full_kernel_pass(monkeypatch):
 
     monkeypatch.setattr(solvers, "_descend", descended)
     monkeypatch.setattr(solvers, "_energy_and_gradient", counted)
-    rep = minimize(kern, ReactionModel.plain(with_lambda(params, 12.5)), u0,
+    rep = minimize(kern, with_lambda(params, 12.5), u0,
                    opts)
     assert rep.converged and rep.classification == "minimizer"
     assert passes[-1] is None
@@ -378,11 +374,10 @@ def test_floor_shortens_the_zero_only_predicate():
     # the floor, and the fibering test it widens ends the descents in
     # 34 steps, against 63 without it
     kern, params = problem(DEMO, 6.4466688477, 32)
-    model = ReactionModel.plain(params)
     mu = certified_mu(kern, params)
     assert floor(params, mu) > 2.0 * sign_threshold_delta(params)
-    plain = minimize_multistart(kern, model, seed=0)
-    floored = minimize_multistart(kern, model, seed=0, mu=mu)
+    plain = minimize_multistart(kern, params, seed=0)
+    floored = minimize_multistart(kern, params, seed=0, mu=mu)
     for reports in (plain, floored):
         assert all(rep.converged and rep.classification == "zero"
                    for rep in reports)
@@ -398,7 +393,7 @@ def test_certified_mu_ends_the_crawl_at_zero():
     top = _amplitude_ceiling(kern, params)
     u0 = default_starts(kern.mesh, params, 10, 0)[4]
     u0 = u0 * min(1.0, top / float(np.max(u0)))    # the multistart's cap
-    rep = minimize(kern, ReactionModel.plain(params), u0,
+    rep = minimize(kern, params, u0,
                    mu=certified_mu(kern, params))
     assert rep.converged and rep.classification == "zero"
     assert not np.any(rep.solution.values)
@@ -435,9 +430,9 @@ def test_bracket_check_descends_without_the_floor(monkeypatch):
     kern, params = problem((1.2, 0.4, 1.15, 1.1), 8.0, 32)
     descending, calls = bifurcation.minimize, []
 
-    def logged(kern, model, u0, opts=None, mu=0.0):
-        calls.append((model.params.lam, mu))
-        return descending(kern, model, u0, opts, mu)
+    def logged(kern, params, u0, opts=None, mu=0.0):
+        calls.append((params.lam, mu))
+        return descending(kern, params, u0, opts, mu)
 
     monkeypatch.setattr(bifurcation, "minimize", logged)
     rec = estimate_lambda_star(kern, params, (2.0, 30.0),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fracbif import (KernelError, KernelMatrix, ParameterError, ReactionModel,
+from fracbif import (KernelError, KernelMatrix, ParameterError,
                      SolverError, SolverOptions, apply_operator,
                      assemble_kernel, build_diagram, build_mesh,
                      continue_branch, estimate_lambda_star,
@@ -178,7 +178,7 @@ def test_multistart_below_the_lower_bound_finds_only_zero(coarse_problem):
     kern, params = coarse_problem
     low = lambda_lower_bound(kern, params)
     reports = minimize_multistart(
-        kern, ReactionModel.plain(with_lambda(params, 0.999 * low)), seed=0)
+        kern, with_lambda(params, 0.999 * low), seed=0)
     assert len(reports) == 10
     for rep in reports:
         assert rep.converged and rep.classification == "zero"
@@ -212,10 +212,10 @@ def test_estimate_warns_when_the_bisection_misses_the_branch(
     kern, params = coarse_problem
     seeing = bifurcation._find_minimizer
 
-    def blind(kern, model, opts, *args, **kwargs):
-        if model.params.lam < 6.9:
-            return minimize(kern, model, np.zeros(kern.n), opts)
-        return seeing(kern, model, opts, *args, **kwargs)
+    def blind(kern, params, opts, *args, **kwargs):
+        if params.lam < 6.9:
+            return minimize(kern, params, np.zeros(kern.n), opts)
+        return seeing(kern, params, opts, *args, **kwargs)
 
     monkeypatch.setattr(bifurcation, "_find_minimizer", blind)
     rec = estimate_lambda_star(kern, params, (5.0, 9.0), seed=0).method_record
@@ -260,16 +260,16 @@ def test_warm_starts_decide_the_nontrivial_predicates(coarse_problem,
     seeing, descending = bifurcation.minimize_multistart, bifurcation.minimize
     searched, descended = [], []
 
-    def logged(kern, model, *args, **kwargs):
-        reports = seeing(kern, model, *args, **kwargs)
+    def logged(kern, params, *args, **kwargs):
+        reports = seeing(kern, params, *args, **kwargs)
         found = any(r.converged and r.classification != "zero"
                     for r in reports)
-        searched.append((model.params.lam, found))
+        searched.append((params.lam, found))
         return reports
 
-    def logged_descent(kern, model, *args, **kwargs):
-        descended.append(model.params.lam)
-        return descending(kern, model, *args, **kwargs)
+    def logged_descent(kern, params, *args, **kwargs):
+        descended.append(params.lam)
+        return descending(kern, params, *args, **kwargs)
 
     monkeypatch.setattr(bifurcation, "minimize_multistart", logged)
     monkeypatch.setattr(bifurcation, "minimize", logged_descent)
@@ -381,7 +381,7 @@ def test_fold_solve_settles_under_mesh_refinement():
         kern, params = exponent_problem((3.0, 0.3, 2.5, 1.5), n)
         pr = with_lambda(params, 9.0)
         u = select_solution(minimize_multistart(
-            kern, ReactionModel.plain(pr), seed=0, stop_at_nontrivial=True))
+            kern, pr, seed=0, stop_at_nontrivial=True))
         fold = solve_fold(kern, pr, u.solution)
         assert fold.converged and fold.residual <= 1e-9
         folds.append(fold.lam)
@@ -401,9 +401,9 @@ def test_estimate_expands_the_bracket_on_both_sides(monkeypatch, bracket,
     asked, started = [], []
     seeing, folding = bifurcation._find_minimizer, bifurcation.solve_fold
 
-    def logged(kern, model, *args, **kwargs):
-        asked.append(model.params.lam)
-        return seeing(kern, model, *args, **kwargs)
+    def logged(kern, params, *args, **kwargs):
+        asked.append(params.lam)
+        return seeing(kern, params, *args, **kwargs)
 
     def logged_fold(kern, params, *args, **kwargs):
         started.append(params.lam)
@@ -431,9 +431,9 @@ def test_predicate_past_the_fold_descends_from_the_fold_point(monkeypatch, a,
     descents, folds = [], []
     descending, folding = bifurcation.minimize, bifurcation.solve_fold
 
-    def logged(kern, model, u0, *args, **kwargs):
-        rep = descending(kern, model, u0, *args, **kwargs)
-        descents.append((model.params.lam, u0, rep))
+    def logged(kern, params, u0, *args, **kwargs):
+        rep = descending(kern, params, u0, *args, **kwargs)
+        descents.append((params.lam, u0, rep))
         return rep
 
     def logged_fold(*args, **kwargs):
@@ -463,7 +463,7 @@ def test_stretching_the_domain_scales_both_solutions_exactly():
         pr = with_lambda(params, lam)
         kern = assemble_kernel(build_mesh(-L, L, 64), pr)
         u = select_solution(minimize_multistart(
-            kern, ReactionModel.plain(pr), seed=0))
+            kern, pr, seed=0))
         v = find_saddle(kern, pr, u.solution.values)
         assert u.converged and v.converged
         pairs.append((u.solution.values, v.solution.values))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fracbif import (GridFunction, KernelMatrix, ParameterError,
-                     ReactionModel, boundary_ratios, check_ordering,
+                     boundary_ratios, check_ordering,
                      build_mesh, gradient_check, hopf_ratio,
                      verify_operator_properties)
 
@@ -119,4 +119,4 @@ def test_gradient_check_small_for_all_variants():
     for kern in (assemble_kernel(params_mesh, params),
                  KernelMatrix.full_from_sigma(params_mesh, params.sigma)):
         u = 0.4 + 0.1 * rng.random(len(kern.T))
-        assert gradient_check(kern, ReactionModel.plain(params), u) < 1e-7
+        assert gradient_check(kern, params, u) < 1e-7

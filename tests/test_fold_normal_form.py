@@ -19,7 +19,7 @@ eigenvalues from eigvalsh: solve_fold only names the lambda*_h checked.
 import numpy as np
 import pytest
 
-from fracbif import (ReactionModel, assemble_kernel, build_mesh, find_saddle,
+from fracbif import (assemble_kernel, build_mesh, find_saddle,
                      minimize, minimize_multistart, mirror_fold,
                      select_solution, solve_fold, total_hessian,
                      validate_params, with_lambda)
@@ -49,21 +49,20 @@ def demo_branches():
                               "lambda": 9.0})
     kern = assemble_kernel(build_mesh(-1.0, 1.0, 128), params)
     u9 = select_solution(minimize_multistart(kern,
-                                             ReactionModel.plain(params),
+                                             params,
                                              seed=0))
     fold = solve_fold(kern, params, u9.solution)
     assert fold.converged
     rows = []
     for d in STEPS:
         near = with_lambda(params, fold.lam + d)
-        model = ReactionModel.plain(near)
-        u = minimize(kern, model, fold.solution.values)
+        u = minimize(kern, near, fold.solution.values)
         assert u.converged and u.classification == "minimizer"
         v = find_saddle(kern, near, u.solution.values)
         assert v.converged and v.morse_index == 1
         kappa_u, kappa_v = (
             float(np.linalg.eigvalsh(total_hessian(
-                kern, model, mirror_fold(w.solution.values)))[0])
+                kern, near, mirror_fold(w.solution.values)))[0])
             for w in (u, v))
         rows.append((kappa_u, kappa_v, v.energy - u.energy))
     return fold.lam, np.array(rows)

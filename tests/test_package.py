@@ -60,6 +60,26 @@ def test_bench_wraps_every_layer_but_the_known_gaps():
                                 "solvers.path_batch", "solvers.polish"}
 
 
+def test_reaction_model_is_left_only_for_the_bench():
+    # the reaction and the solvers take the ProblemParams record itself;
+    # ReactionModel.plain stays as the identity that bench/run.py calls
+    params = fracbif.validate_params({"p": 3.0, "s": 0.3, "q": 2.5,
+                                      "r": 1.5, "lambda": 8.0})
+    assert fracbif.ReactionModel.plain(params) is params
+    package = Path(fracbif.__file__).resolve().parent
+    tests = Path(__file__).resolve().parent
+    kept = {package / "reaction.py", package / "__init__.py",
+            Path(__file__).resolve()}
+    naming = sorted(path.name for root in (package, DEMOS, tests)
+                    for path in root.rglob("*.py")
+                    if path.resolve() not in kept
+                    and "ReactionModel" in path.read_text())
+    assert naming == []
+    unwrapping = sorted(path.name for path in package.parent.rglob("*.py")
+                        if "model.params" in path.read_text())
+    assert unwrapping == []
+
+
 def _attribute_sites(paths, attr):
     """(file, top-level function) of every use of the attribute attr."""
     sites = set()

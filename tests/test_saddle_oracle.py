@@ -17,7 +17,7 @@ import os
 import numpy as np
 import pytest
 
-from fracbif import (ReactionModel, SaddleNotFound, assemble_kernel,
+from fracbif import (SaddleNotFound, assemble_kernel,
                      build_mesh, find_saddle, minimize_multistart,
                      mirror_fold, select_solution, solvers, validate_params)
 
@@ -131,7 +131,7 @@ def search(p, s, q, r, lam):
     report from it, or None where it raises SaddleNotFound."""
     params = validate_params({"p": p, "s": s, "q": q, "r": r, "lambda": lam})
     kern = assemble_kernel(build_mesh(-1.0, 1.0, N), params)
-    u = select_solution(minimize_multistart(kern, ReactionModel.plain(params),
+    u = select_solution(minimize_multistart(kern, params,
                                             seed=0))
     assert u.converged and u.classification == "minimizer"
     try:
@@ -197,6 +197,6 @@ def test_oracle_counts_the_index_of_a_spike_with_tiny_tails():
     assert v.min() < 1e-20 * v.max()
     params = validate_params({"p": p, "s": s, "q": q, "r": r, "lambda": lam})
     kern = assemble_kernel(build_mesh(-1.0, 1.0, N), params)
-    index = solvers._morse_index(kern, ReactionModel.plain(params),
+    index = solvers._morse_index(kern, params,
                                  mirror_fold(v))
     assert even_morse_index(prob, v, lam) == index == 1

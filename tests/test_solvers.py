@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from fracbif import (KernelMatrix, MeshMismatchError, ParameterError,
-                     ReactionModel, SaddleNotFound,
-                     SolverError, SolverOptions, apply_operator,
+                     SaddleNotFound, SolverError, SolverOptions,
+                     apply_operator,
                      assemble_kernel, build_mesh, continue_branch,
                      find_saddle, minimize, minimize_multistart, mirror_fold,
                      mirror_unfold, odd_power, principal_eigenpair,
@@ -48,12 +48,11 @@ def test_total_energy_composition():
     params = make_params(2.5)
     mesh = build_mesh(-1.0, 1.0, 14)
     kern = KernelMatrix.full_from_sigma(mesh, params.sigma)
-    model = ReactionModel.plain(params)
     rng = np.random.default_rng(0)
     u = rng.standard_normal(14)
     expect = (seminorm_energy(kern, u, params.p)
-              - mesh.h * float(np.sum(F_values(model, u))))
-    assert total_energy(kern, model, u) == pytest.approx(expect, rel=1e-14)
+              - mesh.h * float(np.sum(F_values(params, u))))
+    assert total_energy(kern, params, u) == pytest.approx(expect, rel=1e-14)
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 2.7])
@@ -61,18 +60,17 @@ def test_total_gradient_matches_finite_differences(p):
     params = make_params(p)
     mesh = build_mesh(-1.0, 1.0, 10)
     kern = KernelMatrix.full_from_sigma(mesh, params.sigma)
-    model = ReactionModel.plain(params)
     rng = np.random.default_rng(4)
     for _ in range(4):
         u = 0.5 + rng.random(10)
-        g = total_gradient(kern, model, u)
+        g = total_gradient(kern, params, u)
         fd = np.empty(10)
         step = 1e-6
         for i in range(10):
             e = np.zeros(10)
             e[i] = step
-            fd[i] = (total_energy(kern, model, u + e)
-                     - total_energy(kern, model, u - e)) / (2.0 * step)
+            fd[i] = (total_energy(kern, params, u + e)
+                     - total_energy(kern, params, u - e)) / (2.0 * step)
         scale = max(1.0, float(np.max(np.abs(g))))
         assert np.max(np.abs(g - fd)) / scale < 1e-6
 
@@ -87,16 +85,15 @@ def test_total_hessian_matches_gradient_differences(p, variant):
     rng = np.random.default_rng(7)
     u = 0.5 + rng.random(n)
     u[0] = -0.3             # the reaction is flat for t <= 0
-    model = ReactionModel.plain(params)
-    H = total_hessian(kern, model, u)
+    H = total_hessian(kern, params, u)
     assert np.array_equal(H, H.T)
     step = 1e-6
     fd = np.empty((n, n))
     for j in range(n):
         e = np.zeros(n)
         e[j] = step
-        fd[:, j] = (total_gradient(kern, model, u + e)
-                    - total_gradient(kern, model, u - e)) / (2.0 * step)
+        fd[:, j] = (total_gradient(kern, params, u + e)
+                    - total_gradient(kern, params, u - e)) / (2.0 * step)
     assert np.max(np.abs(H - fd)) <= 1e-6 * np.max(np.abs(H))
 
 
@@ -111,20 +108,19 @@ def test_folded_total_hessian_matches_gradient_differences(n, variant):
     w = 0.5 + rng.random(m)
     w[0] = -0.3             # the reaction is flat for t <= 0
     u = mirror_unfold(w, n)
-    model = ReactionModel.plain(params)
-    H = total_hessian(half, model, w)
+    H = total_hessian(half, params, w)
     assert np.array_equal(H, H.T)
     step = 1e-6
     fd = np.empty((m, m))
     for j in range(m):
         e = np.zeros(m)
         e[j] = step
-        fd[:, j] = (total_gradient(half, model, w + e)
-                    - total_gradient(half, model, w - e)) / (2.0 * step)
+        fd[:, j] = (total_gradient(half, params, w + e)
+                    - total_gradient(half, params, w - e)) / (2.0 * step)
     assert np.max(np.abs(H - fd)) <= 1e-6 * np.max(np.abs(H))
     # and the folded gradient is the full one times mass / h
-    g = total_gradient(kern, model, u)
-    assert np.allclose(total_gradient(half, model, w),
+    g = total_gradient(kern, params, u)
+    assert np.allclose(total_gradient(half, params, w),
                        half.mass / kern.mesh.h * g[:m],
                        rtol=1e-12, atol=1e-12 * np.max(np.abs(g)))
 
@@ -140,7 +136,7 @@ def test_total_hessian_finite_at_ties_and_zero_nodes(variant):
     u[[0, 5, 11]] = 0.0
     u[7] = u[8]
     with np.errstate(all="raise"):
-        H = total_hessian(kern, ReactionModel.plain(params), u)
+        H = total_hessian(kern, params, u)
     assert np.all(np.isfinite(H))
 
 
@@ -148,12 +144,11 @@ def test_morse_index_of_minimizer_and_saddle(small_problem,
                                              small_big_solution,
                                              small_saddle):
     kern, params = small_problem
-    plain = ReactionModel.plain(params)
     curv_u = np.linalg.eigvalsh(total_hessian(
-        kern, plain, mirror_fold(small_big_solution.solution.values)))
+        kern, params, mirror_fold(small_big_solution.solution.values)))
     assert curv_u[0] > 0.0
     curv_v, Q = np.linalg.eigh(total_hessian(
-        kern, plain, mirror_fold(small_saddle.solution.values)))
+        kern, params, mirror_fold(small_saddle.solution.values)))
     assert curv_v[0] < 0.0 < curv_v[1]
     phi = Q[:, 0] * np.sign(Q[0, 0])
     assert np.all(phi > 0.0)
@@ -165,18 +160,17 @@ def test_saddle_has_morse_index_one_in_the_even_subspace():
     params = validate_params({"p": 3.0, "s": 0.3, "q": 2.5, "r": 1.5,
                               "lambda": 12.5})
     kern = assemble_kernel(build_mesh(-1.0, 1.0, 48), params)
-    plain = ReactionModel.plain(params)
-    u = select_solution(minimize_multistart(kern, plain, seed=0))
+    u = select_solution(minimize_multistart(kern, params, seed=0))
     v = find_saddle(kern, params, u.solution.values)
     assert v.converged
     h = kern.mesh.h
     # the even Hessian in the metric of the full space, D^-1/2 H D^-1/2
     # with D = mass / h, against the Hessian on the full kernel
     root = np.sqrt(h / kern.mass)
-    H = total_hessian(kern, plain, mirror_fold(v.solution.values))
+    H = total_hessian(kern, params, mirror_fold(v.solution.values))
     even = np.linalg.eigvalsh(root[:, None] * H * root[None, :]) / h
     full = np.linalg.eigvalsh(total_hessian(
-        KernelMatrix.full_from_sigma(kern.mesh, kern.sigma), plain,
+        KernelMatrix.full_from_sigma(kern.mesh, kern.sigma), params,
         v.solution.values)) / h
     assert even[0] < 0.0 < even[1]
     assert full[0] < full[1] < 0.0 < full[2]
@@ -192,11 +186,10 @@ def test_saddle_newton_finish_converges_at_index_one(n, lam, most):
     params = validate_params({"p": 3.0, "s": 0.3, "q": 2.5, "r": 1.5,
                               "lambda": lam})
     kern = assemble_kernel(build_mesh(-1.0, 1.0, n), params)
-    plain = ReactionModel.plain(params)
-    u = select_solution(minimize_multistart(kern, plain, seed=0))
+    u = select_solution(minimize_multistart(kern, params, seed=0))
     v = find_saddle(kern, params, u.solution.values)
     curv = np.linalg.eigvalsh(total_hessian(
-        kern, plain, mirror_fold(v.solution.values)))
+        kern, params, mirror_fold(v.solution.values)))
     assert v.converged
     assert curv[0] < 0.0 < curv[1]
     assert v.morse_index == 1
@@ -213,12 +206,11 @@ def test_saddle_descent_steps_with_the_hessian_of_the_peaks():
     params = validate_params({"p": 3.0, "s": 0.3, "q": 2.5, "r": 1.5,
                               "lambda": 12.5})
     kern = assemble_kernel(build_mesh(-1.0, 1.0, 128), params)
-    plain = ReactionModel.plain(params)
-    u = select_solution(minimize_multistart(kern, plain, seed=0))
+    u = select_solution(minimize_multistart(kern, params, seed=0))
     v = find_saddle(kern, params, u.solution.values)
     assert v.converged and v.iterations <= 15
     z = mirror_fold(v.solution.values)
-    H = total_hessian(kern, plain, z)
+    H = total_hessian(kern, params, z)
     e = z / np.linalg.norm(z)
     He = H @ e
     eHe = float(e @ He)
@@ -227,7 +219,7 @@ def test_saddle_descent_steps_with_the_hessian_of_the_peaks():
     d = k * (1e-3 * np.linalg.norm(z) / np.linalg.norm(k))
 
     def J(w):
-        return solvers._ray_peak(kern, plain, w,
+        return solvers._ray_peak(kern, params, w,
                                  *pairwise_energy(kern, w, params.p))[2]
 
     second = J(z + d) + J(z - d) - 2.0 * J(z)
@@ -246,11 +238,10 @@ def test_saddle_retried_finish_reaches_the_mountain_pass(p, s, q, r):
     params = validate_params({"p": p, "s": s, "q": q, "r": r,
                               "lambda": 12.5})
     kern = assemble_kernel(build_mesh(-1.0, 1.0, 32), params)
-    plain = ReactionModel.plain(params)
-    u = select_solution(minimize_multistart(kern, plain, seed=0))
+    u = select_solution(minimize_multistart(kern, params, seed=0))
     v = find_saddle(kern, params, u.solution.values)
     curv = np.linalg.eigvalsh(total_hessian(
-        kern, plain, mirror_fold(v.solution.values)))
+        kern, params, mirror_fold(v.solution.values)))
     assert v.converged and v.morse_index == 1
     assert curv[0] < 0.0 < curv[1]
 
@@ -282,20 +273,20 @@ def test_ray_peak_is_the_energy_maximum_along_the_ray(p, s, q, r, n):
             (q - r) / (p - q))
         lam_c = (B / k) ** ((p - q) / (p - r)) / A
         for lam in lam_c * np.array([1.0 - 1e-6, 1.0 + 1e-6]):
-            model = ReactionModel.plain(validate_params(
-                {"p": p, "s": s, "q": q, "r": r, "lambda": lam}))
-            peak = solvers._ray_peak(kern, model, w, S, Aw)
+            pr = validate_params(
+                {"p": p, "s": s, "q": q, "r": r, "lambda": lam})
+            peak = solvers._ray_peak(kern, pr, w, S, Aw)
             assert (peak is None) == (lam < lam_c)
         for lam in lam_c * np.array([0.3, 0.9, 1.1, 3.0]):
-            model = ReactionModel.plain(validate_params(
-                {"p": p, "s": s, "q": q, "r": r, "lambda": lam}))
+            pr = validate_params(
+                {"p": p, "s": s, "q": q, "r": r, "lambda": lam})
             t0 = ((q - r) * lam * A / ((p - r) * p * S)) ** (1.0 / (p - q))
-            peak = solvers._ray_peak(kern, model, w, S, Aw)
+            peak = solvers._ray_peak(kern, pr, w, S, Aw)
             ray = np.linspace(0.0, 1.0, 41)[1:]
             if lam < lam_c:
                 # psi >= 0: the energy never falls along the ray
                 assert peak is None
-                E = [total_energy(kern, model, t * 3.0 * t0 * w) for t in ray]
+                E = [total_energy(kern, pr, t * 3.0 * t0 * w) for t in ray]
                 assert np.all(np.diff(E) >= -1e-12 * np.max(np.abs(E)))
                 continue
             z, Az, E1, g1 = peak
@@ -303,15 +294,15 @@ def test_ray_peak_is_the_energy_maximum_along_the_ray(p, s, q, r, n):
             assert 0.0 < t1 < t0
             assert np.array_equal(z, t1 * w)
             # the energy and gradient from homogeneity are those at z
-            g = total_gradient(kern, model, z)
-            assert E1 == pytest.approx(total_energy(kern, model, z),
+            g = total_gradient(kern, pr, z)
+            assert E1 == pytest.approx(total_energy(kern, pr, z),
                                        rel=1e-12, abs=1e-300)
             assert np.max(np.abs(g1 - g)) <= 1e-12 * np.max(np.abs(Az))
             terms = (p * S * t1 ** (p - 1.0) + lam * A * t1 ** (q - 1.0)
                      + B * t1 ** (r - 1.0))
             assert abs(float(g @ w)) <= 1e-12 * terms
-            below = [total_energy(kern, model, t * t1 * w) for t in ray[:-1]]
-            above = [total_energy(kern, model, (t1 + t * (t0 - t1)) * w)
+            below = [total_energy(kern, pr, t * t1 * w) for t in ray[:-1]]
+            above = [total_energy(kern, pr, (t1 + t * (t0 - t1)) * w)
                      for t in ray]
             assert max(below) < E1 and max(above) < E1
 
@@ -322,11 +313,10 @@ def test_saddle_converges_on_a_fine_mesh():
     # cell by cell
     params = validate_params({"p": 3.0, "s": 0.3, "q": 2.5, "r": 1.5,
                               "lambda": 12.5})
-    plain = ReactionModel.plain(params)
     coarse = select_solution(minimize_multistart(
-        assemble_kernel(build_mesh(-1.0, 1.0, 128), params), plain, seed=0))
+        assemble_kernel(build_mesh(-1.0, 1.0, 128), params), params, seed=0))
     kern = assemble_kernel(build_mesh(-1.0, 1.0, 1024), params)
-    u = minimize(kern, plain, np.repeat(coarse.solution.values, 8))
+    u = minimize(kern, params, np.repeat(coarse.solution.values, 8))
     assert u.converged
     v = find_saddle(kern, params, u.solution.values)
     assert v.converged and v.morse_index == 1
@@ -343,7 +333,7 @@ def test_odd_mesh_path_step_follows_the_full_space_gradient():
     params = validate_params({"p": 4.0, "s": 0.2, "q": 3.0, "r": 2.0,
                               "lambda": 12.5})
     kern = assemble_kernel(build_mesh(-1.0, 1.0, 31), params)
-    u = select_solution(minimize_multistart(kern, ReactionModel.plain(params),
+    u = select_solution(minimize_multistart(kern, params,
                                             seed=0))
     v = find_saddle(kern, params, u.solution.values)
     assert v.converged and v.morse_index == 1
@@ -448,7 +438,7 @@ def test_eigen_jacobian_matches_central_differences(p, n):
     rng = np.random.default_rng(n)
     w = 0.5 + rng.random(m)
     R = 3.7
-    J = _eigen_jacobian(half, p, w, R)
+    J = _eigen_jacobian(half, p, w, R, np.empty((m + 1, m + 1)))
     assert J.shape == (m + 1, m + 1)
     x = np.append(w, R)
     fd = np.empty_like(J)
@@ -564,18 +554,17 @@ def test_folded_minimize_matches_full_descent_at_odd_n():
     params = validate_params({"p": 3.0, "s": 0.3, "q": 2.5, "r": 1.5,
                               "lambda": 12.5})
     kern = assemble_kernel(build_mesh(-1.0, 1.0, 33), params)
-    model = ReactionModel.plain(params)
     opts = SolverOptions()
     u0 = default_starts(kern.mesh, params, 10, 0)[4]
-    rep = minimize(kern, model, u0, opts)
+    rep = minimize(kern, params, u0, opts)
     assert rep.converged and rep.classification == "minimizer"
     u = rep.solution.values
     assert np.array_equal(u, u[::-1])
     # the same descent on the full kernel, from the unsymmetrized start
     whole = KernelMatrix.full_from_sigma(kern.mesh, kern.sigma)
-    full, E, g, _ = _descend(whole, model, u0, opts)
-    assert E == total_energy(whole, model, full)
-    assert np.max(np.abs(total_gradient(whole, model, full))) <= 1e-9 * abs(E)
+    full, E, g, _ = _descend(whole, params, u0, opts)
+    assert E == total_energy(whole, params, full)
+    assert np.max(np.abs(total_gradient(whole, params, full))) <= 1e-9 * abs(E)
     assert rep.energy == pytest.approx(E, rel=1e-12)
     assert np.max(np.abs(u - full)) <= 1e-7 * np.max(u)
 
@@ -596,12 +585,11 @@ def test_minimize_descends_from_any_start():
     params = make_params(2.5, lam=6.0)
     mesh = build_mesh(-1.0, 1.0, 20)
     kern = assemble_kernel(mesh, params)
-    model = ReactionModel.plain(params)
     rng = np.random.default_rng(3)
     u0 = rng.random(20)
-    rep = minimize(kern, model, u0, SolverOptions())
+    rep = minimize(kern, params, u0, SolverOptions())
     full = KernelMatrix.full_from_sigma(mesh, params.sigma)
-    assert rep.energy <= total_energy(full, model, u0) + 1e-12
+    assert rep.energy <= total_energy(full, params, u0) + 1e-12
     assert rep.converged
 
 
@@ -616,15 +604,14 @@ def test_minimize_clears_the_negative_part_it_steps_into(max_iter):
                               "lambda": 12.5})
     mesh = build_mesh(-1.0, 1.0, 32)
     kern = assemble_kernel(mesh, params)
-    model = ReactionModel.plain(params)
     u0 = np.full(32, 3.0)
     u0[:3] = u0[-3:] = -2.0
-    rep = minimize(kern, model, u0, SolverOptions(max_iter=max_iter))
+    rep = minimize(kern, params, u0, SolverOptions(max_iter=max_iter))
     assert rep.iterations == max_iter
     assert np.min(rep.solution.values) >= 0.0
     full = KernelMatrix.full_from_sigma(mesh, params.sigma)
     assert rep.energy == pytest.approx(
-        total_energy(full, model, rep.solution.values), rel=1e-12)
+        total_energy(full, params, rep.solution.values), rel=1e-12)
 
 
 def test_minimize_multistart_never_evaluates_a_negative_point(monkeypatch):
@@ -635,12 +622,12 @@ def test_minimize_multistart_never_evaluates_a_negative_point(monkeypatch):
     kern = assemble_kernel(build_mesh(-1.0, 1.0, 32), params)
     evaluate, lowest = solvers._energy_and_gradient, []
 
-    def recorded(kern, model, u):
+    def recorded(kern, params, u):
         lowest.append(float(np.min(u)))
-        return evaluate(kern, model, u)
+        return evaluate(kern, params, u)
 
     monkeypatch.setattr(solvers, "_energy_and_gradient", recorded)
-    reports = minimize_multistart(kern, ReactionModel.plain(params), seed=0)
+    reports = minimize_multistart(kern, params, seed=0)
     assert select_solution(reports).converged
     assert len(lowest) > len(reports) and min(lowest) >= 0.0
 
@@ -651,8 +638,7 @@ def test_minimize_from_its_own_minimizer_takes_no_step(monkeypatch):
     params = validate_params({"p": 3.0, "s": 0.3, "q": 2.5, "r": 1.5,
                               "lambda": 12.5})
     kern = assemble_kernel(build_mesh(-1.0, 1.0, 128), params)
-    model = ReactionModel.plain(params)
-    ref = select_solution(minimize_multistart(kern, model, seed=0))
+    ref = select_solution(minimize_multistart(kern, params, seed=0))
     assert ref.converged and ref.classification == "minimizer"
     solve, calls = np.linalg.solve, []
 
@@ -661,7 +647,7 @@ def test_minimize_from_its_own_minimizer_takes_no_step(monkeypatch):
         return solve(*args)
 
     monkeypatch.setattr(np.linalg, "solve", counted)
-    rep = minimize(kern, model, ref.solution.values)
+    rep = minimize(kern, params, ref.solution.values)
     assert rep.converged and rep.iterations == 0 and not calls
     assert rep.energy == ref.energy
     assert np.array_equal(rep.solution.values, ref.solution.values)
@@ -680,8 +666,7 @@ def test_warm_start_converges_below_the_armijo_resolution():
     assert point.lam == pytest.approx(9.1337, abs=1e-4)
     start = point.u_big
     assert start.converged
-    model = ReactionModel.plain(with_lambda(params, grid[4]))
-    rep = minimize(kern, model, start.solution.values)
+    rep = minimize(kern, with_lambda(params, grid[4]), start.solution.values)
     assert rep.converged
     assert rep.classification == "minimizer"
     assert rep.residual <= 1e-9 * max(1.0, abs(rep.energy))
@@ -699,7 +684,7 @@ def test_minimize_newton_finish_does_not_stop_at_the_saddle(small_problem,
     noise = np.random.default_rng(seed).standard_normal(kern.n)
     noise += noise[::-1]
     start = v + 1e-6 * np.max(v) * noise / np.max(np.abs(noise))
-    rep = minimize(kern, ReactionModel.plain(params), start)
+    rep = minimize(kern, params, start)
     assert rep.converged
     E_v = small_saddle.energy
     assert (rep.classification == "zero"
@@ -711,9 +696,8 @@ def test_minimize_takes_a_shifted_step_where_cholesky_fails(monkeypatch,
     # only the first factorization fails: the residual test waits for a
     # successful one, so failing them all would never let the run stop
     kern, params = small_problem
-    model = ReactionModel.plain(params)
     u0 = default_starts(kern.mesh, params, 10, 0)[6]
-    ref = minimize(kern, model, u0)
+    ref = minimize(kern, params, u0)
     cholesky, shifted = np.linalg.cholesky, solvers._shifted_step
     calls = {"cholesky": 0, "shifted": 0}
 
@@ -729,7 +713,7 @@ def test_minimize_takes_a_shifted_step_where_cholesky_fails(monkeypatch,
 
     monkeypatch.setattr(np.linalg, "cholesky", first_fails)
     monkeypatch.setattr(solvers, "_shifted_step", counted)
-    rep = minimize(kern, model, u0)
+    rep = minimize(kern, params, u0)
     assert calls["shifted"] == 1
     assert ref.converged and rep.converged
     assert rep.classification == "minimizer"
@@ -743,14 +727,13 @@ def test_minimize_multistart_needs_no_eigendecomposition(monkeypatch):
     params = validate_params({"p": 3.0, "s": 0.3, "q": 2.5, "r": 1.5,
                               "lambda": 12.5})
     kern = assemble_kernel(build_mesh(-1.0, 1.0, 128), params)
-    model = ReactionModel.plain(params)
-    ref = select_solution(minimize_multistart(kern, model, seed=0))
+    ref = select_solution(minimize_multistart(kern, params, seed=0))
 
     def refused(H):
         raise AssertionError("minimize called eigh")
 
     monkeypatch.setattr(np.linalg, "eigh", refused)
-    rep = select_solution(minimize_multistart(kern, model, seed=0))
+    rep = select_solution(minimize_multistart(kern, params, seed=0))
     assert rep.converged and rep.classification == "minimizer"
     assert rep.energy == ref.energy
     assert np.array_equal(rep.solution.values, ref.solution.values)
@@ -779,7 +762,7 @@ def test_minimize_multistart_keeps_the_lbfgs_results():
         params = validate_params({"p": p, "s": s, "q": q, "r": r,
                                   "lambda": lam})
         kern = assemble_kernel(build_mesh(-1.0, 1.0, 32), params)
-        reports = minimize_multistart(kern, ReactionModel.plain(params),
+        reports = minimize_multistart(kern, params,
                                       seed=0)
         assert sum(rep.converged for rep in reports) >= conv
         assert sum(rep.converged and rep.classification != "zero"
@@ -794,7 +777,7 @@ def test_minimize_climbs_from_near_zero_at_low_p():
                               "lambda": 40.0})
     kern = assemble_kernel(build_mesh(-1.0, 1.0, 128), params)
     u0 = default_starts(kern.mesh, params, 10, 0)[2]
-    rep = minimize(kern, ReactionModel.plain(params), u0)
+    rep = minimize(kern, params, u0)
     assert rep.converged
     assert rep.classification == "minimizer"
     assert rep.iterations <= 50
@@ -807,7 +790,7 @@ def test_singular_multistart_converges():
     params = validate_params({"p": 1.8, "s": 0.4, "q": 1.6, "r": 1.2,
                               "lambda": 8.1})
     kern = assemble_kernel(build_mesh(-1.0, 1.0, 32), params)
-    reports = minimize_multistart(kern, ReactionModel.plain(params), seed=0)
+    reports = minimize_multistart(kern, params, seed=0)
     assert any(r.classification == "minimizer" for r in reports)
     for rep in reports:
         assert rep.converged
@@ -818,7 +801,7 @@ def test_multistart_iteration_count_guard(small_problem):
     # the multistart behind small_big_solution took 1660 iterations in
     # all with Barzilai-Borwein steepest descent
     kern, params = small_problem
-    reports = minimize_multistart(kern, ReactionModel.plain(params), seed=0)
+    reports = minimize_multistart(kern, params, seed=0)
     assert sum(r.iterations for r in reports) < 1660 // 2
 
 
@@ -829,7 +812,7 @@ def test_subcritical_multistart_lands_on_exact_zero():
                               "lambda": 0.5})
     mesh = build_mesh(-1.0, 1.0, 32)
     kern = assemble_kernel(mesh, params)
-    reports = minimize_multistart(kern, ReactionModel.plain(params), seed=0)
+    reports = minimize_multistart(kern, params, seed=0)
     assert len(reports) == 10
     for rep in reports:
         assert rep.classification == "zero"
@@ -841,23 +824,21 @@ def test_subcritical_multistart_lands_on_exact_zero():
 
 def test_multistart_deterministic_and_thread_invariant(small_problem):
     kern, params = small_problem
-    model = ReactionModel.plain(params)
-    a = minimize_multistart(kern, model, seed=7)
-    b = minimize_multistart(kern, model, seed=7)
-    c = minimize_multistart(kern, model, seed=7, threads=2)
+    a = minimize_multistart(kern, params, seed=7)
+    b = minimize_multistart(kern, params, seed=7)
+    c = minimize_multistart(kern, params, seed=7, threads=2)
     for x, y in ((a, b), (a, c)):
         assert [r.energy for r in x] == [r.energy for r in y]
         for rx, ry in zip(x, y):
             assert np.array_equal(rx.solution.values, ry.solution.values)
-    d = minimize_multistart(kern, model, seed=8)
+    d = minimize_multistart(kern, params, seed=8)
     assert any(not np.array_equal(rx.solution.values, rd.solution.values)
                for rx, rd in zip(a, d))
 
 
 def test_multistart_short_circuit(small_problem):
     kern, params = small_problem
-    model = ReactionModel.plain(params)
-    reports = minimize_multistart(kern, model, seed=0,
+    reports = minimize_multistart(kern, params, seed=0,
                                   stop_at_nontrivial=True)
     assert len(reports) <= 10
     assert reports[-1].classification == "minimizer"
@@ -865,8 +846,7 @@ def test_multistart_short_circuit(small_problem):
 
 def test_select_solution_prefers_lowest_energy(small_problem):
     kern, params = small_problem
-    model = ReactionModel.plain(params)
-    reports = minimize_multistart(kern, model, seed=0)
+    reports = minimize_multistart(kern, params, seed=0)
     pick = select_solution(reports)
     nontrivial = [r for r in reports if r.classification == "minimizer"]
     assert pick.energy == min(r.energy for r in nontrivial)
@@ -903,7 +883,7 @@ def test_start_and_ceiling_lengths_are_checked_on_the_full_mesh(
     with pytest.raises(MeshMismatchError,
                        match="expected %d nodal values" % kern.n):
         if entry == "minimize":
-            minimize(kern, ReactionModel.plain(params), bad)
+            minimize(kern, params, bad)
         else:
             find_saddle(kern, params, bad)
 
@@ -938,7 +918,7 @@ def test_find_saddle_never_returns_the_zero_function():
     params = validate_params({"p": 1.8, "s": 0.4, "q": 1.6, "r": 1.2,
                               "lambda": 40.0})
     kern = assemble_kernel(build_mesh(-1.0, 1.0, 32), params)
-    reports = minimize_multistart(kern, ReactionModel.plain(params), seed=0)
+    reports = minimize_multistart(kern, params, seed=0)
     u_big = select_solution(reports)
     assert u_big.converged and u_big.classification == "minimizer"
     rep = find_saddle(kern, params, u_big.solution.values)
@@ -996,8 +976,8 @@ def test_find_saddle_rejects_a_point_above_the_ceiling(
     w_big = mirror_fold(small_big_solution.solution.values)
     descend = solvers._peak_descent
 
-    def above(kern, model, peak, opts):
-        (z, Az, E, g), steps = descend(kern, model, peak, opts)
+    def above(kern, params, peak, opts):
+        (z, Az, E, g), steps = descend(kern, params, peak, opts)
         z = z.copy()
         z[0] = 1.01 * w_big[0]
         return (z, Az, E, g), steps
@@ -1016,7 +996,7 @@ def fold_from(exps, n, lam):
     params = validate_params({"p": p, "s": s, "q": q, "r": r, "lambda": lam})
     kern = assemble_kernel(build_mesh(-1.0, 1.0, n), params)
     u = select_solution(minimize_multistart(
-        kern, ReactionModel.plain(params), seed=0, stop_at_nontrivial=True))
+        kern, params, seed=0, stop_at_nontrivial=True))
     return kern, params, solve_fold(kern, params, u.solution)
 
 
@@ -1025,14 +1005,14 @@ def test_solve_fold_makes_the_even_hessian_singular():
     # positive even eigenvector, and the branch lives just above it
     kern, params, fold = fold_from((3.0, 0.3, 2.5, 1.5), 33, 9.0)
     assert fold.converged and fold.note is None and fold.residual <= 1e-9
-    model = ReactionModel.plain(with_lambda(params, fold.lam))
     curv = np.linalg.eigvalsh(total_hessian(
-        kern, model, mirror_fold(fold.solution.values)))
+        kern, with_lambda(params, fold.lam),
+        mirror_fold(fold.solution.values)))
     assert abs(curv[0]) <= 1e-12 * curv[1]
     phi = fold.null_vector.values
     assert np.all(phi > 0.0) and np.array_equal(phi, phi[::-1])
-    above = minimize(kern, ReactionModel.plain(
-        with_lambda(params, fold.lam + 0.01)), fold.solution.values)
+    above = minimize(kern, with_lambda(params, fold.lam + 0.01),
+                     fold.solution.values)
     assert above.converged and above.classification == "minimizer"
 
 
