@@ -4,16 +4,21 @@ A refactor must reproduce the demo artifacts to solver tolerance: every
 value to 1e-7 relative, the threshold search's decisions (the lambda*
 fields of method_record) and each solution's converged flag and Morse
 index exactly.  Residuals and iteration counts may move with rounding
-and are not compared.
+and are not compared.  The committed files themselves must be what the
+code writes: a rerun of the four commands with one BLAS thread
+reproduces every one of them byte for byte.
 """
 
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import fracbif
 from fracbif.cli import main
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -90,3 +95,25 @@ def test_csv_values_match_committed(fresh, name):
             np.testing.assert_allclose(new.astype(float), old.astype(float),
                                        rtol=RTOL, atol=0.0, equal_nan=True,
                                        err_msg="%s column %s" % (name, column))
+
+
+def test_one_thread_rerun_reproduces_out_byte_for_byte(tmp_path):
+    # under the default BLAS threading the last bits of some values can
+    # differ between runs, so every thread count is pinned to one before
+    # the process loads numpy
+    src = os.path.dirname(os.path.dirname(fracbif.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for command in ("eigen", "solve", "bifurcation", "verify"):
+        subprocess.run([sys.executable, "-m", "fracbif.cli", command,
+                        "--config", os.path.join(ROOT, "demo.cfg"),
+                        "--out", str(tmp_path)],
+                       env=env, capture_output=True, check=True)
+    names = sorted(os.listdir(COMMITTED))
+    assert sorted(os.listdir(tmp_path)) == names
+    moved = [name for name in names
+             if (tmp_path / name).read_bytes()
+             != open(os.path.join(COMMITTED, name), "rb").read()]
+    assert moved == []
