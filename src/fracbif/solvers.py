@@ -596,10 +596,16 @@ def nontrivial(report, zero_tol):
 
 
 def select_solution(reports, zero_tol=SolverOptions.zero_tol):
-    """Lowest-energy converged nontrivial report, else the cleanest zero."""
+    """Lowest-energy converged nontrivial report, else the cleanest zero.
+
+    Of the nontrivial reports whose energy lies within the rounding of
+    the least one, the first in report order, the order of the starts:
+    several starts reach copies of one minimizer whose energies differ
+    only in their last bits, and the pick should not hang on those."""
     found = [r for r in reports if nontrivial(r, zero_tol)]
     if found:
-        return min(found, key=lambda r: r.energy)
+        least = min(r.energy for r in found)
+        return next(r for r in found if r.energy <= least + _rounding(least))
     return min(reports, key=lambda r: (not r.converged, r.residual))
 
 

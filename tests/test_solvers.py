@@ -3,9 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from fracbif import (KernelMatrix, MeshMismatchError, ParameterError,
-                     SaddleNotFound, SolverError, SolverOptions,
-                     apply_operator,
+from fracbif import (GridFunction, KernelMatrix, MeshMismatchError,
+                     ParameterError, SaddleNotFound, SolveReport,
+                     SolverError, SolverOptions, apply_operator,
                      assemble_kernel, build_mesh, continue_branch,
                      find_saddle, minimize, minimize_multistart, mirror_fold,
                      mirror_unfold, odd_power, principal_eigenpair,
@@ -851,6 +851,23 @@ def test_select_solution_prefers_lowest_energy(small_problem):
     nontrivial = [r for r in reports if r.classification == "minimizer"]
     assert pick.energy == min(r.energy for r in nontrivial)
     assert pick.energy < 0.0
+
+
+def test_select_solution_takes_the_first_start_within_rounding():
+    # copies of one minimizer from several starts differ in their last
+    # bits; the pick is the first of them, not the one rounded lowest
+    mesh = build_mesh(-1.0, 1.0, 8)
+
+    def report(energy):
+        return SolveReport(solution=GridFunction(np.ones(8), mesh),
+                           energy=energy, residual=0.0, iterations=0,
+                           converged=True, classification="minimizer")
+
+    reports = [report(-1.0), report(-2.0), report(-2.0 - 1e-14),
+               report(-2.0 + 1e-14)]
+    assert select_solution(reports) is reports[1]
+    reports.append(report(-2.0 - 1e-12))
+    assert select_solution(reports) is reports[-1]
 
 
 def test_find_saddle_rejects_a_ceiling_that_is_not_even(small_problem,
