@@ -48,9 +48,7 @@ def demo_branches():
     params = validate_params({"p": 3.0, "s": 0.3, "q": 2.5, "r": 1.5,
                               "lambda": 9.0})
     kern = assemble_kernel(build_mesh(-1.0, 1.0, 128), params)
-    u9 = select_solution(minimize_multistart(kern,
-                                             params,
-                                             seed=0))
+    u9 = select_solution(minimize_multistart(kern, params, seed=0))
     fold = solve_fold(kern, params, u9.solution)
     assert fold.converged
     rows = []

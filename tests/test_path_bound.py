@@ -29,8 +29,7 @@ def test_saddle_search_takes_one_pairwise_pass_a_point(monkeypatch):
     params = validate_params({"p": DEMO[0], "s": DEMO[1], "q": DEMO[2],
                               "r": DEMO[3], "lambda": 12.5})
     kern = assemble_kernel(build_mesh(-1.0, 1.0, 128), params)
-    u = select_solution(minimize_multistart(kern, params,
-                                            seed=0))
+    u = select_solution(minimize_multistart(kern, params, seed=0))
     passes, vectors = kernel.pairwise_energy, []
 
     def counted(kern, u, p):

@@ -131,8 +131,7 @@ def search(p, s, q, r, lam):
     report from it, or None where it raises SaddleNotFound."""
     params = validate_params({"p": p, "s": s, "q": q, "r": r, "lambda": lam})
     kern = assemble_kernel(build_mesh(-1.0, 1.0, N), params)
-    u = select_solution(minimize_multistart(kern, params,
-                                            seed=0))
+    u = select_solution(minimize_multistart(kern, params, seed=0))
     assert u.converged and u.classification == "minimizer"
     try:
         rep = find_saddle(kern, params, u.solution.values)
@@ -197,6 +196,5 @@ def test_oracle_counts_the_index_of_a_spike_with_tiny_tails():
     assert v.min() < 1e-20 * v.max()
     params = validate_params({"p": p, "s": s, "q": q, "r": r, "lambda": lam})
     kern = assemble_kernel(build_mesh(-1.0, 1.0, N), params)
-    index = solvers._morse_index(kern, params,
-                                 mirror_fold(v))
+    index = solvers._morse_index(kern, params, mirror_fold(v))
     assert even_morse_index(prob, v, lam) == index == 1

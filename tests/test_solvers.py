@@ -333,8 +333,7 @@ def test_odd_mesh_path_step_follows_the_full_space_gradient():
     params = validate_params({"p": 4.0, "s": 0.2, "q": 3.0, "r": 2.0,
                               "lambda": 12.5})
     kern = assemble_kernel(build_mesh(-1.0, 1.0, 31), params)
-    u = select_solution(minimize_multistart(kern, params,
-                                            seed=0))
+    u = select_solution(minimize_multistart(kern, params, seed=0))
     v = find_saddle(kern, params, u.solution.values)
     assert v.converged and v.morse_index == 1
     assert v.iterations <= 100
@@ -762,8 +761,7 @@ def test_minimize_multistart_keeps_the_lbfgs_results():
         params = validate_params({"p": p, "s": s, "q": q, "r": r,
                                   "lambda": lam})
         kern = assemble_kernel(build_mesh(-1.0, 1.0, 32), params)
-        reports = minimize_multistart(kern, params,
-                                      seed=0)
+        reports = minimize_multistart(kern, params, seed=0)
         assert sum(rep.converged for rep in reports) >= conv
         assert sum(rep.converged and rep.classification != "zero"
                    for rep in reports) >= nontrivial
